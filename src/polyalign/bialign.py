@@ -3,7 +3,6 @@
 The restriction collapses the alignment problem to an O(nm) edit-distance
 style dynamic program over embedding costs: moves are substitute (1-1 at the
 cell cost), skip-source (1-0) and skip-target (0-1), both at a flat penalty.
-A brute-force enumerator over all monotone covers serves as the test oracle.
 """
 
 from __future__ import annotations
@@ -14,11 +13,6 @@ import numpy as np
 
 from .embedding import EmbeddingMatrix
 
-# Backtrace preference on exact ties.
-TIE_ORDER = ("substitute", "skip-source", "skip-target")
-
-BRUTE_FORCE_BOUND = 8
-
 
 class AlignmentError(Exception):
     pass
@@ -27,13 +21,10 @@ class AlignmentError(Exception):
 @dataclass(frozen=True)
 class AlignConfig:
     skip_cost: float = 0.15
-    normalization: str = "raw"  # raw | sampled-mean
 
     def __post_init__(self):
         if self.skip_cost < 0:
             raise AlignmentError("skip_cost must be non-negative")
-        if self.normalization not in ("raw", "sampled-mean"):
-            raise AlignmentError(f"unknown normalization {self.normalization!r}")
 
 
 @dataclass(frozen=True)
@@ -99,13 +90,8 @@ def _default_ids(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}:{i}" for i in range(n))
 
 
-_SAMPLE_SEED = 20240917
-
-
-def cost_matrix(src: EmbeddingMatrix, tgt: EmbeddingMatrix, config: AlignConfig | None = None) -> np.ndarray:
+def cost_matrix(src: EmbeddingMatrix, tgt: EmbeddingMatrix) -> np.ndarray:
     """Pairwise dissimilarity 1 - cosine between the two chapters' rows."""
-    if config is None:
-        config = AlignConfig()
     if src.dim != tgt.dim:
         raise AlignmentError(f"dimension mismatch: {src.dim} vs {tgt.dim}")
     if (src.provider, src.mode) != (tgt.provider, tgt.mode):
@@ -114,15 +100,7 @@ def cost_matrix(src: EmbeddingMatrix, tgt: EmbeddingMatrix, config: AlignConfig 
         )
     a = src.vectors.astype(np.float64)
     b = tgt.vectors.astype(np.float64)
-    costs = 1.0 - np.clip(a @ b.T, -1.0, 1.0)
-    if config.normalization == "sampled-mean":
-        n, m = costs.shape
-        if n and m:
-            rng = np.random.default_rng(_SAMPLE_SEED)
-            k = min(128, n * m)
-            flat = rng.choice(n * m, size=k, replace=False)
-            costs = costs / (float(costs.ravel()[flat].mean()) + 1e-6)
-    return costs
+    return 1.0 - np.clip(a @ b.T, -1.0, 1.0)
 
 
 def _backtrace(dp: np.ndarray, costs: np.ndarray, lam: float) -> list[tuple[int | None, int | None, float]]:
@@ -192,84 +170,3 @@ def align_chapter(
         links=links,
         total_cost=total,
     )
-
-
-_MOVE_RANK = {"substitute": 0, "skip-source": 1, "skip-target": 2}
-
-
-def _enumerate_covers(n: int, m: int):
-    """All monotone full covers as forward move lists (src, tgt, kind)."""
-    if n == 0 and m == 0:
-        yield []
-        return
-    if n > 0 and m > 0:
-        for rest in _enumerate_covers(n - 1, m - 1):
-            yield rest + [(n - 1, m - 1, "substitute")]
-    if n > 0:
-        for rest in _enumerate_covers(n - 1, m):
-            yield rest + [(n - 1, None, "skip-source")]
-    if m > 0:
-        for rest in _enumerate_covers(n, m - 1):
-            yield rest + [(None, m - 1, "skip-target")]
-
-
-def brute_force_align(
-    costs: np.ndarray,
-    config: AlignConfig | None = None,
-    src_chapter: str = "src",
-    tgt_chapter: str = "tgt",
-    src_ids: tuple[str, ...] | None = None,
-    tgt_ids: tuple[str, ...] | None = None,
-) -> BilingualAlignment:
-    """Exhaustive oracle: enumerate every monotone full cover, take the best.
-
-    Tie-breaking matches the DP backtrace: among equal-cost covers, the one
-    whose reversed move-kind sequence (substitute < skip-source < skip-target)
-    is lexicographically smallest wins. Bounded to n, m <= 8.
-    """
-    if config is None:
-        config = AlignConfig()
-    costs = np.asarray(costs, dtype=np.float64)
-    n, m = costs.shape
-    if n > BRUTE_FORCE_BOUND or m > BRUTE_FORCE_BOUND:
-        raise AlignmentError(f"brute force bounded to {BRUTE_FORCE_BOUND}x{BRUTE_FORCE_BOUND}")
-    lam = config.skip_cost
-
-    best = None
-    best_key = None
-    for cover in _enumerate_covers(n, m):
-        total = 0.0
-        for s, t, kind in cover:
-            total += costs[s, t] if kind == "substitute" else lam
-        key = (total, tuple(_MOVE_RANK[kind] for _, _, kind in reversed(cover)))
-        if best_key is None or key < best_key:
-            best, best_key = cover, key
-
-    links = [
-        Link(src=s, tgt=t, cost=float(costs[s, t]) if kind == "substitute" else lam)
-        for s, t, kind in best
-    ]
-    total = 0.0
-    for link in links:
-        total += link.cost
-    return BilingualAlignment(
-        src_chapter=src_chapter,
-        tgt_chapter=tgt_chapter,
-        src_ids=src_ids if src_ids is not None else _default_ids(src_chapter, n),
-        tgt_ids=tgt_ids if tgt_ids is not None else _default_ids(tgt_chapter, m),
-        links=links,
-        total_cost=total,
-    )
-
-
-def check_full_cover(alignment: BilingualAlignment) -> None:
-    """Raise if the alignment is not a monotone full cover."""
-    n, m = len(alignment.src_ids), len(alignment.tgt_ids)
-    srcs = [l.src for l in alignment.links if l.src is not None]
-    tgts = [l.tgt for l in alignment.links if l.tgt is not None]
-    if sorted(srcs) != list(range(n)) or sorted(tgts) != list(range(m)):
-        raise AlignmentError("alignment does not cover all segments exactly once")
-    subs = [(l.src, l.tgt) for l in alignment.links if l.is_substitution]
-    for (i, j), (i2, j2) in zip(subs, subs[1:]):
-        if not (i < i2 and j < j2):
-            raise AlignmentError("1-1 links are not monotone")

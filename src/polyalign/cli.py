@@ -1,16 +1,20 @@
-"""Command-line interface: the full pipeline plus one subcommand per stage."""
+"""Command-line interface: the full pipeline plus one subcommand per stage.
+
+The stage subcommands run the pipeline's own stage functions on the files
+their flags name.
+"""
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-import sys
 
 import click
 
 from . import __version__
-from .bialign import AlignConfig, align_chapter, cost_matrix
-from .embedding import EmbeddingCache, ProviderConfig, embed_segments
+from .bialign import AlignConfig
+from .embedding import MODES, ProviderConfig
 from .evaluate import load_gold, multi_prf
 from .export import (
     export_bitext,
@@ -23,24 +27,15 @@ from .export import (
     stats_to_dict,
     write_sheet,
 )
-from .ingest import build_chapter_groups, parse_volume
-from .model import (
-    MultiParallelAlignment,
-    load_corpus,
-    save_corpus,
-    segment_index,
-    validate_corpus,
-)
-from .multialign import (
-    DroppedComponent,
-    LengthFilterConfig,
-    align_group_consensus,
-    length_filter,
-    pivot_multialign,
-)
+from .model import load_corpus, segment_index
+from .multialign import LengthFilterConfig
 from .pipeline import (
     PipelineConfig,
-    load_alignments,
+    PipelineError,
+    align_pairs,
+    build_rows,
+    embed_chapters,
+    ingest_raw,
     load_config,
     run_pipeline,
 )
@@ -48,10 +43,48 @@ from .pipeline import (
 FORMAT_VERSION = "polyalign-corpus/1"
 
 
-@click.group()
+class _Main(click.Group):
+    """Report a PipelineError as a one-line error with exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except PipelineError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__, message=f"polyalign %(version)s ({FORMAT_VERSION})")
 def main():
     """Multi-parallel segment alignment toolkit."""
+
+
+_EMBEDDING_OPTIONS = (
+    click.option("--provider", default="hash"),
+    click.option("--model", default="ngram3-v1"),
+    click.option("--endpoint", default=""),
+    click.option("--auth", default="", help="Env var holding the API secret."),
+    click.option("--batch-size", default=64),
+    click.option("--mode", type=click.Choice(MODES), default="text"),
+    click.option("--dim", default=256),
+)
+
+
+def _embedding_options(command):
+    """Add the provider, mode and dim flags, passed on with the cache directory
+    as one PipelineConfig, so that every command keys the cache alike."""
+
+    @functools.wraps(command)
+    def wrapper(cache_dir, provider, model, endpoint, auth, batch_size, mode, dim, **flags):
+        provider_config = ProviderConfig(
+            name=provider, endpoint=endpoint, model=model, batch_size=batch_size, auth=auth
+        )
+        config = PipelineConfig(cache_dir=cache_dir, provider=provider_config, mode=mode, dim=dim)
+        return command(config, **flags)
+
+    for option in reversed(_EMBEDDING_OPTIONS):
+        wrapper = option(wrapper)
+    return wrapper
 
 
 @main.command()
@@ -71,88 +104,21 @@ def run(config_path):
 @click.option("--groups", "groups_path", default=None, type=click.Path())
 def ingest(raw_dir, mapping, out_path, report_path, groups_path):
     """Parse raw volumes, segment HTML, build chapter groups."""
-    import glob
-
-    warnings = []
-    volumes = []
-    for path in sorted(glob.glob(os.path.join(raw_dir, "*.json"))):
-        with open(path, "rb") as fh:
-            volumes.append(parse_volume(fh.read(), warnings))
-    volumes.sort(key=lambda v: (v.idiom, v.volume_id))
-    violations = validate_corpus(volumes)
-    if violations:
-        for v in violations:
-            click.echo(f"violation: {v.where}: {v.message}", err=True)
-        sys.exit(1)
-    with open(mapping, encoding="utf-8") as fh:
-        groups = build_chapter_groups(volumes, fh.read(), warnings)
-    save_corpus(volumes, out_path)
-    if groups_path is None:
-        groups_path = out_path + ".groups.json"
-    with open(groups_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                g.group_id: {
-                    idiom: {
-                        "chapter_key": chap.key,
-                        "segment_ids": [s.id for s in chap.segments],
-                    }
-                    for idiom, chap in sorted(g.members.items())
-                }
-                for g in groups
-            },
-            fh,
-            sort_keys=True,
-        )
-    with open(report_path, "w", encoding="utf-8") as fh:
-        for w in warnings:
-            fh.write(w.to_json() + "\n")
-    click.echo(f"{len(volumes)} volumes, {len(groups)} chapter groups, {len(warnings)} warnings")
+    counts = ingest_raw(raw_dir, mapping, out_path, groups_path or out_path + ".groups.json", report_path)
+    click.echo(
+        f"{counts['volumes']} volumes, {counts['chapter_groups']} chapter groups, "
+        f"{counts['warnings']} warnings"
+    )
 
 
 @main.command()
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
-@click.option("--provider", default="hash")
-@click.option("--mode", type=click.Choice(["text", "html", "concat"]), default="text")
 @click.option("--cache", "cache_dir", required=True, type=click.Path())
-@click.option("--model", default="ngram3-v1")
-@click.option("--endpoint", default="")
-@click.option("--auth", default="", help="Env var holding the API secret.")
-@click.option("--batch-size", default=64)
-@click.option("--dim", default=256)
-def embed(corpus_path, provider, mode, cache_dir, model, endpoint, auth, batch_size, dim):
+@_embedding_options
+def embed(config, corpus_path):
     """Embed every corpus segment through the on-disk cache."""
-    volumes = load_corpus(corpus_path)
-    config = ProviderConfig(
-        name=provider, endpoint=endpoint, model=model, batch_size=batch_size, auth=auth
-    )
-    cache = EmbeddingCache(cache_dir)
-    total = 0
-    for vol in volumes:
-        for chap in vol.chapters:
-            embed_segments(list(chap.segments), config, mode, cache, dim=dim)
-            total += len(chap.segments)
-    click.echo(f"embedded {total} segments into {cache_dir}")
-
-
-def _load_groups_file(groups_path, volumes):
-    from .model import ChapterGroup, chapter_id
-
-    chapters = {}
-    for vol in volumes:
-        for chap in vol.chapters:
-            chapters[chapter_id(vol.idiom, vol.volume_id, chap.key)] = chap
-    with open(groups_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    groups = []
-    for gid in sorted(doc):
-        members = {}
-        for idiom, info in doc[gid].items():
-            seg_ids = info["segment_ids"]
-            if seg_ids:
-                members[idiom] = chapters["/".join(seg_ids[0].split("/")[:3])]
-        groups.append(ChapterGroup(group_id=gid, members=members))
-    return groups
+    total = embed_chapters([chap for vol in load_corpus(corpus_path) for chap in vol.chapters], config)
+    click.echo(f"embedded {total} segments into {config.cache_dir}")
 
 
 @main.command()
@@ -161,58 +127,14 @@ def _load_groups_file(groups_path, volumes):
 @click.option("--embeddings", "cache_dir", required=True, type=click.Path())
 @click.option("--pair", default="all", help="SRC:TGT idiom pair, or 'all'.")
 @click.option("--lambda", "skip_cost", default=0.15)
-@click.option("--provider", default="hash")
-@click.option("--mode", type=click.Choice(["text", "html", "concat"]), default="text")
-@click.option("--dim", default=256)
 @click.option("--out", "out_path", required=True, type=click.Path())
-def bialign(corpus_path, groups_path, cache_dir, pair, skip_cost, provider, mode, dim, out_path):
+@_embedding_options
+def bialign(config, corpus_path, groups_path, pair, skip_cost, out_path):
     """Align chapter pairs with the monotone 1-1/deletion DP."""
-    volumes = load_corpus(corpus_path)
-    groups = _load_groups_file(groups_path, volumes)
-    cache = EmbeddingCache(cache_dir)
-    pconfig = ProviderConfig(name=provider)
-    aconfig = AlignConfig(skip_cost=skip_cost)
-    wanted = None if pair == "all" else tuple(pair.split(":"))
-    count = 0
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for group in groups:
-            idioms = group.idioms()
-            for a, i in enumerate(idioms):
-                for j in idioms[a + 1 :]:
-                    if wanted is not None and (i, j) != wanted and (j, i) != wanted:
-                        continue
-                    mat_i = embed_segments(list(group.members[i].segments), pconfig, mode, cache, dim=dim)
-                    mat_j = embed_segments(list(group.members[j].segments), pconfig, mode, cache, dim=dim)
-                    alignment = align_chapter(
-                        cost_matrix(mat_i, mat_j, aconfig),
-                        aconfig,
-                        src_chapter=f"{group.group_id}/{i}",
-                        tgt_chapter=f"{group.group_id}/{j}",
-                        src_ids=tuple(s.id for s in group.members[i].segments),
-                        tgt_ids=tuple(s.id for s in group.members[j].segments),
-                    )
-                    fh.write(
-                        json.dumps(
-                            {
-                                "group": group.group_id,
-                                "src_idiom": i,
-                                "tgt_idiom": j,
-                                "src_chapter": alignment.src_chapter,
-                                "tgt_chapter": alignment.tgt_chapter,
-                                "src_ids": list(alignment.src_ids),
-                                "tgt_ids": list(alignment.tgt_ids),
-                                "links": [
-                                    {"src": l.src, "tgt": l.tgt, "cost": l.cost}
-                                    for l in alignment.links
-                                ],
-                                "total_cost": alignment.total_cost,
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-                    count += 1
-    click.echo(f"aligned {count} chapter pairs -> {out_path}")
+    config.align = AlignConfig(skip_cost=skip_cost)
+    pair = None if pair == "all" else tuple(pair.split(":"))
+    counts = align_pairs(corpus_path, groups_path, out_path, config, pair)
+    click.echo(f"aligned {counts['chapter_pairs']} chapter pairs -> {out_path}")
 
 
 @main.command()
@@ -227,40 +149,16 @@ def bialign(corpus_path, groups_path, cache_dir, pair, skip_cost, provider, mode
 def multialign(corpus_path, groups_path, alignments_path, pivot, out_path, dropped_path,
                length_unit, no_length_filter):
     """Build multi-parallel rows by consensus (or one pivot's outer join)."""
-    volumes = load_corpus(corpus_path)
-    groups = _load_groups_file(groups_path, volumes)
-    seg_index = segment_index(volumes)
-    records = load_alignments(alignments_path)
-    by_group = {}
-    for gid, i, j, alignment in records:
-        pairs = by_group.setdefault(gid, {})
-        pairs[(i, j)] = alignment
-        pairs[(j, i)] = alignment.transpose()
-
-    fconfig = LengthFilterConfig(unit=length_unit)
-    all_rows = []
-    dropped: list[DroppedComponent] = []
-    for group in groups:
-        pair_alignments = by_group.get(group.group_id, {})
-        if pivot == "all":
-            aligned = align_group_consensus(group, pair_alignments, seg_index, dropped)
-        else:
-            if pivot not in group.members:
-                continue
-            per_idiom = {
-                j: pair_alignments[(pivot, j)] for j in group.idioms() if j != pivot
-            }
-            aligned = pivot_multialign(pivot, per_idiom, seg_index, provenance=group.group_id)
-        for row in aligned.rows:
-            if not no_length_filter:
-                row = length_filter(row, fconfig)
-            if len(row.non_null()) >= 2:
-                all_rows.append(row)
-    export_rows(MultiParallelAlignment(rows=all_rows), out_path)
-    with open(dropped_path, "w", encoding="utf-8") as fh:
-        for d in dropped:
-            fh.write(json.dumps({"group": d.group_id, "segment_ids": d.segment_ids, "reason": d.reason}) + "\n")
-    click.echo(f"{len(all_rows)} aligned rows, {len(dropped)} dropped components")
+    counts = build_rows(
+        corpus_path,
+        groups_path,
+        alignments_path,
+        out_path,
+        dropped_path,
+        None if no_length_filter else LengthFilterConfig(unit=length_unit),
+        None if pivot == "all" else pivot,
+    )
+    click.echo(f"{counts['rows']} aligned rows, {counts['dropped_components']} dropped components")
 
 
 @main.command()

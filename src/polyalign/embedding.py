@@ -60,19 +60,6 @@ class EmbeddingMatrix:
                 raise EmbeddingError("embedding rows must be unit-norm")
 
 
-def cosine(u, v) -> float:
-    """Cosine similarity, clamped to [-1, 1]. Zero vectors are an error."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise EmbeddingError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise EmbeddingError("cosine of a zero vector is undefined")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
-
-
 def _ngrams(text: str, n: int = 3):
     text = unicodedata.normalize("NFC", text).lower()
     if len(text) < n:
@@ -182,7 +169,7 @@ def make_provider(config: ProviderConfig, dim: int = HASH_DIM_DEFAULT):
 
 
 class EmbeddingCache:
-    """Content-addressed store keyed by SHA-256 of (provider, model, mode, input)."""
+    """Content-addressed store keyed by SHA-256 of (provider, model, mode, dim, input)."""
 
     def __init__(self, directory):
         self.directory = str(directory)
@@ -195,9 +182,9 @@ class EmbeddingCache:
             self.index = {}
 
     @staticmethod
-    def key(provider: str, model: str, mode: str, text: str) -> str:
+    def key(provider: str, model: str, mode: str, dim: int, text: str) -> str:
         h = hashlib.sha256()
-        for part in (provider, model, mode, text):
+        for part in (provider, model, mode, str(dim), text):
             h.update(part.encode("utf-8"))
             h.update(b"\x00")
         return h.hexdigest()
@@ -230,6 +217,7 @@ def _embed_texts(
     provider,
     config: ProviderConfig,
     mode: str,
+    dim: int,
     cache: EmbeddingCache | None,
     call_log: list[int] | None = None,
 ) -> list[np.ndarray]:
@@ -237,7 +225,7 @@ def _embed_texts(
     missing: list[int] = []
     if cache is not None:
         for i, text in enumerate(texts):
-            vec = cache.get(EmbeddingCache.key(config.name, config.model, mode, text))
+            vec = cache.get(EmbeddingCache.key(config.name, config.model, mode, dim, text))
             if vec is None:
                 missing.append(i)
             else:
@@ -245,22 +233,22 @@ def _embed_texts(
     else:
         missing = list(range(len(texts)))
 
-    dim = None
+    batch_dim = None
     for start in range(0, len(missing), config.batch_size):
         batch_idx = missing[start : start + config.batch_size]
         batch = provider.embed_batch([texts[i] for i in batch_idx])
         if call_log is not None:
             call_log.append(len(batch_idx))
-        if dim is None:
-            dim = batch.shape[1]
-        elif batch.shape[1] != dim:
+        if batch_dim is None:
+            batch_dim = batch.shape[1]
+        elif batch.shape[1] != batch_dim:
             raise EmbeddingError(
-                f"dimension mismatch across batches: {batch.shape[1]} vs {dim}"
+                f"dimension mismatch across batches: {batch.shape[1]} vs {batch_dim}"
             )
         for i, vec in zip(batch_idx, batch):
             results[i] = vec
             if cache is not None:
-                cache.put(EmbeddingCache.key(config.name, config.model, mode, texts[i]), vec)
+                cache.put(EmbeddingCache.key(config.name, config.model, mode, dim, texts[i]), vec)
     if cache is not None and missing:
         cache.flush()
     return [results[i] for i in range(len(texts))]
@@ -287,10 +275,10 @@ def embed_segments(
 
     if mode == "concat":
         text_vecs = _embed_texts(
-            [s.text for s in segments], provider, provider_config, "text", cache, call_log
+            [s.text for s in segments], provider, provider_config, "text", dim, cache, call_log
         )
         html_vecs = _embed_texts(
-            [s.html for s in segments], provider, provider_config, "html", cache, call_log
+            [s.html for s in segments], provider, provider_config, "html", dim, cache, call_log
         )
         rows = []
         for tv, hv in zip(text_vecs, html_vecs):
@@ -301,7 +289,7 @@ def embed_segments(
                                provider=provider_config.name, mode=mode)
 
     texts = [s.text if mode == "text" else s.html for s in segments]
-    vecs = _embed_texts(texts, provider, provider_config, mode, cache, call_log)
+    vecs = _embed_texts(texts, provider, provider_config, mode, dim, cache, call_log)
     vectors = np.stack(vecs) if vecs else np.zeros((0, dim), dtype=np.float32)
     return EmbeddingMatrix(
         vectors=vectors,

@@ -19,6 +19,9 @@ CANONICAL_IDIOMS = ("sursilvan", "sutsilvan", "surmiran", "puter", "vallader")
 
 _IDIOM_RE = re.compile(r"^[a-z][a-z0-9_-]*$")
 
+# Segment ids join with "/", mapping cells with "#" and mapping columns with tabs.
+_VOLUME_ID_RE = re.compile(r"[^/#\s]+")
+
 
 def check_idiom(code: str) -> str:
     """Validate an idiom code (non-empty, lowercase) and return it."""
@@ -136,6 +139,10 @@ def validate_corpus(volumes: list[BookVolume]) -> list[Violation]:
             check_idiom(vol.idiom)
         except ValueError as exc:
             report.append(Violation(vol_ref, str(exc)))
+        if not _VOLUME_ID_RE.fullmatch(vol.volume_id):
+            report.append(
+                Violation(vol_ref, f"volume_id {vol.volume_id!r} is empty or holds '/', '#' or whitespace")
+            )
         if vol.kind not in VOLUME_KINDS:
             report.append(Violation(vol_ref, f"unknown volume kind {vol.kind!r}"))
         for chap in vol.chapters:

@@ -1,9 +1,11 @@
 """End-to-end pipeline: ingest, embed, bialign, multialign, export.
 
-Each stage reads only prior-stage artifacts; every run writes a manifest
-with the resolved config, content hashes of all artifacts, and per-stage
-counts, so a build can be audited and reproduced bit-for-bit (with a warm
-embedding cache).
+Each stage's work is one function over explicit paths; the ``stage_*``
+functions bind it to the artifacts in ``out_dir``, and the CLI's stage
+commands bind it to the files named by their flags. Each stage reads only
+prior-stage artifacts; every run writes a manifest with the resolved config,
+content hashes of all artifacts, and per-stage counts, so a build can be
+audited and reproduced bit-for-bit (with a warm embedding cache).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import export as export_mod
@@ -31,7 +32,13 @@ from .model import (
     segment_index,
     validate_corpus,
 )
-from .multialign import DroppedComponent, LengthFilterConfig, align_group_consensus, length_filter
+from .multialign import (
+    DroppedComponent,
+    LengthFilterConfig,
+    align_group_consensus,
+    length_filter,
+    pivot_multialign,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -53,9 +60,14 @@ class PipelineConfig:
     dim: int = 256
     align: AlignConfig = field(default_factory=AlignConfig)
     length_filter: LengthFilterConfig = field(default_factory=LengthFilterConfig)
-    pivots: str | list[str] = "all"
     stages: dict[str, bool] = field(default_factory=lambda: {s: True for s in STAGES})
+    # Runs are serial; only 1 is accepted. The field stays while
+    # bench/worker.py passes it.
     workers: int = 1
+
+    def __post_init__(self):
+        if self.workers != 1:
+            raise PipelineError(f"workers must be 1, got {self.workers}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -66,8 +78,6 @@ class PipelineConfig:
             out_dir=doc.get("out_dir", ""),
             mode=doc.get("mode", "text"),
             dim=int(doc.get("dim", 256)),
-            pivots=doc.get("pivots", "all"),
-            workers=int(doc.get("workers", 1)),
         )
         if "provider" in doc:
             cfg.provider = ProviderConfig(**doc["provider"])
@@ -94,18 +104,13 @@ class PipelineConfig:
             },
             "mode": self.mode,
             "dim": self.dim,
-            "align": {
-                "skip_cost": self.align.skip_cost,
-                "normalization": self.align.normalization,
-            },
+            "align": {"skip_cost": self.align.skip_cost},
             "length_filter": {
                 "upper_ratio": self.length_filter.upper_ratio,
                 "lower_ratio": self.length_filter.lower_ratio,
                 "unit": self.length_filter.unit,
             },
-            "pivots": self.pivots,
             "stages": dict(self.stages),
-            "workers": self.workers,
         }
 
 
@@ -146,13 +151,16 @@ class _StageWriter:
 
 
 # ---------------------------------------------------------------------------
-# Stages
+# Stage work over explicit paths: the stages below and the CLI's stage
+# commands both run these.
 
 
-def stage_ingest(config: PipelineConfig, writer: _StageWriter) -> dict:
-    raw_paths = sorted(glob.glob(os.path.join(config.raw_dir, "*.json")))
+def ingest_raw(raw_dir, mapping, corpus_path, groups_path, warnings_path) -> dict:
+    """Parse and validate the raw volumes, group their chapters, and write the
+    corpus, the groups and the ingest warnings."""
+    raw_paths = sorted(glob.glob(os.path.join(raw_dir, "*.json")))
     if not raw_paths:
-        raise PipelineError(f"no raw volume documents in {config.raw_dir!r}")
+        raise PipelineError(f"no raw volume documents in {raw_dir!r}")
     warnings = []
     volumes: list[BookVolume] = []
     for path in raw_paths:
@@ -165,11 +173,11 @@ def stage_ingest(config: PipelineConfig, writer: _StageWriter) -> dict:
             "corpus validation failed: "
             + "; ".join(f"{v.where}: {v.message}" for v in violations[:5])
         )
-    with open(config.mapping, encoding="utf-8") as fh:
+    with open(mapping, encoding="utf-8") as fh:
         groups = build_chapter_groups(volumes, fh.read(), warnings)
 
-    save_corpus(volumes, writer.path_for(os.path.join(config.out_dir, "corpus.json")))
-    with open(writer.path_for(os.path.join(config.out_dir, "groups.json")), "w", encoding="utf-8") as fh:
+    save_corpus(volumes, corpus_path)
+    with open(groups_path, "w", encoding="utf-8") as fh:
         json.dump(
             {
                 g.group_id: {
@@ -184,7 +192,7 @@ def stage_ingest(config: PipelineConfig, writer: _StageWriter) -> dict:
             fh,
             sort_keys=True,
         )
-    with open(writer.path_for(os.path.join(config.out_dir, "warnings.jsonl")), "w", encoding="utf-8") as fh:
+    with open(warnings_path, "w", encoding="utf-8") as fh:
         for w in warnings:
             fh.write(w.to_json() + "\n")
     return {
@@ -195,22 +203,20 @@ def stage_ingest(config: PipelineConfig, writer: _StageWriter) -> dict:
     }
 
 
-def _load_groups(config: PipelineConfig, volumes: list[BookVolume]) -> list[ChapterGroup]:
+def load_groups(path, volumes: list[BookVolume]) -> list[ChapterGroup]:
     chapters = {}
     for vol in volumes:
         for chap in vol.chapters:
-            chapters[chapter_id(vol.idiom, vol.volume_id, chap.key)] = (vol, chap)
-    with open(os.path.join(config.out_dir, "groups.json"), encoding="utf-8") as fh:
+            chapters[chapter_id(vol.idiom, vol.volume_id, chap.key)] = chap
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     groups = []
     for gid in sorted(doc):
         members = {}
         for idiom, info in doc[gid].items():
             seg_ids = info["segment_ids"]
-            if not seg_ids:
-                continue
-            cid = "/".join(seg_ids[0].split("/")[:3])
-            members[idiom] = chapters[cid][1]
+            if seg_ids:
+                members[idiom] = chapters["/".join(seg_ids[0].split("/")[:3])]
         groups.append(ChapterGroup(group_id=gid, members=members))
     return groups
 
@@ -225,77 +231,54 @@ def _chapter_matrix(chapter, config: PipelineConfig, cache: EmbeddingCache):
     )
 
 
-def stage_embed(config: PipelineConfig, writer: _StageWriter) -> dict:
-    volumes = load_corpus(os.path.join(config.out_dir, "corpus.json"))
-    groups = _load_groups(config, volumes)
+def embed_chapters(chapters, config: PipelineConfig) -> int:
+    """Embed each chapter through the cache; return the number of segments."""
     cache = EmbeddingCache(config.cache_dir)
-    embedded = 0
-    for group in groups:
-        for chap in group.members.values():
-            _chapter_matrix(chap, config, cache)
-            embedded += len(chap.segments)
-    return {"segments_embedded": embedded, "chapter_groups": len(groups)}
+    for chap in chapters:
+        _chapter_matrix(chap, config, cache)
+    return sum(len(c.segments) for c in chapters)
 
 
-def _align_pair(args):
-    gid, i, j, chap_i, chap_j, config, cache = args
-    mat_i = _chapter_matrix(chap_i, config, cache)
-    mat_j = _chapter_matrix(chap_j, config, cache)
-    costs = cost_matrix(mat_i, mat_j, config.align)
+def _align_pair(group: ChapterGroup, i: str, j: str, config: PipelineConfig, cache: EmbeddingCache) -> dict:
+    chap_i, chap_j = group.members[i], group.members[j]
+    costs = cost_matrix(_chapter_matrix(chap_i, config, cache), _chapter_matrix(chap_j, config, cache))
     alignment = align_chapter(
         costs,
         config.align,
-        src_chapter=f"{gid}/{i}",
-        tgt_chapter=f"{gid}/{j}",
+        src_chapter=f"{group.group_id}/{i}",
+        tgt_chapter=f"{group.group_id}/{j}",
         src_ids=tuple(s.id for s in chap_i.segments),
         tgt_ids=tuple(s.id for s in chap_j.segments),
     )
-    return gid, i, j, alignment
+    return {
+        "group": group.group_id,
+        "src_idiom": i,
+        "tgt_idiom": j,
+        "src_chapter": alignment.src_chapter,
+        "tgt_chapter": alignment.tgt_chapter,
+        "src_ids": list(alignment.src_ids),
+        "tgt_ids": list(alignment.tgt_ids),
+        "links": [{"src": l.src, "tgt": l.tgt, "cost": l.cost} for l in alignment.links],
+        "total_cost": alignment.total_cost,
+    }
 
 
-def stage_bialign(config: PipelineConfig, writer: _StageWriter) -> dict:
-    volumes = load_corpus(os.path.join(config.out_dir, "corpus.json"))
-    groups = _load_groups(config, volumes)
+def align_pairs(corpus_path, groups_path, alignments_path, config: PipelineConfig,
+                pair: tuple[str, str] | None = None) -> dict:
+    """Align every idiom pair of every group, or only ``pair`` in either order."""
+    volumes = load_corpus(corpus_path)
+    groups = load_groups(groups_path, volumes)
     cache = EmbeddingCache(config.cache_dir)
-
-    tasks = []
-    for group in groups:
-        idioms = group.idioms()
-        for a, i in enumerate(idioms):
-            for j in idioms[a + 1 :]:
-                tasks.append((group.group_id, i, j, group.members[i], group.members[j], config, cache))
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_align_pair, tasks))
-    else:
-        results = [_align_pair(t) for t in tasks]
-    results.sort(key=lambda r: (r[0], r[1], r[2]))
-
-    out_path = writer.path_for(os.path.join(config.out_dir, "alignments.jsonl"))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for gid, i, j, alignment in results:
-            fh.write(
-                json.dumps(
-                    {
-                        "group": gid,
-                        "src_idiom": i,
-                        "tgt_idiom": j,
-                        "src_chapter": alignment.src_chapter,
-                        "tgt_chapter": alignment.tgt_chapter,
-                        "src_ids": list(alignment.src_ids),
-                        "tgt_ids": list(alignment.tgt_ids),
-                        "links": [
-                            {"src": l.src, "tgt": l.tgt, "cost": l.cost}
-                            for l in alignment.links
-                        ],
-                        "total_cost": alignment.total_cost,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    return {"chapter_pairs": len(results)}
+    count = 0
+    with open(alignments_path, "w", encoding="utf-8") as fh:
+        for group in groups:
+            idioms = group.idioms()
+            for a, i in enumerate(idioms):
+                for j in idioms[a + 1 :]:
+                    if pair is None or pair in ((i, j), (j, i)):
+                        fh.write(json.dumps(_align_pair(group, i, j, config, cache), sort_keys=True) + "\n")
+                        count += 1
+    return {"chapter_pairs": count}
 
 
 def load_alignments(path) -> list[tuple[str, str, str, BilingualAlignment]]:
@@ -317,14 +300,16 @@ def load_alignments(path) -> list[tuple[str, str, str, BilingualAlignment]]:
     return out
 
 
-def stage_multialign(config: PipelineConfig, writer: _StageWriter) -> dict:
-    volumes = load_corpus(os.path.join(config.out_dir, "corpus.json"))
-    groups = _load_groups(config, volumes)
+def build_rows(corpus_path, groups_path, alignments_path, rows_path, dropped_path,
+               length_config: LengthFilterConfig | None, pivot: str | None = None) -> dict:
+    """Multi-parallel rows of every group: the consensus of every pivot or, given
+    ``pivot``, that pivot's outer join. Without ``length_config`` no cell is
+    length-filtered. Rows left with fewer than two cells are demoted."""
+    volumes = load_corpus(corpus_path)
+    groups = load_groups(groups_path, volumes)
     seg_index = segment_index(volumes)
-    records = load_alignments(os.path.join(config.out_dir, "alignments.jsonl"))
-
     by_group: dict[str, dict[tuple[str, str], BilingualAlignment]] = {}
-    for gid, i, j, alignment in records:
+    for gid, i, j, alignment in load_alignments(alignments_path):
         pairs = by_group.setdefault(gid, {})
         pairs[(i, j)] = alignment
         pairs[(j, i)] = alignment.transpose()
@@ -334,17 +319,23 @@ def stage_multialign(config: PipelineConfig, writer: _StageWriter) -> dict:
     demoted = 0
     for group in groups:
         pair_alignments = by_group.get(group.group_id, {})
-        aligned = align_group_consensus(group, pair_alignments, seg_index, dropped)
+        if pivot is None:
+            aligned = align_group_consensus(group, pair_alignments, seg_index, dropped)
+        elif pivot in group.members:
+            others = {j: pair_alignments[(pivot, j)] for j in group.idioms() if j != pivot}
+            aligned = pivot_multialign(pivot, others, seg_index, provenance=group.group_id)
+        else:
+            continue
         for row in aligned.rows:
-            filtered = length_filter(row, config.length_filter)
-            if len(filtered.non_null()) >= 2:
-                all_rows.append(filtered)
+            if length_config is not None:
+                row = length_filter(row, length_config)
+            if len(row.non_null()) >= 2:
+                all_rows.append(row)
             else:
                 demoted += 1
 
-    rows = MultiParallelAlignment(rows=all_rows)
-    export_mod.export_rows(rows, writer.path_for(os.path.join(config.out_dir, "rows.jsonl")))
-    with open(writer.path_for(os.path.join(config.out_dir, "dropped.jsonl")), "w", encoding="utf-8") as fh:
+    export_mod.export_rows(MultiParallelAlignment(rows=all_rows), rows_path)
+    with open(dropped_path, "w", encoding="utf-8") as fh:
         for d in dropped:
             fh.write(
                 json.dumps(
@@ -355,15 +346,60 @@ def stage_multialign(config: PipelineConfig, writer: _StageWriter) -> dict:
     return {"rows": len(all_rows), "dropped_components": len(dropped), "demoted_rows": demoted}
 
 
+# ---------------------------------------------------------------------------
+# Stages: the work above bound to the artifacts in out_dir
+
+
+def _out(config: PipelineConfig, name: str) -> str:
+    return os.path.join(config.out_dir, name)
+
+
+def stage_ingest(config: PipelineConfig, writer: _StageWriter) -> dict:
+    return ingest_raw(
+        config.raw_dir,
+        config.mapping,
+        writer.path_for(_out(config, "corpus.json")),
+        writer.path_for(_out(config, "groups.json")),
+        writer.path_for(_out(config, "warnings.jsonl")),
+    )
+
+
+def stage_embed(config: PipelineConfig, writer: _StageWriter) -> dict:
+    volumes = load_corpus(_out(config, "corpus.json"))
+    groups = load_groups(_out(config, "groups.json"), volumes)
+    embedded = embed_chapters([chap for g in groups for chap in g.members.values()], config)
+    return {"segments_embedded": embedded, "chapter_groups": len(groups)}
+
+
+def stage_bialign(config: PipelineConfig, writer: _StageWriter) -> dict:
+    return align_pairs(
+        _out(config, "corpus.json"),
+        _out(config, "groups.json"),
+        writer.path_for(_out(config, "alignments.jsonl")),
+        config,
+    )
+
+
+def stage_multialign(config: PipelineConfig, writer: _StageWriter) -> dict:
+    return build_rows(
+        _out(config, "corpus.json"),
+        _out(config, "groups.json"),
+        _out(config, "alignments.jsonl"),
+        writer.path_for(_out(config, "rows.jsonl")),
+        writer.path_for(_out(config, "dropped.jsonl")),
+        config.length_filter,
+    )
+
+
 def stage_export(config: PipelineConfig, writer: _StageWriter) -> dict:
-    volumes = load_corpus(os.path.join(config.out_dir, "corpus.json"))
+    volumes = load_corpus(_out(config, "corpus.json"))
     seg_index = segment_index(volumes)
-    rows = export_mod.load_rows(os.path.join(config.out_dir, "rows.jsonl"), seg_index)
+    rows = export_mod.load_rows(_out(config, "rows.jsonl"), seg_index)
     report = export_mod.stats(volumes, rows)
-    with open(writer.path_for(os.path.join(config.out_dir, "stats.json")), "w", encoding="utf-8") as fh:
+    with open(writer.path_for(_out(config, "stats.json")), "w", encoding="utf-8") as fh:
         json.dump(export_mod.stats_to_dict(report), fh, sort_keys=True, indent=1)
         fh.write("\n")
-    with open(writer.path_for(os.path.join(config.out_dir, "stats.txt")), "w", encoding="utf-8") as fh:
+    with open(writer.path_for(_out(config, "stats.txt")), "w", encoding="utf-8") as fh:
         fh.write(export_mod.render_stats(report))
     return {"aligned_rows": len(rows.rows), "total_aligned_segments": report.total.aligned_segments}
 

@@ -1,12 +1,24 @@
-"""Independent naive oracles and random instance generators for alignment
-set operations. Deliberately written as plain set comprehensions over pair
-lists, sharing no code with the implementations they check."""
+"""Independent naive oracles and random instance generators for the tests.
+
+The alignment DP is checked against exhaustive enumeration of every monotone
+cover, and the set operations against plain set comprehensions over pair
+lists; none of them shares code with the implementation it checks.
+"""
 
 from __future__ import annotations
 
 import random
 
-from polyalign.bialign import BilingualAlignment, Link
+import numpy as np
+
+from polyalign.bialign import (
+    AlignConfig,
+    AlignmentError,
+    BilingualAlignment,
+    Link,
+    _default_ids,
+)
+from polyalign.embedding import EmbeddingError
 
 
 def random_alignment(rng: random.Random, n: int, m: int, src_prefix: str,
@@ -78,3 +90,99 @@ def naive_consensus(pair_sets):
     for s in full_sets[1:]:
         out = out & s
     return out
+
+
+def cosine(u, v) -> float:
+    """Cosine similarity, clamped to [-1, 1]. Zero vectors are an error."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise EmbeddingError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise EmbeddingError("cosine of a zero vector is undefined")
+    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+
+
+BRUTE_FORCE_BOUND = 8
+
+_MOVE_RANK = {"substitute": 0, "skip-source": 1, "skip-target": 2}
+
+
+def _enumerate_covers(n: int, m: int):
+    """All monotone full covers as forward move lists (src, tgt, kind)."""
+    if n == 0 and m == 0:
+        yield []
+        return
+    if n > 0 and m > 0:
+        for rest in _enumerate_covers(n - 1, m - 1):
+            yield rest + [(n - 1, m - 1, "substitute")]
+    if n > 0:
+        for rest in _enumerate_covers(n - 1, m):
+            yield rest + [(n - 1, None, "skip-source")]
+    if m > 0:
+        for rest in _enumerate_covers(n, m - 1):
+            yield rest + [(None, m - 1, "skip-target")]
+
+
+def brute_force_align(
+    costs: np.ndarray,
+    config: AlignConfig | None = None,
+    src_chapter: str = "src",
+    tgt_chapter: str = "tgt",
+    src_ids: tuple[str, ...] | None = None,
+    tgt_ids: tuple[str, ...] | None = None,
+) -> BilingualAlignment:
+    """Exhaustive oracle: enumerate every monotone full cover, take the best.
+
+    Tie-breaking matches the DP backtrace: among equal-cost covers, the one
+    whose reversed move-kind sequence (substitute < skip-source < skip-target)
+    is lexicographically smallest wins. Bounded to n, m <= 8.
+    """
+    if config is None:
+        config = AlignConfig()
+    costs = np.asarray(costs, dtype=np.float64)
+    n, m = costs.shape
+    if n > BRUTE_FORCE_BOUND or m > BRUTE_FORCE_BOUND:
+        raise AlignmentError(f"brute force bounded to {BRUTE_FORCE_BOUND}x{BRUTE_FORCE_BOUND}")
+    lam = config.skip_cost
+
+    best = None
+    best_key = None
+    for cover in _enumerate_covers(n, m):
+        total = 0.0
+        for s, t, kind in cover:
+            total += costs[s, t] if kind == "substitute" else lam
+        key = (total, tuple(_MOVE_RANK[kind] for _, _, kind in reversed(cover)))
+        if best_key is None or key < best_key:
+            best, best_key = cover, key
+
+    links = [
+        Link(src=s, tgt=t, cost=float(costs[s, t]) if kind == "substitute" else lam)
+        for s, t, kind in best
+    ]
+    total = 0.0
+    for link in links:
+        total += link.cost
+    return BilingualAlignment(
+        src_chapter=src_chapter,
+        tgt_chapter=tgt_chapter,
+        src_ids=src_ids if src_ids is not None else _default_ids(src_chapter, n),
+        tgt_ids=tgt_ids if tgt_ids is not None else _default_ids(tgt_chapter, m),
+        links=links,
+        total_cost=total,
+    )
+
+
+def check_full_cover(alignment: BilingualAlignment) -> None:
+    """Raise if the alignment is not a monotone full cover."""
+    n, m = len(alignment.src_ids), len(alignment.tgt_ids)
+    srcs = [l.src for l in alignment.links if l.src is not None]
+    tgts = [l.tgt for l in alignment.links if l.tgt is not None]
+    if sorted(srcs) != list(range(n)) or sorted(tgts) != list(range(m)):
+        raise AlignmentError("alignment does not cover all segments exactly once")
+    subs = [(l.src, l.tgt) for l in alignment.links if l.is_substitution]
+    for (i, j), (i2, j2) in zip(subs, subs[1:]):
+        if not (i < i2 and j < j2):
+            raise AlignmentError("1-1 links are not monotone")

@@ -12,14 +12,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import naive_consensus, naive_pivot_join, random_alignment
+from oracles import brute_force_align, naive_consensus, naive_pivot_join, random_alignment
 from synth import generate
-from polyalign.bialign import (
-    AlignConfig,
-    align_chapter,
-    brute_force_align,
-    cost_matrix,
-)
+from polyalign.bialign import AlignConfig, align_chapter, cost_matrix
 from polyalign.embedding import EmbeddingMatrix, ProviderConfig, embed_segments
 from polyalign.evaluate import greedy_accuracy, multi_prf, strict_prf
 from polyalign.ingest import build_chapter_groups
@@ -118,8 +113,7 @@ def build_end_to_end(corpus, dim=256, skip_cost=0.15):
         pair_alignments = {}
         for a, i in enumerate(idioms):
             for j in idioms[a + 1 :]:
-                costs = cost_matrix(mats[(group.group_id, i)],
-                                    mats[(group.group_id, j)], aconfig)
+                costs = cost_matrix(mats[(group.group_id, i)], mats[(group.group_id, j)])
                 alignment = align_chapter(
                     costs, aconfig,
                     src_chapter=f"{group.group_id}/{i}",

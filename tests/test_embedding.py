@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import cosine
 from polyalign.embedding import (
     EmbeddingCache,
     EmbeddingError,
     EmbeddingMatrix,
     ProviderConfig,
     RemoteProvider,
-    cosine,
     embed_segments,
     hash_embed,
 )
@@ -153,6 +153,16 @@ class TestEmbedSegments:
         mat2 = embed_segments(segs, ProviderConfig(), "text", cache2, dim=64, call_log=log2)
         assert log1 and not log2
         assert np.array_equal(mat1.vectors, mat2.vectors)
+
+    def test_cache_keys_the_dim(self, tmp_path):
+        segs = [seg(f"text {i}", i) for i in range(3)]
+        cache = EmbeddingCache(tmp_path / "cache")
+        embed_segments(segs, ProviderConfig(), "text", cache, dim=256)
+        mat = embed_segments(segs, ProviderConfig(), "text", cache, dim=64)
+        assert mat.vectors.shape == (3, 64)
+        assert mat.dim == 64
+        for i, s in enumerate(segs):
+            assert np.array_equal(mat.vectors[i], hash_embed(s.text, 64))
 
     def test_non_unit_rows_rejected(self):
         with pytest.raises(EmbeddingError):

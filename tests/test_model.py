@@ -82,6 +82,14 @@ class TestValidateCorpus:
         assert validate_corpus([vol]) == []
 
 
+    def test_volume_id_must_fit_the_id_grammar(self):
+        for bad in ("", "a/b", "a#b", "a b", "a\tb"):
+            vol = BookVolume(idiom="puter", volume_id=bad, grade=1, kind="workbook", chapters=())
+            report = validate_corpus([vol])
+            assert [v.where for v in report] == [f"puter/{bad}"]
+            assert "volume_id" in report[0].message
+
+
 def test_check_idiom_rejects_bad_codes():
     for bad in ("", "Sursilvan", "with space", "über"):
         with pytest.raises(ValueError):

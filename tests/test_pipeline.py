@@ -24,6 +24,16 @@ def write_fixture(corpus, root):
     return raw, mapping, gold
 
 
+def write_bad_volume(corpus, root):
+    """The fixture with one puter volume renamed to the id "a/b"."""
+    raw, mapping, _ = write_fixture(corpus, root)
+    path = next(raw.glob("puter-*.json"))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["volume_id"] = "a/b"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return raw, mapping
+
+
 def make_config(root, raw, mapping, out_name="out"):
     return PipelineConfig(
         raw_dir=str(raw),
@@ -156,24 +166,20 @@ class TestRunPipeline:
         assert not (tmp_path / "rows.jsonl.tmp").exists()
 
     def test_config_round_trip(self, tmp_path):
-        config = PipelineConfig(raw_dir="a", mapping="b", cache_dir="c", out_dir="d",
-                                dim=64, workers=2)
+        config = PipelineConfig(raw_dir="a", mapping="b", cache_dir="c", out_dir="d", dim=64)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
         loaded = load_config(path)
         assert loaded.to_dict() == config.to_dict()
 
-    def test_parallel_workers_match_serial_output(self, small_corpus, tmp_path):
-        raw, mapping, _ = write_fixture(small_corpus, tmp_path)
-        serial = make_config(tmp_path, raw, mapping, "serial")
-        parallel = make_config(tmp_path, raw, mapping, "parallel")
-        parallel.workers = 4
-        run_pipeline(serial)
-        run_pipeline(parallel)
-        for name in ("alignments.jsonl", "rows.jsonl"):
-            assert (tmp_path / "serial" / name).read_bytes() == (
-                tmp_path / "parallel" / name
-            ).read_bytes()
+    def test_workers_other_than_one_rejected(self):
+        with pytest.raises(PipelineError, match="workers"):
+            PipelineConfig(workers=2)
+
+    def test_volume_id_breaking_the_id_grammar_fails_ingest(self, small_corpus, tmp_path):
+        raw, mapping = write_bad_volume(small_corpus, tmp_path)
+        with pytest.raises(PipelineError, match="puter/a/b"):
+            run_pipeline(make_config(tmp_path, raw, mapping))
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +218,27 @@ class TestCli:
         assert "volumes" in result.output
         assert (root / "corpus2.json").exists()
         assert (root / "corpus2.json.groups.json").exists()
+
+    def test_ingest_command_rejects_bad_volume_id(self, small_corpus, tmp_path):
+        raw, mapping = write_bad_volume(small_corpus, tmp_path)
+        result = CliRunner().invoke(main, [
+            "ingest", "--raw-dir", str(raw), "--mapping", str(mapping),
+            "--out", str(tmp_path / "corpus.json"), "--report", str(tmp_path / "w.jsonl"),
+        ])
+        assert result.exit_code == 1
+        assert "puter/a/b" in result.output
+        assert not (tmp_path / "corpus.json").exists()
+
+    def test_ingest_command_fails_on_empty_raw_dir(self, tmp_path):
+        (tmp_path / "raw").mkdir()
+        (tmp_path / "mapping.tsv").write_text("puter\n", encoding="utf-8")
+        result = CliRunner().invoke(main, [
+            "ingest", "--raw-dir", str(tmp_path / "raw"),
+            "--mapping", str(tmp_path / "mapping.tsv"),
+            "--out", str(tmp_path / "corpus.json"), "--report", str(tmp_path / "w.jsonl"),
+        ])
+        assert result.exit_code == 1
+        assert "no raw volume documents" in result.output
 
     def test_embed_command(self, cli_workspace):
         root, runner = cli_workspace
@@ -337,3 +364,40 @@ class TestCli:
         ])
         assert result.exit_code == 0, result.output
         assert out.read_bytes() == (root / "out" / "rows.jsonl").read_bytes()
+
+    def test_stage_commands_match_the_pipeline(self, cli_workspace):
+        root, runner = cli_workspace
+        chain = root / "chain"
+        chain.mkdir()
+        corpus, groups = str(chain / "corpus.json"), str(chain / "groups.json")
+        commands = [
+            ["ingest", "--raw-dir", str(root / "raw"), "--mapping", str(root / "mapping.tsv"),
+             "--out", corpus, "--report", str(chain / "warnings.jsonl"), "--groups", groups],
+            ["embed", "--corpus", corpus, "--cache", str(chain / "cache")],
+            ["bialign", "--corpus", corpus, "--groups", groups, "--embeddings", str(chain / "cache"),
+             "--pair", "all", "--out", str(chain / "alignments.jsonl")],
+            ["multialign", "--corpus", corpus, "--groups", groups,
+             "--alignments", str(chain / "alignments.jsonl"),
+             "--out", str(chain / "rows.jsonl"), "--dropped", str(chain / "dropped.jsonl")],
+        ]
+        for args in commands:
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+        for name in ("alignments.jsonl", "rows.jsonl"):
+            assert (chain / name).read_bytes() == (root / "out" / name).read_bytes()
+
+    def test_bialign_reuses_the_model_embed_cached(self, cli_workspace):
+        root, runner = cli_workspace
+        cache = root / "cache-other"
+        corpus, groups = str(root / "out" / "corpus.json"), str(root / "out" / "groups.json")
+        result = runner.invoke(main, [
+            "embed", "--corpus", corpus, "--cache", str(cache), "--model", "other-v2",
+        ])
+        assert result.exit_code == 0, result.output
+        filled = json.loads((cache / "index.json").read_text())
+        result = runner.invoke(main, [
+            "bialign", "--corpus", corpus, "--groups", groups, "--embeddings", str(cache),
+            "--model", "other-v2", "--pair", "all", "--out", str(root / "pairs-other.jsonl"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert json.loads((cache / "index.json").read_text()) == filled
