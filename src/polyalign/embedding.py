@@ -9,12 +9,12 @@ renormalizes. The default offline provider is a deterministic character
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import struct
 import time
 import unicodedata
-from dataclasses import dataclass, field
+import uuid
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,8 +110,9 @@ class HashProvider:
 class RemoteProvider:
     """HTTP embedding endpoint: POST {"model", "texts"} -> {"embeddings"}.
 
-    Retries transport failures with exponential backoff (3 attempts); a
-    failed batch is an error, never a partial result.
+    Retries transport failures, HTTP 429 and 5xx with exponential backoff
+    (3 attempts). Any other HTTP 4xx, and a non-finite or all-zero row, fail
+    at once; a failed batch is an error, never a partial result.
     """
 
     RETRIES = 3
@@ -140,17 +141,20 @@ class RemoteProvider:
                 resp = self.session.post(
                     self.config.endpoint, json=payload, headers=headers, timeout=60
                 )
+                if 400 <= resp.status_code < 500 and resp.status_code != 429:
+                    raise EmbeddingError(f"provider rejected the batch: HTTP {resp.status_code}")
                 resp.raise_for_status()
                 vectors = np.asarray(resp.json()["embeddings"], dtype=np.float32)
                 if vectors.shape[0] != len(texts):
                     raise EmbeddingError(
                         f"provider returned {vectors.shape[0]} rows for {len(texts)} inputs"
                     )
-                norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-                return vectors / np.where(norms == 0, 1.0, norms)
+                if not np.isfinite(vectors).all() or not vectors.any(axis=1).all():
+                    raise EmbeddingError("provider returned a non-finite or all-zero row")
+                return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
             except EmbeddingError:
                 raise
-            except Exception as exc:  # transport or decode failure
+            except Exception as exc:  # transport, 429, 5xx or decode failure
                 last_exc = exc
                 time.sleep(min(2.0**attempt * 0.5, 4.0))
         raise EmbeddingError(
@@ -165,21 +169,22 @@ def make_provider(config: ProviderConfig, dim: int = HASH_DIM_DEFAULT):
 
 
 # ---------------------------------------------------------------------------
-# Disk cache: binary little-endian float32 arrays plus a JSON index.
+# Disk cache: one little-endian float32 file per vector, named by its key.
 
 
 class EmbeddingCache:
-    """Content-addressed store keyed by SHA-256 of (provider, model, mode, dim, input)."""
+    """Content-addressed store keyed by SHA-256 of (provider, model, mode, dim, input).
+
+    The directory is its own index: the vector of ``key`` is ``<key>.bin``.
+    ``put`` writes under a temporary name and ``flush`` renames, so a
+    ``.bin`` that exists is complete, and runs sharing a directory can only
+    ever replace a vector with the same vector.
+    """
 
     def __init__(self, directory):
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
-        self.index_path = os.path.join(self.directory, "index.json")
-        if os.path.exists(self.index_path):
-            with open(self.index_path, encoding="utf-8") as fh:
-                self.index = json.load(fh)
-        else:
-            self.index = {}
+        self.pending: list[tuple[str, str]] = []  # (temporary path, final path)
 
     @staticmethod
     def key(provider: str, model: str, mode: str, dim: int, text: str) -> str:
@@ -189,24 +194,25 @@ class EmbeddingCache:
             h.update(b"\x00")
         return h.hexdigest()
 
+    def _path(self, key: str) -> str:
+        return os.path.join(self.directory, f"{key}.bin")
+
     def get(self, key: str) -> np.ndarray | None:
-        entry = self.index.get(key)
-        if entry is None:
+        try:
+            return np.fromfile(self._path(key), dtype="<f4").astype(np.float32)
+        except FileNotFoundError:
             return None
-        path = os.path.join(self.directory, entry["file"])
-        raw = np.fromfile(path, dtype="<f4")
-        return raw.astype(np.float32)
 
     def put(self, key: str, vector: np.ndarray) -> None:
-        fname = f"{key}.bin"
-        np.asarray(vector, dtype="<f4").tofile(os.path.join(self.directory, fname))
-        self.index[key] = {"file": fname, "dim": int(vector.shape[0])}
+        tmp = os.path.join(self.directory, f"{key}.{uuid.uuid4().hex}.tmp")
+        with open(tmp, "xb") as fh:
+            fh.write(np.asarray(vector, dtype="<f4").tobytes())
+        self.pending.append((tmp, self._path(key)))
 
     def flush(self) -> None:
-        tmp = self.index_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.index, fh, sort_keys=True)
-        os.replace(tmp, self.index_path)
+        for tmp, final in self.pending:
+            os.replace(tmp, final)
+        self.pending.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -221,37 +227,38 @@ def _embed_texts(
     cache: EmbeddingCache | None,
     call_log: list[int] | None = None,
 ) -> list[np.ndarray]:
-    results: dict[int, np.ndarray] = {}
-    missing: list[int] = []
-    if cache is not None:
-        for i, text in enumerate(texts):
-            vec = cache.get(EmbeddingCache.key(config.name, config.model, mode, dim, text))
-            if vec is None:
-                missing.append(i)
-            else:
-                results[i] = vec
-    else:
-        missing = list(range(len(texts)))
+    """Vectors of ``texts``, each distinct text looked up and embedded once.
 
-    batch_dim = None
+    New vectors reach the cache only after every provider batch has
+    returned, so a failed call leaves the cache as it was.
+    """
+    results: dict[str, np.ndarray] = {}
+    missing: list[str] = []
+    for text in dict.fromkeys(texts):
+        key = EmbeddingCache.key(config.name, config.model, mode, dim, text)
+        vec = None if cache is None else cache.get(key)
+        if vec is None:
+            missing.append(text)
+        else:
+            results[text] = vec
+
+    batches = []
     for start in range(0, len(missing), config.batch_size):
-        batch_idx = missing[start : start + config.batch_size]
-        batch = provider.embed_batch([texts[i] for i in batch_idx])
+        batch = missing[start : start + config.batch_size]
+        batches.append(provider.embed_batch(batch))
         if call_log is not None:
-            call_log.append(len(batch_idx))
-        if batch_dim is None:
-            batch_dim = batch.shape[1]
-        elif batch.shape[1] != batch_dim:
+            call_log.append(len(batch))
+        if batches[-1].shape[1] != batches[0].shape[1]:
             raise EmbeddingError(
-                f"dimension mismatch across batches: {batch.shape[1]} vs {batch_dim}"
+                f"dimension mismatch across batches: {batches[-1].shape[1]} vs {batches[0].shape[1]}"
             )
-        for i, vec in zip(batch_idx, batch):
-            results[i] = vec
-            if cache is not None:
-                cache.put(EmbeddingCache.key(config.name, config.model, mode, dim, texts[i]), vec)
+    for text, vec in zip(missing, (vec for batch in batches for vec in batch)):
+        results[text] = vec
+        if cache is not None:
+            cache.put(EmbeddingCache.key(config.name, config.model, mode, dim, text), vec)
     if cache is not None and missing:
         cache.flush()
-    return [results[i] for i in range(len(texts))]
+    return [results[text] for text in texts]
 
 
 def embed_segments(
@@ -285,15 +292,8 @@ def embed_segments(
             cat = np.concatenate([tv, hv]).astype(np.float64)
             rows.append((cat / np.linalg.norm(cat)).astype(np.float32))
         vectors = np.stack(rows) if rows else np.zeros((0, 2 * dim), dtype=np.float32)
-        return EmbeddingMatrix(vectors=vectors, dim=vectors.shape[1],
-                               provider=provider_config.name, mode=mode)
-
-    texts = [s.text if mode == "text" else s.html for s in segments]
-    vecs = _embed_texts(texts, provider, provider_config, mode, dim, cache, call_log)
-    vectors = np.stack(vecs) if vecs else np.zeros((0, dim), dtype=np.float32)
-    return EmbeddingMatrix(
-        vectors=vectors,
-        dim=vectors.shape[1] if vecs else dim,
-        provider=provider_config.name,
-        mode=mode,
-    )
+    else:
+        texts = [s.text if mode == "text" else s.html for s in segments]
+        vecs = _embed_texts(texts, provider, provider_config, mode, dim, cache, call_log)
+        vectors = np.stack(vecs) if vecs else np.zeros((0, dim), dtype=np.float32)
+    return EmbeddingMatrix(vectors=vectors, dim=vectors.shape[1], provider=provider_config.name, mode=mode)

@@ -16,11 +16,12 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import combinations
 
 from . import export as export_mod
 from .bialign import AlignConfig, BilingualAlignment, Link, align_chapter, cost_matrix
-from .embedding import EmbeddingCache, ProviderConfig, embed_segments
+from .embedding import EmbeddingCache, EmbeddingMatrix, ProviderConfig, embed_segments
 from .ingest import build_chapter_groups, parse_volume
 from .model import (
     BookVolume,
@@ -90,28 +91,9 @@ class PipelineConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "raw_dir": self.raw_dir,
-            "mapping": self.mapping,
-            "cache_dir": self.cache_dir,
-            "out_dir": self.out_dir,
-            "provider": {
-                "name": self.provider.name,
-                "endpoint": self.provider.endpoint,
-                "model": self.provider.model,
-                "batch_size": self.provider.batch_size,
-                "auth": self.provider.auth,
-            },
-            "mode": self.mode,
-            "dim": self.dim,
-            "align": {"skip_cost": self.align.skip_cost},
-            "length_filter": {
-                "upper_ratio": self.length_filter.upper_ratio,
-                "lower_ratio": self.length_filter.lower_ratio,
-                "unit": self.length_filter.unit,
-            },
-            "stages": dict(self.stages),
-        }
+        doc = asdict(self)
+        del doc["workers"]
+        return doc
 
 
 def load_config(path) -> PipelineConfig:
@@ -239,11 +221,11 @@ def embed_chapters(chapters, config: PipelineConfig) -> int:
     return sum(len(c.segments) for c in chapters)
 
 
-def _align_pair(group: ChapterGroup, i: str, j: str, config: PipelineConfig, cache: EmbeddingCache) -> dict:
+def _align_pair(group: ChapterGroup, i: str, j: str, matrix_i: EmbeddingMatrix,
+                matrix_j: EmbeddingMatrix, config: PipelineConfig) -> dict:
     chap_i, chap_j = group.members[i], group.members[j]
-    costs = cost_matrix(_chapter_matrix(chap_i, config, cache), _chapter_matrix(chap_j, config, cache))
     alignment = align_chapter(
-        costs,
+        cost_matrix(matrix_i, matrix_j),
         config.align,
         src_chapter=f"{group.group_id}/{i}",
         tgt_chapter=f"{group.group_id}/{j}",
@@ -265,19 +247,21 @@ def _align_pair(group: ChapterGroup, i: str, j: str, config: PipelineConfig, cac
 
 def align_pairs(corpus_path, groups_path, alignments_path, config: PipelineConfig,
                 pair: tuple[str, str] | None = None) -> dict:
-    """Align every idiom pair of every group, or only ``pair`` in either order."""
+    """Align every idiom pair of every group, or only ``pair`` in either order.
+    Each chapter is embedded once per group, and only if one of its pairs is kept."""
     volumes = load_corpus(corpus_path)
     groups = load_groups(groups_path, volumes)
     cache = EmbeddingCache(config.cache_dir)
     count = 0
     with open(alignments_path, "w", encoding="utf-8") as fh:
         for group in groups:
-            idioms = group.idioms()
-            for a, i in enumerate(idioms):
-                for j in idioms[a + 1 :]:
-                    if pair is None or pair in ((i, j), (j, i)):
-                        fh.write(json.dumps(_align_pair(group, i, j, config, cache), sort_keys=True) + "\n")
-                        count += 1
+            pairs = [p for p in combinations(group.idioms(), 2) if pair is None or pair in (p, p[::-1])]
+            matrices = {idiom: _chapter_matrix(group.members[idiom], config, cache)
+                        for idiom in dict.fromkeys(idiom for p in pairs for idiom in p)}
+            for i, j in pairs:
+                record = _align_pair(group, i, j, matrices[i], matrices[j], config)
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            count += len(pairs)
     return {"chapter_pairs": count}
 
 
@@ -319,13 +303,24 @@ def build_rows(corpus_path, groups_path, alignments_path, rows_path, dropped_pat
     demoted = 0
     for group in groups:
         pair_alignments = by_group.get(group.group_id, {})
+        idioms = group.idioms()
         if pivot is None:
-            aligned = align_group_consensus(group, pair_alignments, seg_index, dropped)
+            needed = list(combinations(idioms, 2))
         elif pivot in group.members:
-            others = {j: pair_alignments[(pivot, j)] for j in group.idioms() if j != pivot}
-            aligned = pivot_multialign(pivot, others, seg_index, provenance=group.group_id)
+            needed = [(pivot, j) for j in idioms if j != pivot]
         else:
             continue
+        missing = [f"{i}:{j}" for i, j in needed if (i, j) not in pair_alignments]
+        if missing:
+            raise PipelineError(
+                f"group {group.group_id} has no alignment of {', '.join(missing)}; "
+                "consensus needs every idiom pair (bialign --pair all)"
+            )
+        if pivot is None:
+            aligned = align_group_consensus(group, pair_alignments, seg_index, dropped)
+        else:
+            others = {j: pair_alignments[(pivot, j)] for _, j in needed}
+            aligned = pivot_multialign(pivot, others, seg_index, provenance=group.group_id)
         for row in aligned.rows:
             if length_config is not None:
                 row = length_filter(row, length_config)

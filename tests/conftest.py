@@ -1,8 +1,3 @@
-import os
-import sys
-
-sys.path.insert(0, os.path.dirname(__file__))
-
 import pytest
 
 from synth import generate

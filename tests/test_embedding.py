@@ -1,4 +1,7 @@
+import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -173,8 +176,103 @@ class TestEmbedSegments:
             embed_segments([], ProviderConfig(), "words")
 
 
+class FailingProvider(FakeProvider):
+    """A FakeProvider whose ``fail_on``-th call raises."""
+
+    def __init__(self, table, dim, fail_on):
+        super().__init__(table, dim)
+        self.fail_on = fail_on
+
+    def embed_batch(self, texts):
+        if len(self.calls) + 1 == self.fail_on:
+            raise EmbeddingError("provider down")
+        return super().embed_batch(texts)
+
+
+class TestEmbeddingCache:
+    def test_caches_sharing_a_directory_keep_both_sets(self, tmp_path):
+        a, b = EmbeddingCache(tmp_path), EmbeddingCache(tmp_path)
+        vecs = {f"k{i}": hash_embed(f"text {i}", 16) for i in range(4)}
+        a.put("k0", vecs["k0"])
+        b.put("k2", vecs["k2"])
+        a.flush()
+        a.put("k1", vecs["k1"])
+        b.flush()
+        b.put("k3", vecs["k3"])
+        a.flush()
+        b.flush()
+        reader = EmbeddingCache(tmp_path)
+        for key, vec in vecs.items():
+            assert np.array_equal(reader.get(key), vec)
+
+    def test_concurrent_writers_share_a_directory(self, tmp_path):
+        errors = []
+
+        def worker(offset):
+            try:
+                segs = [seg(f"text {(offset + i) % 40}", i) for i in range(30)]
+                embed_segments(segs, ProviderConfig(batch_size=3), "text", EmbeddingCache(tmp_path), dim=16)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(5 * n,)) for n in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert not list(tmp_path.glob("*.tmp"))
+        reader = EmbeddingCache(tmp_path)
+        for i in range(40):
+            key = EmbeddingCache.key("hash", "ngram3-v1", "text", 16, f"text {i}")
+            assert np.array_equal(reader.get(key), hash_embed(f"text {i}", 16))
+
+    def test_reads_a_cache_written_with_an_index(self, tmp_path):
+        key = EmbeddingCache.key("hash", "ngram3-v1", "text", 16, "abc")
+        vec = hash_embed("abc", 16)
+        vec.astype("<f4").tofile(tmp_path / f"{key}.bin")
+        (tmp_path / "index.json").write_text(json.dumps({key: {"file": f"{key}.bin", "dim": 16}}))
+        assert np.array_equal(EmbeddingCache(tmp_path).get(key), vec)
+
+    def test_repeated_text_in_a_cold_chapter(self, tmp_path):
+        segs = [seg("same", 0), seg("other", 1), seg("same", 2)]
+        mat = embed_segments(segs, ProviderConfig(batch_size=1), "text", EmbeddingCache(tmp_path), dim=64)
+        assert np.array_equal(mat.vectors[0], mat.vectors[2])
+        assert not list(tmp_path.glob("*.tmp"))
+        assert len(list(tmp_path.glob("*.bin"))) == 2
+
+    def test_failed_second_batch_leaves_no_files(self, tmp_path, monkeypatch):
+        import polyalign.embedding as emb
+
+        table = {f"text {i}": hash_embed(f"text {i}", 16) for i in range(4)}
+        monkeypatch.setattr(emb, "make_provider", lambda cfg, dim=256: FailingProvider(table, 16, 2))
+        segs = [seg(f"text {i}", i) for i in range(4)]
+        with pytest.raises(EmbeddingError, match="provider down"):
+            embed_segments(segs, ProviderConfig(batch_size=2), "text", EmbeddingCache(tmp_path / "c"), dim=16)
+        assert not list((tmp_path / "c").iterdir())
+
+
+class FakeResponse:
+    def __init__(self, rows, status_code=200):
+        self.rows = rows
+        self.status_code = status_code
+
+    def raise_for_status(self):
+        if self.status_code >= 400:
+            raise ConnectionError(f"HTTP {self.status_code}")
+
+    def json(self):
+        return {"embeddings": self.rows}
+
+
 class FlakySession:
-    def __init__(self, fail_times, dim=8):
+    def __init__(self, fail_times=0, dim=8):
         self.fail_times = fail_times
         self.dim = dim
         self.calls = 0
@@ -183,17 +281,19 @@ class FlakySession:
         self.calls += 1
         if self.calls <= self.fail_times:
             raise ConnectionError("boom")
-        texts = json["texts"]
-        vecs = [list(hash_embed(t, self.dim).astype(float)) for t in texts]
+        return FakeResponse([list(hash_embed(t, self.dim).astype(float)) for t in json["texts"]])
 
-        class Resp:
-            def raise_for_status(self):
-                pass
 
-            def json(self):
-                return {"embeddings": vecs}
+class NanSession(FlakySession):
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.calls += 1
+        return FakeResponse([[float("nan")] * self.dim for _ in json["texts"]])
 
-        return Resp()
+
+class UnauthorizedSession(FlakySession):
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.calls += 1
+        return FakeResponse(None, status_code=401)
 
 
 class TestRemoteProvider:
@@ -215,3 +315,27 @@ class TestRemoteProvider:
     def test_missing_endpoint_errors(self):
         with pytest.raises(EmbeddingError):
             RemoteProvider(ProviderConfig(name="remote"))
+
+    def test_client_error_is_not_retried(self, monkeypatch):
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        session = UnauthorizedSession()
+        with pytest.raises(EmbeddingError, match="HTTP 401"):
+            RemoteProvider(self.config(), session=session).embed_batch(["a"])
+        assert session.calls == 1
+
+    def test_nan_batch_is_not_cached(self, tmp_path, monkeypatch):
+        import polyalign.embedding as emb
+
+        segs = [seg(f"text {i}", i) for i in range(3)]
+
+        def embed_with(session):
+            monkeypatch.setattr(emb, "make_provider", lambda cfg, dim=256: RemoteProvider(cfg, session=session))
+            return embed_segments(segs, self.config(), "text", EmbeddingCache(tmp_path), dim=8)
+
+        nan_session = NanSession()
+        with pytest.raises(EmbeddingError, match="non-finite"):
+            embed_with(nan_session)
+        assert nan_session.calls == 1
+        mat = embed_with(FlakySession())
+        for i, s in enumerate(segs):
+            assert np.allclose(mat.vectors[i], hash_embed(s.text, 8), atol=1e-6)

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from polyalign.cli import main
+from polyalign.embedding import EmbeddingCache
 from polyalign.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -96,11 +97,13 @@ class TestRunPipeline:
         for name in manifest["artifacts"]:
             assert (root / "out" / name).read_bytes() == (root / "out2" / name).read_bytes()
 
-    def test_embed_stage_used_cache_on_rerun(self, pipeline_run):
+    def test_embed_stage_used_cache_on_rerun(self, pipeline_run, small_corpus):
         root, _, _, _ = pipeline_run
-        cache_index = root / "cache" / "index.json"
-        assert cache_index.exists()
-        assert json.loads(cache_index.read_text())
+        expected = {
+            EmbeddingCache.key("hash", "ngram3-v1", "text", 256, s.text) + ".bin"
+            for v in small_corpus.volumes for c in v.chapters for s in c.segments
+        }
+        assert {p.name for p in (root / "cache").iterdir()} == expected
 
     def test_manifest_names_sampler(self, pipeline_run):
         _, _, manifest, _ = pipeline_run
@@ -394,10 +397,30 @@ class TestCli:
             "embed", "--corpus", corpus, "--cache", str(cache), "--model", "other-v2",
         ])
         assert result.exit_code == 0, result.output
-        filled = json.loads((cache / "index.json").read_text())
+        filled = {p.name for p in cache.glob("*.bin")}
+        assert filled
         result = runner.invoke(main, [
             "bialign", "--corpus", corpus, "--groups", groups, "--embeddings", str(cache),
             "--model", "other-v2", "--pair", "all", "--out", str(root / "pairs-other.jsonl"),
         ])
         assert result.exit_code == 0, result.output
-        assert json.loads((cache / "index.json").read_text()) == filled
+        assert {p.name for p in cache.glob("*.bin")} == filled
+
+    def test_multialign_names_the_missing_pairs(self, cli_workspace):
+        root, runner = cli_workspace
+        corpus, groups = str(root / "out" / "corpus.json"), str(root / "out" / "groups.json")
+        pairs = str(root / "pairs-pv.jsonl")
+        result = runner.invoke(main, [
+            "bialign", "--corpus", corpus, "--groups", groups, "--embeddings", str(root / "cache"),
+            "--pair", "puter:vallader", "--out", pairs,
+        ])
+        assert result.exit_code == 0, result.output
+        for pivot, missing in (("all", "puter:surmiran"), ("sursilvan", "sursilvan:puter")):
+            result = runner.invoke(main, [
+                "multialign", "--corpus", corpus, "--groups", groups, "--alignments", pairs,
+                "--pivot", pivot, "--out", str(root / "rows-pv.jsonl"),
+                "--dropped", str(root / "dropped-pv.jsonl"),
+            ])
+            assert result.exit_code == 1
+            assert missing in result.output
+            assert "bialign --pair all" in result.output
