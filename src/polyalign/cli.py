@@ -24,8 +24,8 @@ from .export import (
     sample_rows,
     split_rows,
     stats,
-    stats_to_dict,
     write_sheet,
+    write_stats,
 )
 from .model import load_corpus, segment_index
 from .multialign import LengthFilterConfig
@@ -101,10 +101,9 @@ def run(config_path):
 @click.option("--mapping", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--report", "report_path", required=True, type=click.Path())
-@click.option("--groups", "groups_path", default=None, type=click.Path())
-def ingest(raw_dir, mapping, out_path, report_path, groups_path):
+def ingest(raw_dir, mapping, out_path, report_path):
     """Parse raw volumes, segment HTML, build chapter groups."""
-    counts = ingest_raw(raw_dir, mapping, out_path, groups_path or out_path + ".groups.json", report_path)
+    counts = ingest_raw(raw_dir, mapping, out_path, report_path)
     click.echo(
         f"{counts['volumes']} volumes, {counts['chapter_groups']} chapter groups, "
         f"{counts['warnings']} warnings"
@@ -123,35 +122,35 @@ def embed(config, corpus_path):
 
 @main.command()
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
-@click.option("--groups", "groups_path", required=True, type=click.Path(exists=True))
+@click.option("--mapping", required=True, type=click.Path(exists=True))
 @click.option("--embeddings", "cache_dir", required=True, type=click.Path())
 @click.option("--pair", default="all", help="SRC:TGT idiom pair, or 'all'.")
 @click.option("--lambda", "skip_cost", default=0.15)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_embedding_options
-def bialign(config, corpus_path, groups_path, pair, skip_cost, out_path):
+def bialign(config, corpus_path, mapping, pair, skip_cost, out_path):
     """Align chapter pairs with the monotone 1-1/deletion DP."""
     config.align = AlignConfig(skip_cost=skip_cost)
     pair = None if pair == "all" else tuple(pair.split(":"))
-    counts = align_pairs(corpus_path, groups_path, out_path, config, pair)
+    counts = align_pairs(corpus_path, mapping, out_path, config, pair)
     click.echo(f"aligned {counts['chapter_pairs']} chapter pairs -> {out_path}")
 
 
 @main.command()
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
-@click.option("--groups", "groups_path", required=True, type=click.Path(exists=True))
+@click.option("--mapping", required=True, type=click.Path(exists=True))
 @click.option("--alignments", "alignments_path", required=True, type=click.Path(exists=True))
 @click.option("--pivot", default="all", help="'all' for consensus, or one pivot idiom.")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--dropped", "dropped_path", required=True, type=click.Path())
 @click.option("--length-unit", type=click.Choice(["tokens", "characters"]), default="tokens")
 @click.option("--no-length-filter", is_flag=True, default=False)
-def multialign(corpus_path, groups_path, alignments_path, pivot, out_path, dropped_path,
+def multialign(corpus_path, mapping, alignments_path, pivot, out_path, dropped_path,
                length_unit, no_length_filter):
     """Build multi-parallel rows by consensus (or one pivot's outer join)."""
     counts = build_rows(
         corpus_path,
-        groups_path,
+        mapping,
         alignments_path,
         out_path,
         dropped_path,
@@ -231,12 +230,9 @@ def export_stats_cmd(rows_path, corpus_path, out_path):
     """Corpus statistics table (overall vs aligned)."""
     volumes, rows = _read_rows(rows_path, corpus_path)
     report = stats(volumes, rows)
-    text = render_stats(report)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(stats_to_dict(report), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    click.echo(text, nl=False)
+        write_stats(report, out_path)
+    click.echo(render_stats(report), nl=False)
 
 
 @export.command("split")

@@ -111,16 +111,18 @@ class RemoteProvider:
     """HTTP embedding endpoint: POST {"model", "texts"} -> {"embeddings"}.
 
     Retries transport failures, HTTP 429 and 5xx with exponential backoff
-    (3 attempts). Any other HTTP 4xx, and a non-finite or all-zero row, fail
-    at once; a failed batch is an error, never a partial result.
+    (3 attempts). Any other HTTP 4xx, a row width other than ``dim``, and a
+    non-finite or all-zero row fail at once; a failed batch is an error,
+    never a partial result.
     """
 
     RETRIES = 3
 
-    def __init__(self, config: ProviderConfig, session=None):
+    def __init__(self, config: ProviderConfig, dim: int = HASH_DIM_DEFAULT, session=None):
         if not config.endpoint:
             raise EmbeddingError(f"provider {config.name!r} has no endpoint")
         self.config = config
+        self.dim = dim
         if session is None:
             import requests
 
@@ -149,6 +151,10 @@ class RemoteProvider:
                     raise EmbeddingError(
                         f"provider returned {vectors.shape[0]} rows for {len(texts)} inputs"
                     )
+                if vectors.shape[1:] != (self.dim,):
+                    raise EmbeddingError(
+                        f"provider returned vectors of shape {vectors.shape}, requested dim {self.dim}"
+                    )
                 if not np.isfinite(vectors).all() or not vectors.any(axis=1).all():
                     raise EmbeddingError("provider returned a non-finite or all-zero row")
                 return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
@@ -165,7 +171,7 @@ class RemoteProvider:
 def make_provider(config: ProviderConfig, dim: int = HASH_DIM_DEFAULT):
     if config.name == "hash":
         return HashProvider(dim=dim)
-    return RemoteProvider(config)
+    return RemoteProvider(config, dim=dim)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +231,6 @@ def _embed_texts(
     mode: str,
     dim: int,
     cache: EmbeddingCache | None,
-    call_log: list[int] | None = None,
 ) -> list[np.ndarray]:
     """Vectors of ``texts``, each distinct text looked up and embedded once.
 
@@ -242,16 +247,10 @@ def _embed_texts(
         else:
             results[text] = vec
 
-    batches = []
-    for start in range(0, len(missing), config.batch_size):
-        batch = missing[start : start + config.batch_size]
-        batches.append(provider.embed_batch(batch))
-        if call_log is not None:
-            call_log.append(len(batch))
-        if batches[-1].shape[1] != batches[0].shape[1]:
-            raise EmbeddingError(
-                f"dimension mismatch across batches: {batches[-1].shape[1]} vs {batches[0].shape[1]}"
-            )
+    batches = [
+        provider.embed_batch(missing[start : start + config.batch_size])
+        for start in range(0, len(missing), config.batch_size)
+    ]
     for text, vec in zip(missing, (vec for batch in batches for vec in batch)):
         results[text] = vec
         if cache is not None:
@@ -267,7 +266,6 @@ def embed_segments(
     mode: str = "text",
     cache: EmbeddingCache | None = None,
     dim: int = HASH_DIM_DEFAULT,
-    call_log: list[int] | None = None,
 ) -> EmbeddingMatrix:
     """Embed a chapter's segments, in order, writing through the cache.
 
@@ -282,10 +280,10 @@ def embed_segments(
 
     if mode == "concat":
         text_vecs = _embed_texts(
-            [s.text for s in segments], provider, provider_config, "text", dim, cache, call_log
+            [s.text for s in segments], provider, provider_config, "text", dim, cache
         )
         html_vecs = _embed_texts(
-            [s.html for s in segments], provider, provider_config, "html", dim, cache, call_log
+            [s.html for s in segments], provider, provider_config, "html", dim, cache
         )
         rows = []
         for tv, hv in zip(text_vecs, html_vecs):
@@ -294,6 +292,6 @@ def embed_segments(
         vectors = np.stack(rows) if rows else np.zeros((0, 2 * dim), dtype=np.float32)
     else:
         texts = [s.text if mode == "text" else s.html for s in segments]
-        vecs = _embed_texts(texts, provider, provider_config, mode, dim, cache, call_log)
+        vecs = _embed_texts(texts, provider, provider_config, mode, dim, cache)
         vectors = np.stack(vecs) if vecs else np.zeros((0, dim), dtype=np.float32)
     return EmbeddingMatrix(vectors=vectors, dim=vectors.shape[1], provider=provider_config.name, mode=mode)

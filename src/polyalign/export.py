@@ -192,6 +192,13 @@ def stats_to_dict(report: StatsReport) -> dict:
     }
 
 
+def write_stats(report: StatsReport, out_path) -> None:
+    """Write ``stats.json``: the stats dict, keys sorted, one-space indent."""
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(stats_to_dict(report), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 SPLIT_NAMES = ("train", "validation", "test", "extra")
 
 

@@ -308,8 +308,9 @@ def build_chapter_groups(
     """Assemble cross-idiom ChapterGroups from the mapping TSV.
 
     Cells are "volume_id#chapter_key"; a dangling reference is an error naming
-    the row and cell; rows with fewer than two non-empty cells are skipped
-    with a warning (no parallel content).
+    the row and cell; a chapter with no segments is left out with a warning;
+    rows left with fewer than two members are skipped with a warning (no
+    parallel content).
     """
     if warnings is None:
         warnings = []
@@ -335,6 +336,11 @@ def build_chapter_groups(
                 raise IngestError(
                     f"mapping row {row_idx}, idiom {idiom}: no chapter {chapter_key!r} in volume {volume_id!r}"
                 )
+            if not chap.segments:
+                warnings.append(
+                    WarningRecord(f"mapping row {row_idx}", f"idiom {idiom}: chapter {cell} has no segments, left out")
+                )
+                continue
             members[idiom] = chap
         if len(members) < 2:
             warnings.append(

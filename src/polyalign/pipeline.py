@@ -3,9 +3,12 @@
 Each stage's work is one function over explicit paths; the ``stage_*``
 functions bind it to the artifacts in ``out_dir``, and the CLI's stage
 commands bind it to the files named by their flags. Each stage reads only
-prior-stage artifacts; every run writes a manifest with the resolved config,
-content hashes of all artifacts, and per-stage counts, so a build can be
-audited and reproduced bit-for-bit (with a warm embedding cache).
+prior-stage artifacts: ingest stores a copy of the chapter mapping as
+``mapping.tsv``, and embed, bialign and multialign resolve the chapter groups
+from that copy and ``corpus.json`` with ``build_chapter_groups``, as ingest
+did. Every run writes a manifest with the resolved config, content hashes of
+all artifacts, and per-stage counts, so a build can be audited and reproduced
+bit-for-bit (with a warm embedding cache).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 import time
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
@@ -27,7 +31,6 @@ from .model import (
     BookVolume,
     ChapterGroup,
     MultiParallelAlignment,
-    chapter_id,
     load_corpus,
     save_corpus,
     segment_index,
@@ -137,9 +140,9 @@ class _StageWriter:
 # commands both run these.
 
 
-def ingest_raw(raw_dir, mapping, corpus_path, groups_path, warnings_path) -> dict:
-    """Parse and validate the raw volumes, group their chapters, and write the
-    corpus, the groups and the ingest warnings."""
+def ingest_raw(raw_dir, mapping, corpus_path, warnings_path) -> dict:
+    """Parse and validate the raw volumes, group their chapters by the mapping,
+    and write the corpus and the ingest warnings."""
     raw_paths = sorted(glob.glob(os.path.join(raw_dir, "*.json")))
     if not raw_paths:
         raise PipelineError(f"no raw volume documents in {raw_dir!r}")
@@ -159,21 +162,6 @@ def ingest_raw(raw_dir, mapping, corpus_path, groups_path, warnings_path) -> dic
         groups = build_chapter_groups(volumes, fh.read(), warnings)
 
     save_corpus(volumes, corpus_path)
-    with open(groups_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                g.group_id: {
-                    idiom: {
-                        "chapter_key": chap.key,
-                        "segment_ids": [s.id for s in chap.segments],
-                    }
-                    for idiom, chap in sorted(g.members.items())
-                }
-                for g in groups
-            },
-            fh,
-            sort_keys=True,
-        )
     with open(warnings_path, "w", encoding="utf-8") as fh:
         for w in warnings:
             fh.write(w.to_json() + "\n")
@@ -185,22 +173,11 @@ def ingest_raw(raw_dir, mapping, corpus_path, groups_path, warnings_path) -> dic
     }
 
 
-def load_groups(path, volumes: list[BookVolume]) -> list[ChapterGroup]:
-    chapters = {}
-    for vol in volumes:
-        for chap in vol.chapters:
-            chapters[chapter_id(vol.idiom, vol.volume_id, chap.key)] = chap
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    groups = []
-    for gid in sorted(doc):
-        members = {}
-        for idiom, info in doc[gid].items():
-            seg_ids = info["segment_ids"]
-            if seg_ids:
-                members[idiom] = chapters["/".join(seg_ids[0].split("/")[:3])]
-        groups.append(ChapterGroup(group_id=gid, members=members))
-    return groups
+def corpus_groups(corpus_path, mapping) -> tuple[list[BookVolume], list[ChapterGroup]]:
+    """The ingested corpus and its chapter groups, resolved from the mapping."""
+    volumes = load_corpus(corpus_path)
+    with open(mapping, encoding="utf-8") as fh:
+        return volumes, build_chapter_groups(volumes, fh.read())
 
 
 def _chapter_matrix(chapter, config: PipelineConfig, cache: EmbeddingCache):
@@ -245,12 +222,11 @@ def _align_pair(group: ChapterGroup, i: str, j: str, matrix_i: EmbeddingMatrix,
     }
 
 
-def align_pairs(corpus_path, groups_path, alignments_path, config: PipelineConfig,
+def align_pairs(corpus_path, mapping, alignments_path, config: PipelineConfig,
                 pair: tuple[str, str] | None = None) -> dict:
     """Align every idiom pair of every group, or only ``pair`` in either order.
     Each chapter is embedded once per group, and only if one of its pairs is kept."""
-    volumes = load_corpus(corpus_path)
-    groups = load_groups(groups_path, volumes)
+    _, groups = corpus_groups(corpus_path, mapping)
     cache = EmbeddingCache(config.cache_dir)
     count = 0
     with open(alignments_path, "w", encoding="utf-8") as fh:
@@ -284,13 +260,12 @@ def load_alignments(path) -> list[tuple[str, str, str, BilingualAlignment]]:
     return out
 
 
-def build_rows(corpus_path, groups_path, alignments_path, rows_path, dropped_path,
+def build_rows(corpus_path, mapping, alignments_path, rows_path, dropped_path,
                length_config: LengthFilterConfig | None, pivot: str | None = None) -> dict:
     """Multi-parallel rows of every group: the consensus of every pivot or, given
     ``pivot``, that pivot's outer join. Without ``length_config`` no cell is
     length-filtered. Rows left with fewer than two cells are demoted."""
-    volumes = load_corpus(corpus_path)
-    groups = load_groups(groups_path, volumes)
+    volumes, groups = corpus_groups(corpus_path, mapping)
     seg_index = segment_index(volumes)
     by_group: dict[str, dict[tuple[str, str], BilingualAlignment]] = {}
     for gid, i, j, alignment in load_alignments(alignments_path):
@@ -350,18 +325,19 @@ def _out(config: PipelineConfig, name: str) -> str:
 
 
 def stage_ingest(config: PipelineConfig, writer: _StageWriter) -> dict:
+    # Later stages group chapters by this copy, never by the input file.
+    mapping = writer.path_for(_out(config, "mapping.tsv"))
+    shutil.copyfile(config.mapping, mapping)
     return ingest_raw(
         config.raw_dir,
-        config.mapping,
+        mapping,
         writer.path_for(_out(config, "corpus.json")),
-        writer.path_for(_out(config, "groups.json")),
         writer.path_for(_out(config, "warnings.jsonl")),
     )
 
 
 def stage_embed(config: PipelineConfig, writer: _StageWriter) -> dict:
-    volumes = load_corpus(_out(config, "corpus.json"))
-    groups = load_groups(_out(config, "groups.json"), volumes)
+    _, groups = corpus_groups(_out(config, "corpus.json"), _out(config, "mapping.tsv"))
     embedded = embed_chapters([chap for g in groups for chap in g.members.values()], config)
     return {"segments_embedded": embedded, "chapter_groups": len(groups)}
 
@@ -369,7 +345,7 @@ def stage_embed(config: PipelineConfig, writer: _StageWriter) -> dict:
 def stage_bialign(config: PipelineConfig, writer: _StageWriter) -> dict:
     return align_pairs(
         _out(config, "corpus.json"),
-        _out(config, "groups.json"),
+        _out(config, "mapping.tsv"),
         writer.path_for(_out(config, "alignments.jsonl")),
         config,
     )
@@ -378,7 +354,7 @@ def stage_bialign(config: PipelineConfig, writer: _StageWriter) -> dict:
 def stage_multialign(config: PipelineConfig, writer: _StageWriter) -> dict:
     return build_rows(
         _out(config, "corpus.json"),
-        _out(config, "groups.json"),
+        _out(config, "mapping.tsv"),
         _out(config, "alignments.jsonl"),
         writer.path_for(_out(config, "rows.jsonl")),
         writer.path_for(_out(config, "dropped.jsonl")),
@@ -391,9 +367,7 @@ def stage_export(config: PipelineConfig, writer: _StageWriter) -> dict:
     seg_index = segment_index(volumes)
     rows = export_mod.load_rows(_out(config, "rows.jsonl"), seg_index)
     report = export_mod.stats(volumes, rows)
-    with open(writer.path_for(_out(config, "stats.json")), "w", encoding="utf-8") as fh:
-        json.dump(export_mod.stats_to_dict(report), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    export_mod.write_stats(report, writer.path_for(_out(config, "stats.json")))
     with open(writer.path_for(_out(config, "stats.txt")), "w", encoding="utf-8") as fh:
         fh.write(export_mod.render_stats(report))
     return {"aligned_rows": len(rows.rows), "total_aligned_segments": report.total.aligned_segments}
@@ -409,7 +383,7 @@ _STAGE_FNS = {
 
 ARTIFACTS = (
     "corpus.json",
-    "groups.json",
+    "mapping.tsv",
     "warnings.jsonl",
     "alignments.jsonl",
     "rows.jsonl",

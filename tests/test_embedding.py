@@ -105,14 +105,15 @@ class TestEmbedSegments:
         mat = embed_segments([], ProviderConfig(), "text")
         assert mat.vectors.shape == (0, 256)
 
-    def test_batching_and_order(self):
+    def test_batching_and_order(self, monkeypatch):
+        import polyalign.embedding as emb
+
         segs = [seg(f"text {i}", i) for i in range(3)]
-        call_log = []
-        mat = embed_segments(
-            segs, ProviderConfig(batch_size=2), "text", dim=64, call_log=call_log
-        )
+        provider = FakeProvider({s.text: hash_embed(s.text, 64) for s in segs}, 64)
+        monkeypatch.setattr(emb, "make_provider", lambda cfg, dim=256: provider)
+        mat = embed_segments(segs, ProviderConfig(batch_size=2), "text", dim=64)
         assert mat.vectors.shape == (3, 64)
-        assert call_log == [2, 1]  # two provider calls
+        assert [len(batch) for batch in provider.calls] == [2, 1]  # two provider calls
         for i, s in enumerate(segs):
             assert np.array_equal(mat.vectors[i], hash_embed(s.text, 64))
 
@@ -146,15 +147,23 @@ class TestEmbedSegments:
         c2 = unit(np.concatenate([t2, h2]))
         assert cosine(c1, c2) == pytest.approx((cosine(t1, t2) + cosine(h1, h2)) / 2, abs=1e-9)
 
-    def test_cache_hit_is_bit_identical_and_skips_provider(self, tmp_path):
+    def test_cache_hit_is_bit_identical_and_skips_provider(self, tmp_path, monkeypatch):
+        import polyalign.embedding as emb
+
         segs = [seg(f"text {i}", i) for i in range(3)]
+        table = {s.text: hash_embed(s.text, 64) for s in segs}
+        providers = []
+
+        def make_provider(cfg, dim=256):
+            providers.append(FakeProvider(table, dim))
+            return providers[-1]
+
+        monkeypatch.setattr(emb, "make_provider", make_provider)
         cache = EmbeddingCache(tmp_path / "cache")
-        log1 = []
-        mat1 = embed_segments(segs, ProviderConfig(), "text", cache, dim=64, call_log=log1)
+        mat1 = embed_segments(segs, ProviderConfig(), "text", cache, dim=64)
         cache2 = EmbeddingCache(tmp_path / "cache")
-        log2 = []
-        mat2 = embed_segments(segs, ProviderConfig(), "text", cache2, dim=64, call_log=log2)
-        assert log1 and not log2
+        mat2 = embed_segments(segs, ProviderConfig(), "text", cache2, dim=64)
+        assert providers[0].calls and not providers[1].calls
         assert np.array_equal(mat1.vectors, mat2.vectors)
 
     def test_cache_keys_the_dim(self, tmp_path):
@@ -302,7 +311,7 @@ class TestRemoteProvider:
 
     def test_retries_then_succeeds(self, monkeypatch):
         monkeypatch.setattr("time.sleep", lambda s: None)
-        provider = RemoteProvider(self.config(), session=FlakySession(fail_times=2))
+        provider = RemoteProvider(self.config(), dim=8, session=FlakySession(fail_times=2))
         out = provider.embed_batch(["a", "b"])
         assert out.shape == (2, 8)
 
@@ -329,7 +338,7 @@ class TestRemoteProvider:
         segs = [seg(f"text {i}", i) for i in range(3)]
 
         def embed_with(session):
-            monkeypatch.setattr(emb, "make_provider", lambda cfg, dim=256: RemoteProvider(cfg, session=session))
+            monkeypatch.setattr(emb, "make_provider", lambda cfg, dim=256: RemoteProvider(cfg, dim=dim, session=session))
             return embed_segments(segs, self.config(), "text", EmbeddingCache(tmp_path), dim=8)
 
         nan_session = NanSession()
@@ -339,3 +348,12 @@ class TestRemoteProvider:
         mat = embed_with(FlakySession())
         for i, s in enumerate(segs):
             assert np.allclose(mat.vectors[i], hash_embed(s.text, 8), atol=1e-6)
+
+    def test_width_other_than_dim_is_not_cached(self, tmp_path, monkeypatch):
+        session = FlakySession(dim=8)
+        monkeypatch.setattr("requests.Session", lambda: session)
+        segs = [seg(f"text {i}", i) for i in range(3)]
+        with pytest.raises(EmbeddingError, match=r"\(3, 8\), requested dim 16"):
+            embed_segments(segs, self.config(), "text", EmbeddingCache(tmp_path), dim=16)
+        assert session.calls == 1
+        assert not list(tmp_path.glob("*.bin"))

@@ -159,6 +159,19 @@ class TestBuildChapterGroups:
         assert groups == []
         assert len(warnings) == 1
 
+    def test_empty_chapter_left_out_with_warning(self):
+        volumes = self._volumes() + [
+            parse_volume(volume_doc([{"title": "Beta", "elements": []}], idiom="puter", volume_id="v2"))
+        ]
+        mapping = "sursilvan\tputer\tvallader\nv1#alpha\tv2#beta\tv1#alpha\nv1#alpha\tv2#beta\t\n"
+        warnings = []
+        groups = build_chapter_groups(volumes, mapping, warnings)
+        assert [g.group_id for g in groups] == ["g0001"]
+        assert sorted(groups[0].members) == ["sursilvan", "vallader"]
+        assert [w.source for w in warnings] == ["mapping row 1", "mapping row 2", "mapping row 2"]
+        assert "idiom puter" in warnings[0].message and "v2#beta" in warnings[0].message
+        assert "skipped" in warnings[2].message
+
     def test_dangling_reference_names_the_row(self):
         mapping = "sursilvan\tsutsilvan\nv1#alpha\tv1#missing\n"
         with pytest.raises(IngestError, match="row 1"):

@@ -6,11 +6,13 @@ from click.testing import CliRunner
 from polyalign.cli import main
 from polyalign.embedding import EmbeddingCache
 from polyalign.pipeline import (
+    STAGES,
     PipelineConfig,
     PipelineError,
     load_config,
     run_pipeline,
 )
+from synth import generate
 
 
 def write_fixture(corpus, root):
@@ -119,6 +121,44 @@ class TestRunPipeline:
         assert (tmp_path / "out" / "corpus.json").exists()
         assert not (tmp_path / "out" / "rows.jsonl").exists()
 
+    def test_later_stages_read_the_stored_mapping(self, pipeline_run, small_corpus, tmp_path):
+        root, _, manifest, _ = pipeline_run
+        raw, mapping, _ = write_fixture(small_corpus, tmp_path)
+        config = make_config(tmp_path, raw, mapping)
+        config.stages = {s: s == "ingest" for s in STAGES}
+        run_pipeline(config)
+        out = tmp_path / "out"
+        assert (out / "mapping.tsv").read_bytes() == mapping.read_bytes()
+        n_cols = len(small_corpus.mapping_tsv.splitlines()[0].split("\t"))
+        with open(mapping, "a", encoding="utf-8") as fh:
+            fh.write("\t".join(["vol09#nowhere"] * n_cols) + "\n")
+        config.stages = {s: s != "ingest" for s in STAGES}
+        manifest2 = run_pipeline(config)
+        for name in ("alignments.jsonl", "rows.jsonl"):
+            assert (out / name).read_bytes() == (root / "out" / name).read_bytes()
+        for run_manifest, run_dir in ((manifest, root / "out"), (manifest2, out)):
+            assert set(run_manifest["artifacts"]) == {p.name for p in run_dir.iterdir()} - {"manifest.json"}
+
+    def test_empty_member_chapter_is_warned_and_left_out(self, tmp_path):
+        corpus = generate(seed=0, n_groups=3, segs_per_chapter=5)
+        raw, mapping, _ = write_fixture(corpus, tmp_path)
+        path = raw / "puter-vol01.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["chapters"][0]["elements"] = []
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        manifest = run_pipeline(make_config(tmp_path, raw, mapping))
+        out = tmp_path / "out"
+        warnings = [json.loads(line) for line in (out / "warnings.jsonl").read_text().splitlines()]
+        assert warnings == [{
+            "source": "mapping row 1",
+            "message": "idiom puter: chapter vol01#chapter 000 has no segments, left out",
+        }]
+        assert manifest["stages"]["bialign"]["chapter_pairs"] == 6 + 10 + 10
+        records = [json.loads(line) for line in (out / "alignments.jsonl").read_text().splitlines()]
+        assert not [r for r in records if r["group"] == "g0001" and "puter" in (r["src_idiom"], r["tgt_idiom"])]
+        rows = [json.loads(line) for line in (out / "rows.jsonl").read_text().splitlines()]
+        assert rows and all("puter" not in r["cells"] for r in rows if r["provenance"] == "g0001")
+
     def test_missing_raw_dir_fails_with_stage_name(self, tmp_path):
         config = PipelineConfig(
             raw_dir=str(tmp_path / "nowhere"), mapping=str(tmp_path / "m.tsv"),
@@ -220,7 +260,7 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert "volumes" in result.output
         assert (root / "corpus2.json").exists()
-        assert (root / "corpus2.json.groups.json").exists()
+        assert not (root / "corpus2.json.groups.json").exists()
 
     def test_ingest_command_rejects_bad_volume_id(self, small_corpus, tmp_path):
         raw, mapping = write_bad_volume(small_corpus, tmp_path)
@@ -257,7 +297,7 @@ class TestCli:
         out = root / "pair.jsonl"
         result = runner.invoke(main, [
             "bialign", "--corpus", str(root / "out" / "corpus.json"),
-            "--groups", str(root / "out" / "groups.json"),
+            "--mapping", str(root / "out" / "mapping.tsv"),
             "--embeddings", str(root / "cache"),
             "--pair", "puter:vallader", "--out", str(out),
         ])
@@ -271,7 +311,7 @@ class TestCli:
         out = root / "rows-cli.jsonl"
         result = runner.invoke(main, [
             "multialign", "--corpus", str(root / "out" / "corpus.json"),
-            "--groups", str(root / "out" / "groups.json"),
+            "--mapping", str(root / "out" / "mapping.tsv"),
             "--alignments", str(root / "out" / "alignments.jsonl"),
             "--out", str(out), "--dropped", str(root / "dropped-cli.jsonl"),
         ])
@@ -284,7 +324,7 @@ class TestCli:
         out = root / "rows-pivot.jsonl"
         result = runner.invoke(main, [
             "multialign", "--corpus", str(root / "out" / "corpus.json"),
-            "--groups", str(root / "out" / "groups.json"),
+            "--mapping", str(root / "out" / "mapping.tsv"),
             "--alignments", str(root / "out" / "alignments.jsonl"),
             "--pivot", "sursilvan",
             "--out", str(out), "--dropped", str(root / "dropped-pivot.jsonl"),
@@ -372,14 +412,14 @@ class TestCli:
         root, runner = cli_workspace
         chain = root / "chain"
         chain.mkdir()
-        corpus, groups = str(chain / "corpus.json"), str(chain / "groups.json")
+        corpus, mapping = str(chain / "corpus.json"), str(root / "mapping.tsv")
         commands = [
-            ["ingest", "--raw-dir", str(root / "raw"), "--mapping", str(root / "mapping.tsv"),
-             "--out", corpus, "--report", str(chain / "warnings.jsonl"), "--groups", groups],
+            ["ingest", "--raw-dir", str(root / "raw"), "--mapping", mapping,
+             "--out", corpus, "--report", str(chain / "warnings.jsonl")],
             ["embed", "--corpus", corpus, "--cache", str(chain / "cache")],
-            ["bialign", "--corpus", corpus, "--groups", groups, "--embeddings", str(chain / "cache"),
+            ["bialign", "--corpus", corpus, "--mapping", mapping, "--embeddings", str(chain / "cache"),
              "--pair", "all", "--out", str(chain / "alignments.jsonl")],
-            ["multialign", "--corpus", corpus, "--groups", groups,
+            ["multialign", "--corpus", corpus, "--mapping", mapping,
              "--alignments", str(chain / "alignments.jsonl"),
              "--out", str(chain / "rows.jsonl"), "--dropped", str(chain / "dropped.jsonl")],
         ]
@@ -392,7 +432,7 @@ class TestCli:
     def test_bialign_reuses_the_model_embed_cached(self, cli_workspace):
         root, runner = cli_workspace
         cache = root / "cache-other"
-        corpus, groups = str(root / "out" / "corpus.json"), str(root / "out" / "groups.json")
+        corpus, mapping = str(root / "out" / "corpus.json"), str(root / "out" / "mapping.tsv")
         result = runner.invoke(main, [
             "embed", "--corpus", corpus, "--cache", str(cache), "--model", "other-v2",
         ])
@@ -400,7 +440,7 @@ class TestCli:
         filled = {p.name for p in cache.glob("*.bin")}
         assert filled
         result = runner.invoke(main, [
-            "bialign", "--corpus", corpus, "--groups", groups, "--embeddings", str(cache),
+            "bialign", "--corpus", corpus, "--mapping", mapping, "--embeddings", str(cache),
             "--model", "other-v2", "--pair", "all", "--out", str(root / "pairs-other.jsonl"),
         ])
         assert result.exit_code == 0, result.output
@@ -408,16 +448,16 @@ class TestCli:
 
     def test_multialign_names_the_missing_pairs(self, cli_workspace):
         root, runner = cli_workspace
-        corpus, groups = str(root / "out" / "corpus.json"), str(root / "out" / "groups.json")
+        corpus, mapping = str(root / "out" / "corpus.json"), str(root / "out" / "mapping.tsv")
         pairs = str(root / "pairs-pv.jsonl")
         result = runner.invoke(main, [
-            "bialign", "--corpus", corpus, "--groups", groups, "--embeddings", str(root / "cache"),
+            "bialign", "--corpus", corpus, "--mapping", mapping, "--embeddings", str(root / "cache"),
             "--pair", "puter:vallader", "--out", pairs,
         ])
         assert result.exit_code == 0, result.output
         for pivot, missing in (("all", "puter:surmiran"), ("sursilvan", "sursilvan:puter")):
             result = runner.invoke(main, [
-                "multialign", "--corpus", corpus, "--groups", groups, "--alignments", pairs,
+                "multialign", "--corpus", corpus, "--mapping", mapping, "--alignments", pairs,
                 "--pivot", pivot, "--out", str(root / "rows-pv.jsonl"),
                 "--dropped", str(root / "dropped-pv.jsonl"),
             ])
