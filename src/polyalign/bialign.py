@@ -51,16 +51,6 @@ class BilingualAlignment:
     links: list[Link] = field(default_factory=list)
     total_cost: float = 0.0
 
-    def transpose(self) -> "BilingualAlignment":
-        return BilingualAlignment(
-            src_chapter=self.tgt_chapter,
-            tgt_chapter=self.src_chapter,
-            src_ids=self.tgt_ids,
-            tgt_ids=self.src_ids,
-            links=[Link(src=l.tgt, tgt=l.src, cost=l.cost) for l in self.links],
-            total_cost=self.total_cost,
-        )
-
     def pairs_by_id(self) -> list[tuple[str | None, str | None]]:
         """Links as (src id, tgt id) pairs, None on the deleted side."""
         return [

@@ -346,7 +346,7 @@ def build_chapter_groups(
             warnings.append(
                 WarningRecord(
                     f"mapping row {row_idx}",
-                    f"skipped: only {len(members)} non-empty cell(s), no parallel content",
+                    f"skipped: only {len(members)} member(s), no parallel content",
                 )
             )
             continue

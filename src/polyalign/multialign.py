@@ -1,19 +1,24 @@
 """Lift pairwise alignments to multi-parallel rows.
 
-Pipeline per chapter group: full outer join through each pivot idiom,
-strict intersection of the pivot link sets (consensus), connected-component
-row assembly, and the length-ratio noise filter. Consensus trades recall
-for precision by construction.
+Per chapter group, the pairwise alignments become partner maps once: for
+each ordered idiom pair ``(x, y)``, every ``x`` segment mapped to its ``y``
+partner or None. The pivot join, the strict intersection of the pivot link
+sets (consensus) and the single-pivot rows are dict and set operations on
+those maps; connected components of the consensus links become rows, and the
+length-ratio noise filter thins them. Consensus trades recall for precision
+by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 
 from .bialign import BilingualAlignment
 from .model import ChapterGroup, MultiParallelAlignment, MultiParallelRow, Segment
 
 Pair = tuple[str | None, str | None]
+Partners = dict[tuple[str, str], dict[str, str | None]]
 
 
 class MultiAlignError(Exception):
@@ -25,7 +30,6 @@ class PairLinkSet:
     idiom_a: str
     idiom_b: str
     pairs: frozenset[Pair]
-    origin: str  # "direct", "pivot:<p>", "consensus"
 
     def full_pairs(self) -> frozenset[Pair]:
         return frozenset(p for p in self.pairs if p[0] is not None and p[1] is not None)
@@ -44,124 +48,77 @@ class LengthFilterConfig:
             raise MultiAlignError(f"unknown length unit {self.unit!r}")
 
 
-def direct_pairs(a_ij: BilingualAlignment, idiom_a: str, idiom_b: str) -> PairLinkSet:
-    """A bilingual alignment's links (deletions included) as a PairLinkSet."""
-    return PairLinkSet(
-        idiom_a=idiom_a,
-        idiom_b=idiom_b,
-        pairs=frozenset(a_ij.pairs_by_id()),
-        origin="direct",
-    )
+def partner_maps(pair_alignments: dict[tuple[str, str], BilingualAlignment]) -> Partners:
+    """Both directions of every alignment: ``(x, y)`` maps each ``x`` segment
+    to its ``y`` partner, or to None where the alignment deleted it."""
+    partners: Partners = {}
+    for (i, j), alignment in pair_alignments.items():
+        partners[(i, j)] = alignment.partner_of_src()
+        partners[(j, i)] = alignment.partner_of_tgt()
+    return partners
 
 
 def pivot_join(
-    a_ip: BilingualAlignment,
-    a_pj: BilingualAlignment,
+    i_to_p: dict[str, str | None],
+    p_to_j: dict[str, str | None],
+    j_to_p: dict[str, str | None],
     idiom_a: str = "",
     idiom_b: str = "",
-    pivot: str = "",
 ) -> PairLinkSet:
-    """Join two bilingual alignments through their shared pivot chapter.
+    """Full outer join of idioms ``i`` and ``j`` through a pivot's partner maps.
 
-    ``a_ip`` has the pivot on its target side, ``a_pj`` on its source side.
-    Segments matched to the pivot on both sides pair up; everything else
-    comes out null-paired. Pivot segments never appear in the result.
+    ``i`` and ``j`` segments matched to one pivot segment pair up; everything
+    else comes out null-paired. Pivot segments never appear in the result.
     """
-    if a_ip.tgt_chapter != a_pj.src_chapter:
-        raise MultiAlignError(
-            f"pivot chapter mismatch: {a_ip.tgt_chapter!r} vs {a_pj.src_chapter!r}"
-        )
-    i_of_pivot = a_ip.partner_of_tgt()  # pivot seg -> i seg or None
-    j_of_pivot = a_pj.partner_of_src()  # pivot seg -> j seg or None
-
-    pairs: set[Pair] = set()
-    for p_seg, i_seg in i_of_pivot.items():
-        if i_seg is None:
-            continue
-        j_seg = j_of_pivot.get(p_seg)
-        pairs.add((i_seg, j_seg))
-    # i-segments deleted against the pivot
-    for i_seg, p_seg in a_ip.partner_of_src().items():
-        if p_seg is None:
-            pairs.add((i_seg, None))
-    # j-segments whose pivot partner is null or unmatched in a_ip
-    for j_seg, p_seg in a_pj.partner_of_tgt().items():
-        if p_seg is None or i_of_pivot.get(p_seg) is None:
-            pairs.add((None, j_seg))
-    return PairLinkSet(
-        idiom_a=idiom_a, idiom_b=idiom_b, pairs=frozenset(pairs), origin=f"pivot:{pivot}"
-    )
+    pairs = {(a, p_to_j.get(p)) for a, p in i_to_p.items()}
+    matched = {b for _, b in pairs}
+    pairs |= {(None, b) for b in j_to_p if b not in matched}
+    return PairLinkSet(idiom_a=idiom_a, idiom_b=idiom_b, pairs=frozenset(pairs))
 
 
 def pivot_multialign(
     pivot: str,
-    alignments: dict[str, BilingualAlignment],
+    idioms: list[str],
+    partners: Partners,
     seg_index: dict[str, Segment],
     provenance: str = "",
 ) -> MultiParallelAlignment:
-    """Full outer join of the bilingual alignments on the pivot idiom.
+    """Full outer join of the group's ``idioms`` on the pivot idiom.
 
-    Each alignment must have the pivot chapter on its source side. One row
-    per pivot segment (cells null where an idiom deleted it), plus one
-    singleton-extended row per non-pivot segment unmatched to the pivot.
+    One row per pivot segment (cells null where an idiom deleted it), plus one
+    singleton row per segment of another idiom unmatched to the pivot.
     """
-    pivot_chapters = {a.src_chapter for a in alignments.values()}
-    if len(pivot_chapters) > 1:
-        raise MultiAlignError(f"inconsistent pivot chapters: {sorted(pivot_chapters)}")
-    if pivot in alignments:
-        raise MultiAlignError("pivot idiom must not align against itself")
-
-    some = next(iter(alignments.values()), None)
-    pivot_ids = some.src_ids if some is not None else ()
-    partners = {idiom: a.partner_of_src() for idiom, a in alignments.items()}
-
+    others = [k for k in idioms if k != pivot]
+    pivot_ids = partners[(pivot, others[0])] if others else {}
     rows: list[MultiParallelRow] = []
     for p_seg in pivot_ids:
         cells: dict[str, Segment | None] = {pivot: seg_index[p_seg]}
-        for idiom, partner in partners.items():
-            other = partner.get(p_seg)
-            cells[idiom] = seg_index[other] if other is not None else None
+        for k in others:
+            other = partners[(pivot, k)][p_seg]
+            cells[k] = seg_index[other] if other is not None else None
         rows.append(MultiParallelRow(cells=cells, provenance=provenance))
-
-    idioms = sorted(alignments)
-    all_idioms = sorted([pivot] + idioms)
-    for idiom in idioms:
-        for t_seg, p_seg in alignments[idiom].partner_of_tgt().items():
+    for k in others:
+        for t_seg, p_seg in partners[(k, pivot)].items():
             if p_seg is None:
-                cells = {k: None for k in all_idioms}
-                cells[idiom] = seg_index[t_seg]
+                cells = dict.fromkeys(idioms)
+                cells[k] = seg_index[t_seg]
                 rows.append(MultiParallelRow(cells=cells, provenance=provenance))
     return MultiParallelAlignment(rows=rows)
 
 
-def consensus(
-    pair_sets: dict[str, PairLinkSet],
-    required_pivots: list[str] | None = None,
-) -> PairLinkSet:
-    """Strict intersection of the pivot link sets for one chapter pair.
+def consensus(pair_sets: dict[str, PairLinkSet]) -> PairLinkSet:
+    """Strict intersection of the pivot link sets for one idiom pair.
 
-    Only full (non-null, non-null) pairs participate. ``required_pivots``
-    makes a missing pivot an error listing the absentees.
+    Only full (non-null, non-null) pairs participate.
     """
-    if required_pivots is not None:
-        missing = sorted(set(required_pivots) - set(pair_sets))
-        if missing:
-            raise MultiAlignError(f"missing pivot inputs: {', '.join(missing)}")
     if not pair_sets:
         raise MultiAlignError("consensus needs at least one pivot input")
-    sets = list(pair_sets.values())
-    idiom_pair = (sets[0].idiom_a, sets[0].idiom_b)
-    for s in sets[1:]:
-        if (s.idiom_a, s.idiom_b) != idiom_pair:
-            raise MultiAlignError(
-                f"pivot sets mix chapter pairs: {idiom_pair} vs {(s.idiom_a, s.idiom_b)}"
-            )
-    result = sets[0].full_pairs()
-    for s in sets[1:]:
-        result &= s.full_pairs()
-    return PairLinkSet(
-        idiom_a=idiom_pair[0], idiom_b=idiom_pair[1], pairs=result, origin="consensus"
-    )
+    idiom_pairs = {(s.idiom_a, s.idiom_b) for s in pair_sets.values()}
+    if len(idiom_pairs) > 1:
+        raise MultiAlignError(f"pivot sets mix idiom pairs: {sorted(idiom_pairs)}")
+    [(idiom_a, idiom_b)] = idiom_pairs
+    pairs = frozenset.intersection(*(s.full_pairs() for s in pair_sets.values()))
+    return PairLinkSet(idiom_a=idiom_a, idiom_b=idiom_b, pairs=pairs)
 
 
 @dataclass
@@ -182,9 +139,6 @@ def assemble_rows(
     Components holding two segments of the same idiom are contradictory and
     are dropped whole (precision over recall), with a log entry.
     """
-    for s in consensus_sets:
-        if s.origin != "consensus":
-            raise MultiAlignError(f"assemble_rows expects consensus sets, got {s.origin!r}")
     adj: dict[str, set[str]] = {}
     for s in consensus_sets:
         for a, b in s.full_pairs():
@@ -259,27 +213,19 @@ def align_group_consensus(
 ) -> MultiParallelAlignment:
     """Consensus rows for one chapter group from its pairwise alignments.
 
-    ``pair_alignments`` maps every ordered idiom pair of the group to the
-    bilingual alignment of the corresponding chapters (both directions, one
-    the transpose of the other).
+    ``pair_alignments`` holds one alignment per idiom pair of the group, keyed
+    by its ``(src idiom, tgt idiom)``. For each pair ``(i, j)`` the direct links
+    stand in for pivots ``i`` and ``j``, and every other idiom ``p`` joins
+    ``i`` to ``j`` through its partner maps.
     """
     idioms = group.idioms()
+    partners = partner_maps(pair_alignments)
     consensus_sets: list[PairLinkSet] = []
-    for ai, i in enumerate(idioms):
-        for j in idioms[ai + 1 :]:
-            per_pivot: dict[str, PairLinkSet] = {}
-            for p in idioms:
-                if p == i or p == j:
-                    per_pivot[p] = PairLinkSet(
-                        idiom_a=i,
-                        idiom_b=j,
-                        pairs=direct_pairs(pair_alignments[(i, j)], i, j).pairs,
-                        origin="direct",
-                    )
-                else:
-                    joined = pivot_join(
-                        pair_alignments[(i, p)], pair_alignments[(p, j)], i, j, pivot=p
-                    )
-                    per_pivot[p] = joined
-            consensus_sets.append(consensus(per_pivot, required_pivots=idioms))
+    for i, j in combinations(idioms, 2):
+        direct = PairLinkSet(idiom_a=i, idiom_b=j, pairs=frozenset(partners[(i, j)].items()))
+        per_pivot = {
+            p: direct if p in (i, j) else pivot_join(partners[(i, p)], partners[(p, j)], partners[(j, p)], i, j)
+            for p in idioms
+        }
+        consensus_sets.append(consensus(per_pivot))
     return assemble_rows(consensus_sets, group, seg_index, dropped)

@@ -6,9 +6,11 @@ commands bind it to the files named by their flags. Each stage reads only
 prior-stage artifacts: ingest stores a copy of the chapter mapping as
 ``mapping.tsv``, and embed, bialign and multialign resolve the chapter groups
 from that copy and ``corpus.json`` with ``build_chapter_groups``, as ingest
-did. Every run writes a manifest with the resolved config, content hashes of
-all artifacts, and per-stage counts, so a build can be audited and reproduced
-bit-for-bit (with a warm embedding cache).
+did. Multialign checks each alignment against its chapters' segment ids and
+builds each group's rows on partner maps (see ``multialign``). Every run
+writes a manifest with the resolved config, content hashes of all artifacts,
+and per-stage counts, so a build can be audited and reproduced bit-for-bit
+(with a warm embedding cache).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .multialign import (
     LengthFilterConfig,
     align_group_consensus,
     length_filter,
+    partner_maps,
     pivot_multialign,
 )
 
@@ -263,21 +266,25 @@ def load_alignments(path) -> list[tuple[str, str, str, BilingualAlignment]]:
 def build_rows(corpus_path, mapping, alignments_path, rows_path, dropped_path,
                length_config: LengthFilterConfig | None, pivot: str | None = None) -> dict:
     """Multi-parallel rows of every group: the consensus of every pivot or, given
-    ``pivot``, that pivot's outer join. Without ``length_config`` no cell is
+    ``pivot``, that pivot's outer join. Stale alignments (segment ids other than
+    their chapters') fail the build. Without ``length_config`` no cell is
     length-filtered. Rows left with fewer than two cells are demoted."""
     volumes, groups = corpus_groups(corpus_path, mapping)
     seg_index = segment_index(volumes)
+    chapter_ids = {(g.group_id, k): tuple(s.id for s in c.segments) for g in groups for k, c in g.members.items()}
     by_group: dict[str, dict[tuple[str, str], BilingualAlignment]] = {}
     for gid, i, j, alignment in load_alignments(alignments_path):
-        pairs = by_group.setdefault(gid, {})
-        pairs[(i, j)] = alignment
-        pairs[(j, i)] = alignment.transpose()
+        if (alignment.src_ids, alignment.tgt_ids) != (chapter_ids.get((gid, i)), chapter_ids.get((gid, j))):
+            raise PipelineError(f"group {gid}: the {i}:{j} alignment does not match the corpus's "
+                                "chapters; rerun bialign on this corpus")
+        by_group.setdefault(gid, {})[(i, j)] = alignment
 
     all_rows = []
     dropped: list[DroppedComponent] = []
     demoted = 0
     for group in groups:
         pair_alignments = by_group.get(group.group_id, {})
+        stored = set(pair_alignments) | {(j, i) for i, j in pair_alignments}
         idioms = group.idioms()
         if pivot is None:
             needed = list(combinations(idioms, 2))
@@ -285,7 +292,7 @@ def build_rows(corpus_path, mapping, alignments_path, rows_path, dropped_path,
             needed = [(pivot, j) for j in idioms if j != pivot]
         else:
             continue
-        missing = [f"{i}:{j}" for i, j in needed if (i, j) not in pair_alignments]
+        missing = [f"{i}:{j}" for i, j in needed if (i, j) not in stored]
         if missing:
             raise PipelineError(
                 f"group {group.group_id} has no alignment of {', '.join(missing)}; "
@@ -294,8 +301,8 @@ def build_rows(corpus_path, mapping, alignments_path, rows_path, dropped_path,
         if pivot is None:
             aligned = align_group_consensus(group, pair_alignments, seg_index, dropped)
         else:
-            others = {j: pair_alignments[(pivot, j)] for _, j in needed}
-            aligned = pivot_multialign(pivot, others, seg_index, provenance=group.group_id)
+            aligned = pivot_multialign(pivot, idioms, partner_maps(pair_alignments), seg_index,
+                                       provenance=group.group_id)
         for row in aligned.rows:
             if length_config is not None:
                 row = length_filter(row, length_config)

@@ -92,6 +92,53 @@ def naive_consensus(pair_sets):
     return out
 
 
+def naive_rows(edges, idioms, segments):
+    """Reference row assembly: connected components of the consensus edges.
+
+    ``segments`` maps each id to its (idiom, position). A component holding
+    two segments of one idiom is dropped. Returns the rows as idiom -> id
+    dicts (None where empty) ordered by their earliest (position, id), and
+    the dropped components as sorted id lists ordered by their smallest id.
+    """
+    components = []
+    for a, b in edges:
+        touching = [c for c in components if a in c or b in c]
+        components = [c for c in components if c not in touching] + [{a, b}.union(*touching)]
+    rows, dropped = [], []
+    for component in components:
+        owners = [segments[sid][0] for sid in component]
+        if len(set(owners)) < len(owners):
+            dropped.append(sorted(component))
+            continue
+        row = dict.fromkeys(idioms)
+        row.update({segments[sid][0]: sid for sid in component})
+        rows.append((min((segments[sid][1], sid) for sid in component), row))
+    return [row for _, row in sorted(rows, key=lambda r: r[0])], sorted(dropped)
+
+
+def naive_group_consensus(idioms, links, segments):
+    """Reference consensus rows of one chapter group.
+
+    ``links`` maps each stored idiom pair (i, j) to its (i id, j id) pairs,
+    None on a deleted side. Every idiom pair's consensus intersects its
+    direct links (standing in for pivots i and j) with the pivot join
+    through each other idiom; ``naive_rows`` assembles the result.
+    """
+    def pairs(x, y):
+        if (x, y) in links:
+            return links[(x, y)]
+        return [(b, a) for a, b in links[(y, x)]]
+
+    edges = set()
+    for n, i in enumerate(idioms):
+        for j in idioms[n + 1:]:
+            edges |= naive_consensus([
+                pairs(i, j) if p in (i, j) else naive_pivot_join(pairs(i, p), pairs(p, j))
+                for p in idioms
+            ])
+    return naive_rows(edges, idioms, segments)
+
+
 def cosine(u, v) -> float:
     """Cosine similarity, clamped to [-1, 1]. Zero vectors are an error."""
     u = np.asarray(u, dtype=np.float64)

@@ -25,6 +25,7 @@ from polyalign.multialign import (
     align_group_consensus,
     consensus,
     length_filter,
+    partner_maps,
     pivot_join,
     pivot_multialign,
 )
@@ -66,7 +67,8 @@ def test_criterion_2_join_consensus_oracles():
         n, k, m = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
         a_ip = random_alignment(rng, n, k, "a", "p", "ci", "cp")
         a_pj = random_alignment(rng, k, m, "p", "b", "cp", "cj")
-        joined = pivot_join(a_ip, a_pj)
+        partners = partner_maps({("i", "p"): a_ip, ("p", "j"): a_pj})
+        joined = pivot_join(partners[("i", "p")], partners[("p", "j")], partners[("j", "p")])
         assert joined.pairs == frozenset(
             naive_pivot_join(a_ip.pairs_by_id(), a_pj.pairs_by_id())
         )
@@ -77,8 +79,7 @@ def test_criterion_2_join_consensus_oracles():
             for _ in range(rng.randint(1, 5))
         ]
         sets = {
-            f"p{idx}": PairLinkSet(idiom_a="i", idiom_b="j",
-                                   pairs=frozenset(p), origin=f"pivot:p{idx}")
+            f"p{idx}": PairLinkSet(idiom_a="i", idiom_b="j", pairs=frozenset(p))
             for idx, p in enumerate(raw_sets)
         }
         out = consensus(sets)
@@ -122,17 +123,12 @@ def build_end_to_end(corpus, dim=256, skip_cost=0.15):
                     tgt_ids=tuple(s.id for s in group.members[j].segments),
                 )
                 pair_alignments[(i, j)] = alignment
-                pair_alignments[(j, i)] = alignment.transpose()
         consensus_rows.extend(
             align_group_consensus(group, pair_alignments, seg_index).rows
         )
-        per_idiom = {
-            j: pair_alignments[(pivot_idiom, j)]
-            for j in idioms if j != pivot_idiom
-        }
         pivot_rows.extend(
-            pivot_multialign(pivot_idiom, per_idiom, seg_index,
-                             provenance=group.group_id).rows
+            pivot_multialign(pivot_idiom, idioms, partner_maps(pair_alignments),
+                             seg_index, provenance=group.group_id).rows
         )
 
     return consensus_rows, pivot_rows, corpus.gold

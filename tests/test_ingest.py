@@ -170,7 +170,7 @@ class TestBuildChapterGroups:
         assert sorted(groups[0].members) == ["sursilvan", "vallader"]
         assert [w.source for w in warnings] == ["mapping row 1", "mapping row 2", "mapping row 2"]
         assert "idiom puter" in warnings[0].message and "v2#beta" in warnings[0].message
-        assert "skipped" in warnings[2].message
+        assert warnings[2].message == "skipped: only 1 member(s), no parallel content"
 
     def test_dangling_reference_names_the_row(self):
         mapping = "sursilvan\tsutsilvan\nv1#alpha\tv1#missing\n"

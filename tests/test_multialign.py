@@ -1,8 +1,10 @@
+import json
 import random
+from itertools import combinations, zip_longest
 
 import pytest
 
-from oracles import naive_consensus, naive_pivot_join, random_alignment
+from oracles import naive_consensus, naive_group_consensus, naive_pivot_join, naive_rows, random_alignment
 from polyalign.bialign import BilingualAlignment, Link
 from polyalign.model import ChapterGroup, Chapter, MultiParallelRow, Segment
 from polyalign.multialign import (
@@ -10,13 +12,16 @@ from polyalign.multialign import (
     LengthFilterConfig,
     MultiAlignError,
     PairLinkSet,
+    align_group_consensus,
     assemble_rows,
     consensus,
-    direct_pairs,
     length_filter,
+    partner_maps,
     pivot_join,
     pivot_multialign,
 )
+from polyalign.pipeline import PipelineError, build_rows, corpus_groups, ingest_raw
+from synth import generate
 
 
 def alignment_from_pairs(pairs, src_chapter="ci", tgt_chapter="cp"):
@@ -38,37 +43,96 @@ def alignment_from_pairs(pairs, src_chapter="ci", tgt_chapter="cp"):
     )
 
 
+def join_through_pivot(a_ip, a_pj, idiom_a="", idiom_b=""):
+    """pivot_join on the partner maps of an i-p and a p-j alignment."""
+    partners = partner_maps({("i", "p"): a_ip, ("p", "j"): a_pj})
+    return pivot_join(partners[("i", "p")], partners[("p", "j")], partners[("j", "p")], idiom_a, idiom_b)
+
+
+def multialign_on_pivot(pivot, alignments, index):
+    """pivot_multialign over alignments with the pivot on their source side."""
+    partners = partner_maps({(pivot, k): a for k, a in alignments.items()})
+    return pivot_multialign(pivot, sorted([pivot, *alignments]), partners, index)
+
+
 def seg(sid, idiom, pos=0, text="t t t"):
     return Segment(id=sid, idiom=idiom, position=pos, html=f"<p>{text}</p>",
                    text=text, token_count=len(text.split()))
+
+
+@pytest.fixture(scope="module")
+def ingested(tmp_path_factory):
+    """A two-group corpus ingested to disk: its directory and its chapter groups."""
+    root = tmp_path_factory.mktemp("ingested")
+    corpus = generate(seed=0, n_groups=2, segs_per_chapter=5)
+    raw = root / "raw"
+    raw.mkdir()
+    for name, doc in corpus.raw_docs.items():
+        (raw / name).write_text(doc, encoding="utf-8")
+    (root / "mapping.tsv").write_text(corpus.mapping_tsv, encoding="utf-8")
+    ingest_raw(raw, root / "mapping.tsv", root / "corpus.json", root / "warnings.jsonl")
+    return root, corpus_groups(root / "corpus.json", root / "mapping.tsv")[1]
+
+
+def write_alignments(path, groups, stale_pair=None):
+    """Position-by-position alignments of every idiom pair of every group. In the
+    last group, the ``stale_pair`` alignment carries its first idiom's segment ids
+    from the first group's chapter."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for group in groups:
+            for i, j in combinations(group.idioms(), 2):
+                ids = {k: [s.id for s in group.members[k].segments] for k in (i, j)}
+                if group is groups[-1] and (i, j) == stale_pair:
+                    ids[i] = [s.id for s in groups[0].members[i].segments]
+                a = alignment_from_pairs(list(zip_longest(ids[i], ids[j])), f"{group.group_id}/{i}", f"{group.group_id}/{j}")
+                fh.write(json.dumps({
+                    "group": group.group_id, "src_idiom": i, "tgt_idiom": j,
+                    "src_chapter": a.src_chapter, "tgt_chapter": a.tgt_chapter,
+                    "src_ids": list(a.src_ids), "tgt_ids": list(a.tgt_ids),
+                    "links": [{"src": l.src, "tgt": l.tgt, "cost": l.cost} for l in a.links],
+                    "total_cost": a.total_cost,
+                }) + "\n")
+
+
+def rows_on(root, alignments, pivot=None):
+    return build_rows(root / "corpus.json", root / "mapping.tsv", alignments,
+                      root / "rows.jsonl", root / "dropped.jsonl", None, pivot=pivot)
 
 
 class TestPivotJoin:
     def test_spec_hand_case(self):
         a_ip = alignment_from_pairs([("a1", "p1"), ("a2", "p2"), ("a3", None)], "ci", "cp")
         a_pj = alignment_from_pairs([("p1", "b1"), ("p2", None), (None, "b3")], "cp", "cj")
-        out = pivot_join(a_ip, a_pj, "i", "j", pivot="p")
+        out = join_through_pivot(a_ip, a_pj, "i", "j")
         assert out.pairs == frozenset(
             {("a1", "b1"), ("a2", None), ("a3", None), (None, "b3")}
         )
-        assert out.origin == "pivot:p"
+        assert (out.idiom_a, out.idiom_b) == ("i", "j")
 
     def test_empty_inputs(self):
         a_ip = alignment_from_pairs([], "ci", "cp")
         a_pj = alignment_from_pairs([], "cp", "cj")
-        assert pivot_join(a_ip, a_pj).pairs == frozenset()
+        assert join_through_pivot(a_ip, a_pj).pairs == frozenset()
 
     def test_identity_join(self):
         a_ip = alignment_from_pairs([(f"a{k}", f"p{k}") for k in range(3)], "ci", "cp")
         a_pj = alignment_from_pairs([(f"p{k}", f"b{k}") for k in range(3)], "cp", "cj")
-        out = pivot_join(a_ip, a_pj)
+        out = join_through_pivot(a_ip, a_pj)
         assert out.pairs == frozenset({(f"a{k}", f"b{k}") for k in range(3)})
 
-    def test_pivot_chapter_mismatch_errors(self):
-        a_ip = alignment_from_pairs([("a1", "p1")], "ci", "cp")
-        a_pj = alignment_from_pairs([("q1", "b1")], "cq", "cj")
-        with pytest.raises(MultiAlignError):
-            pivot_join(a_ip, a_pj)
+    def test_pivot_chapter_mismatch_errors(self, ingested, tmp_path):
+        # The consensus joins through every pivot; one alignment whose pivot side
+        # is another chapter's fails the build, and no rows are written.
+        root, groups = ingested
+        i, j = groups[-1].idioms()[:2]
+        write_alignments(tmp_path / "fresh.jsonl", groups)
+        assert rows_on(root, tmp_path / "fresh.jsonl")["rows"] > 0
+        (root / "rows.jsonl").unlink()
+        write_alignments(tmp_path / "stale.jsonl", groups, stale_pair=(i, j))
+        with pytest.raises(PipelineError, match=f"group {groups[-1].group_id}: the {i}:{j} alignment "
+                                                "does not match the corpus's chapters; rerun bialign"):
+            rows_on(root, tmp_path / "stale.jsonl")
+        assert not (root / "rows.jsonl").exists()
 
     def test_pivot_segments_never_in_output(self):
         rng = random.Random(0)
@@ -76,7 +140,7 @@ class TestPivotJoin:
             n, k, m = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
             a_ip = random_alignment(rng, n, k, "a", "p", "ci", "cp")
             a_pj = random_alignment(rng, k, m, "p", "b", "cp", "cj")
-            out = pivot_join(a_ip, a_pj)
+            out = join_through_pivot(a_ip, a_pj)
             flat = {x for p in out.pairs for x in p if x is not None}
             assert not any(x.startswith("p") for x in flat)
             # every non-pivot segment appears exactly once
@@ -89,7 +153,7 @@ class TestPivotJoin:
             n, k, m = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
             a_ip = random_alignment(rng, n, k, "a", "p", "ci", "cp")
             a_pj = random_alignment(rng, k, m, "p", "b", "cp", "cj")
-            out = pivot_join(a_ip, a_pj)
+            out = join_through_pivot(a_ip, a_pj)
             assert out.pairs == frozenset(
                 naive_pivot_join(a_ip.pairs_by_id(), a_pj.pairs_by_id())
             )
@@ -110,7 +174,7 @@ class TestPivotMultialign:
         }
         index = self._index({"p": ["p0", "p1"], "x": ["x0", "x1"], "y": ["y0", "y1"],
                              "z": ["z0", "z1"], "w": ["w0", "w1"]})
-        out = pivot_multialign("p", alignments, index)
+        out = multialign_on_pivot("p", alignments, index)
         assert len(out.rows) == 2
         for row in out.rows:
             assert all(v is not None for v in row.cells.values())
@@ -122,7 +186,7 @@ class TestPivotMultialign:
             "y": alignment_from_pairs([("p0", None), (None, "y0")], "cp", "cy"),
         }
         index = self._index({"p": ["p0"], "x": ["x0"], "y": ["y0"]})
-        out = pivot_multialign("p", alignments, index)
+        out = multialign_on_pivot("p", alignments, index)
         pivot_row = out.rows[0]
         assert pivot_row.cells["x"].id == "x0"
         assert pivot_row.cells["y"] is None
@@ -132,7 +196,7 @@ class TestPivotMultialign:
             "x": alignment_from_pairs([("p0", None), (None, "x0")], "cp", "cx"),
         }
         index = self._index({"p": ["p0"], "x": ["x0"]})
-        out = pivot_multialign("p", alignments, index)
+        out = multialign_on_pivot("p", alignments, index)
         singles = [r for r in out.rows if r.cells.get("p") is None]
         assert len(singles) == 1
         assert sum(1 for v in singles[0].cells.values() if v is not None) == 1
@@ -148,21 +212,27 @@ class TestPivotMultialign:
             ids = {"p": [f"p{i}" for i in range(k)]}
             for idiom, al in alignments.items():
                 ids[idiom] = list(al.tgt_ids)
-            out = pivot_multialign("p", alignments, self._index(ids))
+            out = multialign_on_pivot("p", alignments, self._index(ids))
             pivot_cells = [r.cells["p"].id for r in out.rows if r.cells.get("p") is not None]
             assert sorted(pivot_cells) == sorted(ids["p"])
 
-    def test_inconsistent_pivot_chapter_errors(self):
-        alignments = {
-            "x": alignment_from_pairs([("p0", "x0")], "cp", "cx"),
-            "y": alignment_from_pairs([("q0", "y0")], "cq", "cy"),
-        }
-        with pytest.raises(MultiAlignError):
-            pivot_multialign("p", alignments, {})
+    def test_inconsistent_pivot_chapter_errors(self, ingested, tmp_path):
+        # One pivot alignment whose pivot chapter is another group's fails the
+        # single-pivot build, and no rows are written.
+        root, groups = ingested
+        pivot, other = groups[-1].idioms()[:2]
+        write_alignments(tmp_path / "fresh.jsonl", groups)
+        assert rows_on(root, tmp_path / "fresh.jsonl", pivot)["rows"] > 0
+        (root / "rows.jsonl").unlink()
+        write_alignments(tmp_path / "stale.jsonl", groups, stale_pair=(pivot, other))
+        with pytest.raises(PipelineError, match=f"group {groups[-1].group_id}: the {pivot}:{other} alignment "
+                                                "does not match the corpus's chapters; rerun bialign"):
+            rows_on(root, tmp_path / "stale.jsonl", pivot)
+        assert not (root / "rows.jsonl").exists()
 
 
-def link_set(pairs, a="i", b="j", origin="pivot:p"):
-    return PairLinkSet(idiom_a=a, idiom_b=b, pairs=frozenset(pairs), origin=origin)
+def link_set(pairs, a="i", b="j"):
+    return PairLinkSet(idiom_a=a, idiom_b=b, pairs=frozenset(pairs))
 
 
 class TestConsensus:
@@ -171,7 +241,6 @@ class TestConsensus:
         sets = {p: link_set(s) for p in "pqrst"}
         out = consensus(sets)
         assert out.pairs == frozenset(s)
-        assert out.origin == "consensus"
 
     def test_one_missing_pair_excluded(self):
         full = {("x", "y"), ("u", "v")}
@@ -189,11 +258,6 @@ class TestConsensus:
             "q": link_set({("a", "b"), (None, "d")}),
         }
         assert consensus(sets).pairs == frozenset({("a", "b")})
-
-    def test_missing_pivot_listed(self):
-        sets = {"p": link_set({("a", "b")})}
-        with pytest.raises(MultiAlignError, match="q, r"):
-            consensus(sets, required_pivots=["p", "q", "r"])
 
     def test_mixed_chapter_pairs_rejected(self):
         sets = {"p": link_set({("a", "b")}, a="i", b="j"),
@@ -239,9 +303,9 @@ class TestAssembleRows:
         ids = {"x": ["a"], "y": ["b"], "z": ["c"]}
         group = make_group(ids)
         sets = [
-            link_set({("a", "b")}, "x", "y", "consensus"),
-            link_set({("b", "c")}, "y", "z", "consensus"),
-            link_set({("a", "c")}, "x", "z", "consensus"),
+            link_set({("a", "b")}, "x", "y", ),
+            link_set({("b", "c")}, "y", "z", ),
+            link_set({("a", "c")}, "x", "z", ),
         ]
         out = assemble_rows(sets, group, self._index(ids))
         assert len(out.rows) == 1
@@ -251,7 +315,7 @@ class TestAssembleRows:
     def test_same_idiom_conflict_drops_component(self):
         ids = {"x": ["a"], "y": ["b", "b2"]}
         group = make_group(ids)
-        sets = [link_set({("a", "b"), ("a", "b2")}, "x", "y", "consensus")]
+        sets = [link_set({("a", "b"), ("a", "b2")}, "x", "y", )]
         dropped = []
         out = assemble_rows(sets, group, self._index(ids), dropped)
         assert out.rows == []
@@ -262,11 +326,6 @@ class TestAssembleRows:
         ids = {"x": ["a"], "y": ["b"]}
         out = assemble_rows([], make_group(ids), self._index(ids))
         assert out.rows == []
-
-    def test_non_consensus_origin_rejected(self):
-        ids = {"x": ["a"], "y": ["b"]}
-        with pytest.raises(MultiAlignError):
-            assemble_rows([link_set({("a", "b")}, origin="direct")], make_group(ids), self._index(ids))
 
     def test_each_segment_in_at_most_one_row(self):
         rng = random.Random(4)
@@ -281,10 +340,85 @@ class TestAssembleRows:
                     (f"{a}{rng.randint(0,5)}", f"{b}{rng.randint(0,5)}")
                     for _ in range(rng.randint(0, 5))
                 }
-                sets.append(link_set(pairs, a, b, "consensus"))
+                sets.append(link_set(pairs, a, b, ))
             out = assemble_rows(sets, group, index)
             seen = [s.id for row in out.rows for s in row.non_null().values()]
             assert len(seen) == len(set(seen))
+
+    def test_matches_naive_rows(self):
+        rng = random.Random(6)
+        ids = {k: [f"{k}{i}" for i in range(4)] for k in ("x", "y", "z")}
+        group = make_group(ids)
+        index = self._index(ids)
+        segments = {sid: (s.idiom, s.position) for sid, s in index.items()}
+        n_rows = n_dropped = 0
+        for _ in range(100):
+            sets = [
+                link_set({(rng.choice(ids[a]), rng.choice(ids[b])) for _ in range(rng.randint(0, 4))}, a, b)
+                for a, b in (("x", "y"), ("y", "z"), ("x", "z"))
+            ]
+            dropped = []
+            out = assemble_rows(sets, group, index, dropped)
+            rows, naive_dropped = naive_rows(
+                {p for s in sets for p in s.pairs}, group.idioms(), segments
+            )
+            assert [cell_ids(row) for row in out.rows] == rows
+            assert [d.segment_ids for d in dropped] == naive_dropped
+            n_rows += len(rows)
+            n_dropped += len(dropped)
+        assert n_rows and n_dropped
+
+
+def cell_ids(row):
+    return {idiom: seg.id if seg is not None else None for idiom, seg in row.cells.items()}
+
+
+def noisy_group(rng):
+    """A random 3- to 5-idiom group and one alignment per idiom pair.
+
+    Each idiom keeps most of a few shared concepts; most pairs are aligned
+    by concept, the rest at random, and some are stored target-first.
+    """
+    idioms = ["v", "w", "x", "y", "z"][: rng.randint(3, 5)]
+    concepts = range(rng.randint(0, 5))
+    kept = {k: [c for c in concepts if rng.random() < 0.8] for k in idioms}
+    ids = {k: [f"{k}{c}" for c in kept[k]] for k in idioms}
+    alignments = {}
+    for i, j in combinations(idioms, 2):
+        if rng.random() < 0.5:
+            i, j = j, i
+        if rng.random() < 0.8:
+            pairs = [(f"{i}{c}" if c in kept[i] else None, f"{j}{c}" if c in kept[j] else None)
+                     for c in sorted(set(kept[i]) | set(kept[j]))]
+            alignments[(i, j)] = alignment_from_pairs(pairs, i, j)
+        else:
+            alignment = random_alignment(rng, len(ids[i]), len(ids[j]), i, j, i, j)
+            alignment.src_ids, alignment.tgt_ids = tuple(ids[i]), tuple(ids[j])
+            alignments[(i, j)] = alignment
+    return make_group(ids), alignments
+
+
+class TestGroupConsensus:
+    def test_matches_naive_group_consensus(self):
+        # Consensus edges of 1-1 alignments never join two segments of one
+        # idiom, so nothing is dropped here; test_matches_naive_rows drives
+        # that path through assemble_rows.
+        rng = random.Random(7)
+        n_rows = 0
+        for _ in range(300):
+            group, alignments = noisy_group(rng)
+            index = {s.id: s for chapter in group.members.values() for s in chapter.segments}
+            dropped = []
+            out = align_group_consensus(group, alignments, index, dropped)
+            rows, naive_dropped = naive_group_consensus(
+                group.idioms(),
+                {pair: a.pairs_by_id() for pair, a in alignments.items()},
+                {sid: (s.idiom, s.position) for sid, s in index.items()},
+            )
+            assert [cell_ids(row) for row in out.rows] == rows
+            assert [d.segment_ids for d in dropped] == naive_dropped
+            n_rows += len(rows)
+        assert n_rows > 100
 
 
 class TestLengthFilter:

@@ -226,6 +226,19 @@ class TestRunPipeline:
 
 
 @pytest.fixture(scope="module")
+def two_sizes(tmp_path_factory):
+    """Output directories of full runs on two-group corpora with 5 and 8
+    segments per chapter: the same groups and idioms, different segments."""
+    outs = {}
+    for n in (5, 8):
+        root = tmp_path_factory.mktemp(f"segs{n}")
+        raw, mapping, _ = write_fixture(generate(seed=0, n_groups=2, segs_per_chapter=n), root)
+        run_pipeline(make_config(root, raw, mapping))
+        outs[n] = root / "out"
+    return outs
+
+
+@pytest.fixture(scope="module")
 def cli_workspace(small_corpus, tmp_path_factory):
     """A fixture corpus on disk plus a completed `run` invocation."""
     root = tmp_path_factory.mktemp("cli")
@@ -464,3 +477,19 @@ class TestCli:
             assert result.exit_code == 1
             assert missing in result.output
             assert "bialign --pair all" in result.output
+
+    def test_multialign_rejects_stale_alignments(self, two_sizes):
+        # Either corpus's alignments are stale for the other, in both modes.
+        stale = "group g0001: the puter:surmiran alignment does not match the corpus's chapters; rerun bialign"
+        runner = CliRunner()
+        for corpus, other in ((8, 5), (5, 8)):
+            out = two_sizes[corpus]
+            for pivot in ("all", "sursilvan"):
+                result = runner.invoke(main, [
+                    "multialign", "--corpus", str(out / "corpus.json"), "--mapping", str(out / "mapping.tsv"),
+                    "--alignments", str(two_sizes[other] / "alignments.jsonl"), "--pivot", pivot,
+                    "--out", str(out.parent / "rows-stale.jsonl"), "--dropped", str(out.parent / "dropped-stale.jsonl"),
+                ])
+                assert result.exit_code == 1
+                assert stale in result.output
+                assert not (out.parent / "rows-stale.jsonl").exists()
