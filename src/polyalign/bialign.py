@@ -93,15 +93,51 @@ def cost_matrix(src: EmbeddingMatrix, tgt: EmbeddingMatrix) -> np.ndarray:
     return 1.0 - np.clip(a @ b.T, -1.0, 1.0)
 
 
-def _backtrace(dp: np.ndarray, costs: np.ndarray, lam: float) -> list[tuple[int | None, int | None, float]]:
+def _wavefront(costs: np.ndarray, lam: float) -> np.ndarray:
+    """DP table in skewed layout: ``table[i + j, i]`` is the cheapest cover of
+    the first ``i`` source and ``j`` target segments.
+
+    Cell ``(i, j)`` depends only on anti-diagonals ``i + j - 1`` and
+    ``i + j - 2``, so each anti-diagonal is one contiguous row computed with
+    whole-array operations. Each cell is ``min(sub, up, left)`` over the same
+    float64 operands, added and compared as the scalar recurrence does, so
+    the table is bit-identical to it.
+    """
+    n, m = costs.shape
+    table = np.empty((n + m + 1, n + 1), dtype=np.float64)
+    flat = np.ascontiguousarray(costs).ravel()
+    step = max(m - 1, 1)  # with m == 1 every anti-diagonal holds one cell
+    table[0, 0] = 0.0
+    for d in range(1, n + m + 1):
+        # Boundaries dp[0, d] and dp[d, 0] as running sums, as the scalar
+        # recurrence builds them; d * lam can round differently.
+        if d <= m:
+            table[d, 0] = table[d - 1, 0] + lam
+        if d <= n:
+            table[d, d] = table[d - 1, d - 1] + lam
+        lo, hi = max(1, d - m), min(n, d - 1)
+        if lo > hi:
+            continue
+        # costs[i - 1, d - i - 1] for i in lo..hi, at flat offset (i - 1) * m + d - i - 1.
+        start = (lo - 1) * m + d - lo - 1
+        diag = flat[start:start + (hi - lo) * step + 1:step]
+        cells = table[d, lo:hi + 1]
+        np.add(table[d - 2, lo - 1:hi], diag, out=cells)
+        np.minimum(cells, table[d - 1, lo - 1:hi] + lam, out=cells)
+        np.minimum(cells, table[d - 1, lo:hi + 1] + lam, out=cells)
+    return table
+
+
+def _backtrace(table: np.ndarray, costs: np.ndarray, lam: float) -> list[tuple[int | None, int | None, float]]:
     moves: list[tuple[int | None, int | None, float]] = []
     i, j = costs.shape
     while i > 0 or j > 0:
-        # Exact equality holds: dp[i][j] was computed from these expressions.
-        if i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + costs[i - 1][j - 1]:
-            moves.append((i - 1, j - 1, float(costs[i - 1][j - 1])))
+        # Exact equality holds: each cell was computed from these expressions.
+        d = i + j
+        if i > 0 and j > 0 and table[d, i] == table[d - 2, i - 1] + costs[i - 1, j - 1]:
+            moves.append((i - 1, j - 1, float(costs[i - 1, j - 1])))
             i, j = i - 1, j - 1
-        elif i > 0 and dp[i][j] == dp[i - 1][j] + lam:
+        elif i > 0 and table[d, i] == table[d - 1, i - 1] + lam:
             moves.append((i - 1, None, lam))
             i -= 1
         else:
@@ -134,21 +170,7 @@ def align_chapter(
         costs = costs.reshape(n, m)
     lam = config.skip_cost
 
-    dp = np.empty((n + 1, m + 1), dtype=np.float64)
-    dp[0, 0] = 0.0
-    for i in range(1, n + 1):
-        dp[i, 0] = dp[i - 1, 0] + lam
-    for j in range(1, m + 1):
-        dp[0, j] = dp[0, j - 1] + lam
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            dp[i, j] = min(
-                dp[i - 1, j - 1] + costs[i - 1, j - 1],
-                dp[i - 1, j] + lam,
-                dp[i, j - 1] + lam,
-            )
-
-    links = [Link(src=s, tgt=t, cost=c) for s, t, c in _backtrace(dp, costs, lam)]
+    links = [Link(src=s, tgt=t, cost=c) for s, t, c in _backtrace(_wavefront(costs, lam), costs, lam)]
     total = 0.0
     for link in links:
         total += link.cost

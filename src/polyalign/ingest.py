@@ -2,13 +2,15 @@
 
 Segmentation follows the block structure of the markup: every paragraph,
 list item, table cell or heading becomes one candidate segment, with no
-sentence splitting. Inline markup is stripped except ``<strong>``.
+sentence splitting. Inline markup is stripped except ``<strong>``; the text
+stays markup, so a literal ``<``, ``>`` or ``&`` in it is escaped.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from html import escape
 from html.parser import HTMLParser
 
 from .model import (
@@ -147,11 +149,15 @@ def _render_html(node: _Node) -> str:
 
 
 def _render_text(node: _Node) -> str:
-    """Inline text with only <strong> retained; <br> becomes a space."""
+    """Inline text with only <strong> retained; <br> becomes a space.
+
+    Character data is escaped (``&lt;``, ``&gt;``, ``&amp;``), so a kept
+    ``<strong>`` tag and a literal ``<`` in the content stay distinct.
+    """
     if node.tag == "":
         if node.children:
             return "".join(_render_text(c) for c in node.children)
-        return node.text
+        return escape(node.text, quote=False)
     if node.tag == "br":
         return " "
     inner = "".join(_render_text(c) for c in node.children)
@@ -205,7 +211,8 @@ def segment_html(
     """Split one element's markup into candidate segments.
 
     Returns (text, html) pairs: text has inline tags stripped except
-    ``<strong>`` and whitespace collapsed; html is the candidate's markup.
+    ``<strong>``, literal ``<``, ``>`` and ``&`` escaped, and whitespace
+    collapsed; html is the candidate's markup.
     Empty candidates are dropped. Unbalanced markup is recovered best-effort
     with a warning record; the call never raises for bad markup.
     """

@@ -60,8 +60,9 @@ def chapter_id(idiom: str, volume_id: str, chapter_key: str) -> str:
 class Segment:
     """One extracted text unit.
 
-    ``html`` is the original element markup; ``text`` is the plain text with
-    only ``<strong>`` tags retained and whitespace collapsed.
+    ``html`` is the original element markup; ``text`` is the content as
+    markup with only ``<strong>`` tags retained, ``<``, ``>`` and ``&``
+    escaped as ``&lt;``, ``&gt;`` and ``&amp;``, and whitespace collapsed.
     """
 
     id: str

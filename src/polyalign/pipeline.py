@@ -73,6 +73,9 @@ class PipelineConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # Paths may be given as str or os.PathLike; the manifest stores str.
+        for name in ("raw_dir", "mapping", "cache_dir", "out_dir"):
+            setattr(self, name, os.fspath(getattr(self, name)))
         if self.workers != 1:
             raise PipelineError(f"workers must be 1, got {self.workers}")
 
@@ -263,12 +266,28 @@ def load_alignments(path) -> list[tuple[str, str, str, BilingualAlignment]]:
     return out
 
 
+def _cover_problem(alignment: BilingualAlignment) -> str | None:
+    """Why the stored links are not a monotone 1-1 full cover, or None."""
+    n, m = len(alignment.src_ids), len(alignment.tgt_ids)
+    srcs = [l.src for l in alignment.links if l.src is not None]
+    tgts = [l.tgt for l in alignment.links if l.tgt is not None]
+    if any(not 0 <= k < n for k in srcs) or any(not 0 <= k < m for k in tgts):
+        return "has a segment index out of range"
+    if sorted(srcs) != list(range(n)) or sorted(tgts) != list(range(m)):
+        return "does not link every segment exactly once"
+    subs = [(l.src, l.tgt) for l in alignment.links if l.is_substitution]
+    if any(a >= c or b >= d for (a, b), (c, d) in zip(subs, subs[1:])):
+        return "has 1-1 links that are not increasing"
+    return None
+
+
 def build_rows(corpus_path, mapping, alignments_path, rows_path, dropped_path,
                length_config: LengthFilterConfig | None, pivot: str | None = None) -> dict:
     """Multi-parallel rows of every group: the consensus of every pivot or, given
     ``pivot``, that pivot's outer join. Stale alignments (segment ids other than
-    their chapters') fail the build. Without ``length_config`` no cell is
-    length-filtered. Rows left with fewer than two cells are demoted."""
+    their chapters') and links that are not a monotone 1-1 full cover fail the
+    build. Without ``length_config`` no cell is length-filtered. Rows left with
+    fewer than two cells are demoted."""
     volumes, groups = corpus_groups(corpus_path, mapping)
     seg_index = segment_index(volumes)
     chapter_ids = {(g.group_id, k): tuple(s.id for s in c.segments) for g in groups for k, c in g.members.items()}
@@ -277,6 +296,9 @@ def build_rows(corpus_path, mapping, alignments_path, rows_path, dropped_path,
         if (alignment.src_ids, alignment.tgt_ids) != (chapter_ids.get((gid, i)), chapter_ids.get((gid, j))):
             raise PipelineError(f"group {gid}: the {i}:{j} alignment does not match the corpus's "
                                 "chapters; rerun bialign on this corpus")
+        problem = _cover_problem(alignment)
+        if problem:
+            raise PipelineError(f"group {gid}: the {i}:{j} alignment {problem}")
         by_group.setdefault(gid, {})[(i, j)] = alignment
 
     all_rows = []

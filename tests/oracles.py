@@ -233,3 +233,28 @@ def check_full_cover(alignment: BilingualAlignment) -> None:
     for (i, j), (i2, j2) in zip(subs, subs[1:]):
         if not (i < i2 and j < j2):
             raise AlignmentError("1-1 links are not monotone")
+
+
+def scalar_dp_table(costs: np.ndarray, lam: float) -> np.ndarray:
+    """Reference DP table ``dp[i, j]``, one cell at a time.
+
+    ``dp[i, j]`` is the cheapest monotone cover of the first ``i`` source and
+    ``j`` target segments: ``min(sub, up, left)`` over substitution at the
+    cell cost and a deletion on either side at ``lam``.
+    """
+    costs = np.asarray(costs, dtype=np.float64)
+    n, m = costs.shape
+    dp = np.empty((n + 1, m + 1), dtype=np.float64)
+    dp[0, 0] = 0.0
+    for i in range(1, n + 1):
+        dp[i, 0] = dp[i - 1, 0] + lam
+    for j in range(1, m + 1):
+        dp[0, j] = dp[0, j - 1] + lam
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            dp[i, j] = min(
+                dp[i - 1, j - 1] + costs[i - 1, j - 1],
+                dp[i - 1, j] + lam,
+                dp[i, j - 1] + lam,
+            )
+    return dp

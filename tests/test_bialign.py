@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from oracles import brute_force_align, check_full_cover
-from polyalign.bialign import AlignConfig, AlignmentError, Link, align_chapter, cost_matrix
+from oracles import brute_force_align, check_full_cover, scalar_dp_table
+from polyalign.bialign import AlignConfig, AlignmentError, Link, _wavefront, align_chapter, cost_matrix
 from polyalign.embedding import EmbeddingMatrix
 
 
@@ -110,6 +112,51 @@ class TestOracleEquivalence:
     def test_brute_force_bound(self):
         with pytest.raises(AlignmentError):
             brute_force_align(np.zeros((9, 2)), AlignConfig())
+
+
+def unskewed(table, n, m):
+    """``dp[i, j]`` from the wavefront's skewed table ``table[i + j, i]``."""
+    i, j = np.indices((n + 1, m + 1))
+    return table[i + j, i]
+
+
+def assert_table_matches_scalar(costs, lam):
+    n, m = costs.shape
+    table = _wavefront(costs, lam)
+    assert table.shape == (n + m + 1, n + 1)
+    assert np.array_equal(unskewed(table, n, m), scalar_dp_table(costs, lam))
+
+
+# Costs on a 0.05 grid make many cells tie between substitution and skips.
+tie_costs = st.tuples(st.integers(0, 40), st.integers(0, 40)).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape, elements=st.integers(0, 40).map(lambda k: k * 0.05))
+)
+
+
+class TestWavefrontTable:
+    def test_equals_scalar_recurrence_on_tie_heavy_matrices(self):
+        rng = np.random.default_rng(13)
+        for _ in range(400):
+            n, m = rng.integers(0, 45, size=2)
+            lam = float(rng.choice([0.05, 0.15, 0.5]))
+            assert_table_matches_scalar(np.round(rng.random((n, m)) / 0.05) * 0.05, lam)
+
+    @pytest.mark.parametrize("shape", [(0, 7), (7, 0), (0, 0), (1, 9), (9, 1), (1, 1)])
+    def test_equals_scalar_recurrence_on_degenerate_shapes(self, shape):
+        rng = np.random.default_rng(14)
+        for lam in (0.05, 0.15, 0.5):
+            assert_table_matches_scalar(np.round(rng.random(shape) / 0.05) * 0.05, lam)
+
+    def test_equals_scalar_recurrence_on_non_contiguous_input(self):
+        rng = np.random.default_rng(15)
+        costs = np.round(rng.random((23, 31)) / 0.05) * 0.05
+        assert not costs.T.flags.c_contiguous
+        assert_table_matches_scalar(costs.T, 0.15)
+        assert_table_matches_scalar(costs[::2, 1::3], 0.15)
+
+    @given(tie_costs, st.sampled_from([0.0, 0.05, 0.15, 0.5]))
+    def test_equals_scalar_recurrence_property(self, costs, lam):
+        assert_table_matches_scalar(costs, lam)
 
 
 class TestProperties:

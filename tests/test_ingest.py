@@ -11,6 +11,7 @@ from polyalign.ingest import (
     parse_volume,
     segment_html,
 )
+from polyalign.model import validate_corpus
 
 
 def volume_doc(chapters, idiom="sursilvan", volume_id="v1"):
@@ -104,6 +105,22 @@ class TestParseVolume:
         assert seg.text == "abc"
         assert seg.html == "<p>abc</p>"
         assert seg.id == "sursilvan/v1/one/0"
+
+    @pytest.mark.parametrize("element, text", [
+        ("<p>x &lt;em&gt; y</p>", "x &lt;em&gt; y"),
+        ("<p>a &lt;b c</p>", "a &lt;b c"),
+        ("<p>x <strong>y</strong> &lt;strong&gt; &amp;</p>", "x <strong>y</strong> &lt;strong&gt; &amp;"),
+    ])
+    def test_escaped_markup_stays_escaped_and_valid(self, element, text):
+        vol = parse_volume(volume_doc([{"title": "One", "elements": [{"html": element}]}]))
+        seg = vol.chapters[0].segments[0]
+        assert (seg.text, seg.html) == (text, element)
+        assert validate_corpus([vol]) == []
+
+    def test_real_inline_tag_is_still_stripped(self):
+        vol = parse_volume(volume_doc([{"title": "One", "elements": [{"html": "<p>x <em>y</em> z</p>"}]}]))
+        assert vol.chapters[0].segments[0].text == "x y z"
+        assert validate_corpus([vol]) == []
 
     def test_zero_chapters(self):
         vol = parse_volume(volume_doc([]))

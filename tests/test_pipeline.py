@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -9,6 +10,7 @@ from polyalign.pipeline import (
     STAGES,
     PipelineConfig,
     PipelineError,
+    build_rows,
     load_config,
     run_pipeline,
 )
@@ -98,6 +100,16 @@ class TestRunPipeline:
         assert manifest2["config_hash"] != ""  # out_dir differs, so hashes may too
         for name in manifest["artifacts"]:
             assert (root / "out" / name).read_bytes() == (root / "out2" / name).read_bytes()
+
+    def test_path_config_matches_str_config(self, pipeline_run):
+        root, config, _, _ = pipeline_run
+        paths = {name: getattr(config, name) for name in ("raw_dir", "mapping", "cache_dir")}
+        out = root / "out-path"
+        from_str = run_pipeline(PipelineConfig(**paths, out_dir=str(out)))
+        from_path = run_pipeline(PipelineConfig(**{k: Path(v) for k, v in paths.items()}, out_dir=out))
+        assert from_path["config"] == from_str["config"]
+        assert from_path["config_hash"] == from_str["config_hash"]
+        assert from_path["artifacts"] == from_str["artifacts"]
 
     def test_embed_stage_used_cache_on_rerun(self, pipeline_run, small_corpus):
         root, _, _, _ = pipeline_run
@@ -223,6 +235,80 @@ class TestRunPipeline:
         raw, mapping = write_bad_volume(small_corpus, tmp_path)
         with pytest.raises(PipelineError, match="puter/a/b"):
             run_pipeline(make_config(tmp_path, raw, mapping))
+
+
+def _substitutions(doc):
+    return [l for l in doc["links"] if l["src"] is not None and l["tgt"] is not None]
+
+
+def _source_out_of_range(doc):
+    next(l for l in doc["links"] if l["src"] is not None)["src"] = len(doc["src_ids"])
+
+
+def _target_negative(doc):
+    next(l for l in doc["links"] if l["tgt"] is not None)["tgt"] = -1
+
+
+def _target_repeated(doc):
+    first, second = _substitutions(doc)[:2]
+    second["tgt"] = first["tgt"]
+
+
+def _link_missing(doc):
+    doc["links"].remove(_substitutions(doc)[0])
+
+
+def _links_swapped(doc):
+    first, second = (doc["links"].index(l) for l in _substitutions(doc)[:2])
+    doc["links"][first], doc["links"][second] = doc["links"][second], doc["links"][first]
+
+
+# Each edit of the first stored record (group g0001, puter:surmiran) and
+# the error it must raise.
+BROKEN_COVERS = [
+    (_source_out_of_range, "has a segment index out of range"),
+    (_target_negative, "has a segment index out of range"),
+    (_target_repeated, "does not link every segment exactly once"),
+    (_link_missing, "does not link every segment exactly once"),
+    (_links_swapped, "has 1-1 links that are not increasing"),
+]
+
+
+def write_broken_alignments(out, edit, path):
+    lines = (out / "alignments.jsonl").read_text(encoding="utf-8").splitlines()
+    doc = json.loads(lines[0])
+    assert (doc["group"], doc["src_idiom"], doc["tgt_idiom"]) == ("g0001", "puter", "surmiran")
+    edit(doc)
+    path.write_text("\n".join([json.dumps(doc)] + lines[1:]) + "\n", encoding="utf-8")
+
+
+class TestStoredAlignmentsMustBeCovers:
+    @pytest.mark.parametrize("edit, problem", BROKEN_COVERS)
+    def test_build_rows_rejects(self, pipeline_run, tmp_path, edit, problem):
+        out = pipeline_run[0] / "out"
+        broken = tmp_path / "alignments.jsonl"
+        write_broken_alignments(out, edit, broken)
+        for pivot in (None, "sursilvan"):
+            with pytest.raises(PipelineError, match=f"group g0001: the puter:surmiran alignment {problem}"):
+                build_rows(out / "corpus.json", out / "mapping.tsv", broken, tmp_path / "rows.jsonl",
+                           tmp_path / "dropped.jsonl", None, pivot)
+            assert not (tmp_path / "rows.jsonl").exists()
+
+    @pytest.mark.parametrize("edit, problem", BROKEN_COVERS)
+    def test_multialign_command_rejects(self, cli_workspace, tmp_path, edit, problem):
+        root, runner = cli_workspace
+        out = root / "out"
+        broken = tmp_path / "alignments.jsonl"
+        write_broken_alignments(out, edit, broken)
+        for pivot in ("all", "sursilvan"):
+            result = runner.invoke(main, [
+                "multialign", "--corpus", str(out / "corpus.json"), "--mapping", str(out / "mapping.tsv"),
+                "--alignments", str(broken), "--pivot", pivot,
+                "--out", str(tmp_path / "rows.jsonl"), "--dropped", str(tmp_path / "dropped.jsonl"),
+            ])
+            assert result.exit_code == 1
+            assert f"group g0001: the puter:surmiran alignment {problem}" in result.output
+            assert not (tmp_path / "rows.jsonl").exists()
 
 
 @pytest.fixture(scope="module")
