@@ -4,11 +4,14 @@ Three input modes are supported: ``text`` embeds the plain text, ``html``
 embeds the raw markup, ``concat`` concatenates the two unit vectors and
 renormalizes. The default offline provider is a deterministic character
 3-gram hashing embedder, so the whole pipeline runs without network access.
+The disk cache holds one record per chapter and setting: the chapter's
+whole matrix, which is the unit every caller asks for.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import struct
 import time
@@ -52,8 +55,6 @@ class EmbeddingMatrix:
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float32)
-        if self.vectors.ndim != 2:
-            self.vectors = self.vectors.reshape(-1, self.dim)
         if self.vectors.shape[0] > 0:
             norms = np.linalg.norm(self.vectors, axis=1)
             if not np.allclose(norms, 1.0, atol=1e-6):
@@ -175,16 +176,17 @@ def make_provider(config: ProviderConfig, dim: int = HASH_DIM_DEFAULT):
 
 
 # ---------------------------------------------------------------------------
-# Disk cache: one little-endian float32 file per vector, named by its key.
+# Disk cache: one little-endian float32 (n, dim) file per chapter, named by its key.
 
 
 class EmbeddingCache:
-    """Content-addressed store keyed by SHA-256 of (provider, model, mode, dim, input).
+    """Content-addressed store of chapter matrices.
 
-    The directory is its own index: the vector of ``key`` is ``<key>.bin``.
-    ``put`` writes under a temporary name and ``flush`` renames, so a
-    ``.bin`` that exists is complete, and runs sharing a directory can only
-    ever replace a vector with the same vector.
+    A record is the ``(n, dim)`` matrix of one chapter's ordered inputs under
+    one provider, model, mode and dim, stored as ``<key>.bin``. ``put``
+    writes under a temporary name and ``flush`` renames, so a ``.bin`` that
+    exists is complete, and runs sharing a directory can only ever replace a
+    record with the same record.
     """
 
     def __init__(self, directory):
@@ -193,26 +195,27 @@ class EmbeddingCache:
         self.pending: list[tuple[str, str]] = []  # (temporary path, final path)
 
     @staticmethod
-    def key(provider: str, model: str, mode: str, dim: int, text: str) -> str:
-        h = hashlib.sha256()
-        for part in (provider, model, mode, str(dim), text):
-            h.update(part.encode("utf-8"))
-            h.update(b"\x00")
-        return h.hexdigest()
+    def key(provider: str, model: str, mode: str, dim: int, texts: list[str]) -> str:
+        record = json.dumps([provider, model, mode, dim, list(texts)])
+        return hashlib.sha256(record.encode("utf-8")).hexdigest()
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.bin")
 
-    def get(self, key: str) -> np.ndarray | None:
+    def get(self, key: str, n: int, dim: int) -> np.ndarray | None:
+        path = self._path(key)
         try:
-            return np.fromfile(self._path(key), dtype="<f4").astype(np.float32)
+            values = np.fromfile(path, dtype="<f4").astype(np.float32)
         except FileNotFoundError:
             return None
+        if values.size != n * dim:
+            raise EmbeddingError(f"cache record {path} holds {values.size} values, not {n}x{dim}")
+        return values.reshape(n, dim)
 
-    def put(self, key: str, vector: np.ndarray) -> None:
+    def put(self, key: str, vectors: np.ndarray) -> None:
         tmp = os.path.join(self.directory, f"{key}.{uuid.uuid4().hex}.tmp")
         with open(tmp, "xb") as fh:
-            fh.write(np.asarray(vector, dtype="<f4").tobytes())
+            fh.write(np.asarray(vectors, dtype="<f4").tobytes())
         self.pending.append((tmp, self._path(key)))
 
     def flush(self) -> None:
@@ -226,38 +229,29 @@ class EmbeddingCache:
 
 def _embed_texts(
     texts: list[str],
-    provider,
     config: ProviderConfig,
     mode: str,
     dim: int,
     cache: EmbeddingCache | None,
-) -> list[np.ndarray]:
-    """Vectors of ``texts``, each distinct text looked up and embedded once.
+) -> np.ndarray:
+    """The ``(n, dim)`` matrix of ``texts``: one cache record, or one provider pass.
 
-    New vectors reach the cache only after every provider batch has
-    returned, so a failed call leaves the cache as it was.
+    On a miss the record reaches the cache only after every provider batch
+    has returned, so a failed call leaves the cache as it was.
     """
-    results: dict[str, np.ndarray] = {}
-    missing: list[str] = []
-    for text in dict.fromkeys(texts):
-        key = EmbeddingCache.key(config.name, config.model, mode, dim, text)
-        vec = None if cache is None else cache.get(key)
-        if vec is None:
-            missing.append(text)
-        else:
-            results[text] = vec
-
-    batches = [
-        provider.embed_batch(missing[start : start + config.batch_size])
-        for start in range(0, len(missing), config.batch_size)
-    ]
-    for text, vec in zip(missing, (vec for batch in batches for vec in batch)):
-        results[text] = vec
+    key = EmbeddingCache.key(config.name, config.model, mode, dim, texts)
+    vectors = None if cache is None else cache.get(key, len(texts), dim)
+    if vectors is None:
+        provider = make_provider(config, dim)
+        batches = [
+            provider.embed_batch(texts[start : start + config.batch_size])
+            for start in range(0, len(texts), config.batch_size)
+        ]
+        vectors = np.concatenate(batches) if batches else np.zeros((0, dim), dtype=np.float32)
         if cache is not None:
-            cache.put(EmbeddingCache.key(config.name, config.model, mode, dim, text), vec)
-    if cache is not None and missing:
-        cache.flush()
-    return [results[text] for text in texts]
+            cache.put(key, vectors)
+            cache.flush()
+    return vectors
 
 
 def embed_segments(
@@ -267,7 +261,7 @@ def embed_segments(
     cache: EmbeddingCache | None = None,
     dim: int = HASH_DIM_DEFAULT,
 ) -> EmbeddingMatrix:
-    """Embed a chapter's segments, in order, writing through the cache.
+    """Embed a chapter's segments, in order, through the cache.
 
     ``concat`` mode concatenates the unit-norm text and html vectors and
     renormalizes the result to unit norm.
@@ -276,15 +270,10 @@ def embed_segments(
         provider_config = ProviderConfig()
     if mode not in MODES:
         raise EmbeddingError(f"unknown mode {mode!r}")
-    provider = make_provider(provider_config, dim=dim)
 
     if mode == "concat":
-        text_vecs = _embed_texts(
-            [s.text for s in segments], provider, provider_config, "text", dim, cache
-        )
-        html_vecs = _embed_texts(
-            [s.html for s in segments], provider, provider_config, "html", dim, cache
-        )
+        text_vecs = _embed_texts([s.text for s in segments], provider_config, "text", dim, cache)
+        html_vecs = _embed_texts([s.html for s in segments], provider_config, "html", dim, cache)
         rows = []
         for tv, hv in zip(text_vecs, html_vecs):
             cat = np.concatenate([tv, hv]).astype(np.float64)
@@ -292,6 +281,5 @@ def embed_segments(
         vectors = np.stack(rows) if rows else np.zeros((0, 2 * dim), dtype=np.float32)
     else:
         texts = [s.text if mode == "text" else s.html for s in segments]
-        vecs = _embed_texts(texts, provider, provider_config, mode, dim, cache)
-        vectors = np.stack(vecs) if vecs else np.zeros((0, dim), dtype=np.float32)
+        vectors = _embed_texts(texts, provider_config, mode, dim, cache)
     return EmbeddingMatrix(vectors=vectors, dim=vectors.shape[1], provider=provider_config.name, mode=mode)

@@ -133,13 +133,14 @@ def _render_attrs(attrs) -> str:
         if value is None:
             parts.append(f" {name}")
         else:
-            parts.append(f' {name}="{value}"')
+            parts.append(f' {name}="{escape(value)}"')
     return "".join(parts)
 
 
 def _render_html(node: _Node) -> str:
+    """Markup of ``node``, with character data and attribute values escaped."""
     if node.tag == "" and not node.children:
-        return node.text
+        return escape(node.text, quote=False)
     inner = "".join(_render_html(c) for c in node.children)
     if node.tag == "":
         return inner

@@ -11,6 +11,7 @@ import json
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from html import unescape
 
 VOLUME_KINDS = ("workbook", "commentary")
 
@@ -63,6 +64,7 @@ class Segment:
     ``html`` is the original element markup; ``text`` is the content as
     markup with only ``<strong>`` tags retained, ``<``, ``>`` and ``&``
     escaped as ``&lt;``, ``&gt;`` and ``&amp;``, and whitespace collapsed.
+    A length in characters counts the content: tags removed, escapes decoded.
     """
 
     id: str
@@ -76,7 +78,7 @@ class Segment:
         if unit == "tokens":
             return self.token_count
         if unit == "characters":
-            return len(self.text)
+            return len(unescape(re.sub(r"<[^>]*>", "", self.text)))
         raise ValueError(f"unknown length unit: {unit!r}")
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 import sys
 import threading
@@ -163,7 +162,7 @@ class TestEmbedSegments:
         mat1 = embed_segments(segs, ProviderConfig(), "text", cache, dim=64)
         cache2 = EmbeddingCache(tmp_path / "cache")
         mat2 = embed_segments(segs, ProviderConfig(), "text", cache2, dim=64)
-        assert providers[0].calls and not providers[1].calls
+        assert len(providers) == 1 and providers[0].calls  # the warm call makes no provider
         assert np.array_equal(mat1.vectors, mat2.vectors)
 
     def test_cache_keys_the_dim(self, tmp_path):
@@ -198,28 +197,42 @@ class FailingProvider(FakeProvider):
         return super().embed_batch(texts)
 
 
+def chapter_texts(offset, n=30, vocabulary=40):
+    return [f"text {(offset + i) % vocabulary}" for i in range(n)]
+
+
+def chapter_key(texts, dim=16):
+    return EmbeddingCache.key("hash", "ngram3-v1", "text", dim, texts)
+
+
+def chapter_matrix(texts, dim=16):
+    return np.stack([hash_embed(t, dim) for t in texts])
+
+
 class TestEmbeddingCache:
     def test_caches_sharing_a_directory_keep_both_sets(self, tmp_path):
         a, b = EmbeddingCache(tmp_path), EmbeddingCache(tmp_path)
-        vecs = {f"k{i}": hash_embed(f"text {i}", 16) for i in range(4)}
-        a.put("k0", vecs["k0"])
-        b.put("k2", vecs["k2"])
+        chapters = [chapter_texts(5 * i, n=3 + i) for i in range(4)]
+        a.put(chapter_key(chapters[0]), chapter_matrix(chapters[0]))
+        b.put(chapter_key(chapters[2]), chapter_matrix(chapters[2]))
         a.flush()
-        a.put("k1", vecs["k1"])
+        a.put(chapter_key(chapters[1]), chapter_matrix(chapters[1]))
         b.flush()
-        b.put("k3", vecs["k3"])
+        b.put(chapter_key(chapters[3]), chapter_matrix(chapters[3]))
         a.flush()
         b.flush()
         reader = EmbeddingCache(tmp_path)
-        for key, vec in vecs.items():
-            assert np.array_equal(reader.get(key), vec)
+        for texts in chapters:
+            assert np.array_equal(reader.get(chapter_key(texts), len(texts), 16), chapter_matrix(texts))
 
     def test_concurrent_writers_share_a_directory(self, tmp_path):
         errors = []
+        # Offsets 0 and 40 give the same chapter, so two writers race on one record.
+        chapters = [chapter_texts(5 * n if n < 5 else 40) for n in range(6)]
 
-        def worker(offset):
+        def worker(texts):
             try:
-                segs = [seg(f"text {(offset + i) % 40}", i) for i in range(30)]
+                segs = [seg(t, i) for i, t in enumerate(texts)]
                 embed_segments(segs, ProviderConfig(batch_size=3), "text", EmbeddingCache(tmp_path), dim=16)
             except Exception as exc:
                 errors.append(exc)
@@ -227,7 +240,7 @@ class TestEmbeddingCache:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=worker, args=(5 * n,)) for n in range(6)]
+            threads = [threading.Thread(target=worker, args=(texts,)) for texts in chapters]
             for t in threads:
                 t.start()
             for t in threads:
@@ -237,24 +250,31 @@ class TestEmbeddingCache:
         assert not any(t.is_alive() for t in threads)
         assert not errors
         assert not list(tmp_path.glob("*.tmp"))
+        assert len(list(tmp_path.glob("*.bin"))) == 5
         reader = EmbeddingCache(tmp_path)
-        for i in range(40):
-            key = EmbeddingCache.key("hash", "ngram3-v1", "text", 16, f"text {i}")
-            assert np.array_equal(reader.get(key), hash_embed(f"text {i}", 16))
+        for texts in chapters:
+            assert np.array_equal(reader.get(chapter_key(texts), 30, 16), chapter_matrix(texts))
 
-    def test_reads_a_cache_written_with_an_index(self, tmp_path):
-        key = EmbeddingCache.key("hash", "ngram3-v1", "text", 16, "abc")
-        vec = hash_embed("abc", 16)
-        vec.astype("<f4").tofile(tmp_path / f"{key}.bin")
-        (tmp_path / "index.json").write_text(json.dumps({key: {"file": f"{key}.bin", "dim": 16}}))
-        assert np.array_equal(EmbeddingCache(tmp_path).get(key), vec)
+    def test_key_separates_texts_unambiguously(self):
+        assert chapter_key(["a\0b"]) != chapter_key(["a", "b"])
+        assert chapter_key(["a", "b"]) != chapter_key(["b", "a"])
+        assert chapter_key(["a"]) != chapter_key(["a"], dim=32)
+
+    def test_wrong_size_record_raises(self, tmp_path):
+        texts = chapter_texts(0, n=3)
+        chapter_matrix(texts[:2]).astype("<f4").tofile(tmp_path / f"{chapter_key(texts)}.bin")
+        with pytest.raises(EmbeddingError, match=chapter_key(texts)):
+            EmbeddingCache(tmp_path).get(chapter_key(texts), 3, 16)
+        segs = [seg(t, i) for i, t in enumerate(texts)]
+        with pytest.raises(EmbeddingError, match="not 3x16"):
+            embed_segments(segs, ProviderConfig(), "text", EmbeddingCache(tmp_path), dim=16)
 
     def test_repeated_text_in_a_cold_chapter(self, tmp_path):
         segs = [seg("same", 0), seg("other", 1), seg("same", 2)]
         mat = embed_segments(segs, ProviderConfig(batch_size=1), "text", EmbeddingCache(tmp_path), dim=64)
         assert np.array_equal(mat.vectors[0], mat.vectors[2])
         assert not list(tmp_path.glob("*.tmp"))
-        assert len(list(tmp_path.glob("*.bin"))) == 2
+        assert len(list(tmp_path.glob("*.bin"))) == 1
 
     def test_failed_second_batch_leaves_no_files(self, tmp_path, monkeypatch):
         import polyalign.embedding as emb

@@ -1,5 +1,6 @@
 import json
 import re
+from html import escape, unescape
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,26 @@ def volume_doc(chapters, idiom="sursilvan", volume_id="v1"):
     return json.dumps(
         {"idiom": idiom, "volume_id": volume_id, "grade": 2, "kind": "workbook", "chapters": chapters}
     )
+
+
+def markup_trees():
+    """Nested block, container and inline markup whose text holds ``<``, ``>`` and ``&``."""
+    text = st.text(alphabet="ab <>&", max_size=6).map(lambda t: escape(t, quote=False))
+    tags = st.sampled_from(["p", "li", "td", "h2", "div", "ul", "section", "strong", "em", "span"])
+    values = st.text(alphabet='a<>&"', max_size=4)
+    title = st.one_of(st.just(""), values.map(lambda v: f' title="{escape(v)}"'))
+    return st.recursive(
+        text,
+        lambda inner: st.tuples(tags, title, st.lists(inner, max_size=4)).map(
+            lambda node: f"<{node[0]}{node[1]}>{''.join(node[2])}</{node[0]}>"
+        ),
+        max_leaves=12,
+    )
+
+
+def content(markup):
+    """Characters of markup with every tag removed and escapes decoded, whitespace collapsed."""
+    return " ".join(unescape(re.sub(r"<[^>]*>", "", markup)).split())
 
 
 class TestSegmentHtml:
@@ -88,6 +109,25 @@ class TestSegmentHtml:
         out = segment_html(html)
         strip = lambda s: re.sub(r"\s+|<[^>]+>", "", s)
         assert "".join(strip(t) for t, _ in out) == strip("".join(texts))
+
+    def test_candidate_html_escapes_text_and_attributes(self):
+        out = segment_html('<ul><li>a &lt; b</li><li>c &amp; d</li></ul>')
+        assert out == [("a &lt; b", "<li>a &lt; b</li>"), ("c &amp; d", "<li>c &amp; d</li>")]
+        out = segment_html('<div><p title="a&quot;b">x</p><p>y</p></div>')
+        assert out == [("x", '<p title="a&quot;b">x</p>'), ("y", "<p>y</p>")]
+
+    @given(markup_trees())
+    def test_random_nested_markup(self, markup):
+        out = segment_html(markup)
+        vol = parse_volume(volume_doc([{"title": "One", "elements": [{"html": markup}]}]))
+        segs = vol.chapters[0].segments
+        assert [seg.text for seg in segs] == [text for text, _ in out]
+        assert [seg.position for seg in segs] == list(range(len(segs)))
+        assert len({seg.id for seg in segs}) == len(segs)
+        assert not [v for v in validate_corpus([vol]) if "tag" in v.message]
+        for text, candidate in out:
+            assert [t for t, _ in segment_html(candidate)] == [text]
+            assert content(candidate) == content(text)
 
     def test_only_strong_tags_in_output_texts(self):
         out = segment_html("<p><b>a</b> <strong>b</strong> <i>c</i></p>")

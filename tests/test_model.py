@@ -129,5 +129,7 @@ def test_segment_length_units():
     seg = make_segment(text="ab cd")
     assert seg.length("tokens") == 2
     assert seg.length("characters") == 5
+    assert make_segment(text="<strong>ab</strong> cd").length("characters") == 5
+    assert make_segment(text="a &lt; b").length("characters") == 5
     with pytest.raises(ValueError):
         seg.length("bytes")

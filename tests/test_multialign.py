@@ -471,6 +471,16 @@ class TestLengthFilter:
         out = length_filter(row, LengthFilterConfig(unit="characters"))
         assert len(out.non_null()) < 2
 
+    def test_character_unit_counts_content_not_markup(self):
+        cells = {
+            "a": seg("a/v/c/0", "a", 0, "abc def"),
+            "b": seg("b/v/c/1", "b", 1, "abc <strong>def</strong>"),
+        }
+        row = MultiParallelRow(cells=cells, provenance="g")
+        out = length_filter(row, LengthFilterConfig(unit="characters"))
+        assert out.cells == row.cells
+        assert out.flags == frozenset()
+
     def test_invalid_config(self):
         with pytest.raises(MultiAlignError):
             LengthFilterConfig(upper_ratio=0.9)

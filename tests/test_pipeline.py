@@ -114,9 +114,10 @@ class TestRunPipeline:
     def test_embed_stage_used_cache_on_rerun(self, pipeline_run, small_corpus):
         root, _, _, _ = pipeline_run
         expected = {
-            EmbeddingCache.key("hash", "ngram3-v1", "text", 256, s.text) + ".bin"
-            for v in small_corpus.volumes for c in v.chapters for s in c.segments
+            EmbeddingCache.key("hash", "ngram3-v1", "text", 256, [s.text for s in c.segments]) + ".bin"
+            for v in small_corpus.volumes for c in v.chapters
         }
+        assert len(expected) == sum(len(v.chapters) for v in small_corpus.volumes)
         assert {p.name for p in (root / "cache").iterdir()} == expected
 
     def test_manifest_names_sampler(self, pipeline_run):
@@ -194,6 +195,48 @@ class TestRunPipeline:
         out = tmp_path / "out"
         assert not (out / "corpus.json").exists()
         assert not list(out.glob("*.tmp"))
+
+    def test_provider_failure_mid_stage_leaves_complete_records(
+        self, pipeline_run, small_corpus, tmp_path, monkeypatch
+    ):
+        import numpy as np
+
+        import polyalign.embedding as emb
+
+        clean_artifacts = pipeline_run[2]["artifacts"]
+        made = []
+
+        class DownOnThirdChapter(emb.HashProvider):
+            def embed_batch(self, texts):
+                if len(made) == 3:
+                    raise emb.EmbeddingError("provider down")
+                return super().embed_batch(texts)
+
+        def make_provider(cfg, dim=256):
+            made.append(DownOnThirdChapter(dim))
+            return made[-1]
+
+        raw, mapping, _ = write_fixture(small_corpus, tmp_path)
+        config = make_config(tmp_path, raw, mapping)
+        with monkeypatch.context() as patch:
+            patch.setattr(emb, "make_provider", make_provider)
+            with pytest.raises(PipelineError, match="stage 'embed' failed: provider down"):
+                run_pipeline(config)
+        assert len(made) == 3
+        assert not list((tmp_path / "out").glob("*.tmp"))
+        cache = tmp_path / "cache"
+        assert not list(cache.glob("*.tmp"))
+        chapters = {
+            EmbeddingCache.key("hash", "ngram3-v1", "text", 256, [s.text for s in c.segments]): c
+            for v in small_corpus.volumes for c in v.chapters
+        }
+        records = {p.stem for p in cache.glob("*.bin")}
+        assert len(records) == 2 and records <= set(chapters)
+        for key in records:
+            texts = [s.text for s in chapters[key].segments]
+            vectors = EmbeddingCache(cache).get(key, len(texts), 256)
+            assert np.array_equal(vectors, np.stack([emb.hash_embed(t, 256) for t in texts]))
+        assert run_pipeline(config)["artifacts"] == clean_artifacts
 
     def test_stage_writer_quarantines_on_failure(self, tmp_path):
         from polyalign.pipeline import _StageWriter
