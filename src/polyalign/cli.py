@@ -13,10 +13,11 @@ import os
 import click
 
 from . import __version__
-from .bialign import AlignConfig
-from .embedding import MODES, ProviderConfig
-from .evaluate import load_gold, multi_prf
+from .bialign import AlignConfig, AlignmentError
+from .embedding import MODES, EmbeddingError, ProviderConfig
+from .evaluate import EvalError, load_gold, multi_prf
 from .export import (
+    ExportError,
     export_bitext,
     export_rows,
     load_rows,
@@ -27,13 +28,15 @@ from .export import (
     write_sheet,
     write_stats,
 )
+from .ingest import ConfigError, IngestError
 from .model import load_corpus, segment_index
-from .multialign import LengthFilterConfig
+from .multialign import LengthFilterConfig, MultiAlignError
 from .pipeline import (
     PipelineConfig,
     PipelineError,
     align_pairs,
     build_rows,
+    corpus_groups,
     embed_chapters,
     ingest_raw,
     load_config,
@@ -43,13 +46,17 @@ from .pipeline import (
 FORMAT_VERSION = "polyalign-corpus/1"
 
 
+_ERRORS = (PipelineError, IngestError, ConfigError, EmbeddingError, AlignmentError,
+           MultiAlignError, ExportError, EvalError)
+
+
 class _Main(click.Group):
-    """Report a PipelineError as a one-line error with exit code 1."""
+    """Report the package's own errors as a one-line error with exit code 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except PipelineError as exc:
+        except _ERRORS as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -132,7 +139,8 @@ def bialign(config, corpus_path, mapping, pair, skip_cost, out_path):
     """Align chapter pairs with the monotone 1-1/deletion DP."""
     config.align = AlignConfig(skip_cost=skip_cost)
     pair = None if pair == "all" else tuple(pair.split(":"))
-    counts = align_pairs(corpus_path, mapping, out_path, config, pair)
+    _, groups = corpus_groups(corpus_path, mapping)
+    counts = align_pairs(groups, out_path, config, pair)
     click.echo(f"aligned {counts['chapter_pairs']} chapter pairs -> {out_path}")
 
 
@@ -148,15 +156,10 @@ def bialign(config, corpus_path, mapping, pair, skip_cost, out_path):
 def multialign(corpus_path, mapping, alignments_path, pivot, out_path, dropped_path,
                length_unit, no_length_filter):
     """Build multi-parallel rows by consensus (or one pivot's outer join)."""
-    counts = build_rows(
-        corpus_path,
-        mapping,
-        alignments_path,
-        out_path,
-        dropped_path,
-        None if no_length_filter else LengthFilterConfig(unit=length_unit),
-        None if pivot == "all" else pivot,
-    )
+    volumes, groups = corpus_groups(corpus_path, mapping)
+    length_config = None if no_length_filter else LengthFilterConfig(unit=length_unit)
+    counts = build_rows(volumes, groups, alignments_path, out_path, dropped_path, length_config,
+                        None if pivot == "all" else pivot)
     click.echo(f"{counts['rows']} aligned rows, {counts['dropped_components']} dropped components")
 
 

@@ -1,16 +1,17 @@
 """End-to-end pipeline: ingest, embed, bialign, multialign, export.
 
-Each stage's work is one function over explicit paths; the ``stage_*``
+``run_pipeline`` always runs the five stages in order; a partial rerun is
+the CLI's stage commands. Each stage's work is one function; the ``stage_*``
 functions bind it to the artifacts in ``out_dir``, and the CLI's stage
-commands bind it to the files named by their flags. Each stage reads only
-prior-stage artifacts: ingest stores a copy of the chapter mapping as
-``mapping.tsv``, and embed, bialign and multialign resolve the chapter groups
-from that copy and ``corpus.json`` with ``build_chapter_groups``, as ingest
-did. Multialign checks each alignment against its chapters' segment ids and
-builds each group's rows on partner maps (see ``multialign``). Every run
-writes a manifest with the resolved config, content hashes of all artifacts,
-and per-stage counts, so a build can be audited and reproduced bit-for-bit
-(with a warm embedding cache).
+commands bind it to the files named by their flags. Ingest stores the corpus
+and a copy of the chapter mapping as ``mapping.tsv``; the corpus and its
+chapter groups are then resolved once from those two files
+(``corpus_groups``), as the CLI's ``bialign`` and ``multialign`` resolve
+them, and handed to the later stages. Multialign checks each alignment
+against its chapters' segment ids and builds each group's rows on partner
+maps (see ``multialign``). Every run writes a manifest with the resolved
+config, content hashes of all artifacts, and per-stage counts, so a build
+can be audited and reproduced bit-for-bit (with a warm embedding cache).
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ from .multialign import (
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("ingest", "embed", "bialign", "multialign", "export")
-
-
 class PipelineError(Exception):
     pass
 
@@ -67,7 +65,6 @@ class PipelineConfig:
     dim: int = 256
     align: AlignConfig = field(default_factory=AlignConfig)
     length_filter: LengthFilterConfig = field(default_factory=LengthFilterConfig)
-    stages: dict[str, bool] = field(default_factory=lambda: {s: True for s in STAGES})
     # Runs are serial; only 1 is accepted. The field stays while
     # bench/worker.py passes it.
     workers: int = 1
@@ -78,26 +75,22 @@ class PipelineConfig:
             setattr(self, name, os.fspath(getattr(self, name)))
         if self.workers != 1:
             raise PipelineError(f"workers must be 1, got {self.workers}")
+        if not isinstance(self.dim, int) or self.dim < 1:
+            raise PipelineError(f"dim must be a positive integer, got {self.dim!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        cfg = cls(
-            raw_dir=doc.get("raw_dir", ""),
-            mapping=doc.get("mapping", ""),
-            cache_dir=doc.get("cache_dir", ""),
-            out_dir=doc.get("out_dir", ""),
-            mode=doc.get("mode", "text"),
-            dim=int(doc.get("dim", 256)),
-        )
-        if "provider" in doc:
-            cfg.provider = ProviderConfig(**doc["provider"])
-        if "align" in doc:
-            cfg.align = AlignConfig(**doc["align"])
-        if "length_filter" in doc:
-            cfg.length_filter = LengthFilterConfig(**doc["length_filter"])
-        if "stages" in doc:
-            cfg.stages = {s: bool(doc["stages"].get(s, True)) for s in STAGES}
-        return cfg
+        """The config ``doc`` describes; an unknown key, at the top or in a
+        nested section, raises a PipelineError naming it."""
+        doc = dict(doc)
+        try:
+            for name, section in (("provider", ProviderConfig), ("align", AlignConfig),
+                                  ("length_filter", LengthFilterConfig)):
+                if name in doc:
+                    doc[name] = section(**doc[name])
+            return cls(**doc)
+        except TypeError as exc:
+            raise PipelineError(f"bad config: {exc}") from exc
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -228,11 +221,13 @@ def _align_pair(group: ChapterGroup, i: str, j: str, matrix_i: EmbeddingMatrix,
     }
 
 
-def align_pairs(corpus_path, mapping, alignments_path, config: PipelineConfig,
+def align_pairs(groups: list[ChapterGroup], alignments_path, config: PipelineConfig,
                 pair: tuple[str, str] | None = None) -> dict:
-    """Align every idiom pair of every group, or only ``pair`` in either order.
-    Each chapter is embedded once per group, and only if one of its pairs is kept."""
-    _, groups = corpus_groups(corpus_path, mapping)
+    """Align every idiom pair of every group, or only ``pair`` in either order:
+    two distinct idioms that some group holds. Each chapter is embedded once per
+    group, and only if one of its pairs is kept."""
+    if pair is not None and (len(set(pair)) != 2 or not any(set(pair) <= g.members.keys() for g in groups)):
+        raise PipelineError(f"no chapter group holds the pair {':'.join(pair)!r} of two distinct idioms")
     cache = EmbeddingCache(config.cache_dir)
     count = 0
     with open(alignments_path, "w", encoding="utf-8") as fh:
@@ -281,14 +276,15 @@ def _cover_problem(alignment: BilingualAlignment) -> str | None:
     return None
 
 
-def build_rows(corpus_path, mapping, alignments_path, rows_path, dropped_path,
-               length_config: LengthFilterConfig | None, pivot: str | None = None) -> dict:
+def build_rows(volumes: list[BookVolume], groups: list[ChapterGroup], alignments_path, rows_path,
+               dropped_path, length_config: LengthFilterConfig | None, pivot: str | None = None) -> dict:
     """Multi-parallel rows of every group: the consensus of every pivot or, given
-    ``pivot``, that pivot's outer join. Stale alignments (segment ids other than
-    their chapters') and links that are not a monotone 1-1 full cover fail the
-    build. Without ``length_config`` no cell is length-filtered. Rows left with
-    fewer than two cells are demoted."""
-    volumes, groups = corpus_groups(corpus_path, mapping)
+    ``pivot``, that pivot's outer join; some group must hold the pivot. Stale
+    alignments (segment ids other than their chapters') and links that are not a
+    monotone 1-1 full cover fail the build. Without ``length_config`` no cell is
+    length-filtered. Rows left with fewer than two cells are demoted."""
+    if pivot is not None and not any(pivot in g.members for g in groups):
+        raise PipelineError(f"no chapter group has the pivot idiom {pivot!r}")
     seg_index = segment_index(volumes)
     chapter_ids = {(g.group_id, k): tuple(s.id for s in c.segments) for g in groups for k, c in g.members.items()}
     by_group: dict[str, dict[tuple[str, str], BilingualAlignment]] = {}
@@ -365,34 +361,22 @@ def stage_ingest(config: PipelineConfig, writer: _StageWriter) -> dict:
     )
 
 
-def stage_embed(config: PipelineConfig, writer: _StageWriter) -> dict:
-    _, groups = corpus_groups(_out(config, "corpus.json"), _out(config, "mapping.tsv"))
+def stage_embed(config: PipelineConfig, writer: _StageWriter, groups: list[ChapterGroup]) -> dict:
     embedded = embed_chapters([chap for g in groups for chap in g.members.values()], config)
     return {"segments_embedded": embedded, "chapter_groups": len(groups)}
 
 
-def stage_bialign(config: PipelineConfig, writer: _StageWriter) -> dict:
-    return align_pairs(
-        _out(config, "corpus.json"),
-        _out(config, "mapping.tsv"),
-        writer.path_for(_out(config, "alignments.jsonl")),
-        config,
-    )
+def stage_bialign(config: PipelineConfig, writer: _StageWriter, groups: list[ChapterGroup]) -> dict:
+    return align_pairs(groups, writer.path_for(_out(config, "alignments.jsonl")), config)
 
 
-def stage_multialign(config: PipelineConfig, writer: _StageWriter) -> dict:
-    return build_rows(
-        _out(config, "corpus.json"),
-        _out(config, "mapping.tsv"),
-        _out(config, "alignments.jsonl"),
-        writer.path_for(_out(config, "rows.jsonl")),
-        writer.path_for(_out(config, "dropped.jsonl")),
-        config.length_filter,
-    )
+def stage_multialign(config: PipelineConfig, writer: _StageWriter, volumes: list[BookVolume],
+                     groups: list[ChapterGroup]) -> dict:
+    return build_rows(volumes, groups, _out(config, "alignments.jsonl"), writer.path_for(_out(config, "rows.jsonl")),
+                      writer.path_for(_out(config, "dropped.jsonl")), config.length_filter)
 
 
-def stage_export(config: PipelineConfig, writer: _StageWriter) -> dict:
-    volumes = load_corpus(_out(config, "corpus.json"))
+def stage_export(config: PipelineConfig, writer: _StageWriter, volumes: list[BookVolume]) -> dict:
     seg_index = segment_index(volumes)
     rows = export_mod.load_rows(_out(config, "rows.jsonl"), seg_index)
     report = export_mod.stats(volumes, rows)
@@ -423,7 +407,8 @@ ARTIFACTS = (
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
-    """Run all enabled stages in order and write the run manifest."""
+    """Run the five stages in order and write the run manifest. The corpus and
+    its chapter groups are resolved once, from what ingest stored."""
     os.makedirs(config.out_dir, exist_ok=True)
     config_json = json.dumps(config.to_dict(), sort_keys=True)
     manifest = {
@@ -434,14 +419,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "stages": {},
         "artifacts": {},
     }
-    start = time.monotonic()
-    for stage in STAGES:
-        if not config.stages.get(stage, True):
-            continue
+
+    def run_stage(stage: str, *inputs) -> None:
         writer = _StageWriter()
         t0 = time.monotonic()
         try:
-            counts = _STAGE_FNS[stage](config, writer)
+            counts = _STAGE_FNS[stage](config, writer, *inputs)
         except Exception as exc:
             writer.quarantine()
             raise PipelineError(f"stage {stage!r} failed: {exc}") from exc
@@ -449,6 +432,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
         counts["seconds"] = round(time.monotonic() - t0, 3)
         manifest["stages"][stage] = counts
         logger.info("stage %s: %s", stage, counts)
+
+    start = time.monotonic()
+    run_stage("ingest")
+    volumes, groups = corpus_groups(_out(config, "corpus.json"), _out(config, "mapping.tsv"))
+    run_stage("embed", groups)
+    run_stage("bialign", groups)
+    run_stage("multialign", volumes, groups)
+    run_stage("export", volumes)
     manifest["wall_seconds"] = round(time.monotonic() - start, 3)
     for name in ARTIFACTS:
         path = os.path.join(config.out_dir, name)

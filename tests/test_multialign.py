@@ -95,8 +95,8 @@ def write_alignments(path, groups, stale_pair=None):
 
 
 def rows_on(root, alignments, pivot=None):
-    return build_rows(root / "corpus.json", root / "mapping.tsv", alignments,
-                      root / "rows.jsonl", root / "dropped.jsonl", None, pivot=pivot)
+    volumes, groups = corpus_groups(root / "corpus.json", root / "mapping.tsv")
+    return build_rows(volumes, groups, alignments, root / "rows.jsonl", root / "dropped.jsonl", None, pivot=pivot)
 
 
 class TestPivotJoin:

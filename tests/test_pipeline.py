@@ -6,11 +6,12 @@ from click.testing import CliRunner
 
 from polyalign.cli import main
 from polyalign.embedding import EmbeddingCache
+import polyalign.pipeline as pipeline
 from polyalign.pipeline import (
-    STAGES,
     PipelineConfig,
     PipelineError,
     build_rows,
+    corpus_groups,
     load_config,
     run_pipeline,
 )
@@ -124,33 +125,44 @@ class TestRunPipeline:
         _, _, manifest, _ = pipeline_run
         assert manifest["sampler"] == "mt19937/sample-v1"
 
-    def test_stage_toggle_skips_stage(self, small_corpus, tmp_path):
-        raw, mapping, _ = write_fixture(small_corpus, tmp_path)
-        config = make_config(tmp_path, raw, mapping)
-        config.stages = {"ingest": True, "embed": False, "bialign": False,
-                         "multialign": False, "export": False}
-        manifest = run_pipeline(config)
-        assert list(manifest["stages"]) == ["ingest"]
-        assert (tmp_path / "out" / "corpus.json").exists()
-        assert not (tmp_path / "out" / "rows.jsonl").exists()
-
     def test_later_stages_read_the_stored_mapping(self, pipeline_run, small_corpus, tmp_path):
+        # A partial rerun is the CLI's stage commands over out/: with the input
+        # mapping edited, they still reproduce the run from the stored copy.
         root, _, manifest, _ = pipeline_run
         raw, mapping, _ = write_fixture(small_corpus, tmp_path)
-        config = make_config(tmp_path, raw, mapping)
-        config.stages = {s: s == "ingest" for s in STAGES}
-        run_pipeline(config)
+        manifest2 = run_pipeline(make_config(tmp_path, raw, mapping))
         out = tmp_path / "out"
         assert (out / "mapping.tsv").read_bytes() == mapping.read_bytes()
         n_cols = len(small_corpus.mapping_tsv.splitlines()[0].split("\t"))
         with open(mapping, "a", encoding="utf-8") as fh:
             fh.write("\t".join(["vol09#nowhere"] * n_cols) + "\n")
-        config.stages = {s: s != "ingest" for s in STAGES}
-        manifest2 = run_pipeline(config)
+        corpus, stored = str(out / "corpus.json"), str(out / "mapping.tsv")
+        runner = CliRunner()
+        for args in (
+            ["bialign", "--corpus", corpus, "--mapping", stored, "--embeddings", str(tmp_path / "cache"),
+             "--out", str(out / "alignments.jsonl")],
+            ["multialign", "--corpus", corpus, "--mapping", stored, "--alignments", str(out / "alignments.jsonl"),
+             "--out", str(out / "rows.jsonl"), "--dropped", str(out / "dropped.jsonl")],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
         for name in ("alignments.jsonl", "rows.jsonl"):
             assert (out / name).read_bytes() == (root / "out" / name).read_bytes()
         for run_manifest, run_dir in ((manifest, root / "out"), (manifest2, out)):
             assert set(run_manifest["artifacts"]) == {p.name for p in run_dir.iterdir()} - {"manifest.json"}
+
+    def test_corpus_is_loaded_once_per_run(self, small_corpus, tmp_path, monkeypatch):
+        raw, mapping, _ = write_fixture(small_corpus, tmp_path)
+        loads = []
+        original = pipeline.load_corpus
+
+        def load_corpus(path):
+            loads.append(path)
+            return original(path)
+
+        monkeypatch.setattr(pipeline, "load_corpus", load_corpus)
+        run_pipeline(make_config(tmp_path, raw, mapping))
+        assert loads == [str(tmp_path / "out" / "corpus.json")]
 
     def test_empty_member_chapter_is_warned_and_left_out(self, tmp_path):
         corpus = generate(seed=0, n_groups=3, segs_per_chapter=5)
@@ -269,6 +281,26 @@ class TestRunPipeline:
         path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
         loaded = load_config(path)
         assert loaded.to_dict() == config.to_dict()
+        assert loaded == config
+
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "skip_cost", 0.9), (None, "stages", {"multialgin": False}), ("align", "skip_cots", 0.9),
+    ])
+    def test_config_unknown_key_rejected(self, tmp_path, section, key, value):
+        doc = PipelineConfig(raw_dir="a", mapping="b", cache_dir="c", out_dir="d").to_dict()
+        (doc[section] if section else doc)[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(PipelineError, match=key):
+            load_config(path)
+        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: ") and key in result.output
+
+    @pytest.mark.parametrize("dim", ["256", 0])
+    def test_dim_other_than_a_positive_integer_rejected(self, dim):
+        with pytest.raises(PipelineError, match="dim must be a positive integer"):
+            PipelineConfig.from_dict({"dim": dim})
 
     def test_workers_other_than_one_rejected(self):
         with pytest.raises(PipelineError, match="workers"):
@@ -331,10 +363,10 @@ class TestStoredAlignmentsMustBeCovers:
         out = pipeline_run[0] / "out"
         broken = tmp_path / "alignments.jsonl"
         write_broken_alignments(out, edit, broken)
+        volumes, groups = corpus_groups(out / "corpus.json", out / "mapping.tsv")
         for pivot in (None, "sursilvan"):
             with pytest.raises(PipelineError, match=f"group g0001: the puter:surmiran alignment {problem}"):
-                build_rows(out / "corpus.json", out / "mapping.tsv", broken, tmp_path / "rows.jsonl",
-                           tmp_path / "dropped.jsonl", None, pivot)
+                build_rows(volumes, groups, broken, tmp_path / "rows.jsonl", tmp_path / "dropped.jsonl", None, pivot)
             assert not (tmp_path / "rows.jsonl").exists()
 
     @pytest.mark.parametrize("edit, problem", BROKEN_COVERS)
@@ -414,6 +446,17 @@ class TestCli:
         assert "puter/a/b" in result.output
         assert not (tmp_path / "corpus.json").exists()
 
+    def test_ingest_command_reports_malformed_volume(self, small_corpus, tmp_path):
+        raw, mapping, _ = write_fixture(small_corpus, tmp_path)
+        next(raw.glob("puter-*.json")).write_text("{not json", encoding="utf-8")
+        result = CliRunner().invoke(main, [
+            "ingest", "--raw-dir", str(raw), "--mapping", str(mapping),
+            "--out", str(tmp_path / "corpus.json"), "--report", str(tmp_path / "w.jsonl"),
+        ])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: malformed volume document at line 1")
+        assert not (tmp_path / "corpus.json").exists()
+
     def test_ingest_command_fails_on_empty_raw_dir(self, tmp_path):
         (tmp_path / "raw").mkdir()
         (tmp_path / "mapping.tsv").write_text("puter\n", encoding="utf-8")
@@ -448,6 +491,19 @@ class TestCli:
         assert docs
         assert all({d["src_idiom"], d["tgt_idiom"]} == {"puter", "vallader"} for d in docs)
 
+    @pytest.mark.parametrize("pair", ["puter", "puter:nowhere", "puter:puter", "puter:vallader:surmiran"])
+    def test_bialign_rejects_a_bad_pair(self, cli_workspace, pair):
+        root, runner = cli_workspace
+        out = root / "bad-pair.jsonl"
+        result = runner.invoke(main, [
+            "bialign", "--corpus", str(root / "out" / "corpus.json"),
+            "--mapping", str(root / "out" / "mapping.tsv"),
+            "--embeddings", str(root / "cache"), "--pair", pair, "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: ") and repr(pair) in result.output
+        assert not out.exists()
+
     def test_multialign_consensus_command(self, cli_workspace):
         root, runner = cli_workspace
         out = root / "rows-cli.jsonl"
@@ -474,6 +530,19 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert out.read_text().strip()
 
+    def test_multialign_rejects_an_unknown_pivot(self, cli_workspace):
+        root, runner = cli_workspace
+        out = root / "rows-nowhere.jsonl"
+        result = runner.invoke(main, [
+            "multialign", "--corpus", str(root / "out" / "corpus.json"),
+            "--mapping", str(root / "out" / "mapping.tsv"),
+            "--alignments", str(root / "out" / "alignments.jsonl"),
+            "--pivot", "nowhere", "--out", str(out), "--dropped", str(root / "dropped-nowhere.jsonl"),
+        ])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: ") and "'nowhere'" in result.output
+        assert not out.exists()
+
     def test_evaluate_command(self, cli_workspace):
         root, runner = cli_workspace
         report = root / "eval.json"
@@ -498,6 +567,16 @@ class TestCli:
         ])
         assert result.exit_code == 0, result.output
         assert all("\t" in l for l in out.read_text().splitlines())
+
+    def test_export_bitext_reports_a_missing_idiom(self, cli_workspace):
+        root, runner = cli_workspace
+        result = runner.invoke(main, [
+            "export", "bitext", "--rows", str(root / "out" / "rows.jsonl"),
+            "--corpus", str(root / "out" / "corpus.json"),
+            "--pair", "puter", "--out", str(root / "bitext-bad.tsv"),
+        ])
+        assert result.exit_code == 1
+        assert result.output == "Error: idiom '' not present in the corpus rows\n"
 
     def test_export_stats_command(self, cli_workspace):
         root, runner = cli_workspace
