@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import EmbeddingMatrix
+from .model import PolyalignError
 
 
-class AlignmentError(Exception):
+class AlignmentError(PolyalignError):
     pass
 
 
@@ -82,12 +83,6 @@ def _default_ids(prefix: str, n: int) -> tuple[str, ...]:
 
 def cost_matrix(src: EmbeddingMatrix, tgt: EmbeddingMatrix) -> np.ndarray:
     """Pairwise dissimilarity 1 - cosine between the two chapters' rows."""
-    if src.dim != tgt.dim:
-        raise AlignmentError(f"dimension mismatch: {src.dim} vs {tgt.dim}")
-    if (src.provider, src.mode) != (tgt.provider, tgt.mode):
-        raise AlignmentError(
-            f"provider/mode mismatch: {(src.provider, src.mode)} vs {(tgt.provider, tgt.mode)}"
-        )
     a = src.vectors.astype(np.float64)
     b = tgt.vectors.astype(np.float64)
     return 1.0 - np.clip(a @ b.T, -1.0, 1.0)

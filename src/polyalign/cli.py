@@ -13,11 +13,10 @@ import os
 import click
 
 from . import __version__
-from .bialign import AlignConfig, AlignmentError
-from .embedding import MODES, EmbeddingError, ProviderConfig
-from .evaluate import EvalError, load_gold, multi_prf
+from .bialign import AlignConfig
+from .embedding import MODES, ProviderConfig
+from .evaluate import load_gold, multi_prf
 from .export import (
-    ExportError,
     export_bitext,
     export_rows,
     load_rows,
@@ -28,12 +27,10 @@ from .export import (
     write_sheet,
     write_stats,
 )
-from .ingest import ConfigError, IngestError
-from .model import load_corpus, segment_index
-from .multialign import LengthFilterConfig, MultiAlignError
+from .model import PolyalignError, load_corpus, load_json_object, parse_pair, segment_index
+from .multialign import LengthFilterConfig
 from .pipeline import (
     PipelineConfig,
-    PipelineError,
     align_pairs,
     build_rows,
     corpus_groups,
@@ -46,17 +43,13 @@ from .pipeline import (
 FORMAT_VERSION = "polyalign-corpus/1"
 
 
-_ERRORS = (PipelineError, IngestError, ConfigError, EmbeddingError, AlignmentError,
-           MultiAlignError, ExportError, EvalError)
-
-
 class _Main(click.Group):
     """Report the package's own errors as a one-line error with exit code 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except _ERRORS as exc:
+        except PolyalignError as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -138,7 +131,7 @@ def embed(config, corpus_path):
 def bialign(config, corpus_path, mapping, pair, skip_cost, out_path):
     """Align chapter pairs with the monotone 1-1/deletion DP."""
     config.align = AlignConfig(skip_cost=skip_cost)
-    pair = None if pair == "all" else tuple(pair.split(":"))
+    pair = None if pair == "all" else parse_pair(pair)
     _, groups = corpus_groups(corpus_path, mapping)
     counts = align_pairs(groups, out_path, config, pair)
     click.echo(f"aligned {counts['chapter_pairs']} chapter pairs -> {out_path}")
@@ -219,9 +212,9 @@ def export_rows_cmd(rows_path, corpus_path, out_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def export_bitext_cmd(rows_path, corpus_path, pair, out_path):
     """Two-column TSV for one idiom pair."""
-    idiom_a, _, idiom_b = pair.partition(":")
-    _, rows = _read_rows(rows_path, corpus_path)
-    n = export_bitext(rows, idiom_a, idiom_b, out_path)
+    idiom_a, idiom_b = parse_pair(pair)
+    volumes, rows = _read_rows(rows_path, corpus_path)
+    n = export_bitext(volumes, rows, idiom_a, idiom_b, out_path)
     click.echo(f"wrote {n} bitext lines")
 
 
@@ -247,8 +240,7 @@ def export_stats_cmd(rows_path, corpus_path, out_path):
 def export_split_cmd(rows_path, corpus_path, splits_path, out_dir):
     """Partition rows into per-split files by volume assignment."""
     _, rows = _read_rows(rows_path, corpus_path)
-    with open(splits_path, encoding="utf-8") as fh:
-        assignment = json.load(fh)
+    assignment = load_json_object(splits_path)
     os.makedirs(out_dir, exist_ok=True)
     conflicts = []
     parts = split_rows(rows, assignment, conflicts)
@@ -258,7 +250,7 @@ def export_split_cmd(rows_path, corpus_path, splits_path, out_dir):
         for c in conflicts:
             fh.write(json.dumps(c) + "\n")
     click.echo(
-        ", ".join(f"{name}: {len(part.rows)}" for name, part in parts.items())
+        ", ".join(f"{name}: {len(part)}" for name, part in parts.items())
         + f", conflicts: {len(conflicts)}"
     )
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Segment
+from .model import PolyalignError, Segment
 
 MODES = ("text", "html", "concat")
 
@@ -29,7 +29,7 @@ HASH_DIM_DEFAULT = 256
 _HASH_SEED = b"polyalign-ngram-v1"
 
 
-class EmbeddingError(Exception):
+class EmbeddingError(PolyalignError):
     pass
 
 
@@ -49,9 +49,6 @@ class ProviderConfig:
 @dataclass
 class EmbeddingMatrix:
     vectors: np.ndarray  # (n, dim) float32, row order = segment order
-    dim: int
-    provider: str
-    mode: str
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float32)
@@ -282,4 +279,4 @@ def embed_segments(
     else:
         texts = [s.text if mode == "text" else s.html for s in segments]
         vectors = _embed_texts(texts, provider_config, mode, dim, cache)
-    return EmbeddingMatrix(vectors=vectors, dim=vectors.shape[1], provider=provider_config.name, mode=mode)
+    return EmbeddingMatrix(vectors=vectors)

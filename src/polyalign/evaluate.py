@@ -14,12 +14,12 @@ from itertools import combinations
 import numpy as np
 
 from .embedding import EmbeddingMatrix
-from .model import MultiParallelAlignment
+from .model import MultiParallelRow, PolyalignError
 
 logger = logging.getLogger(__name__)
 
 
-class EvalError(Exception):
+class EvalError(PolyalignError):
     pass
 
 
@@ -83,9 +83,9 @@ def strict_prf(hypothesis, gold) -> PRF:
     return PRF.from_counts(correct, len(hyp), len(gld))
 
 
-def _project_rows(alignment: MultiParallelAlignment, idiom_a: str, idiom_b: str):
+def _project_rows(rows: list[MultiParallelRow], idiom_a: str, idiom_b: str):
     pairs = []
-    for row in alignment.rows:
+    for row in rows:
         a = row.cells.get(idiom_a)
         b = row.cells.get(idiom_b)
         if a is not None and b is not None:
@@ -104,7 +104,7 @@ def _project_gold(gold: GoldAlignment, idiom_a: str, idiom_b: str):
 
 
 def multi_prf(
-    hypothesis: MultiParallelAlignment, gold: GoldAlignment
+    hypothesis: list[MultiParallelRow], gold: GoldAlignment
 ) -> tuple[dict[tuple[str, str], PRF], PRF]:
     """Per-idiom-pair strict PRF plus the unweighted macro average."""
     table: dict[tuple[str, str], PRF] = {}

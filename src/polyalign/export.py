@@ -11,13 +11,13 @@ import random
 import re
 from dataclasses import dataclass
 
-from .model import BookVolume, MultiParallelAlignment, MultiParallelRow, Segment
+from .model import BookVolume, MultiParallelRow, PolyalignError, Segment
 
 # Identifies the deterministic generator behind sample_rows in manifests.
 SAMPLER_NAME = "mt19937/sample-v1"
 
 
-class ExportError(Exception):
+class ExportError(PolyalignError):
     pass
 
 
@@ -40,58 +40,53 @@ def row_to_dict(row: MultiParallelRow, row_id: str) -> dict:
     }
 
 
-def export_rows(rows: MultiParallelAlignment, out_path) -> int:
+def export_rows(rows: list[MultiParallelRow], out_path) -> int:
     """Write one JSON object per row, deterministic order, UTF-8."""
-    count = 0
     with open(out_path, "w", encoding="utf-8") as fh:
-        for idx, row in enumerate(rows.rows):
+        for idx, row in enumerate(rows):
             fh.write(
                 json.dumps(row_to_dict(row, f"{row.provenance}/r{idx:05d}"), ensure_ascii=False, sort_keys=True)
             )
             fh.write("\n")
-            count += 1
-    return count
+    return len(rows)
 
 
-def load_rows(path, seg_index: dict[str, Segment]) -> MultiParallelAlignment:
+def load_rows(path, seg_index: dict[str, Segment]) -> list[MultiParallelRow]:
     """Re-import a rows.jsonl file; cells resolve through the corpus index."""
     rows: list[MultiParallelRow] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            doc = json.loads(line)
+            try:
+                doc = json.loads(line)
+                ids = {idiom: None if cell is None else cell["segment_id"] for idiom, cell in doc["cells"].items()}
+                provenance, flags = doc["provenance"], frozenset(doc.get("flags", []))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ExportError(f"{path}, line {line_no}: not a row record ({type(exc).__name__}: {exc})") from exc
             cells: dict[str, Segment | None] = {}
-            for idiom, cell in doc["cells"].items():
-                if cell is None:
-                    cells[idiom] = None
-                else:
-                    sid = cell["segment_id"]
-                    if sid not in seg_index:
-                        raise ExportError(f"row references unknown segment {sid!r}")
-                    cells[idiom] = seg_index[sid]
-            rows.append(
-                MultiParallelRow(
-                    cells=cells,
-                    provenance=doc["provenance"],
-                    flags=frozenset(doc.get("flags", [])),
-                )
-            )
-    return MultiParallelAlignment(rows=rows)
+            for idiom, sid in ids.items():
+                if sid is not None and sid not in seg_index:
+                    raise ExportError(f"{path}, line {line_no}: row references unknown segment {sid!r}")
+                cells[idiom] = None if sid is None else seg_index[sid]
+            rows.append(MultiParallelRow(cells=cells, provenance=provenance, flags=flags))
+    return rows
 
 
 _WS_RE = re.compile(r"[\t\n\r]+")
 
 
-def export_bitext(rows: MultiParallelAlignment, idiom_a: str, idiom_b: str, out_path) -> int:
-    """Two-column TSV of rows where both idioms are present."""
-    idioms_seen = {i for row in rows.rows for i in row.cells}
+def export_bitext(corpus: list[BookVolume], rows: list[MultiParallelRow], idiom_a: str, idiom_b: str,
+                  out_path) -> int:
+    """Two-column TSV of rows where both idioms are present; both idioms must
+    be in the corpus."""
+    corpus_idioms = {vol.idiom for vol in corpus}
     for idiom in (idiom_a, idiom_b):
-        if rows.rows and idiom not in idioms_seen:
-            raise ExportError(f"idiom {idiom!r} not present in the corpus rows")
+        if idiom not in corpus_idioms:
+            raise ExportError(f"idiom {idiom!r} not present in the corpus")
     count = 0
     with open(out_path, "w", encoding="utf-8") as fh:
-        for row in rows.rows:
+        for row in rows:
             a = row.cells.get(idiom_a)
             b = row.cells.get(idiom_b)
             if a is None or b is None:
@@ -116,7 +111,7 @@ class StatsReport:
     total: IdiomStats
 
 
-def stats(corpus: list[BookVolume], rows: MultiParallelAlignment) -> StatsReport:
+def stats(corpus: list[BookVolume], rows: list[MultiParallelRow]) -> StatsReport:
     """Overall vs aligned segment/token counts per idiom, plus a totals row.
 
     Aligned = segments appearing in rows with at least two non-null cells.
@@ -133,7 +128,7 @@ def stats(corpus: list[BookVolume], rows: MultiParallelAlignment) -> StatsReport
                 known_ids.add(seg.id)
 
     counted: set[str] = set()
-    for row in rows.rows:
+    for row in rows:
         present = row.non_null()
         if len(present) < 2:
             continue
@@ -203,17 +198,17 @@ SPLIT_NAMES = ("train", "validation", "test", "extra")
 
 
 def split_rows(
-    rows: MultiParallelAlignment,
+    rows: list[MultiParallelRow],
     assignment: dict[str, str],
     conflicts: list[dict] | None = None,
-) -> dict[str, MultiParallelAlignment]:
+) -> dict[str, list[MultiParallelRow]]:
     """Partition rows by the split of their member volumes.
 
     Rows whose member volumes map to different splits are dropped with a
     logged conflict; an unassigned volume is an error.
     """
-    out = {name: MultiParallelAlignment() for name in SPLIT_NAMES}
-    for idx, row in enumerate(rows.rows):
+    out: dict[str, list[MultiParallelRow]] = {name: [] for name in SPLIT_NAMES}
+    for idx, row in enumerate(rows):
         splits = set()
         for seg in row.non_null().values():
             vol = _volume_of(seg.id)
@@ -229,25 +224,25 @@ def split_rows(
         split = splits.pop()
         if split not in out:
             raise ExportError(f"unknown split name {split!r}")
-        out[split].rows.append(row)
+        out[split].append(row)
     return out
 
 
-def sample_rows(rows: MultiParallelAlignment, n: int, seed: int):
+def sample_rows(rows: list[MultiParallelRow], n: int, seed: int):
     """Uniform sample without replacement; same (seed, input) -> same sheet.
 
     Returns (header, sheet rows) where each sheet row is
     [row_id, text per idiom in sorted order].
     """
-    if n > len(rows.rows):
-        raise ExportError(f"cannot sample {n} of {len(rows.rows)} rows")
-    idioms = sorted({i for row in rows.rows for i in row.cells})
+    if not 0 <= n <= len(rows):
+        raise ExportError(f"cannot sample {n} of {len(rows)} rows")
+    idioms = sorted({i for row in rows for i in row.cells})
     rng = random.Random(seed)
-    indices = rng.sample(range(len(rows.rows)), n)
+    indices = rng.sample(range(len(rows)), n)
     header = ["row_id"] + idioms
     sheet = []
     for idx in indices:
-        row = rows.rows[idx]
+        row = rows[idx]
         cells = [
             _WS_RE.sub(" ", row.cells[i].text) if row.cells.get(i) is not None else ""
             for i in idioms

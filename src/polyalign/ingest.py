@@ -17,6 +17,7 @@ from .model import (
     BookVolume,
     Chapter,
     ChapterGroup,
+    PolyalignError,
     Segment,
     check_idiom,
     count_tokens,
@@ -26,12 +27,8 @@ from .model import (
 )
 
 
-class IngestError(Exception):
+class IngestError(PolyalignError):
     """Malformed input document or dangling mapping reference."""
-
-
-class ConfigError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -256,26 +253,24 @@ def parse_volume(raw: bytes | str, warnings: list[WarningRecord] | None = None) 
         ) from exc
     try:
         idiom = check_idiom(doc["idiom"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
         volume_id = doc["volume_id"]
         grade = int(doc["grade"])
         kind = doc["kind"]
-        raw_chapters = doc["chapters"]
+        raw_chapters = [(c["title"], [e["html"] for e in c["elements"]]) for c in doc["chapters"]]
     except KeyError as exc:
         raise IngestError(f"volume document missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise IngestError(f"volume document: {exc}") from exc
 
     chapters = []
-    for chap in raw_chapters:
-        title = chap["title"]
+    for title, elements in raw_chapters:
         key = normalize_chapter_key(title)
         if not key:
             raise IngestError(f"chapter title {title!r} normalizes to an empty key")
         segments: list[Segment] = []
-        for elem_idx, element in enumerate(chap["elements"]):
+        for elem_idx, element_html in enumerate(elements):
             source = f"{idiom}/{volume_id}/{key}#element{elem_idx}"
-            for text, html in segment_html(element["html"], warnings, source):
+            for text, html in segment_html(element_html, warnings, source):
                 pos = len(segments)
                 segments.append(
                     Segment(
@@ -299,7 +294,10 @@ def parse_mapping(mapping_text: str) -> tuple[list[str], list[list[str]]]:
     if not lines:
         raise IngestError("empty chapter mapping file")
     header = lines[0].rstrip("\n").split("\t")
-    idioms = [check_idiom(col.strip()) for col in header]
+    try:
+        idioms = [check_idiom(col.strip()) for col in header]
+    except ValueError as exc:
+        raise IngestError(f"chapter mapping header: {exc}") from exc
     rows = []
     for line in lines[1:]:
         cells = line.rstrip("\n").split("\t")

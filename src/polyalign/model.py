@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from html import unescape
 
 VOLUME_KINDS = ("workbook", "commentary")
@@ -24,11 +24,23 @@ _IDIOM_RE = re.compile(r"^[a-z][a-z0-9_-]*$")
 _VOLUME_ID_RE = re.compile(r"[^/#\s]+")
 
 
+class PolyalignError(Exception):
+    """Base of the package's errors; the CLI reports them as one line."""
+
+
 def check_idiom(code: str) -> str:
     """Validate an idiom code (non-empty, lowercase) and return it."""
     if not code or not _IDIOM_RE.match(code):
         raise ValueError(f"invalid idiom code: {code!r}")
     return code
+
+
+def parse_pair(text: str) -> tuple[str, str]:
+    """``SRC:TGT`` as two distinct idiom codes."""
+    src, _, tgt = text.partition(":")
+    if src == tgt or not _IDIOM_RE.match(src) or not _IDIOM_RE.match(tgt):
+        raise PolyalignError(f"pair {text!r} is not SRC:TGT, two distinct idiom codes")
+    return src, tgt
 
 
 def nfc(text: str) -> str:
@@ -119,11 +131,6 @@ class MultiParallelRow:
 
     def non_null(self) -> dict[str, Segment]:
         return {k: v for k, v in self.cells.items() if v is not None}
-
-
-@dataclass
-class MultiParallelAlignment:
-    rows: list[MultiParallelRow] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -253,9 +260,25 @@ def save_corpus(volumes: list[BookVolume], path) -> None:
         fh.write("\n")
 
 
+def load_json_object(path, error: type[PolyalignError] = PolyalignError) -> dict:
+    """The JSON object in the file at ``path``; anything else raises ``error``
+    naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise error(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: not a JSON object")
+    return doc
+
+
 def load_corpus(path) -> list[BookVolume]:
     with open(path, encoding="utf-8") as fh:
-        return corpus_from_dict(json.load(fh))
+        try:
+            return corpus_from_dict(json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise PolyalignError(f"{path}: not a polyalign corpus ({type(exc).__name__}: {exc})") from exc
 
 
 def segment_index(volumes: list[BookVolume]) -> dict[str, Segment]:

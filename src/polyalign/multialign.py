@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .bialign import BilingualAlignment
-from .model import ChapterGroup, MultiParallelAlignment, MultiParallelRow, Segment
+from .model import ChapterGroup, MultiParallelRow, PolyalignError, Segment
 
 Pair = tuple[str | None, str | None]
 Partners = dict[tuple[str, str], dict[str, str | None]]
 
 
-class MultiAlignError(Exception):
+class MultiAlignError(PolyalignError):
     pass
 
 
@@ -82,7 +82,7 @@ def pivot_multialign(
     partners: Partners,
     seg_index: dict[str, Segment],
     provenance: str = "",
-) -> MultiParallelAlignment:
+) -> list[MultiParallelRow]:
     """Full outer join of the group's ``idioms`` on the pivot idiom.
 
     One row per pivot segment (cells null where an idiom deleted it), plus one
@@ -103,7 +103,7 @@ def pivot_multialign(
                 cells = dict.fromkeys(idioms)
                 cells[k] = seg_index[t_seg]
                 rows.append(MultiParallelRow(cells=cells, provenance=provenance))
-    return MultiParallelAlignment(rows=rows)
+    return rows
 
 
 def consensus(pair_sets: dict[str, PairLinkSet]) -> PairLinkSet:
@@ -133,7 +133,7 @@ def assemble_rows(
     group: ChapterGroup,
     seg_index: dict[str, Segment],
     dropped: list[DroppedComponent] | None = None,
-) -> MultiParallelAlignment:
+) -> list[MultiParallelRow]:
     """Connected components of the consensus pairs become corpus rows.
 
     Components holding two segments of the same idiom are contradictory and
@@ -179,7 +179,7 @@ def assemble_rows(
         rows.append(MultiParallelRow(cells=cells, provenance=group.group_id))
 
     rows.sort(key=lambda r: min((s.position, s.id) for s in r.non_null().values()))
-    return MultiParallelAlignment(rows=rows)
+    return rows
 
 
 def length_filter(row: MultiParallelRow, config: LengthFilterConfig | None = None) -> MultiParallelRow:
@@ -210,7 +210,7 @@ def align_group_consensus(
     pair_alignments: dict[tuple[str, str], BilingualAlignment],
     seg_index: dict[str, Segment],
     dropped: list[DroppedComponent] | None = None,
-) -> MultiParallelAlignment:
+) -> list[MultiParallelRow]:
     """Consensus rows for one chapter group from its pairwise alignments.
 
     ``pair_alignments`` holds one alignment per idiom pair of the group, keyed

@@ -23,18 +23,20 @@ import logging
 import os
 import shutil
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 from . import export as export_mod
-from .bialign import AlignConfig, BilingualAlignment, Link, align_chapter, cost_matrix
+from .bialign import AlignConfig, AlignmentError, BilingualAlignment, Link, align_chapter, cost_matrix
 from .embedding import EmbeddingCache, EmbeddingMatrix, ProviderConfig, embed_segments
-from .ingest import build_chapter_groups, parse_volume
+from .ingest import IngestError, build_chapter_groups, parse_volume
 from .model import (
     BookVolume,
     ChapterGroup,
-    MultiParallelAlignment,
+    PolyalignError,
     load_corpus,
+    load_json_object,
     save_corpus,
     segment_index,
     validate_corpus,
@@ -50,7 +52,7 @@ from .multialign import (
 
 logger = logging.getLogger(__name__)
 
-class PipelineError(Exception):
+class PipelineError(PolyalignError):
     pass
 
 
@@ -99,8 +101,7 @@ class PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    with open(path, encoding="utf-8") as fh:
-        return PipelineConfig.from_dict(json.load(fh))
+    return PipelineConfig.from_dict(load_json_object(path, PipelineError))
 
 
 def _sha256_file(path) -> str:
@@ -139,6 +140,15 @@ class _StageWriter:
 # commands both run these.
 
 
+@contextmanager
+def _naming(path):
+    """Add the input file's name to the IngestError raised inside."""
+    try:
+        yield
+    except IngestError as exc:
+        raise IngestError(f"{exc} (in {path})") from exc
+
+
 def ingest_raw(raw_dir, mapping, corpus_path, warnings_path) -> dict:
     """Parse and validate the raw volumes, group their chapters by the mapping,
     and write the corpus and the ingest warnings."""
@@ -148,7 +158,7 @@ def ingest_raw(raw_dir, mapping, corpus_path, warnings_path) -> dict:
     warnings = []
     volumes: list[BookVolume] = []
     for path in raw_paths:
-        with open(path, "rb") as fh:
+        with open(path, "rb") as fh, _naming(path):
             volumes.append(parse_volume(fh.read(), warnings))
     volumes.sort(key=lambda v: (v.idiom, v.volume_id))
     violations = validate_corpus(volumes)
@@ -157,7 +167,7 @@ def ingest_raw(raw_dir, mapping, corpus_path, warnings_path) -> dict:
             "corpus validation failed: "
             + "; ".join(f"{v.where}: {v.message}" for v in violations[:5])
         )
-    with open(mapping, encoding="utf-8") as fh:
+    with open(mapping, encoding="utf-8") as fh, _naming(mapping):
         groups = build_chapter_groups(volumes, fh.read(), warnings)
 
     save_corpus(volumes, corpus_path)
@@ -175,7 +185,7 @@ def ingest_raw(raw_dir, mapping, corpus_path, warnings_path) -> dict:
 def corpus_groups(corpus_path, mapping) -> tuple[list[BookVolume], list[ChapterGroup]]:
     """The ingested corpus and its chapter groups, resolved from the mapping."""
     volumes = load_corpus(corpus_path)
-    with open(mapping, encoding="utf-8") as fh:
+    with open(mapping, encoding="utf-8") as fh, _naming(mapping):
         return volumes, build_chapter_groups(volumes, fh.read())
 
 
@@ -245,19 +255,24 @@ def align_pairs(groups: list[ChapterGroup], alignments_path, config: PipelineCon
 def load_alignments(path) -> list[tuple[str, str, str, BilingualAlignment]]:
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            doc = json.loads(line)
-            alignment = BilingualAlignment(
-                src_chapter=doc["src_chapter"],
-                tgt_chapter=doc["tgt_chapter"],
-                src_ids=tuple(doc["src_ids"]),
-                tgt_ids=tuple(doc["tgt_ids"]),
-                links=[Link(src=l["src"], tgt=l["tgt"], cost=l["cost"]) for l in doc["links"]],
-                total_cost=doc["total_cost"],
-            )
-            out.append((doc["group"], doc["src_idiom"], doc["tgt_idiom"], alignment))
+            try:
+                doc = json.loads(line)
+                alignment = BilingualAlignment(
+                    src_chapter=doc["src_chapter"],
+                    tgt_chapter=doc["tgt_chapter"],
+                    src_ids=tuple(doc["src_ids"]),
+                    tgt_ids=tuple(doc["tgt_ids"]),
+                    links=[Link(src=l["src"], tgt=l["tgt"], cost=l["cost"]) for l in doc["links"]],
+                    total_cost=doc["total_cost"],
+                )
+                out.append((doc["group"], doc["src_idiom"], doc["tgt_idiom"], alignment))
+            except (ValueError, KeyError, TypeError, AlignmentError) as exc:
+                raise PipelineError(
+                    f"{path}, line {line_no}: not an alignment record ({type(exc).__name__}: {exc})"
+                ) from exc
     return out
 
 
@@ -321,7 +336,7 @@ def build_rows(volumes: list[BookVolume], groups: list[ChapterGroup], alignments
         else:
             aligned = pivot_multialign(pivot, idioms, partner_maps(pair_alignments), seg_index,
                                        provenance=group.group_id)
-        for row in aligned.rows:
+        for row in aligned:
             if length_config is not None:
                 row = length_filter(row, length_config)
             if len(row.non_null()) >= 2:
@@ -329,7 +344,7 @@ def build_rows(volumes: list[BookVolume], groups: list[ChapterGroup], alignments
             else:
                 demoted += 1
 
-    export_mod.export_rows(MultiParallelAlignment(rows=all_rows), rows_path)
+    export_mod.export_rows(all_rows, rows_path)
     with open(dropped_path, "w", encoding="utf-8") as fh:
         for d in dropped:
             fh.write(
@@ -383,7 +398,7 @@ def stage_export(config: PipelineConfig, writer: _StageWriter, volumes: list[Boo
     export_mod.write_stats(report, writer.path_for(_out(config, "stats.json")))
     with open(writer.path_for(_out(config, "stats.txt")), "w", encoding="utf-8") as fh:
         fh.write(export_mod.render_stats(report))
-    return {"aligned_rows": len(rows.rows), "total_aligned_segments": report.total.aligned_segments}
+    return {"aligned_rows": len(rows), "total_aligned_segments": report.total.aligned_segments}
 
 
 _STAGE_FNS = {

@@ -258,3 +258,37 @@ def scalar_dp_table(costs: np.ndarray, lam: float) -> np.ndarray:
                 dp[i, j - 1] + lam,
             )
     return dp
+
+
+def partner_vector_rows(idioms, links, segments):
+    """Reference consensus rows of one chapter group of 1-1 alignments, as
+    partner-vector classes.
+
+    ``links`` maps each stored idiom pair (i, j) to its (i id, j id) pairs,
+    None on a deleted side; ``segments`` maps each id to its (idiom,
+    position). A segment's vector holds, at each idiom of the group, the
+    segment itself at its own idiom and its partner (or None) at the others.
+    Two segments are a consensus link exactly when their vectors are equal
+    and hold no None, so the rows are the classes of two or more segments
+    sharing such a vector. Rows come as idiom -> id dicts (None where empty),
+    ordered by their earliest (position, id).
+    """
+    partner = {}
+    for (i, j), pairs in links.items():
+        for a, b in pairs:
+            if a is not None:
+                partner[(a, j)] = b
+            if b is not None:
+                partner[(b, i)] = a
+    classes = {}
+    for sid, (idiom, _) in segments.items():
+        vector = tuple(sid if k == idiom else partner.get((sid, k)) for k in idioms)
+        if None not in vector:
+            classes.setdefault(vector, []).append(sid)
+    rows = []
+    for members in classes.values():
+        if len(members) >= 2:
+            row = dict.fromkeys(idioms)
+            row.update({segments[sid][0]: sid for sid in members})
+            rows.append((min((segments[sid][1], sid) for sid in members), row))
+    return [row for _, row in sorted(rows, key=lambda r: r[0])]

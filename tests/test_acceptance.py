@@ -124,11 +124,11 @@ def build_end_to_end(corpus, dim=256, skip_cost=0.15):
                 )
                 pair_alignments[(i, j)] = alignment
         consensus_rows.extend(
-            align_group_consensus(group, pair_alignments, seg_index).rows
+            align_group_consensus(group, pair_alignments, seg_index)
         )
         pivot_rows.extend(
             pivot_multialign(pivot_idiom, idioms, partner_maps(pair_alignments),
-                             seg_index, provenance=group.group_id).rows
+                             seg_index, provenance=group.group_id)
         )
 
     return consensus_rows, pivot_rows, corpus.gold
@@ -140,9 +140,8 @@ def test_criterion_3_synthetic_recovery():
     corpus = generate(seed=0, n_groups=40)
     consensus_rows, pivot_rows, gold = build_end_to_end(corpus)
 
-    Rows = SimpleNamespace
-    _, cons = multi_prf(Rows(rows=consensus_rows), gold)
-    _, piv = multi_prf(Rows(rows=pivot_rows), gold)
+    _, cons = multi_prf(consensus_rows, gold)
+    _, piv = multi_prf(pivot_rows, gold)
     elapsed = time.monotonic() - t0
 
     ok = (
@@ -229,8 +228,7 @@ def test_criterion_6_greedy_harness():
     def unit(rows):
         arr = np.asarray(rows, dtype=np.float64)
         arr = arr / np.linalg.norm(arr, axis=1, keepdims=True)
-        return EmbeddingMatrix(vectors=arr.astype(np.float32), dim=arr.shape[1],
-                               provider="t", mode="text")
+        return EmbeddingMatrix(vectors=arr.astype(np.float32))
 
     rng = np.random.default_rng(23)
     m = unit(rng.normal(size=(12, 16)))

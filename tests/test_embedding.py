@@ -134,7 +134,7 @@ class TestEmbedSegments:
         mat = embed_segments([s], ProviderConfig(), "concat", dim=2)
         expected = np.array([1 / math.sqrt(2), 0.0, 0.0, 1 / math.sqrt(2)])
         assert np.allclose(mat.vectors[0], expected, atol=1e-6)
-        assert mat.dim == 4
+        assert mat.vectors.shape == (1, 4)
 
     @given(st.integers(0, 2**32 - 1))
     def test_concat_cosine_is_mean_of_part_cosines(self, seed):
@@ -171,13 +171,12 @@ class TestEmbedSegments:
         embed_segments(segs, ProviderConfig(), "text", cache, dim=256)
         mat = embed_segments(segs, ProviderConfig(), "text", cache, dim=64)
         assert mat.vectors.shape == (3, 64)
-        assert mat.dim == 64
         for i, s in enumerate(segs):
             assert np.array_equal(mat.vectors[i], hash_embed(s.text, 64))
 
     def test_non_unit_rows_rejected(self):
         with pytest.raises(EmbeddingError):
-            EmbeddingMatrix(vectors=np.ones((2, 4)), dim=4, provider="x", mode="text")
+            EmbeddingMatrix(vectors=np.ones((2, 4)))
 
     def test_unknown_mode_errors(self):
         with pytest.raises(EmbeddingError):

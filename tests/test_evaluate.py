@@ -14,7 +14,7 @@ from polyalign.evaluate import (
     multi_prf,
     strict_prf,
 )
-from polyalign.model import MultiParallelAlignment, MultiParallelRow, Segment
+from polyalign.model import MultiParallelRow, Segment
 
 
 def seg(sid, idiom, pos=0):
@@ -88,7 +88,7 @@ def make_alignment(rows_spec):
             for idiom, sid in spec.items()
         }
         rows.append(MultiParallelRow(cells=cells, provenance="t"))
-    return MultiParallelAlignment(rows=rows)
+    return rows
 
 
 class TestMultiPRF:
@@ -145,8 +145,7 @@ class TestMultiPRF:
 def unit_matrix(rows):
     arr = np.asarray(rows, dtype=np.float64)
     arr = arr / np.linalg.norm(arr, axis=1, keepdims=True)
-    return EmbeddingMatrix(vectors=arr.astype(np.float32), dim=arr.shape[1],
-                           provider="t", mode="text")
+    return EmbeddingMatrix(vectors=arr.astype(np.float32))
 
 
 class TestGreedyAccuracy:

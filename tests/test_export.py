@@ -17,7 +17,6 @@ from polyalign.export import (
 from polyalign.model import (
     BookVolume,
     Chapter,
-    MultiParallelAlignment,
     MultiParallelRow,
     Segment,
 )
@@ -56,7 +55,7 @@ def make_rows(segments, specs, provenance="g001"):
             for idiom, sid in spec.items()
         }
         rows.append(MultiParallelRow(cells=cells, provenance=provenance))
-    return MultiParallelAlignment(rows=rows)
+    return rows
 
 
 @pytest.fixture()
@@ -81,8 +80,8 @@ class TestRowsRoundTrip:
         n = export_rows(alignment, path)
         assert n == 3
         back = load_rows(path, segments)
-        assert len(back.rows) == 3
-        for orig, loaded in zip(alignment.rows, back.rows):
+        assert len(back) == 3
+        for orig, loaded in zip(alignment, back):
             assert loaded.cells == orig.cells
             assert loaded.provenance == orig.provenance
             assert loaded.flags == orig.flags
@@ -107,18 +106,16 @@ class TestRowsRoundTrip:
 
     def test_non_ascii_is_preserved_verbatim(self, tmp_path):
         s = seg("puter", "vol01", 0, "chavà tschêl")
-        rows = MultiParallelAlignment(rows=[
-            MultiParallelRow(cells={"puter": s}, provenance="g")
-        ])
+        rows = [MultiParallelRow(cells={"puter": s}, provenance="g")]
         path = tmp_path / "rows.jsonl"
         export_rows(rows, path)
         assert "chavà tschêl" in path.read_text(encoding="utf-8")
 
 
 class TestBitext:
-    def test_only_complete_pairs_emitted(self, tmp_path, alignment):
+    def test_only_complete_pairs_emitted(self, tmp_path, corpus, alignment):
         path = tmp_path / "bitext.tsv"
-        n = export_bitext(alignment, "puter", "vallader", path)
+        n = export_bitext(corpus[0], alignment, "puter", "vallader", path)
         assert n == 2
         lines = path.read_text().splitlines()
         assert lines[0] == "puter vol01 word0\tvallader vol01 word0"
@@ -127,17 +124,17 @@ class TestBitext:
         a = Segment(id="x/v/c/0", idiom="x", position=0, html="<p>a</p>",
                     text="a\tb\nc", token_count=3)
         b = seg("y", "v", 0, "d")
-        rows = MultiParallelAlignment(rows=[
-            MultiParallelRow(cells={"x": a, "y": b}, provenance="g")
-        ])
+        rows = [MultiParallelRow(cells={"x": a, "y": b}, provenance="g")]
+        volumes = [BookVolume(idiom=s.idiom, volume_id="v", grade=1, kind="workbook",
+                              chapters=(Chapter(key="c", title="C", segments=(s,)),)) for s in (a, b)]
         path = tmp_path / "bitext.tsv"
-        export_bitext(rows, "x", "y", path)
+        export_bitext(volumes, rows, "x", "y", path)
         line = path.read_text().splitlines()[0]
         assert line == "a b c\td"
 
-    def test_absent_idiom_errors(self, tmp_path, alignment):
+    def test_absent_idiom_errors(self, tmp_path, corpus, alignment):
         with pytest.raises(ExportError, match="sursilvan"):
-            export_bitext(alignment, "puter", "sursilvan", tmp_path / "o.tsv")
+            export_bitext(corpus[0], alignment, "puter", "sursilvan", tmp_path / "o.tsv")
 
 
 class TestStats:
@@ -152,7 +149,7 @@ class TestStats:
                 for c in v.chapters for s in c.segments
             ]
             aligned_ids = {
-                s.id for row in alignment.rows
+                s.id for row in alignment
                 if len(row.non_null()) >= 2
                 for s in row.non_null().values() if s.idiom == idiom
             }
@@ -184,10 +181,8 @@ class TestStats:
     def test_dangling_row_reference_errors(self, corpus):
         volumes, segments = corpus
         ghost = seg("puter", "vol09", 0, "ghost")
-        rows = MultiParallelAlignment(rows=[
-            MultiParallelRow(cells={"puter": ghost, "vallader": segments["vallader/vol01/c/0"]},
-                             provenance="g")
-        ])
+        rows = [MultiParallelRow(cells={"puter": ghost, "vallader": segments["vallader/vol01/c/0"]},
+                                 provenance="g")]
         with pytest.raises(ExportError, match="outside the corpus"):
             stats(volumes, rows)
 
@@ -207,11 +202,11 @@ class TestSplitRows:
     def test_partition_by_volume(self, alignment):
         assignment = {"vol01": "train", "vol02": "test"}
         out = split_rows(alignment, assignment)
-        assert len(out["train"].rows) == 2
-        assert len(out["test"].rows) == 1
-        assert len(out["validation"].rows) == 0
-        total = sum(len(a.rows) for a in out.values())
-        assert total == len(alignment.rows)
+        assert len(out["train"]) == 2
+        assert len(out["test"]) == 1
+        assert len(out["validation"]) == 0
+        total = sum(len(a) for a in out.values())
+        assert total == len(alignment)
 
     def test_conflicting_row_dropped_and_logged(self, corpus):
         _, segments = corpus
@@ -220,7 +215,7 @@ class TestSplitRows:
         ])
         conflicts = []
         out = split_rows(rows, {"vol01": "train", "vol02": "test"}, conflicts)
-        assert all(len(a.rows) == 0 for a in out.values())
+        assert all(len(a) == 0 for a in out.values())
         assert conflicts == [
             {"row_index": 0, "provenance": "g001", "splits": ["test", "train"]}
         ]

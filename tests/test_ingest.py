@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyalign.ingest import (
-    ConfigError,
     IngestError,
     build_chapter_groups,
     parse_volume,
@@ -183,7 +182,7 @@ class TestParseVolume:
             parse_volume(b'{"idiom": "sursilvan", ')
 
     def test_unknown_idiom_is_config_error(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(IngestError, match="invalid idiom code"):
             parse_volume(volume_doc([], idiom="Not-Valid!"))
 
     def test_bytes_input_accepted(self):

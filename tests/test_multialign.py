@@ -4,8 +4,17 @@ from itertools import combinations, zip_longest
 
 import pytest
 
-from oracles import naive_consensus, naive_group_consensus, naive_pivot_join, naive_rows, random_alignment
-from polyalign.bialign import BilingualAlignment, Link
+from oracles import (
+    naive_consensus,
+    naive_group_consensus,
+    naive_pivot_join,
+    naive_rows,
+    partner_vector_rows,
+    random_alignment,
+)
+from polyalign.bialign import BilingualAlignment, Link, align_chapter, cost_matrix
+from polyalign.embedding import embed_segments
+from polyalign.ingest import build_chapter_groups
 from polyalign.model import ChapterGroup, Chapter, MultiParallelRow, Segment
 from polyalign.multialign import (
     DroppedComponent,
@@ -175,8 +184,8 @@ class TestPivotMultialign:
         index = self._index({"p": ["p0", "p1"], "x": ["x0", "x1"], "y": ["y0", "y1"],
                              "z": ["z0", "z1"], "w": ["w0", "w1"]})
         out = multialign_on_pivot("p", alignments, index)
-        assert len(out.rows) == 2
-        for row in out.rows:
+        assert len(out) == 2
+        for row in out:
             assert all(v is not None for v in row.cells.values())
             assert len(row.cells) == 5
 
@@ -187,7 +196,7 @@ class TestPivotMultialign:
         }
         index = self._index({"p": ["p0"], "x": ["x0"], "y": ["y0"]})
         out = multialign_on_pivot("p", alignments, index)
-        pivot_row = out.rows[0]
+        pivot_row = out[0]
         assert pivot_row.cells["x"].id == "x0"
         assert pivot_row.cells["y"] is None
 
@@ -197,7 +206,7 @@ class TestPivotMultialign:
         }
         index = self._index({"p": ["p0"], "x": ["x0"]})
         out = multialign_on_pivot("p", alignments, index)
-        singles = [r for r in out.rows if r.cells.get("p") is None]
+        singles = [r for r in out if r.cells.get("p") is None]
         assert len(singles) == 1
         assert sum(1 for v in singles[0].cells.values() if v is not None) == 1
 
@@ -213,7 +222,7 @@ class TestPivotMultialign:
             for idiom, al in alignments.items():
                 ids[idiom] = list(al.tgt_ids)
             out = multialign_on_pivot("p", alignments, self._index(ids))
-            pivot_cells = [r.cells["p"].id for r in out.rows if r.cells.get("p") is not None]
+            pivot_cells = [r.cells["p"].id for r in out if r.cells.get("p") is not None]
             assert sorted(pivot_cells) == sorted(ids["p"])
 
     def test_inconsistent_pivot_chapter_errors(self, ingested, tmp_path):
@@ -308,8 +317,8 @@ class TestAssembleRows:
             link_set({("a", "c")}, "x", "z", ),
         ]
         out = assemble_rows(sets, group, self._index(ids))
-        assert len(out.rows) == 1
-        row = out.rows[0]
+        assert len(out) == 1
+        row = out[0]
         assert {s.id for s in row.non_null().values()} == {"a", "b", "c"}
 
     def test_same_idiom_conflict_drops_component(self):
@@ -318,14 +327,14 @@ class TestAssembleRows:
         sets = [link_set({("a", "b"), ("a", "b2")}, "x", "y", )]
         dropped = []
         out = assemble_rows(sets, group, self._index(ids), dropped)
-        assert out.rows == []
+        assert out == []
         assert len(dropped) == 1
         assert sorted(dropped[0].segment_ids) == ["a", "b", "b2"]
 
     def test_no_edges_no_rows(self):
         ids = {"x": ["a"], "y": ["b"]}
         out = assemble_rows([], make_group(ids), self._index(ids))
-        assert out.rows == []
+        assert out == []
 
     def test_each_segment_in_at_most_one_row(self):
         rng = random.Random(4)
@@ -342,7 +351,7 @@ class TestAssembleRows:
                 }
                 sets.append(link_set(pairs, a, b, ))
             out = assemble_rows(sets, group, index)
-            seen = [s.id for row in out.rows for s in row.non_null().values()]
+            seen = [s.id for row in out for s in row.non_null().values()]
             assert len(seen) == len(set(seen))
 
     def test_matches_naive_rows(self):
@@ -362,7 +371,7 @@ class TestAssembleRows:
             rows, naive_dropped = naive_rows(
                 {p for s in sets for p in s.pairs}, group.idioms(), segments
             )
-            assert [cell_ids(row) for row in out.rows] == rows
+            assert [cell_ids(row) for row in out] == rows
             assert [d.segment_ids for d in dropped] == naive_dropped
             n_rows += len(rows)
             n_dropped += len(dropped)
@@ -398,7 +407,70 @@ def noisy_group(rng):
     return make_group(ids), alignments
 
 
+def substitution_heavy_group(rng):
+    """A random 3- to 5-idiom group and one alignment per idiom pair, some
+    stored target-first. Each cover takes a 1-1 link with probability 0.9
+    wherever both sides have segments left, else deletes one."""
+    idioms = ["v", "w", "x", "y", "z"][: rng.randint(3, 5)]
+    ids = {k: [f"{k}{n}" for n in range(rng.randint(1, 8))] for k in idioms}
+    alignments = {}
+    for i, j in combinations(idioms, 2):
+        if rng.random() < 0.5:
+            i, j = j, i
+        src, tgt, pairs = list(ids[i]), list(ids[j]), []
+        while src or tgt:
+            if src and tgt and rng.random() < 0.9:
+                pairs.append((src.pop(0), tgt.pop(0)))
+            elif src and (not tgt or rng.random() < 0.5):
+                pairs.append((src.pop(0), None))
+            else:
+                pairs.append((None, tgt.pop(0)))
+        alignments[(i, j)] = alignment_from_pairs(pairs, i, j)
+    return make_group(ids), alignments
+
+
+def dp_aligned_groups(corpus):
+    """Each chapter group of a synthetic corpus with the DP alignment of every idiom pair."""
+    out = []
+    for group in build_chapter_groups(corpus.volumes, corpus.mapping_tsv):
+        chapters = group.members
+        matrices = {k: embed_segments(list(c.segments)) for k, c in chapters.items()}
+        out.append((group, {
+            (i, j): align_chapter(cost_matrix(matrices[i], matrices[j]),
+                                  src_ids=tuple(s.id for s in chapters[i].segments),
+                                  tgt_ids=tuple(s.id for s in chapters[j].segments))
+            for i, j in combinations(group.idioms(), 2)
+        }))
+    return out
+
+
 class TestGroupConsensus:
+    def test_rows_are_partner_vector_classes(self, small_corpus):
+        # With 1-1 covers a consensus link joins two segments whose partner
+        # vectors are equal and complete, so no component ever holds two
+        # segments of one idiom and nothing is dropped.
+        rng = random.Random(11)
+        sources = {
+            "corpus": dp_aligned_groups(small_corpus),
+            "random": [substitution_heavy_group(rng) for _ in range(500)],
+        }
+        n_rows = dict.fromkeys(sources, 0)
+        for source, groups in sources.items():
+            for group, alignments in groups:
+                index = {s.id: s for chapter in group.members.values() for s in chapter.segments}
+                dropped = []
+                out = align_group_consensus(group, alignments, index, dropped)
+                rows = partner_vector_rows(
+                    group.idioms(),
+                    {pair: a.pairs_by_id() for pair, a in alignments.items()},
+                    {sid: (s.idiom, s.position) for sid, s in index.items()},
+                )
+                assert [cell_ids(row) for row in out] == rows
+                assert dropped == []
+                n_rows[source] += len(rows)
+        # 43 and 735 rows as generated; uniform random covers give far fewer.
+        assert n_rows["corpus"] >= 40 and n_rows["random"] >= 500
+
     def test_matches_naive_group_consensus(self):
         # Consensus edges of 1-1 alignments never join two segments of one
         # idiom, so nothing is dropped here; test_matches_naive_rows drives
@@ -415,7 +487,7 @@ class TestGroupConsensus:
                 {pair: a.pairs_by_id() for pair, a in alignments.items()},
                 {sid: (s.idiom, s.position) for sid, s in index.items()},
             )
-            assert [cell_ids(row) for row in out.rows] == rows
+            assert [cell_ids(row) for row in out] == rows
             assert [d.segment_ids for d in dropped] == naive_dropped
             n_rows += len(rows)
         assert n_rows > 100

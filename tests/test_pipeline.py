@@ -576,7 +576,7 @@ class TestCli:
             "--pair", "puter", "--out", str(root / "bitext-bad.tsv"),
         ])
         assert result.exit_code == 1
-        assert result.output == "Error: idiom '' not present in the corpus rows\n"
+        assert result.output == "Error: pair 'puter' is not SRC:TGT, two distinct idiom codes\n"
 
     def test_export_stats_command(self, cli_workspace):
         root, runner = cli_workspace
@@ -701,3 +701,137 @@ class TestCli:
                 assert result.exit_code == 1
                 assert stale in result.output
                 assert not (out.parent / "rows-stale.jsonl").exists()
+
+
+def assert_reported(result, *names):
+    """Exit 1 through the CLI's own error path: one `Error:` line naming each of ``names``."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ") and result.output.count("\n") == 1, result.output
+    for name in names:
+        assert str(name) in result.output
+
+
+class TestCliChecksValues:
+    def test_export_bitext_rejects_one_idiom_twice(self, cli_workspace):
+        root, runner = cli_workspace
+        out = root / "bitext-same.tsv"
+        result = runner.invoke(main, [
+            "export", "bitext", "--rows", str(root / "out" / "rows.jsonl"),
+            "--corpus", str(root / "out" / "corpus.json"),
+            "--pair", "puter:puter", "--out", str(out),
+        ])
+        assert_reported(result, "'puter:puter'")
+        assert not out.exists()
+
+    def test_export_bitext_checks_idioms_against_the_corpus(self, cli_workspace):
+        root, runner = cli_workspace
+        empty = root / "rows-empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        out = root / "bitext-nowhere.tsv"
+        result = runner.invoke(main, [
+            "export", "bitext", "--rows", str(empty), "--corpus", str(root / "out" / "corpus.json"),
+            "--pair", "nowhere:else", "--out", str(out),
+        ])
+        assert_reported(result, "'nowhere'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["-1", "100000"])
+    def test_export_sample_rejects_n_outside_the_rows(self, cli_workspace, n):
+        root, runner = cli_workspace
+        out = root / "sheet-bad.tsv"
+        result = runner.invoke(main, [
+            "export", "sample", "--rows", str(root / "out" / "rows.jsonl"),
+            "--corpus", str(root / "out" / "corpus.json"), "--n", n, "--out", str(out),
+        ])
+        assert_reported(result, f"cannot sample {n} of")
+        assert not out.exists()
+
+
+class TestCliReportsMalformedFiles:
+    @pytest.mark.parametrize("text", ['{"raw_dir": ', "[1, 2]"])
+    def test_run_config_not_a_json_object(self, tmp_path, text):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        assert_reported(CliRunner().invoke(main, ["run", "--config", str(config)]), config)
+
+    def test_corpus_not_json(self, cli_workspace):
+        root, runner = cli_workspace
+        corpus = root / "corpus-bad.json"
+        corpus.write_text("not json\n", encoding="utf-8")
+        result = runner.invoke(main, [
+            "export", "stats", "--rows", str(root / "out" / "rows.jsonl"), "--corpus", str(corpus),
+        ])
+        assert_reported(result, corpus)
+
+    def test_alignments_with_a_truncated_line(self, cli_workspace):
+        root, runner = cli_workspace
+        lines = (root / "out" / "alignments.jsonl").read_text(encoding="utf-8").splitlines()
+        alignments = root / "alignments-cut.jsonl"
+        alignments.write_text(lines[0] + "\n" + lines[1][:40] + "\n", encoding="utf-8")
+        result = runner.invoke(main, [
+            "multialign", "--corpus", str(root / "out" / "corpus.json"),
+            "--mapping", str(root / "out" / "mapping.tsv"), "--alignments", str(alignments),
+            "--out", str(root / "rows-cut.jsonl"), "--dropped", str(root / "dropped-cut.jsonl"),
+        ])
+        assert_reported(result, alignments, "line 2")
+        assert not (root / "rows-cut.jsonl").exists()
+
+    def test_row_without_provenance(self, cli_workspace):
+        root, runner = cli_workspace
+        docs = [json.loads(l) for l in (root / "out" / "rows.jsonl").read_text(encoding="utf-8").splitlines()]
+        del docs[2]["provenance"]
+        rows = root / "rows-no-provenance.jsonl"
+        rows.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+        result = runner.invoke(main, [
+            "export", "stats", "--rows", str(rows), "--corpus", str(root / "out" / "corpus.json"),
+        ])
+        assert_reported(result, rows, "line 3", "provenance")
+
+    @pytest.mark.parametrize("chapter, expected", [
+        ({"title": "Lecziun"}, "'elements'"),
+        ("Lecziun", "string indices"),
+    ])
+    def test_malformed_chapter(self, small_corpus, tmp_path, chapter, expected):
+        raw, mapping, _ = write_fixture(small_corpus, tmp_path)
+        path = next(raw.glob("puter-*.json"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["chapters"][0] = chapter
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = CliRunner().invoke(main, [
+            "ingest", "--raw-dir", str(raw), "--mapping", str(mapping),
+            "--out", str(tmp_path / "corpus.json"), "--report", str(tmp_path / "w.jsonl"),
+        ])
+        assert_reported(result, path, expected)
+        assert not (tmp_path / "corpus.json").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "bialign", "multialign"])
+    def test_mapping_with_an_invalid_idiom_code(self, cli_workspace, tmp_path, command):
+        root, runner = cli_workspace
+        mapping = tmp_path / "mapping-bad.tsv"
+        text = (root / "out" / "mapping.tsv").read_text(encoding="utf-8")
+        mapping.write_text(text.replace("puter", "Puter", 1), encoding="utf-8")
+        corpus = str(root / "out" / "corpus.json")
+        args = {
+            "ingest": ["--raw-dir", str(root / "raw"), "--out", str(tmp_path / "corpus.json"),
+                       "--report", str(tmp_path / "w.jsonl")],
+            "bialign": ["--corpus", corpus, "--embeddings", str(root / "cache"),
+                        "--out", str(tmp_path / "alignments.jsonl")],
+            "multialign": ["--corpus", corpus, "--alignments", str(root / "out" / "alignments.jsonl"),
+                           "--out", str(tmp_path / "rows.jsonl"), "--dropped", str(tmp_path / "dropped.jsonl")],
+        }[command]
+        result = runner.invoke(main, [command, "--mapping", str(mapping), *args])
+        assert_reported(result, mapping, "'Puter'")
+        assert not any(tmp_path.glob("*.json*"))
+
+    @pytest.mark.parametrize("text", ["{vol01: train}", '["vol01"]'])
+    def test_splits_not_a_json_object(self, cli_workspace, text):
+        root, runner = cli_workspace
+        splits = root / "splits-bad.json"
+        splits.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, [
+            "export", "split", "--rows", str(root / "out" / "rows.jsonl"),
+            "--corpus", str(root / "out" / "corpus.json"),
+            "--splits", str(splits), "--out", str(root / "splits-bad"),
+        ])
+        assert_reported(result, splits)
