@@ -7,11 +7,11 @@ cell cost), skip-source (1-0) and skip-target (0-1), both at a flat penalty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import EmbeddingMatrix
 from .model import PolyalignError
 
 
@@ -24,8 +24,8 @@ class AlignConfig:
     skip_cost: float = 0.15
 
     def __post_init__(self):
-        if self.skip_cost < 0:
-            raise AlignmentError("skip_cost must be non-negative")
+        if not (math.isfinite(self.skip_cost) and self.skip_cost >= 0):
+            raise AlignmentError(f"skip_cost must be a finite number >= 0, got {self.skip_cost!r}")
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,6 @@ class BilingualAlignment:
     links: list[Link] = field(default_factory=list)
     total_cost: float = 0.0
 
-    def pairs_by_id(self) -> list[tuple[str | None, str | None]]:
-        """Links as (src id, tgt id) pairs, None on the deleted side."""
-        return [
-            (
-                self.src_ids[l.src] if l.src is not None else None,
-                self.tgt_ids[l.tgt] if l.tgt is not None else None,
-            )
-            for l in self.links
-        ]
-
     def partner_of_src(self) -> dict[str, str | None]:
         return {
             self.src_ids[l.src]: (self.tgt_ids[l.tgt] if l.tgt is not None else None)
@@ -81,11 +71,10 @@ def _default_ids(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}:{i}" for i in range(n))
 
 
-def cost_matrix(src: EmbeddingMatrix, tgt: EmbeddingMatrix) -> np.ndarray:
-    """Pairwise dissimilarity 1 - cosine between the two chapters' rows."""
-    a = src.vectors.astype(np.float64)
-    b = tgt.vectors.astype(np.float64)
-    return 1.0 - np.clip(a @ b.T, -1.0, 1.0)
+def cost_matrix(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """Pairwise dissimilarity 1 - cosine between the rows of the two chapters'
+    unit-norm embedding matrices."""
+    return 1.0 - np.clip(src.astype(np.float64) @ tgt.astype(np.float64).T, -1.0, 1.0)
 
 
 def _wavefront(costs: np.ndarray, lam: float) -> np.ndarray:

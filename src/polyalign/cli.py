@@ -17,6 +17,8 @@ from .bialign import AlignConfig
 from .embedding import MODES, ProviderConfig
 from .evaluate import load_gold, multi_prf
 from .export import (
+    SPLIT_NAMES,
+    ExportError,
     export_bitext,
     export_rows,
     load_rows,
@@ -166,7 +168,7 @@ def evaluate(hyp_path, gold_path, corpus_path, report_path):
     volumes = load_corpus(corpus_path)
     seg_index = segment_index(volumes)
     rows = load_rows(hyp_path, seg_index)
-    gold = load_gold(gold_path)
+    gold = load_gold(gold_path, seg_index)
     table, macro = multi_prf(rows, gold)
     report = {
         "pairs": {
@@ -240,7 +242,11 @@ def export_stats_cmd(rows_path, corpus_path, out_path):
 def export_split_cmd(rows_path, corpus_path, splits_path, out_dir):
     """Partition rows into per-split files by volume assignment."""
     _, rows = _read_rows(rows_path, corpus_path)
-    assignment = load_json_object(splits_path)
+    assignment = load_json_object(splits_path, ExportError)
+    for volume, split in assignment.items():
+        if split not in SPLIT_NAMES:
+            raise ExportError(f"{splits_path}: volume {volume!r} maps to {split!r}, "
+                              f"not one of {', '.join(SPLIT_NAMES)}")
     os.makedirs(out_dir, exist_ok=True)
     conflicts = []
     parts = split_rows(rows, assignment, conflicts)

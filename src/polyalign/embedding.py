@@ -46,18 +46,6 @@ class ProviderConfig:
             raise EmbeddingError("batch_size must be >= 1")
 
 
-@dataclass
-class EmbeddingMatrix:
-    vectors: np.ndarray  # (n, dim) float32, row order = segment order
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float32)
-        if self.vectors.shape[0] > 0:
-            norms = np.linalg.norm(self.vectors, axis=1)
-            if not np.allclose(norms, 1.0, atol=1e-6):
-                raise EmbeddingError("embedding rows must be unit-norm")
-
-
 def _ngrams(text: str, n: int = 3):
     text = unicodedata.normalize("NFC", text).lower()
     if len(text) < n:
@@ -233,21 +221,25 @@ def _embed_texts(
 ) -> np.ndarray:
     """The ``(n, dim)`` matrix of ``texts``: one cache record, or one provider pass.
 
-    On a miss the record reaches the cache only after every provider batch
-    has returned, so a failed call leaves the cache as it was.
+    Its rows must be unit-norm. On a miss the record reaches the cache only
+    after every provider batch has returned and passed that check, so a
+    failed call leaves the cache as it was.
     """
     key = EmbeddingCache.key(config.name, config.model, mode, dim, texts)
     vectors = None if cache is None else cache.get(key, len(texts), dim)
-    if vectors is None:
+    miss = vectors is None
+    if miss:
         provider = make_provider(config, dim)
         batches = [
             provider.embed_batch(texts[start : start + config.batch_size])
             for start in range(0, len(texts), config.batch_size)
         ]
-        vectors = np.concatenate(batches) if batches else np.zeros((0, dim), dtype=np.float32)
-        if cache is not None:
-            cache.put(key, vectors)
-            cache.flush()
+        vectors = np.concatenate(batches, dtype=np.float32) if batches else np.zeros((0, dim), np.float32)
+    if not np.allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-6):
+        raise EmbeddingError("embedding rows must be unit-norm")
+    if miss and cache is not None:
+        cache.put(key, vectors)
+        cache.flush()
     return vectors
 
 
@@ -257,8 +249,9 @@ def embed_segments(
     mode: str = "text",
     cache: EmbeddingCache | None = None,
     dim: int = HASH_DIM_DEFAULT,
-) -> EmbeddingMatrix:
-    """Embed a chapter's segments, in order, through the cache.
+) -> np.ndarray:
+    """Embed a chapter's segments, in order, through the cache: one float32
+    unit-norm row per segment.
 
     ``concat`` mode concatenates the unit-norm text and html vectors and
     renormalizes the result to unit norm.
@@ -275,8 +268,6 @@ def embed_segments(
         for tv, hv in zip(text_vecs, html_vecs):
             cat = np.concatenate([tv, hv]).astype(np.float64)
             rows.append((cat / np.linalg.norm(cat)).astype(np.float32))
-        vectors = np.stack(rows) if rows else np.zeros((0, 2 * dim), dtype=np.float32)
-    else:
-        texts = [s.text if mode == "text" else s.html for s in segments]
-        vectors = _embed_texts(texts, provider_config, mode, dim, cache)
-    return EmbeddingMatrix(vectors=vectors)
+        return np.stack(rows) if rows else np.zeros((0, 2 * dim), dtype=np.float32)
+    texts = [s.text if mode == "text" else s.html for s in segments]
+    return _embed_texts(texts, provider_config, mode, dim, cache)

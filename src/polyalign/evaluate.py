@@ -13,8 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .embedding import EmbeddingMatrix
-from .model import MultiParallelRow, PolyalignError
+from .model import MultiParallelRow, PolyalignError, Segment, check_idiom
 
 logger = logging.getLogger(__name__)
 
@@ -126,7 +125,7 @@ def multi_prf(
 
 
 def greedy_accuracy(
-    src: EmbeddingMatrix, tgt: EmbeddingMatrix, gold_pairs: list[tuple[int, int]]
+    src: np.ndarray, tgt: np.ndarray, gold_pairs: list[tuple[int, int]]
 ) -> float:
     """Fraction of gold 1-1 pairs whose argmax-cosine target is the gold one.
 
@@ -134,7 +133,7 @@ def greedy_accuracy(
     """
     if not gold_pairs:
         raise EvalError("greedy_accuracy requires at least one gold pair")
-    sims = src.vectors.astype(np.float64) @ tgt.vectors.astype(np.float64).T
+    sims = src.astype(np.float64) @ tgt.astype(np.float64).T
     correct = 0
     for s, t in gold_pairs:
         if not (0 <= s < sims.shape[0] and 0 <= t < sims.shape[1]):
@@ -144,13 +143,26 @@ def greedy_accuracy(
     return correct / len(gold_pairs)
 
 
-def load_gold(path) -> GoldAlignment:
-    """Parse the gold TSV: header = idiom codes, cells = ';'-separated ids."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise EvalError("empty gold file")
-    idioms = [c.strip() for c in lines[0].split("\t")]
+def load_gold(path, seg_index: dict[str, Segment]) -> GoldAlignment:
+    """Parse the gold TSV: header = idiom codes, cells = ';'-separated ids.
+
+    Every idiom and every id must be in the corpus ``seg_index`` indexes, each
+    id under its own idiom; a file that fails a check is an EvalError naming it.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        if not lines:
+            raise EvalError(f"{path}: empty gold file")
+        idioms = [check_idiom(c.strip()) for c in lines[0].split("\t")]
+    except ValueError as exc:  # not UTF-8, or a header cell that is no idiom code
+        raise EvalError(f"{path}: not a gold file ({exc})") from exc
+    if len(idioms) < 2 or len(set(idioms)) != len(idioms):
+        raise EvalError(f"{path}: the header must name two or more distinct idioms")
+    corpus_idioms = {seg.idiom for seg in seg_index.values()}
+    unknown = [idiom for idiom in idioms if idiom not in corpus_idioms]
+    if unknown:
+        raise EvalError(f"{path}: idiom(s) {', '.join(unknown)} not in the corpus")
     rows: list[dict[str, tuple[str, ...]]] = []
     seen: dict[str, int] = {}
     for row_no, line in enumerate(lines[1:], start=1):
@@ -161,12 +173,12 @@ def load_gold(path) -> GoldAlignment:
             ids = tuple(s.strip() for s in cell.split(";") if s.strip())
             row[idiom] = ids
             for sid in ids:
+                if sid not in seg_index or seg_index[sid].idiom != idiom:
+                    raise EvalError(f"{path}: gold row {row_no} names {sid!r}, no {idiom} segment of the corpus")
                 if sid in seen:
-                    raise EvalError(
-                        f"segment {sid!r} appears in gold rows {seen[sid]} and {row_no}"
-                    )
+                    raise EvalError(f"{path}: segment {sid!r} appears in gold rows {seen[sid]} and {row_no}")
                 seen[sid] = row_no
         if not any(row.values()):
-            raise EvalError(f"gold row {row_no} has no non-empty cell")
+            raise EvalError(f"{path}: gold row {row_no} has no non-empty cell")
         rows.append(row)
     return GoldAlignment(idioms=idioms, rows=rows)

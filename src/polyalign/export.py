@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
 
 from .model import BookVolume, MultiParallelRow, PolyalignError, Segment
 
@@ -54,12 +53,12 @@ def export_rows(rows: list[MultiParallelRow], out_path) -> int:
 def load_rows(path, seg_index: dict[str, Segment]) -> list[MultiParallelRow]:
     """Re-import a rows.jsonl file; cells resolve through the corpus index."""
     rows: list[MultiParallelRow] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
+                doc = json.loads(line.decode("utf-8"))
                 ids = {idiom: None if cell is None else cell["segment_id"] for idiom, cell in doc["cells"].items()}
                 provenance, flags = doc["provenance"], frozenset(doc.get("flags", []))
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -96,35 +95,24 @@ def export_bitext(corpus: list[BookVolume], rows: list[MultiParallelRow], idiom_
     return count
 
 
-@dataclass
-class IdiomStats:
-    volumes: int = 0
-    segments: int = 0
-    aligned_segments: int = 0
-    tokens: int = 0
-    aligned_tokens: int = 0
+_STATS_KEYS = ("volumes", "segments", "aligned_segments", "tokens", "aligned_tokens")
 
 
-@dataclass
-class StatsReport:
-    per_idiom: dict[str, IdiomStats]
-    total: IdiomStats
-
-
-def stats(corpus: list[BookVolume], rows: list[MultiParallelRow]) -> StatsReport:
-    """Overall vs aligned segment/token counts per idiom, plus a totals row.
+def stats(corpus: list[BookVolume], rows: list[MultiParallelRow]) -> dict:
+    """Overall vs aligned segment/token counts per idiom, plus their totals:
+    the ``stats.json`` document, ``{"per_idiom": {idiom: counts}, "total": counts}``.
 
     Aligned = segments appearing in rows with at least two non-null cells.
     """
-    per: dict[str, IdiomStats] = {}
+    per: dict[str, dict[str, int]] = {}
     known_ids: set[str] = set()
     for vol in corpus:
-        s = per.setdefault(vol.idiom, IdiomStats())
-        s.volumes += 1
+        s = per.setdefault(vol.idiom, dict.fromkeys(_STATS_KEYS, 0))
+        s["volumes"] += 1
         for chap in vol.chapters:
             for seg in chap.segments:
-                s.segments += 1
-                s.tokens += seg.token_count
+                s["segments"] += 1
+                s["tokens"] += seg.token_count
                 known_ids.add(seg.id)
 
     counted: set[str] = set()
@@ -138,29 +126,19 @@ def stats(corpus: list[BookVolume], rows: list[MultiParallelRow]) -> StatsReport
             if seg.id in counted:
                 continue
             counted.add(seg.id)
-            s = per.setdefault(seg.idiom, IdiomStats())
-            s.aligned_segments += 1
-            s.aligned_tokens += seg.token_count
+            s = per.setdefault(seg.idiom, dict.fromkeys(_STATS_KEYS, 0))
+            s["aligned_segments"] += 1
+            s["aligned_tokens"] += seg.token_count
 
-    total = IdiomStats()
-    for s in per.values():
-        total.volumes += s.volumes
-        total.segments += s.segments
-        total.aligned_segments += s.aligned_segments
-        total.tokens += s.tokens
-        total.aligned_tokens += s.aligned_tokens
-    return StatsReport(per_idiom=per, total=total)
+    total = {key: sum(s[key] for s in per.values()) for key in _STATS_KEYS}
+    return {"per_idiom": dict(sorted(per.items())), "total": total}
 
 
-def render_stats(report: StatsReport) -> str:
+def render_stats(report: dict) -> str:
     """Aligned-column text table: idiom, volumes, overall/aligned counts."""
     header = ["Idiom", "Volumes", "Segments", "Aligned Seg.", "Tokens", "Aligned Tok."]
-    body = []
-    for idiom in sorted(report.per_idiom):
-        s = report.per_idiom[idiom]
-        body.append([idiom, s.volumes, s.segments, s.aligned_segments, s.tokens, s.aligned_tokens])
-    t = report.total
-    body.append(["Total", t.volumes, t.segments, t.aligned_segments, t.tokens, t.aligned_tokens])
+    body = [[idiom] + [s[key] for key in _STATS_KEYS] for idiom, s in sorted(report["per_idiom"].items())]
+    body.append(["Total"] + [report["total"][key] for key in _STATS_KEYS])
     table = [header] + [[str(c) for c in row] for row in body]
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
     lines = []
@@ -171,26 +149,10 @@ def render_stats(report: StatsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def stats_to_dict(report: StatsReport) -> dict:
-    def conv(s: IdiomStats) -> dict:
-        return {
-            "volumes": s.volumes,
-            "segments": s.segments,
-            "aligned_segments": s.aligned_segments,
-            "tokens": s.tokens,
-            "aligned_tokens": s.aligned_tokens,
-        }
-
-    return {
-        "per_idiom": {k: conv(v) for k, v in sorted(report.per_idiom.items())},
-        "total": conv(report.total),
-    }
-
-
-def write_stats(report: StatsReport, out_path) -> None:
-    """Write ``stats.json``: the stats dict, keys sorted, one-space indent."""
+def write_stats(report: dict, out_path) -> None:
+    """Write ``stats.json``: the stats document, keys sorted, one-space indent."""
     with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(stats_to_dict(report), fh, indent=1, sort_keys=True)
+        json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

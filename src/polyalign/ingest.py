@@ -31,13 +31,8 @@ class IngestError(PolyalignError):
     """Malformed input document or dangling mapping reference."""
 
 
-@dataclass(frozen=True)
-class WarningRecord:
-    source: str
-    message: str
-
-    def to_json(self) -> str:
-        return json.dumps({"source": self.source, "message": self.message}, ensure_ascii=False)
+# An ingest warning is the warnings.jsonl record {"source": ..., "message": ...}.
+Warnings = list[dict[str, str]]
 
 
 # Block-level node set; div counts only when it has no block children.
@@ -70,7 +65,7 @@ class _Node:
 
 
 class _TreeBuilder(HTMLParser):
-    def __init__(self, warnings: list[WarningRecord], source: str):
+    def __init__(self, warnings: Warnings, source: str):
         super().__init__(convert_charrefs=True)
         self.root = _Node(tag="")
         self.stack = [self.root]
@@ -106,9 +101,7 @@ class _TreeBuilder(HTMLParser):
             if self.stack[i].tag == tag:
                 del self.stack[i:]
                 return
-        self.warnings.append(
-            WarningRecord(self.source, f"unmatched closing tag </{tag}>")
-        )
+        self.warnings.append({"source": self.source, "message": f"unmatched closing tag </{tag}>"})
 
     def handle_data(self, data):
         if data:
@@ -119,7 +112,7 @@ class _TreeBuilder(HTMLParser):
         if len(self.stack) > 1:
             open_tags = ", ".join(n.tag for n in self.stack[1:])
             self.warnings.append(
-                WarningRecord(self.source, f"unclosed tags at end of element: {open_tags}")
+                {"source": self.source, "message": f"unclosed tags at end of element: {open_tags}"}
             )
             del self.stack[1:]
 
@@ -204,7 +197,7 @@ def _walk(node: _Node, out: list[tuple[str, str]]) -> None:
 
 
 def segment_html(
-    element_html: str, warnings: list[WarningRecord] | None = None, source: str = "<element>"
+    element_html: str, warnings: Warnings | None = None, source: str = "<element>"
 ) -> list[tuple[str, str]]:
     """Split one element's markup into candidate segments.
 
@@ -241,12 +234,12 @@ def segment_html(
     return out
 
 
-def parse_volume(raw: bytes | str, warnings: list[WarningRecord] | None = None) -> BookVolume:
-    """Parse one raw volume document (ingestion JSON) into a BookVolume."""
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
+def parse_volume(raw: bytes | str, warnings: Warnings | None = None) -> BookVolume:
+    """Parse one raw volume document (ingestion JSON, UTF-8) into a BookVolume."""
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"volume document is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IngestError(
             f"malformed volume document at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -309,7 +302,7 @@ def parse_mapping(mapping_text: str) -> tuple[list[str], list[list[str]]]:
 def build_chapter_groups(
     volumes: list[BookVolume],
     mapping_text: str,
-    warnings: list[WarningRecord] | None = None,
+    warnings: Warnings | None = None,
 ) -> list[ChapterGroup]:
     """Assemble cross-idiom ChapterGroups from the mapping TSV.
 
@@ -343,18 +336,13 @@ def build_chapter_groups(
                     f"mapping row {row_idx}, idiom {idiom}: no chapter {chapter_key!r} in volume {volume_id!r}"
                 )
             if not chap.segments:
-                warnings.append(
-                    WarningRecord(f"mapping row {row_idx}", f"idiom {idiom}: chapter {cell} has no segments, left out")
-                )
+                warnings.append({"source": f"mapping row {row_idx}",
+                                 "message": f"idiom {idiom}: chapter {cell} has no segments, left out"})
                 continue
             members[idiom] = chap
         if len(members) < 2:
-            warnings.append(
-                WarningRecord(
-                    f"mapping row {row_idx}",
-                    f"skipped: only {len(members)} member(s), no parallel content",
-                )
-            )
+            warnings.append({"source": f"mapping row {row_idx}",
+                             "message": f"skipped: only {len(members)} member(s), no parallel content"})
             continue
         groups.append(ChapterGroup(group_id=f"g{row_idx:04d}", members=members))
     return groups

@@ -133,50 +133,36 @@ class MultiParallelRow:
         return {k: v for k, v in self.cells.items() if v is not None}
 
 
-@dataclass(frozen=True)
-class Violation:
-    where: str
-    message: str
-
-
-def validate_corpus(volumes: list[BookVolume]) -> list[Violation]:
-    """Check every type invariant; one Violation per breach, empty if clean."""
-    report: list[Violation] = []
+def validate_corpus(volumes: list[BookVolume]) -> list[str]:
+    """Check every type invariant; one "where: message" per breach, empty if clean."""
+    report: list[str] = []
     seen_segment_ids: dict[str, str] = {}
     for vol in volumes:
         vol_ref = f"{vol.idiom}/{vol.volume_id}"
         try:
             check_idiom(vol.idiom)
         except ValueError as exc:
-            report.append(Violation(vol_ref, str(exc)))
+            report.append(f"{vol_ref}: {exc}")
         if not _VOLUME_ID_RE.fullmatch(vol.volume_id):
-            report.append(
-                Violation(vol_ref, f"volume_id {vol.volume_id!r} is empty or holds '/', '#' or whitespace")
-            )
+            report.append(f"{vol_ref}: volume_id {vol.volume_id!r} is empty or holds '/', '#' or whitespace")
         if vol.kind not in VOLUME_KINDS:
-            report.append(Violation(vol_ref, f"unknown volume kind {vol.kind!r}"))
+            report.append(f"{vol_ref}: unknown volume kind {vol.kind!r}")
         for chap in vol.chapters:
             chap_ref = chapter_id(vol.idiom, vol.volume_id, chap.key)
             if not chap.key:
-                report.append(Violation(chap_ref, "empty chapter key"))
+                report.append(f"{chap_ref}: empty chapter key")
             for pos, seg in enumerate(chap.segments):
                 if seg.position != pos:
-                    report.append(
-                        Violation(seg.id, f"position {seg.position} != slot {pos}")
-                    )
+                    report.append(f"{seg.id}: position {seg.position} != slot {pos}")
                 if not seg.text.strip():
-                    report.append(Violation(seg.id, "empty segment text"))
+                    report.append(f"{seg.id}: empty segment text")
                 if seg.token_count < 1:
-                    report.append(Violation(seg.id, "token_count < 1"))
+                    report.append(f"{seg.id}: token_count < 1")
                 for tag in re.findall(r"</?\s*([a-zA-Z0-9]+)", seg.text):
                     if tag.lower() != "strong":
-                        report.append(
-                            Violation(seg.id, f"disallowed tag <{tag}> in text")
-                        )
+                        report.append(f"{seg.id}: disallowed tag <{tag}> in text")
                 if seg.id in seen_segment_ids:
-                    report.append(
-                        Violation(seg.id, f"duplicate segment id, first in {seen_segment_ids[seg.id]}")
-                    )
+                    report.append(f"{seg.id}: duplicate segment id, first in {seen_segment_ids[seg.id]}")
                 else:
                     seen_segment_ids[seg.id] = chap_ref
     # volume_id unique per idiom
@@ -184,7 +170,7 @@ def validate_corpus(volumes: list[BookVolume]) -> list[Violation]:
     for vol in volumes:
         key = (vol.idiom, vol.volume_id)
         if key in seen_vols:
-            report.append(Violation(f"{vol.idiom}/{vol.volume_id}", "duplicate volume_id"))
+            report.append(f"{vol.idiom}/{vol.volume_id}: duplicate volume_id")
         seen_vols.add(key)
     return report
 

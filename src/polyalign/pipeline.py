@@ -27,9 +27,11 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
+import numpy as np
+
 from . import export as export_mod
 from .bialign import AlignConfig, AlignmentError, BilingualAlignment, Link, align_chapter, cost_matrix
-from .embedding import EmbeddingCache, EmbeddingMatrix, ProviderConfig, embed_segments
+from .embedding import EmbeddingCache, ProviderConfig, embed_segments
 from .ingest import IngestError, build_chapter_groups, parse_volume
 from .model import (
     BookVolume,
@@ -142,10 +144,11 @@ class _StageWriter:
 
 @contextmanager
 def _naming(path):
-    """Add the input file's name to the IngestError raised inside."""
+    """Add the input file's name to the IngestError, or the UTF-8 decoding
+    error, raised inside."""
     try:
         yield
-    except IngestError as exc:
+    except (IngestError, UnicodeDecodeError) as exc:
         raise IngestError(f"{exc} (in {path})") from exc
 
 
@@ -163,17 +166,14 @@ def ingest_raw(raw_dir, mapping, corpus_path, warnings_path) -> dict:
     volumes.sort(key=lambda v: (v.idiom, v.volume_id))
     violations = validate_corpus(volumes)
     if violations:
-        raise PipelineError(
-            "corpus validation failed: "
-            + "; ".join(f"{v.where}: {v.message}" for v in violations[:5])
-        )
+        raise PipelineError("corpus validation failed: " + "; ".join(violations[:5]))
     with open(mapping, encoding="utf-8") as fh, _naming(mapping):
         groups = build_chapter_groups(volumes, fh.read(), warnings)
 
     save_corpus(volumes, corpus_path)
     with open(warnings_path, "w", encoding="utf-8") as fh:
         for w in warnings:
-            fh.write(w.to_json() + "\n")
+            fh.write(json.dumps(w, ensure_ascii=False) + "\n")
     return {
         "volumes": len(volumes),
         "chapter_groups": len(groups),
@@ -207,8 +207,8 @@ def embed_chapters(chapters, config: PipelineConfig) -> int:
     return sum(len(c.segments) for c in chapters)
 
 
-def _align_pair(group: ChapterGroup, i: str, j: str, matrix_i: EmbeddingMatrix,
-                matrix_j: EmbeddingMatrix, config: PipelineConfig) -> dict:
+def _align_pair(group: ChapterGroup, i: str, j: str, matrix_i: np.ndarray,
+                matrix_j: np.ndarray, config: PipelineConfig) -> dict:
     chap_i, chap_j = group.members[i], group.members[j]
     alignment = align_chapter(
         cost_matrix(matrix_i, matrix_j),
@@ -254,12 +254,12 @@ def align_pairs(groups: list[ChapterGroup], alignments_path, config: PipelineCon
 
 def load_alignments(path) -> list[tuple[str, str, str, BilingualAlignment]]:
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
+                doc = json.loads(line.decode("utf-8"))
                 alignment = BilingualAlignment(
                     src_chapter=doc["src_chapter"],
                     tgt_chapter=doc["tgt_chapter"],
@@ -398,7 +398,7 @@ def stage_export(config: PipelineConfig, writer: _StageWriter, volumes: list[Boo
     export_mod.write_stats(report, writer.path_for(_out(config, "stats.json")))
     with open(writer.path_for(_out(config, "stats.txt")), "w", encoding="utf-8") as fh:
         fh.write(export_mod.render_stats(report))
-    return {"aligned_rows": len(rows), "total_aligned_segments": report.total.aligned_segments}
+    return {"aligned_rows": len(rows), "total_aligned_segments": report["total"]["aligned_segments"]}
 
 
 _STAGE_FNS = {

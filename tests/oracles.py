@@ -55,6 +55,17 @@ def random_alignment(rng: random.Random, n: int, m: int, src_prefix: str,
     )
 
 
+def pairs_by_id(alignment: BilingualAlignment) -> list[tuple[str | None, str | None]]:
+    """The alignment's links as (src id, tgt id) pairs, None on the deleted side."""
+    return [
+        (
+            alignment.src_ids[l.src] if l.src is not None else None,
+            alignment.tgt_ids[l.tgt] if l.tgt is not None else None,
+        )
+        for l in alignment.links
+    ]
+
+
 def naive_pivot_join(a_ip_pairs, a_pj_pairs):
     """Set-comprehension reference for the pivot join.
 

@@ -5,13 +5,12 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import brute_force_align, check_full_cover, scalar_dp_table
 from polyalign.bialign import AlignConfig, AlignmentError, Link, _wavefront, align_chapter, cost_matrix
-from polyalign.embedding import EmbeddingMatrix
 
 
 def unit_rows(rows):
     arr = np.asarray(rows, dtype=np.float64)
     arr = arr / np.linalg.norm(arr, axis=1, keepdims=True)
-    return EmbeddingMatrix(vectors=arr.astype(np.float32))
+    return arr.astype(np.float32)
 
 
 class TestCostMatrix:

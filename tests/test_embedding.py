@@ -10,7 +10,6 @@ from oracles import cosine
 from polyalign.embedding import (
     EmbeddingCache,
     EmbeddingError,
-    EmbeddingMatrix,
     ProviderConfig,
     RemoteProvider,
     embed_segments,
@@ -102,7 +101,7 @@ class FakeProvider:
 class TestEmbedSegments:
     def test_empty_input(self):
         mat = embed_segments([], ProviderConfig(), "text")
-        assert mat.vectors.shape == (0, 256)
+        assert mat.shape == (0, 256)
 
     def test_batching_and_order(self, monkeypatch):
         import polyalign.embedding as emb
@@ -111,17 +110,17 @@ class TestEmbedSegments:
         provider = FakeProvider({s.text: hash_embed(s.text, 64) for s in segs}, 64)
         monkeypatch.setattr(emb, "make_provider", lambda cfg, dim=256: provider)
         mat = embed_segments(segs, ProviderConfig(batch_size=2), "text", dim=64)
-        assert mat.vectors.shape == (3, 64)
+        assert mat.shape == (3, 64)
         assert [len(batch) for batch in provider.calls] == [2, 1]  # two provider calls
         for i, s in enumerate(segs):
-            assert np.array_equal(mat.vectors[i], hash_embed(s.text, 64))
+            assert np.array_equal(mat[i], hash_embed(s.text, 64))
 
     def test_html_mode_embeds_markup(self):
         s = seg("abc")
         text_mat = embed_segments([s], ProviderConfig(), "text", dim=64)
         html_mat = embed_segments([s], ProviderConfig(), "html", dim=64)
-        assert not np.array_equal(text_mat.vectors[0], html_mat.vectors[0])
-        assert np.array_equal(html_mat.vectors[0], hash_embed(s.html, 64))
+        assert not np.array_equal(text_mat[0], html_mat[0])
+        assert np.array_equal(html_mat[0], hash_embed(s.html, 64))
 
     def test_concat_hand_arithmetic(self, monkeypatch):
         import polyalign.embedding as emb
@@ -133,8 +132,8 @@ class TestEmbedSegments:
         )
         mat = embed_segments([s], ProviderConfig(), "concat", dim=2)
         expected = np.array([1 / math.sqrt(2), 0.0, 0.0, 1 / math.sqrt(2)])
-        assert np.allclose(mat.vectors[0], expected, atol=1e-6)
-        assert mat.vectors.shape == (1, 4)
+        assert np.allclose(mat[0], expected, atol=1e-6)
+        assert mat.shape == (1, 4)
 
     @given(st.integers(0, 2**32 - 1))
     def test_concat_cosine_is_mean_of_part_cosines(self, seed):
@@ -163,20 +162,36 @@ class TestEmbedSegments:
         cache2 = EmbeddingCache(tmp_path / "cache")
         mat2 = embed_segments(segs, ProviderConfig(), "text", cache2, dim=64)
         assert len(providers) == 1 and providers[0].calls  # the warm call makes no provider
-        assert np.array_equal(mat1.vectors, mat2.vectors)
+        assert np.array_equal(mat1, mat2)
 
     def test_cache_keys_the_dim(self, tmp_path):
         segs = [seg(f"text {i}", i) for i in range(3)]
         cache = EmbeddingCache(tmp_path / "cache")
         embed_segments(segs, ProviderConfig(), "text", cache, dim=256)
         mat = embed_segments(segs, ProviderConfig(), "text", cache, dim=64)
-        assert mat.vectors.shape == (3, 64)
+        assert mat.shape == (3, 64)
         for i, s in enumerate(segs):
-            assert np.array_equal(mat.vectors[i], hash_embed(s.text, 64))
+            assert np.array_equal(mat[i], hash_embed(s.text, 64))
 
-    def test_non_unit_rows_rejected(self):
-        with pytest.raises(EmbeddingError):
-            EmbeddingMatrix(vectors=np.ones((2, 4)))
+    def test_non_unit_rows_rejected(self, tmp_path):
+        # A cache record whose rows are not unit-norm is read back and refused.
+        texts = chapter_texts(0, n=2)
+        cache = EmbeddingCache(tmp_path)
+        cache.put(chapter_key(texts), np.ones((2, 16)))
+        cache.flush()
+        segs = [seg(t, i) for i, t in enumerate(texts)]
+        with pytest.raises(EmbeddingError, match="unit-norm"):
+            embed_segments(segs, ProviderConfig(), "text", EmbeddingCache(tmp_path), dim=16)
+
+    def test_non_unit_provider_rows_are_not_cached(self, tmp_path, monkeypatch):
+        import polyalign.embedding as emb
+
+        segs = [seg("a", 0), seg("b", 1)]
+        provider = FakeProvider({"a": [1.0, 1.0], "b": [0.0, 1.0]}, 2)
+        monkeypatch.setattr(emb, "make_provider", lambda cfg, dim=256: provider)
+        with pytest.raises(EmbeddingError, match="unit-norm"):
+            embed_segments(segs, ProviderConfig(), "text", EmbeddingCache(tmp_path), dim=2)
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_mode_errors(self):
         with pytest.raises(EmbeddingError):
@@ -271,7 +286,7 @@ class TestEmbeddingCache:
     def test_repeated_text_in_a_cold_chapter(self, tmp_path):
         segs = [seg("same", 0), seg("other", 1), seg("same", 2)]
         mat = embed_segments(segs, ProviderConfig(batch_size=1), "text", EmbeddingCache(tmp_path), dim=64)
-        assert np.array_equal(mat.vectors[0], mat.vectors[2])
+        assert np.array_equal(mat[0], mat[2])
         assert not list(tmp_path.glob("*.tmp"))
         assert len(list(tmp_path.glob("*.bin"))) == 1
 
@@ -366,7 +381,7 @@ class TestRemoteProvider:
         assert nan_session.calls == 1
         mat = embed_with(FlakySession())
         for i, s in enumerate(segs):
-            assert np.allclose(mat.vectors[i], hash_embed(s.text, 8), atol=1e-6)
+            assert np.allclose(mat[i], hash_embed(s.text, 8), atol=1e-6)
 
     def test_width_other_than_dim_is_not_cached(self, tmp_path, monkeypatch):
         session = FlakySession(dim=8)

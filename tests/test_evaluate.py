@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-from polyalign.embedding import EmbeddingMatrix
 from polyalign.evaluate import (
     EvalError,
     GoldAlignment,
@@ -145,7 +144,7 @@ class TestMultiPRF:
 def unit_matrix(rows):
     arr = np.asarray(rows, dtype=np.float64)
     arr = arr / np.linalg.norm(arr, axis=1, keepdims=True)
-    return EmbeddingMatrix(vectors=arr.astype(np.float32))
+    return arr.astype(np.float32)
 
 
 class TestGreedyAccuracy:
@@ -186,27 +185,60 @@ class TestLoadGold:
         p.write_text(text, encoding="utf-8")
         return p
 
+    def index(self, *ids):
+        """A corpus index holding ``ids``, each in the idiom named by its first letter."""
+        return {sid: seg(sid, sid[0]) for sid in ids}
+
     def test_basic_rows(self, tmp_path):
         p = self.write(tmp_path, "x\ty\nx0\ty0\nx1;x2\t\n")
-        gold = load_gold(p)
+        gold = load_gold(p, self.index("x0", "x1", "x2", "y0"))
         assert gold.idioms == ["x", "y"]
         assert gold.rows[0] == {"x": ("x0",), "y": ("y0",)}
         assert gold.rows[1] == {"x": ("x1", "x2"), "y": ()}
 
     def test_short_rows_padded(self, tmp_path):
-        gold = load_gold(self.write(tmp_path, "x\ty\tz\nx0\ty0\n"))
+        gold = load_gold(self.write(tmp_path, "x\ty\tz\nx0\ty0\n"), self.index("x0", "y0", "z0"))
         assert gold.rows[0]["z"] == ()
 
     def test_duplicate_id_names_both_rows(self, tmp_path):
         p = self.write(tmp_path, "x\ty\nx0\ty0\nx0\ty1\n")
         with pytest.raises(EvalError, match="rows 1 and 2"):
-            load_gold(p)
+            load_gold(p, self.index("x0", "y0", "y1"))
 
     def test_empty_file_errors(self, tmp_path):
         with pytest.raises(EvalError):
-            load_gold(self.write(tmp_path, ""))
+            load_gold(self.write(tmp_path, ""), self.index("x0"))
 
     def test_all_empty_row_errors(self, tmp_path):
         # Stray separators with no ids leave every cell empty.
         with pytest.raises(EvalError, match="row 1"):
-            load_gold(self.write(tmp_path, "x\ty\n;\t;\n"))
+            load_gold(self.write(tmp_path, "x\ty\n;\t;\n"), self.index("x0", "y0"))
+
+    def test_header_must_be_idiom_codes(self, tmp_path):
+        p = self.write(tmp_path, '{\n "dim": 256\n}\n')
+        with pytest.raises(EvalError, match=r"gold\.tsv: not a gold file \(invalid idiom code"):
+            load_gold(p, self.index("x0", "y0"))
+
+    @pytest.mark.parametrize("header", ["x", "x\tx"])
+    def test_header_must_name_two_distinct_idioms(self, tmp_path, header):
+        p = self.write(tmp_path, f"{header}\nx0\tx1\n")
+        with pytest.raises(EvalError, match=r"gold\.tsv: the header must name two or more distinct idioms"):
+            load_gold(p, self.index("x0", "x1", "y0"))
+
+    def test_idioms_must_be_in_the_corpus(self, tmp_path):
+        p = self.write(tmp_path, "x\tw\nx0\t\n")
+        with pytest.raises(EvalError, match=r"gold\.tsv: idiom\(s\) w not in the corpus"):
+            load_gold(p, self.index("x0", "y0"))
+
+    def test_ids_must_be_corpus_segments_of_their_idiom(self, tmp_path):
+        index = self.index("x0", "y0")
+        for cells in ("x9\ty0", "y0\tx0"):
+            p = self.write(tmp_path, f"x\ty\n{cells}\n")
+            with pytest.raises(EvalError, match=r"gold\.tsv: gold row 1 names '[xy]\d', no x segment"):
+                load_gold(p, index)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        p = tmp_path / "gold.tsv"
+        p.write_bytes(b"x\ty\n\xff\xfe\n")
+        with pytest.raises(EvalError, match=r"gold\.tsv: not a gold file"):
+            load_gold(p, self.index("x0", "y0"))

@@ -11,7 +11,6 @@ from polyalign.export import (
     sample_rows,
     split_rows,
     stats,
-    stats_to_dict,
     write_sheet,
 )
 from polyalign.model import (
@@ -153,21 +152,21 @@ class TestStats:
                 if len(row.non_null()) >= 2
                 for s in row.non_null().values() if s.idiom == idiom
             }
-            got = report.per_idiom[idiom]
-            assert got.volumes == 2
-            assert got.segments == len(all_segs)
-            assert got.tokens == sum(s.token_count for s in all_segs)
-            assert got.aligned_segments == len(aligned_ids)
-            assert got.aligned_tokens == sum(
-                s.token_count for s in all_segs if s.id in aligned_ids
-            )
-        assert report.total.segments == sum(s.segments for s in report.per_idiom.values())
+            assert report["per_idiom"][idiom] == {
+                "volumes": 2,
+                "segments": len(all_segs),
+                "tokens": sum(s.token_count for s in all_segs),
+                "aligned_segments": len(aligned_ids),
+                "aligned_tokens": sum(s.token_count for s in all_segs if s.id in aligned_ids),
+            }
+        for key, value in report["total"].items():
+            assert value == sum(s[key] for s in report["per_idiom"].values())
 
     def test_single_cell_rows_not_aligned(self, corpus):
         volumes, segments = corpus
         rows = make_rows(segments, [{"puter": "puter/vol01/c/0", "vallader": None}])
         report = stats(volumes, rows)
-        assert report.per_idiom["puter"].aligned_segments == 0
+        assert report["per_idiom"]["puter"]["aligned_segments"] == 0
 
     def test_duplicate_segment_counted_once(self, corpus):
         volumes, segments = corpus
@@ -176,7 +175,7 @@ class TestStats:
             {"puter": "puter/vol01/c/0", "vallader": "vallader/vol01/c/1"},
         ])
         report = stats(volumes, rows)
-        assert report.per_idiom["puter"].aligned_segments == 1
+        assert report["per_idiom"]["puter"]["aligned_segments"] == 1
 
     def test_dangling_row_reference_errors(self, corpus):
         volumes, segments = corpus
@@ -190,12 +189,11 @@ class TestStats:
         volumes, _ = corpus
         report = stats(volumes, alignment)
         text = render_stats(report)
-        doc = stats_to_dict(report)
         assert "Total" in text
-        for idiom, s in doc["per_idiom"].items():
+        for idiom, s in report["per_idiom"].items():
             assert idiom in text
             assert str(s["segments"]) in text
-        assert doc["total"]["tokens"] == report.total.tokens
+        assert str(report["total"]["tokens"]) in text.splitlines()[-1]
 
 
 class TestSplitRows:

@@ -123,7 +123,7 @@ class TestSegmentHtml:
         assert [seg.text for seg in segs] == [text for text, _ in out]
         assert [seg.position for seg in segs] == list(range(len(segs)))
         assert len({seg.id for seg in segs}) == len(segs)
-        assert not [v for v in validate_corpus([vol]) if "tag" in v.message]
+        assert not [v for v in validate_corpus([vol]) if "tag" in v]
         for text, candidate in out:
             assert [t for t, _ in segment_html(candidate)] == [text]
             assert content(candidate) == content(text)
@@ -224,9 +224,9 @@ class TestBuildChapterGroups:
         groups = build_chapter_groups(volumes, mapping, warnings)
         assert [g.group_id for g in groups] == ["g0001"]
         assert sorted(groups[0].members) == ["sursilvan", "vallader"]
-        assert [w.source for w in warnings] == ["mapping row 1", "mapping row 2", "mapping row 2"]
-        assert "idiom puter" in warnings[0].message and "v2#beta" in warnings[0].message
-        assert warnings[2].message == "skipped: only 1 member(s), no parallel content"
+        assert [w["source"] for w in warnings] == ["mapping row 1", "mapping row 2", "mapping row 2"]
+        assert "idiom puter" in warnings[0]["message"] and "v2#beta" in warnings[0]["message"]
+        assert warnings[2]["message"] == "skipped: only 1 member(s), no parallel content"
 
     def test_dangling_reference_names_the_row(self):
         mapping = "sursilvan\tsutsilvan\nv1#alpha\tv1#missing\n"

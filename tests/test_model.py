@@ -51,7 +51,7 @@ class TestValidateCorpus:
         )
         report = validate_corpus([vol])
         assert len(report) == 1
-        assert report[0].where == "puter/v1/intro/0"
+        assert report == ["puter/v1/intro/0: empty segment text"]
 
     def test_duplicate_position_is_reported(self):
         seg0 = make_segment(pos=0)
@@ -61,7 +61,7 @@ class TestValidateCorpus:
             chapters=(Chapter(key="intro", title="Intro", segments=(seg0, seg_wrong)),),
         )
         report = validate_corpus([vol])
-        assert any("position" in v.message for v in report)
+        assert "puter/v1/intro/0: position 0 != slot 1" in report
 
     def test_disallowed_tag_in_text(self):
         seg = Segment(id="puter/v1/intro/0", idiom="puter", position=0,
@@ -70,7 +70,7 @@ class TestValidateCorpus:
             idiom="puter", volume_id="v1", grade=1, kind="workbook",
             chapters=(Chapter(key="intro", title="Intro", segments=(seg,)),),
         )
-        assert any("disallowed tag" in v.message for v in validate_corpus([vol]))
+        assert "puter/v1/intro/0: disallowed tag <em> in text" in validate_corpus([vol])
 
     def test_strong_tag_is_allowed(self):
         seg = Segment(id="puter/v1/intro/0", idiom="puter", position=0,
@@ -86,8 +86,7 @@ class TestValidateCorpus:
         for bad in ("", "a/b", "a#b", "a b", "a\tb"):
             vol = BookVolume(idiom="puter", volume_id=bad, grade=1, kind="workbook", chapters=())
             report = validate_corpus([vol])
-            assert [v.where for v in report] == [f"puter/{bad}"]
-            assert "volume_id" in report[0].message
+            assert report == [f"puter/{bad}: volume_id {bad!r} is empty or holds '/', '#' or whitespace"]
 
 
 def test_check_idiom_rejects_bad_codes():

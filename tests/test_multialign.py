@@ -9,6 +9,7 @@ from oracles import (
     naive_group_consensus,
     naive_pivot_join,
     naive_rows,
+    pairs_by_id,
     partner_vector_rows,
     random_alignment,
 )
@@ -164,7 +165,7 @@ class TestPivotJoin:
             a_pj = random_alignment(rng, k, m, "p", "b", "cp", "cj")
             out = join_through_pivot(a_ip, a_pj)
             assert out.pairs == frozenset(
-                naive_pivot_join(a_ip.pairs_by_id(), a_pj.pairs_by_id())
+                naive_pivot_join(pairs_by_id(a_ip), pairs_by_id(a_pj))
             )
 
 
@@ -462,7 +463,7 @@ class TestGroupConsensus:
                 out = align_group_consensus(group, alignments, index, dropped)
                 rows = partner_vector_rows(
                     group.idioms(),
-                    {pair: a.pairs_by_id() for pair, a in alignments.items()},
+                    {pair: pairs_by_id(a) for pair, a in alignments.items()},
                     {sid: (s.idiom, s.position) for sid, s in index.items()},
                 )
                 assert [cell_ids(row) for row in out] == rows
@@ -484,7 +485,7 @@ class TestGroupConsensus:
             out = align_group_consensus(group, alignments, index, dropped)
             rows, naive_dropped = naive_group_consensus(
                 group.idioms(),
-                {pair: a.pairs_by_id() for pair, a in alignments.items()},
+                {pair: pairs_by_id(a) for pair, a in alignments.items()},
                 {sid: (s.idiom, s.position) for sid, s in index.items()},
             )
             assert [cell_ids(row) for row in out] == rows

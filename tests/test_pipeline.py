@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ from click.testing import CliRunner
 
 from polyalign.cli import main
 from polyalign.embedding import EmbeddingCache
+from polyalign.model import PolyalignError
 import polyalign.pipeline as pipeline
 from polyalign.pipeline import (
     PipelineConfig,
@@ -302,6 +306,29 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match="dim must be a positive integer"):
             PipelineConfig.from_dict({"dim": dim})
 
+    @pytest.mark.parametrize("skip_cost", [float("nan"), float("inf")])
+    def test_skip_cost_that_is_not_finite_rejected(self, tmp_path, skip_cost):
+        with pytest.raises(PolyalignError, match="skip_cost must be a finite number >= 0"):
+            PipelineConfig.from_dict({"align": {"skip_cost": skip_cost}})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"align": {"skip_cost": skip_cost}}), encoding="utf-8")
+        assert_reported(CliRunner().invoke(main, ["run", "--config", str(path)]), "skip_cost")
+
+    @pytest.mark.skipif(not Path("/proc/self/io").exists(), reason="the tracer reads /proc/self/io")
+    def test_traced_run_records_every_expected_span(self, tmp_path):
+        # The benchmark's tracer wraps the names the pipeline calls; a rename
+        # of one of them leaves its span without calls.
+        spec = importlib.util.spec_from_file_location("bench_spans", Path(__file__).parents[1] / "bench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        raw, mapping, _ = write_fixture(generate(seed=0, n_groups=2, segs_per_chapter=5), tmp_path)
+        tracer = spans.Tracer()
+        with tracer.installed():
+            t0 = time.perf_counter()
+            run_pipeline(make_config(tmp_path, raw, mapping))
+            build_s = time.perf_counter() - t0
+        assert spans.missing_spans(tracer.metrics(build_s), cold=True) == []
+
     def test_workers_other_than_one_rejected(self):
         with pytest.raises(PipelineError, match="workers"):
             PipelineConfig(workers=2)
@@ -502,6 +529,18 @@ class TestCli:
         ])
         assert result.exit_code == 1
         assert result.output.startswith("Error: ") and repr(pair) in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("skip_cost", ["nan", "inf", "-0.5"])
+    def test_bialign_rejects_a_skip_cost_that_is_not_finite_and_non_negative(self, cli_workspace, skip_cost):
+        root, runner = cli_workspace
+        out = root / "bad-lambda.jsonl"
+        result = runner.invoke(main, [
+            "bialign", "--corpus", str(root / "out" / "corpus.json"),
+            "--mapping", str(root / "out" / "mapping.tsv"),
+            "--embeddings", str(root / "cache"), "--lambda", skip_cost, "--out", str(out),
+        ])
+        assert_reported(result, f"skip_cost must be a finite number >= 0, got {float(skip_cost)!r}")
         assert not out.exists()
 
     def test_multialign_consensus_command(self, cli_workspace):
@@ -835,3 +874,56 @@ class TestCliReportsMalformedFiles:
             "--splits", str(splits), "--out", str(root / "splits-bad"),
         ])
         assert_reported(result, splits)
+
+    def test_splits_value_that_is_not_a_split_name(self, cli_workspace, small_corpus):
+        root, runner = cli_workspace
+        splits = root / "splits-list.json"
+        splits.write_text(json.dumps({v.volume_id: ["train"] for v in small_corpus.volumes}), encoding="utf-8")
+        result = runner.invoke(main, [
+            "export", "split", "--rows", str(root / "out" / "rows.jsonl"),
+            "--corpus", str(root / "out" / "corpus.json"),
+            "--splits", str(splits), "--out", str(root / "splits-list"),
+        ])
+        assert_reported(result, splits, "['train']")
+        assert not (root / "splits-list").exists()
+
+    @pytest.mark.parametrize("command", ["export-stats", "multialign", "bialign", "evaluate", "ingest"])
+    def test_bytes_that_are_not_utf8(self, cli_workspace, tmp_path, command):
+        root, runner = cli_workspace
+        out = root / "out"
+        corpus, mapping = str(out / "corpus.json"), str(out / "mapping.tsv")
+        bad = tmp_path / "undecodable"
+        if command == "ingest":
+            shutil.copytree(root / "raw", tmp_path / "raw")
+            bad = next((tmp_path / "raw").glob("puter-*.json"))
+        bad.write_bytes(b"\xff\xfe")
+        written = tmp_path / "written"
+        args = {
+            "export-stats": ["export", "stats", "--rows", bad, "--corpus", corpus, "--out", written],
+            "multialign": ["multialign", "--corpus", corpus, "--mapping", mapping, "--alignments", bad,
+                           "--out", written, "--dropped", tmp_path / "dropped.jsonl"],
+            "bialign": ["bialign", "--corpus", corpus, "--mapping", bad, "--embeddings", root / "cache",
+                        "--out", written],
+            "evaluate": ["evaluate", "--hyp", out / "rows.jsonl", "--gold", bad, "--corpus", corpus,
+                         "--report", written],
+            "ingest": ["ingest", "--raw-dir", tmp_path / "raw", "--mapping", root / "mapping.tsv",
+                       "--out", written, "--report", tmp_path / "warnings.jsonl"],
+        }[command]
+        assert_reported(runner.invoke(main, [str(a) for a in args]), bad)
+        assert not written.exists()
+
+    @pytest.mark.parametrize("gold", ["config", "foreign ids"])
+    def test_gold_file_that_does_not_fit_the_corpus(self, cli_workspace, tmp_path, gold):
+        root, runner = cli_workspace
+        path = tmp_path / "gold.tsv"
+        if gold == "config":
+            shutil.copyfile(root / "config.json", path)
+        else:
+            path.write_text("puter\tvallader\nputer/x/y/0\tvallader/x/y/0\n", encoding="utf-8")
+        report = tmp_path / "eval.json"
+        result = runner.invoke(main, [
+            "evaluate", "--hyp", str(root / "out" / "rows.jsonl"), "--gold", str(path),
+            "--corpus", str(root / "out" / "corpus.json"), "--report", str(report),
+        ])
+        assert_reported(result, path, "invalid idiom code" if gold == "config" else "'puter/x/y/0'")
+        assert not report.exists()
