@@ -17,7 +17,6 @@ from .bialign import AlignConfig
 from .embedding import MODES, ProviderConfig
 from .evaluate import load_gold, multi_prf
 from .export import (
-    SPLIT_NAMES,
     ExportError,
     export_bitext,
     export_rows,
@@ -243,13 +242,12 @@ def export_split_cmd(rows_path, corpus_path, splits_path, out_dir):
     """Partition rows into per-split files by volume assignment."""
     _, rows = _read_rows(rows_path, corpus_path)
     assignment = load_json_object(splits_path, ExportError)
-    for volume, split in assignment.items():
-        if split not in SPLIT_NAMES:
-            raise ExportError(f"{splits_path}: volume {volume!r} maps to {split!r}, "
-                              f"not one of {', '.join(SPLIT_NAMES)}")
-    os.makedirs(out_dir, exist_ok=True)
     conflicts = []
-    parts = split_rows(rows, assignment, conflicts)
+    try:
+        parts = split_rows(rows, assignment, conflicts)
+    except ExportError as exc:
+        raise ExportError(f"{splits_path}: {exc}") from exc
+    os.makedirs(out_dir, exist_ok=True)
     for name, part in parts.items():
         export_rows(part, os.path.join(out_dir, f"{name}.jsonl"))
     with open(os.path.join(out_dir, "conflicts.jsonl"), "w", encoding="utf-8") as fh:

@@ -10,10 +10,10 @@ whole matrix, which is the unit every caller asks for.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
-import struct
 import time
 import unicodedata
 import uuid
@@ -55,21 +55,27 @@ def _ngrams(text: str, n: int = 3):
         yield text[i : i + n]
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _slot(gram: str, dim: int) -> tuple[int, float]:
+    """The bucket and sign of one 3-gram: a keyed BLAKE2 digest with a fixed
+    seed, its value ``% dim`` and its top bit. A bounded table, because a
+    corpus repeats a few thousand distinct grams hundreds of times each."""
+    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=_HASH_SEED).digest()
+    value = int.from_bytes(digest, "little")
+    return value % dim, 1.0 if value >> 63 else -1.0
+
+
 def hash_embed(text: str, dim: int = HASH_DIM_DEFAULT) -> np.ndarray:
     """Deterministic unit vector from signed character-3-gram hashing.
 
-    Identical text gives identical vectors across runs and platforms; the
-    bucket and sign come from a keyed BLAKE2 digest with a fixed seed.
+    Identical text gives identical vectors across runs and platforms. The
+    per-bucket sums are small integers in float64, exact in any order, so
+    summing with ``bincount`` gives the same bits as adding gram by gram.
     """
     if dim < 8:
         raise EmbeddingError("hash_embed requires dim >= 8")
-    vec = np.zeros(dim, dtype=np.float64)
-    for gram in _ngrams(text):
-        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=_HASH_SEED).digest()
-        value = struct.unpack("<Q", digest)[0]
-        bucket = value % dim
-        sign = 1.0 if (value >> 63) & 1 else -1.0
-        vec[bucket] += sign
+    buckets, signs = zip(*[_slot(gram, dim) for gram in _ngrams(text)])
+    vec = np.bincount(buckets, weights=signs, minlength=dim)
     norm = np.linalg.norm(vec)
     if norm == 0.0:
         vec[0] = 1.0
@@ -96,8 +102,8 @@ class HashProvider:
 class RemoteProvider:
     """HTTP embedding endpoint: POST {"model", "texts"} -> {"embeddings"}.
 
-    Retries transport failures, HTTP 429 and 5xx with exponential backoff
-    (3 attempts). Any other HTTP 4xx, a row width other than ``dim``, and a
+    Retries transport failures, HTTP 429 and 5xx: 3 attempts, 0.5 s and
+    then 1 s apart. Any other HTTP 4xx, a row width other than ``dim``, and a
     non-finite or all-zero row fail at once; a failed batch is an error,
     never a partial result.
     """
@@ -125,6 +131,8 @@ class RemoteProvider:
         payload = {"model": self.config.model, "texts": texts}
         last_exc = None
         for attempt in range(self.RETRIES):
+            if attempt:
+                time.sleep(0.5 * 2 ** (attempt - 1))
             try:
                 resp = self.session.post(
                     self.config.endpoint, json=payload, headers=headers, timeout=60
@@ -148,7 +156,6 @@ class RemoteProvider:
                 raise
             except Exception as exc:  # transport, 429, 5xx or decode failure
                 last_exc = exc
-                time.sleep(min(2.0**attempt * 0.5, 4.0))
         raise EmbeddingError(
             f"batch of {len(texts)} failed after {self.RETRIES} attempts: {last_exc}"
         ) from last_exc

@@ -166,9 +166,14 @@ def split_rows(
 ) -> dict[str, list[MultiParallelRow]]:
     """Partition rows by the split of their member volumes.
 
-    Rows whose member volumes map to different splits are dropped with a
-    logged conflict; an unassigned volume is an error.
+    Every value of ``assignment`` must be one of ``SPLIT_NAMES``. Rows whose
+    member volumes map to different splits are dropped with a logged
+    conflict; an unassigned volume is an error.
     """
+    for volume, split in assignment.items():
+        if split not in SPLIT_NAMES:
+            raise ExportError(f"volume {volume!r} maps to {split!r}, "
+                              f"not one of {', '.join(SPLIT_NAMES)}")
     out: dict[str, list[MultiParallelRow]] = {name: [] for name in SPLIT_NAMES}
     for idx, row in enumerate(rows):
         splits = set()
@@ -183,10 +188,7 @@ def split_rows(
                     {"row_index": idx, "provenance": row.provenance, "splits": sorted(splits)}
                 )
             continue
-        split = splits.pop()
-        if split not in out:
-            raise ExportError(f"unknown split name {split!r}")
-        out[split].append(row)
+        out[splits.pop()].append(row)
     return out
 
 

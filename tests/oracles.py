@@ -7,7 +7,10 @@ lists; none of them shares code with the implementation it checks.
 
 from __future__ import annotations
 
+import hashlib
 import random
+import struct
+import unicodedata
 
 import numpy as np
 
@@ -161,6 +164,27 @@ def cosine(u, v) -> float:
     if nu == 0.0 or nv == 0.0:
         raise EmbeddingError("cosine of a zero vector is undefined")
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+
+
+def hash_embed_reference(text: str, dim: int) -> np.ndarray:
+    """Reference 3-gram hashing embedding: one keyed BLAKE2 digest per gram
+    occurrence, added into the vector one gram at a time."""
+    if dim < 8:
+        raise EmbeddingError("hash_embed requires dim >= 8")
+    text = unicodedata.normalize("NFC", text).lower()
+    grams = [text] if len(text) < 3 else [text[i : i + 3] for i in range(len(text) - 2)]
+    vec = np.zeros(dim, dtype=np.float64)
+    for gram in grams:
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=b"polyalign-ngram-v1").digest()
+        value = struct.unpack("<Q", digest)[0]
+        bucket = value % dim
+        sign = 1.0 if (value >> 63) & 1 else -1.0
+        vec[bucket] += sign
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        vec[0] = 1.0
+        norm = 1.0
+    return (vec / norm).astype(np.float32)
 
 
 BRUTE_FORCE_BOUND = 8

@@ -1,12 +1,13 @@
+import hashlib
 import math
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from oracles import cosine
+from oracles import cosine, hash_embed_reference
 from polyalign.embedding import (
     EmbeddingCache,
     EmbeddingError,
@@ -83,6 +84,33 @@ class TestHashEmbed:
     def test_case_and_nfc_insensitive(self):
         assert np.array_equal(hash_embed("ABC def", 64), hash_embed("abc def", 64))
         assert np.array_equal(hash_embed("é", 64), hash_embed("é", 64))
+
+    @given(
+        st.one_of(st.text(max_size=40), st.text(alphabet="ae\u00e9\u0301İıßΣς", max_size=8)),
+        st.sampled_from([8, 16, 64, 256, 257]),
+    )
+    @example("", 8)
+    @example("ab", 257)
+    @example("e\u0301", 16)
+    @example("İstanbul", 64)
+    def test_equals_the_gram_by_gram_reference(self, text, dim):
+        assert hash_embed(text, dim).tobytes() == hash_embed_reference(text, dim).tobytes()
+
+    # Recorded before the slot table existed: the vectors every ngram3-v1
+    # cache record holds must not change, even if the reference moves too.
+    PINNED_TEXTS = (
+        "", "a", "ab", "abc", "La polizia ha controllà la via.", "İstanbul", "e\u0301", "\u00e9",
+        "<p>Il <strong>chaun</strong> &lt;b&gt; cur</p>", "Ün cudesch da scoula \U0001f404",
+        "Straße ΑΒΓ ﬁ\t\n", "a" * 90,
+    )
+
+    @pytest.mark.parametrize("dim, sha256", [
+        (64, "07ad1e7add417d47cfde726df3acaf5e7d3b0e21b26abd89a6aaac67c1e30255"),
+        (256, "c482f773c2479489d7014e98cd468818efc684669672a2a469052589998f3960"),
+    ])
+    def test_pinned_vectors(self, dim, sha256):
+        vectors = b"".join(hash_embed(t, dim).tobytes() for t in self.PINNED_TEXTS)
+        assert hashlib.sha256(vectors).hexdigest() == sha256
 
 
 class FakeProvider:
@@ -354,6 +382,14 @@ class TestRemoteProvider:
         provider = RemoteProvider(self.config(), session=FlakySession(fail_times=10))
         with pytest.raises(EmbeddingError, match="after 3 attempts"):
             provider.embed_batch(["a"])
+
+    def test_no_sleep_after_the_last_attempt(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("time.sleep", sleeps.append)
+        provider = RemoteProvider(self.config(), session=FlakySession(fail_times=10))
+        with pytest.raises(EmbeddingError, match="after 3 attempts"):
+            provider.embed_batch(["a"])
+        assert sleeps == [0.5, 1.0]
 
     def test_missing_endpoint_errors(self):
         with pytest.raises(EmbeddingError):

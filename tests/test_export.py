@@ -226,6 +226,20 @@ class TestSplitRows:
         with pytest.raises(ExportError, match="dev"):
             split_rows(alignment, {"vol01": "dev", "vol02": "dev"})
 
+    def test_split_value_that_is_not_a_string_errors(self, alignment):
+        with pytest.raises(ExportError, match=r"'vol01' maps to \['train'\]"):
+            split_rows(alignment, {"vol01": ["train"], "vol02": "train"})
+
+    def test_unknown_split_name_is_rejected_not_logged_as_a_conflict(self, corpus):
+        _, segments = corpus
+        rows = make_rows(segments, [
+            {"puter": "puter/vol01/c/0", "vallader": "vallader/vol02/c/0"},
+        ])
+        conflicts = []
+        with pytest.raises(ExportError, match="'vol02' maps to 'dev'"):
+            split_rows(rows, {"vol01": "train", "vol02": "dev"}, conflicts)
+        assert conflicts == []
+
 
 class TestSampleRows:
     def test_same_seed_same_sheet(self, alignment):
