@@ -52,20 +52,6 @@ class BilingualAlignment:
     links: list[Link] = field(default_factory=list)
     total_cost: float = 0.0
 
-    def partner_of_src(self) -> dict[str, str | None]:
-        return {
-            self.src_ids[l.src]: (self.tgt_ids[l.tgt] if l.tgt is not None else None)
-            for l in self.links
-            if l.src is not None
-        }
-
-    def partner_of_tgt(self) -> dict[str, str | None]:
-        return {
-            self.tgt_ids[l.tgt]: (self.src_ids[l.src] if l.src is not None else None)
-            for l in self.links
-            if l.tgt is not None
-        }
-
 
 def _default_ids(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}:{i}" for i in range(n))

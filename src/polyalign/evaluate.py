@@ -50,16 +50,15 @@ class GoldAlignment:
 GoldLink = tuple[tuple[str, ...], tuple[str, ...]]
 
 
-def _as_links(hypothesis) -> set[GoldLink]:
-    """Normalize a PairLinkSet, link-pair iterable, or gold link set.
+def _as_links(pairs) -> set[GoldLink]:
+    """Normalize an iterable of (source, target) link pairs, hypothesis or gold.
 
-    Each element becomes (source id tuple, target id tuple); null-sided
-    entries (deletions) are dropped.
+    A side is one id, None, or a collection of ids. Each element becomes
+    (source id tuple, target id tuple); null-sided entries (deletions) are
+    dropped.
     """
-    pairs = getattr(hypothesis, "pairs", hypothesis)
     links: set[GoldLink] = set()
-    for item in pairs:
-        a, b = item
+    for a, b in pairs:
         a_set = tuple(a) if isinstance(a, (tuple, list, set, frozenset)) else (a,)
         b_set = tuple(b) if isinstance(b, (tuple, list, set, frozenset)) else (b,)
         a_set = tuple(sorted(x for x in a_set if x is not None))

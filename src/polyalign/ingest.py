@@ -117,83 +117,50 @@ class _TreeBuilder(HTMLParser):
             del self.stack[1:]
 
 
-def _render_attrs(attrs) -> str:
-    parts = []
-    for name, value in attrs:
-        if value is None:
-            parts.append(f" {name}")
-        else:
-            parts.append(f' {name}="{escape(value)}"')
-    return "".join(parts)
+def _render(node: _Node) -> tuple[str, str]:
+    """(text, markup) of ``node``, character data and attribute values escaped.
+
+    The text keeps only ``<strong>`` tags, around non-blank content, and
+    ``<br>`` becomes a space."""
+    if not node.tag:
+        text = escape(node.text, quote=False)
+        return text, text
+    attrs = "".join([f" {k}" if v is None else f' {k}="{escape(v)}"' for k, v in node.attrs])
+    if node.tag in VOID_TAGS:
+        return " " if node.tag == "br" else "", f"<{node.tag}{attrs}/>"
+    parts = [_render(c) for c in node.children]
+    text = "".join([t for t, _ in parts])
+    if node.tag == "strong" and text.strip():
+        text = f"<strong>{text}</strong>"
+    return text, f"<{node.tag}{attrs}>{''.join([h for _, h in parts])}</{node.tag}>"
 
 
-def _render_html(node: _Node) -> str:
-    """Markup of ``node``, with character data and attribute values escaped."""
-    if node.tag == "" and not node.children:
-        return escape(node.text, quote=False)
-    inner = "".join(_render_html(c) for c in node.children)
-    if node.tag == "":
-        return inner
-    if node.tag in VOID_TAGS and not node.children:
-        return f"<{node.tag}{_render_attrs(node.attrs)}/>"
-    return f"<{node.tag}{_render_attrs(node.attrs)}>{inner}</{node.tag}>"
-
-
-def _render_text(node: _Node) -> str:
-    """Inline text with only <strong> retained; <br> becomes a space.
-
-    Character data is escaped (``&lt;``, ``&gt;``, ``&amp;``), so a kept
-    ``<strong>`` tag and a literal ``<`` in the content stay distinct.
-    """
-    if node.tag == "":
-        if node.children:
-            return "".join(_render_text(c) for c in node.children)
-        return escape(node.text, quote=False)
-    if node.tag == "br":
-        return " "
-    inner = "".join(_render_text(c) for c in node.children)
-    if node.tag == "strong":
-        return f"<strong>{inner}</strong>" if inner.strip() else inner
-    return inner
-
-
-def _collapse(text: str) -> str:
-    return " ".join(nfc(text).split())
-
-
-def _is_structural(node: _Node) -> bool:
-    return node.tag in STRUCTURAL_TAGS
+def _emit(nodes: list[_Node], out: list[tuple[str, str]]) -> None:
+    """Append ``nodes`` as one candidate, whitespace collapsed, unless its text is empty."""
+    if not nodes:
+        return
+    parts = [_render(n) for n in nodes]
+    text = " ".join(nfc("".join([t for t, _ in parts])).split())
+    if text:
+        out.append((text, "".join([h for _, h in parts]).strip()))
 
 
 def _walk(node: _Node, out: list[tuple[str, str]]) -> None:
     """Emit (text, html) candidates for block nodes and stray inline runs."""
-    has_structure = any(_is_structural(c) for c in node.children)
-
     # Leaf blocks (and leaf divs) become one candidate with their own markup.
-    if not has_structure and (node.tag in BLOCK_TAGS or node.tag == "div"):
-        text = _collapse("".join(_render_text(c) for c in node.children))
-        if text:
-            out.append((text, _render_html(node)))
+    leaf = not any(c.tag in STRUCTURAL_TAGS for c in node.children)
+    if leaf and (node.tag in BLOCK_TAGS or node.tag == "div"):
+        _emit([node], out)
         return
-
     run: list[_Node] = []
-
-    def flush():
-        if not run:
-            return
-        text = _collapse("".join(_render_text(n) for n in run))
-        if text:
-            html = "".join(_render_html(n) for n in run).strip()
-            out.append((text, html))
-        run.clear()
-
     for child in node.children:
-        if _is_structural(child):
-            flush()
+        if child.tag in STRUCTURAL_TAGS:
+            _emit(run, out)
+            run = []
             _walk(child, out)
         else:
             run.append(child)
-    flush()
+    _emit(run, out)
 
 
 def segment_html(
@@ -203,7 +170,9 @@ def segment_html(
 
     Returns (text, html) pairs: text has inline tags stripped except
     ``<strong>``, literal ``<``, ``>`` and ``&`` escaped, and whitespace
-    collapsed; html is the candidate's markup.
+    collapsed; html is the candidate's markup, re-rendered, or the element's
+    own when the element yields one candidate and its top level holds no
+    structural node, or one with only whitespace beside it.
     Empty candidates are dropped. Unbalanced markup is recovered best-effort
     with a warning record; the call never raises for bad markup.
     """
@@ -214,22 +183,11 @@ def segment_html(
     builder.close()
 
     out: list[tuple[str, str]] = []
-    root = builder.root
-    has_structure = any(_is_structural(c) for c in root.children)
-    if has_structure:
-        _walk(root, out)
-    else:
-        text = _collapse(_render_text(root))
-        if text:
-            out.append((text, element_html.strip()))
-        return out
-
-    # A single top-level block keeps its element markup verbatim.
-    structural = [c for c in root.children if _is_structural(c)]
-    if len(out) == 1 and len(structural) == 1 and not any(
-        c.tag == "" and c.text.strip() or (c.tag and not _is_structural(c))
-        for c in root.children
-    ):
+    _walk(builder.root, out)
+    top = builder.root.children
+    structural = sum(c.tag in STRUCTURAL_TAGS for c in top)
+    blank_beside = all(c.tag in STRUCTURAL_TAGS or not c.tag and not c.text.strip() for c in top)
+    if len(out) == 1 and (structural == 0 or structural == 1 and blank_beside):
         out[0] = (out[0][0], element_html.strip())
     return out
 
@@ -286,16 +244,20 @@ def parse_mapping(mapping_text: str) -> tuple[list[str], list[list[str]]]:
     lines = [ln for ln in mapping_text.splitlines() if ln.strip()]
     if not lines:
         raise IngestError("empty chapter mapping file")
-    header = lines[0].rstrip("\n").split("\t")
+    header = lines[0].split("\t")
     try:
         idioms = [check_idiom(col.strip()) for col in header]
     except ValueError as exc:
         raise IngestError(f"chapter mapping header: {exc}") from exc
+    repeated = [idiom for col, idiom in enumerate(idioms) if idiom in idioms[:col]]
+    if repeated:
+        raise IngestError(f"chapter mapping header: idiom {repeated[0]} names two columns")
     rows = []
-    for line in lines[1:]:
-        cells = line.rstrip("\n").split("\t")
-        cells += [""] * (len(idioms) - len(cells))
-        rows.append([c.strip() for c in cells[: len(idioms)]])
+    for row_idx, line in enumerate(lines[1:], start=1):
+        cells = [c.strip() for c in line.split("\t")]
+        if any(cells[len(idioms):]):
+            raise IngestError(f"mapping row {row_idx}: a cell lies beyond the header's {len(idioms)} columns")
+        rows.append(cells[: len(idioms)] + [""] * (len(idioms) - len(cells)))
     return idioms, rows
 
 
@@ -307,7 +269,8 @@ def build_chapter_groups(
     """Assemble cross-idiom ChapterGroups from the mapping TSV.
 
     Cells are "volume_id#chapter_key"; a dangling reference is an error naming
-    the row and cell; a chapter with no segments is left out with a warning;
+    the row and cell, and so is a chapter that a group of an earlier row
+    already holds; a chapter with no segments is left out with a warning;
     rows left with fewer than two members are skipped with a warning (no
     parallel content).
     """
@@ -320,6 +283,7 @@ def build_chapter_groups(
             chapters[(vol.idiom, vol.volume_id, chap.key)] = chap
 
     groups: list[ChapterGroup] = []
+    row_of: dict[tuple[str, str], int] = {}  # (idiom, cell) -> the row whose group holds it
     for row_idx, cells in enumerate(rows, start=1):
         members: dict[str, Chapter] = {}
         for idiom, cell in zip(idioms, cells):
@@ -344,5 +308,10 @@ def build_chapter_groups(
             warnings.append({"source": f"mapping row {row_idx}",
                              "message": f"skipped: only {len(members)} member(s), no parallel content"})
             continue
+        for idiom, cell in zip(idioms, cells):
+            if idiom in members and row_of.setdefault((idiom, cell), row_idx) != row_idx:
+                raise IngestError(
+                    f"mapping row {row_idx}, idiom {idiom}: chapter {cell} is already grouped by row {row_of[(idiom, cell)]}"
+                )
         groups.append(ChapterGroup(group_id=f"g{row_idx:04d}", members=members))
     return groups

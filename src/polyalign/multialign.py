@@ -53,8 +53,15 @@ def partner_maps(pair_alignments: dict[tuple[str, str], BilingualAlignment]) -> 
     to its ``y`` partner, or to None where the alignment deleted it."""
     partners: Partners = {}
     for (i, j), alignment in pair_alignments.items():
-        partners[(i, j)] = alignment.partner_of_src()
-        partners[(j, i)] = alignment.partner_of_tgt()
+        forward = partners[(i, j)] = {}
+        backward = partners[(j, i)] = {}
+        for link in alignment.links:
+            src = alignment.src_ids[link.src] if link.src is not None else None
+            tgt = alignment.tgt_ids[link.tgt] if link.tgt is not None else None
+            if src is not None:
+                forward[src] = tgt
+            if tgt is not None:
+                backward[tgt] = src
     return partners
 
 

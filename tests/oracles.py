@@ -2,7 +2,10 @@
 
 The alignment DP is checked against exhaustive enumeration of every monotone
 cover, and the set operations against plain set comprehensions over pair
-lists; none of them shares code with the implementation it checks.
+lists; none of them shares code with the implementation it checks. The one
+exception is ``segment_html_reference``, the segmenter as it was before its
+text and markup renderers were merged: it parses with the shipped
+``_TreeBuilder``, which it does not check.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import hashlib
 import random
 import struct
 import unicodedata
+from html import escape
 
 import numpy as np
 
@@ -22,6 +26,8 @@ from polyalign.bialign import (
     _default_ids,
 )
 from polyalign.embedding import EmbeddingError
+from polyalign.ingest import BLOCK_TAGS, STRUCTURAL_TAGS, VOID_TAGS, Warnings, _Node, _TreeBuilder
+from polyalign.model import nfc
 
 
 def random_alignment(rng: random.Random, n: int, m: int, src_prefix: str,
@@ -327,3 +333,124 @@ def partner_vector_rows(idioms, links, segments):
             row.update({segments[sid][0]: sid for sid in members})
             rows.append((min((segments[sid][1], sid) for sid in members), row))
     return [row for _, row in sorted(rows, key=lambda r: r[0])]
+
+
+# The segmenter as two renderers (text and markup) over the parsed tree, with
+# separate verbatim-markup rules for an element with and without structure.
+
+
+def _render_attrs(attrs) -> str:
+    parts = []
+    for name, value in attrs:
+        if value is None:
+            parts.append(f" {name}")
+        else:
+            parts.append(f' {name}="{escape(value)}"')
+    return "".join(parts)
+
+
+def _render_html(node: _Node) -> str:
+    """Markup of ``node``, with character data and attribute values escaped."""
+    if node.tag == "" and not node.children:
+        return escape(node.text, quote=False)
+    inner = "".join(_render_html(c) for c in node.children)
+    if node.tag == "":
+        return inner
+    if node.tag in VOID_TAGS and not node.children:
+        return f"<{node.tag}{_render_attrs(node.attrs)}/>"
+    return f"<{node.tag}{_render_attrs(node.attrs)}>{inner}</{node.tag}>"
+
+
+def _render_text(node: _Node) -> str:
+    """Inline text with only <strong> retained; <br> becomes a space.
+
+    Character data is escaped (``&lt;``, ``&gt;``, ``&amp;``), so a kept
+    ``<strong>`` tag and a literal ``<`` in the content stay distinct.
+    """
+    if node.tag == "":
+        if node.children:
+            return "".join(_render_text(c) for c in node.children)
+        return escape(node.text, quote=False)
+    if node.tag == "br":
+        return " "
+    inner = "".join(_render_text(c) for c in node.children)
+    if node.tag == "strong":
+        return f"<strong>{inner}</strong>" if inner.strip() else inner
+    return inner
+
+
+def _collapse(text: str) -> str:
+    return " ".join(nfc(text).split())
+
+
+def _is_structural(node: _Node) -> bool:
+    return node.tag in STRUCTURAL_TAGS
+
+
+def _walk(node: _Node, out: list[tuple[str, str]]) -> None:
+    """Emit (text, html) candidates for block nodes and stray inline runs."""
+    has_structure = any(_is_structural(c) for c in node.children)
+
+    # Leaf blocks (and leaf divs) become one candidate with their own markup.
+    if not has_structure and (node.tag in BLOCK_TAGS or node.tag == "div"):
+        text = _collapse("".join(_render_text(c) for c in node.children))
+        if text:
+            out.append((text, _render_html(node)))
+        return
+
+    run: list[_Node] = []
+
+    def flush():
+        if not run:
+            return
+        text = _collapse("".join(_render_text(n) for n in run))
+        if text:
+            html = "".join(_render_html(n) for n in run).strip()
+            out.append((text, html))
+        run.clear()
+
+    for child in node.children:
+        if _is_structural(child):
+            flush()
+            _walk(child, out)
+        else:
+            run.append(child)
+    flush()
+
+
+def segment_html_reference(
+    element_html: str, warnings: Warnings | None = None, source: str = "<element>"
+) -> list[tuple[str, str]]:
+    """Split one element's markup into candidate segments.
+
+    Returns (text, html) pairs: text has inline tags stripped except
+    ``<strong>``, literal ``<``, ``>`` and ``&`` escaped, and whitespace
+    collapsed; html is the candidate's markup.
+    Empty candidates are dropped. Unbalanced markup is recovered best-effort
+    with a warning record; the call never raises for bad markup.
+    """
+    if warnings is None:
+        warnings = []
+    builder = _TreeBuilder(warnings, source)
+    builder.feed(element_html)
+    builder.close()
+
+    out: list[tuple[str, str]] = []
+    root = builder.root
+    has_structure = any(_is_structural(c) for c in root.children)
+    if has_structure:
+        _walk(root, out)
+    else:
+        text = _collapse(_render_text(root))
+        if text:
+            out.append((text, element_html.strip()))
+        return out
+
+    # A single top-level block keeps its element markup verbatim.
+    structural = [c for c in root.children if _is_structural(c)]
+    if len(out) == 1 and len(structural) == 1 and not any(
+        c.tag == "" and c.text.strip() or (c.tag and not _is_structural(c))
+        for c in root.children
+    ):
+        out[0] = (out[0][0], element_html.strip())
+    return out

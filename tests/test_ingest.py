@@ -3,7 +3,7 @@ import re
 from html import escape, unescape
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polyalign.ingest import (
     IngestError,
@@ -12,6 +12,8 @@ from polyalign.ingest import (
     segment_html,
 )
 from polyalign.model import validate_corpus
+
+from oracles import segment_html_reference
 
 
 def volume_doc(chapters, idiom="sursilvan", volume_id="v1"):
@@ -33,6 +35,21 @@ def markup_trees():
         ),
         max_leaves=12,
     )
+
+
+def tag_soup():
+    """Unbalanced markup: open, closed and self-closed block, container, inline and
+    void tags, stray closing tags, valued and bare attributes, and text holding
+    ``<``, ``>``, ``&``, tabs and characters that NFC composes."""
+    names = st.sampled_from(["p", "li", "td", "th", "h3", "div", "ul", "tr", "table", "section",
+                             "strong", "em", "span", "br", "img", "hr", "LI", "Strong"])
+    value = st.text(alphabet='a<>&" ', max_size=4).map(lambda v: f'="{escape(v)}"')
+    attrs = st.lists(st.tuples(st.sampled_from([" title", " hidden"]), st.just("") | value)
+                     .map("".join), max_size=2).map("".join)
+    tag = st.tuples(st.sampled_from(["<{0}{1}>", "</{0}>", "<{0}{1}/>"]), names, attrs).map(
+        lambda t: t[0].format(t[1], t[2]))
+    text = st.text(alphabet="ae <>&\t\n\u0301\u212b", max_size=6) | st.sampled_from(["&lt;", "&amp;b"])
+    return st.lists(tag | text, max_size=12).map("".join)
 
 
 def content(markup):
@@ -127,6 +144,14 @@ class TestSegmentHtml:
         for text, candidate in out:
             assert [t for t, _ in segment_html(candidate)] == [text]
             assert content(candidate) == content(text)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(tag_soup())
+    def test_matches_the_two_renderer_segmenter(self, markup):
+        warnings, expected_warnings = [], []
+        out = segment_html(markup, warnings, "vol#element0")
+        assert out == segment_html_reference(markup, expected_warnings, "vol#element0")
+        assert warnings == expected_warnings
 
     def test_only_strong_tags_in_output_texts(self):
         out = segment_html("<p><b>a</b> <strong>b</strong> <i>c</i></p>")

@@ -863,6 +863,28 @@ class TestCliReportsMalformedFiles:
         assert_reported(result, mapping, "'Puter'")
         assert not any(tmp_path.glob("*.json*"))
 
+    @pytest.mark.parametrize("case", ["one idiom twice", "a cell beyond the header", "a chapter in two groups"])
+    def test_mapping_that_would_lose_or_repeat_a_chapter(self, cli_workspace, tmp_path, case):
+        root, runner = cli_workspace
+        header, *rows = (root / "mapping.tsv").read_text(encoding="utf-8").splitlines()
+        first = rows[0].split("\t")[0]
+        if case == "one idiom twice":
+            header, expected = header.replace("vallader", "puter"), "header: idiom puter names two columns"
+        elif case == "a cell beyond the header":
+            rows[1] += "\t\t" + first
+            expected = "mapping row 2: a cell lies beyond the header's 5 columns"
+        else:
+            rows.append(rows[0])
+            expected = f"mapping row {len(rows)}, idiom sursilvan: chapter {first} is already grouped by row 1"
+        mapping = tmp_path / "mapping-bad.tsv"
+        mapping.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        result = runner.invoke(main, [
+            "ingest", "--raw-dir", str(root / "raw"), "--mapping", str(mapping),
+            "--out", str(tmp_path / "corpus.json"), "--report", str(tmp_path / "w.jsonl"),
+        ])
+        assert_reported(result, mapping, expected)
+        assert not (tmp_path / "corpus.json").exists()
+
     @pytest.mark.parametrize("text", ["{vol01: train}", '["vol01"]'])
     def test_splits_not_a_json_object(self, cli_workspace, text):
         root, runner = cli_workspace
