@@ -3,6 +3,9 @@
 The restriction collapses the alignment problem to an O(nm) edit-distance
 style dynamic program over embedding costs: moves are substitute (1-1 at the
 cell cost), skip-source (1-0) and skip-target (0-1), both at a flat penalty.
+``dp_tables`` fills the tables of a batch of pairs (``dp_batches`` groups
+them) in one pass over their anti-diagonals; ``align_chapter`` backtraces one
+pair from its slice, or computes its table alone as a batch of one.
 """
 
 from __future__ import annotations
@@ -63,38 +66,72 @@ def cost_matrix(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     return 1.0 - np.clip(src.astype(np.float64) @ tgt.astype(np.float64).T, -1.0, 1.0)
 
 
-def _wavefront(costs: np.ndarray, lam: float) -> np.ndarray:
-    """DP table in skewed layout: ``table[i + j, i]`` is the cheapest cover of
-    the first ``i`` source and ``j`` target segments.
+# A batch of DP tables holds at most this many padded cells, k * N * M: one
+# paper-sized group (10 pairs of about 40 by 40) fits, a 330 by 330 pair
+# runs alone, and a long group never holds all its tables at once.
+BATCH_CELLS = 1 << 17
+
+
+def dp_batches(shapes: list[tuple[int, int]]) -> list[list[int]]:
+    """Consecutive runs of indices into ``shapes``, each run one batch for
+    ``dp_tables``: a run grows while its ``k * N * M`` padded cells stay
+    within ``BATCH_CELLS``. A pair larger than that runs alone."""
+    batches: list[list[int]] = []
+    n_max = m_max = 0
+    for idx, (n, m) in enumerate(shapes):
+        n_max, m_max = max(n_max, n), max(m_max, m)
+        if batches and (len(batches[-1]) + 1) * n_max * m_max <= BATCH_CELLS:
+            batches[-1].append(idx)
+        else:
+            batches.append([idx])
+            n_max, m_max = n, m
+    return batches
+
+
+def dp_tables(costs: list[np.ndarray], lam: float) -> np.ndarray:
+    """DP tables of a batch of cost matrices in one skewed array:
+    ``table[k, i + j, i]`` is the cheapest cover of the first ``i`` source
+    and ``j`` target segments of pair ``k``.
 
     Cell ``(i, j)`` depends only on anti-diagonals ``i + j - 1`` and
-    ``i + j - 2``, so each anti-diagonal is one contiguous row computed with
-    whole-array operations. Each cell is ``min(sub, up, left)`` over the same
-    float64 operands, added and compared as the scalar recurrence does, so
-    the table is bit-identical to it.
+    ``i + j - 2``, so each anti-diagonal of every pair is one contiguous row,
+    and one whole-array operation covers it for all pairs at once. The pairs
+    are padded to the batch's largest ``N`` and ``M``: a cell reads only
+    ``(i-1, j-1)``, ``(i-1, j)`` and ``(i, j-1)``, so the cells inside a pair's
+    own ``n`` by ``m`` rectangle never read padding, and the skewed index does
+    not depend on ``M``. Each cell is ``min(sub, min(up, left) + lam)``;
+    rounding ``x + lam`` is monotone in ``x``, so that equals the scalar
+    recurrence's ``min(sub, up + lam, left + lam)`` bit for bit.
     """
-    n, m = costs.shape
-    table = np.empty((n + m + 1, n + 1), dtype=np.float64)
-    flat = np.ascontiguousarray(costs).ravel()
-    step = max(m - 1, 1)  # with m == 1 every anti-diagonal holds one cell
-    table[0, 0] = 0.0
-    for d in range(1, n + m + 1):
-        # Boundaries dp[0, d] and dp[d, 0] as running sums, as the scalar
-        # recurrence builds them; d * lam can round differently.
-        if d <= m:
-            table[d, 0] = table[d - 1, 0] + lam
-        if d <= n:
-            table[d, d] = table[d - 1, d - 1] + lam
-        lo, hi = max(1, d - m), min(n, d - 1)
+    k = len(costs)
+    n_max = max((c.shape[0] for c in costs), default=0)
+    m_max = max((c.shape[1] for c in costs), default=0)
+    if k == 1:
+        padded = np.ascontiguousarray(costs[0], dtype=np.float64)
+    else:
+        padded = np.zeros((k, n_max, m_max), dtype=np.float64)
+        for idx, c in enumerate(costs):
+            padded[idx, :c.shape[0], :c.shape[1]] = c
+    flat = padded.reshape(k, n_max * m_max)
+    table = np.empty((k, n_max + m_max + 1, n_max + 1), dtype=np.float64)
+    # Boundaries dp[0, d] and dp[d, 0] as running sums, as the scalar
+    # recurrence builds them; accumulate adds in sequence, while d * lam can
+    # round differently.
+    edge = np.add.accumulate(np.r_[0.0, np.full(max(n_max, m_max), lam)])
+    table[:, :m_max + 1, 0] = edge[:m_max + 1]
+    diag_idx = np.arange(n_max + 1)
+    table[:, diag_idx, diag_idx] = edge[:n_max + 1]
+    step = max(m_max - 1, 1)  # with M == 1 every anti-diagonal holds one cell
+    for d in range(2, n_max + m_max + 1):
+        lo, hi = max(1, d - m_max), min(n_max, d - 1)
         if lo > hi:
             continue
-        # costs[i - 1, d - i - 1] for i in lo..hi, at flat offset (i - 1) * m + d - i - 1.
-        start = (lo - 1) * m + d - lo - 1
-        diag = flat[start:start + (hi - lo) * step + 1:step]
-        cells = table[d, lo:hi + 1]
-        np.add(table[d - 2, lo - 1:hi], diag, out=cells)
-        np.minimum(cells, table[d - 1, lo - 1:hi] + lam, out=cells)
-        np.minimum(cells, table[d - 1, lo:hi + 1] + lam, out=cells)
+        # costs[:, i - 1, d - i - 1] for i in lo..hi, at flat offset (i - 1) * M + d - i - 1.
+        start = (lo - 1) * m_max + d - lo - 1
+        diag = flat[:, start:start + (hi - lo) * step + 1:step]
+        cells = table[:, d, lo:hi + 1]
+        np.add(table[:, d - 2, lo - 1:hi], diag, out=cells)
+        np.minimum(cells, np.minimum(table[:, d - 1, lo - 1:hi], table[:, d - 1, lo:hi + 1]) + lam, out=cells)
     return table
 
 
@@ -124,8 +161,12 @@ def align_chapter(
     tgt_chapter: str = "tgt",
     src_ids: tuple[str, ...] | None = None,
     tgt_ids: tuple[str, ...] | None = None,
+    table: np.ndarray | None = None,
 ) -> BilingualAlignment:
     """Minimum-cost monotone full cover of the two segment sequences.
+
+    ``table`` is this pair's slice of a ``dp_tables`` batch that holds
+    ``costs``; without it the table is computed here, as a batch of one.
 
     Ties resolve deterministically: substitute, then skip-source, then
     skip-target. Links come out ordered by (src, tgt).
@@ -133,14 +174,18 @@ def align_chapter(
     if config is None:
         config = AlignConfig()
     costs = np.asarray(costs, dtype=np.float64)
+    if costs.ndim != 2:
+        raise AlignmentError(f"cost matrix must be 2-D, got shape {costs.shape}")
     if costs.size and not np.all(np.isfinite(costs)):
         raise AlignmentError("cost matrix contains non-finite entries")
-    n, m = costs.shape if costs.ndim == 2 else (len(costs), 0)
-    if costs.ndim != 2:
-        costs = costs.reshape(n, m)
+    n, m = costs.shape
     lam = config.skip_cost
+    if table is None:
+        table = dp_tables([costs], lam)[0]
+    elif table.shape[0] < n + m + 1 or table.shape[1] < n + 1:
+        raise AlignmentError(f"DP table of shape {table.shape} is too small for {n} by {m} costs")
 
-    links = [Link(src=s, tgt=t, cost=c) for s, t, c in _backtrace(_wavefront(costs, lam), costs, lam)]
+    links = [Link(src=s, tgt=t, cost=c) for s, t, c in _backtrace(table, costs, lam)]
     total = 0.0
     for link in links:
         total += link.cost

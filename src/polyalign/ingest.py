@@ -142,7 +142,7 @@ def _emit(nodes: list[_Node], out: list[tuple[str, str]]) -> None:
     parts = [_render(n) for n in nodes]
     text = " ".join(nfc("".join([t for t, _ in parts])).split())
     if text:
-        out.append((text, "".join([h for _, h in parts]).strip()))
+        out.append((text, nfc("".join([h for _, h in parts]).strip())))
 
 
 def _walk(node: _Node, out: list[tuple[str, str]]) -> None:
@@ -172,7 +172,8 @@ def segment_html(
     ``<strong>``, literal ``<``, ``>`` and ``&`` escaped, and whitespace
     collapsed; html is the candidate's markup, re-rendered, or the element's
     own when the element yields one candidate and its top level holds no
-    structural node, or one with only whitespace beside it.
+    structural node, or one with only whitespace beside it. Both are
+    NFC-normalized.
     Empty candidates are dropped. Unbalanced markup is recovered best-effort
     with a warning record; the call never raises for bad markup.
     """
@@ -188,7 +189,7 @@ def segment_html(
     structural = sum(c.tag in STRUCTURAL_TAGS for c in top)
     blank_beside = all(c.tag in STRUCTURAL_TAGS or not c.tag and not c.text.strip() for c in top)
     if len(out) == 1 and (structural == 0 or structural == 1 and blank_beside):
-        out[0] = (out[0][0], element_html.strip())
+        out[0] = (out[0][0], nfc(element_html.strip()))
     return out
 
 

@@ -30,7 +30,8 @@ from itertools import combinations
 import numpy as np
 
 from . import export as export_mod
-from .bialign import AlignConfig, AlignmentError, BilingualAlignment, Link, align_chapter, cost_matrix
+from .bialign import (AlignConfig, AlignmentError, BilingualAlignment, Link, align_chapter, cost_matrix,
+                      dp_batches, dp_tables)
 from .embedding import EmbeddingCache, ProviderConfig, embed_segments
 from .ingest import IngestError, build_chapter_groups, parse_volume
 from .model import (
@@ -207,35 +208,43 @@ def embed_chapters(chapters, config: PipelineConfig) -> int:
     return sum(len(c.segments) for c in chapters)
 
 
-def _align_pair(group: ChapterGroup, i: str, j: str, matrix_i: np.ndarray,
-                matrix_j: np.ndarray, config: PipelineConfig) -> dict:
-    chap_i, chap_j = group.members[i], group.members[j]
-    alignment = align_chapter(
-        cost_matrix(matrix_i, matrix_j),
-        config.align,
-        src_chapter=f"{group.group_id}/{i}",
-        tgt_chapter=f"{group.group_id}/{j}",
-        src_ids=tuple(s.id for s in chap_i.segments),
-        tgt_ids=tuple(s.id for s in chap_j.segments),
-    )
-    return {
-        "group": group.group_id,
-        "src_idiom": i,
-        "tgt_idiom": j,
-        "src_chapter": alignment.src_chapter,
-        "tgt_chapter": alignment.tgt_chapter,
-        "src_ids": list(alignment.src_ids),
-        "tgt_ids": list(alignment.tgt_ids),
-        "links": [{"src": l.src, "tgt": l.tgt, "cost": l.cost} for l in alignment.links],
-        "total_cost": alignment.total_cost,
-    }
+def _align_batch(group: ChapterGroup, pairs: list[tuple[str, str]], matrices: dict[str, np.ndarray],
+                 config: PipelineConfig) -> list[dict]:
+    """Alignment records of one ``dp_batches`` batch of the group's pairs; its
+    cost matrices and tables are freed on return."""
+    costs = [cost_matrix(matrices[i], matrices[j]) for i, j in pairs]
+    records = []
+    for (i, j), c, table in zip(pairs, costs, dp_tables(costs, config.align.skip_cost)):
+        alignment = align_chapter(
+            c,
+            config.align,
+            src_chapter=f"{group.group_id}/{i}",
+            tgt_chapter=f"{group.group_id}/{j}",
+            src_ids=tuple(s.id for s in group.members[i].segments),
+            tgt_ids=tuple(s.id for s in group.members[j].segments),
+            table=table,
+        )
+        records.append({
+            "group": group.group_id,
+            "src_idiom": i,
+            "tgt_idiom": j,
+            "src_chapter": alignment.src_chapter,
+            "tgt_chapter": alignment.tgt_chapter,
+            "src_ids": list(alignment.src_ids),
+            "tgt_ids": list(alignment.tgt_ids),
+            "links": [{"src": l.src, "tgt": l.tgt, "cost": l.cost} for l in alignment.links],
+            "total_cost": alignment.total_cost,
+        })
+    return records
 
 
 def align_pairs(groups: list[ChapterGroup], alignments_path, config: PipelineConfig,
                 pair: tuple[str, str] | None = None) -> dict:
     """Align every idiom pair of every group, or only ``pair`` in either order:
     two distinct idioms that some group holds. Each chapter is embedded once per
-    group, and only if one of its pairs is kept."""
+    group, and only if one of its pairs is kept. A group's pairs are aligned in
+    ``dp_batches``: one ``dp_tables`` pass per batch, then one backtrace per pair,
+    so only one batch's cost matrices and tables are held at a time."""
     if pair is not None and (len(set(pair)) != 2 or not any(set(pair) <= g.members.keys() for g in groups)):
         raise PipelineError(f"no chapter group holds the pair {':'.join(pair)!r} of two distinct idioms")
     cache = EmbeddingCache(config.cache_dir)
@@ -245,9 +254,10 @@ def align_pairs(groups: list[ChapterGroup], alignments_path, config: PipelineCon
             pairs = [p for p in combinations(group.idioms(), 2) if pair is None or pair in (p, p[::-1])]
             matrices = {idiom: _chapter_matrix(group.members[idiom], config, cache)
                         for idiom in dict.fromkeys(idiom for p in pairs for idiom in p)}
-            for i, j in pairs:
-                record = _align_pair(group, i, j, matrices[i], matrices[j], config)
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            shapes = [(len(matrices[i]), len(matrices[j])) for i, j in pairs]
+            for batch in dp_batches(shapes):
+                for record in _align_batch(group, [pairs[b] for b in batch], matrices, config):
+                    fh.write(json.dumps(record, sort_keys=True) + "\n")
             count += len(pairs)
     return {"chapter_pairs": count}
 

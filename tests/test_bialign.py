@@ -4,7 +4,16 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import brute_force_align, check_full_cover, scalar_dp_table
-from polyalign.bialign import AlignConfig, AlignmentError, Link, _wavefront, align_chapter, cost_matrix
+from polyalign.bialign import (
+    BATCH_CELLS,
+    AlignConfig,
+    AlignmentError,
+    Link,
+    align_chapter,
+    cost_matrix,
+    dp_batches,
+    dp_tables,
+)
 
 
 def unit_rows(rows):
@@ -57,6 +66,11 @@ class TestAlignChapter:
         with pytest.raises(AlignmentError):
             AlignConfig(skip_cost=-0.1)
 
+    @pytest.mark.parametrize("costs", [np.zeros(3), np.zeros(0), np.zeros((2, 2, 2)), np.float64(0.5)])
+    def test_cost_array_that_is_not_two_dimensional_rejected(self, costs):
+        with pytest.raises(AlignmentError, match="2-D"):
+            align_chapter(costs, AlignConfig())
+
     def test_non_finite_costs_rejected(self):
         with pytest.raises(AlignmentError):
             align_chapter(np.array([[np.inf]]), AlignConfig())
@@ -108,9 +122,23 @@ def unskewed(table, n, m):
 
 def assert_table_matches_scalar(costs, lam):
     n, m = costs.shape
-    table = _wavefront(costs, lam)
-    assert table.shape == (n + m + 1, n + 1)
-    assert np.array_equal(unskewed(table, n, m), scalar_dp_table(costs, lam))
+    table = dp_tables([costs], lam)
+    assert table.shape == (1, n + m + 1, n + 1)
+    assert np.array_equal(unskewed(table[0], n, m), scalar_dp_table(costs, lam))
+
+
+def assert_batch_matches_scalar(batch, lam):
+    """Each pair's slice of one batched table, read at its own shape, equals
+    the scalar recurrence on that pair alone."""
+    tables = dp_tables(batch, lam)
+    assert len(tables) == len(batch)
+    for table, costs in zip(tables, batch):
+        n, m = costs.shape
+        assert np.array_equal(unskewed(table, n, m), scalar_dp_table(costs, lam))
+
+
+def grid_costs(rng, n, m):
+    return np.round(rng.random((n, m)) / 0.05) * 0.05
 
 
 # Costs on a 0.05 grid make many cells tie between substitution and skips.
@@ -143,6 +171,67 @@ class TestWavefrontTable:
     @given(tie_costs, st.sampled_from([0.0, 0.05, 0.15, 0.5]))
     def test_equals_scalar_recurrence_property(self, costs, lam):
         assert_table_matches_scalar(costs, lam)
+
+
+class TestBatchedTable:
+    def test_unequal_shapes_with_degenerate_pairs(self):
+        rng = np.random.default_rng(16)
+        shapes = [(0, 5), (5, 0), (1, 7), (7, 1), (0, 0), (12, 9), (3, 17), (1, 1), (20, 20)]
+        for lam in (0.0, 0.05, 0.15, 0.5):
+            assert_batch_matches_scalar([grid_costs(rng, n, m) for n, m in shapes], lam)
+            assert_batch_matches_scalar([grid_costs(rng, n, m) for n, m in shapes[::-1]], lam)
+
+    def test_equals_scalar_recurrence_on_tie_heavy_batches(self):
+        rng = np.random.default_rng(18)
+        for _ in range(60):
+            k = int(rng.integers(1, 11))
+            batch = [grid_costs(rng, *rng.integers(0, 45, size=2)) for _ in range(k)]
+            assert_batch_matches_scalar(batch, float(rng.choice([0.0, 0.05, 0.15, 0.5])))
+
+    def test_non_contiguous_inputs(self):
+        rng = np.random.default_rng(19)
+        costs = grid_costs(rng, 23, 31)
+        batch = [costs.T, costs[::2, 1::3], costs[5:, ::-1], costs]
+        assert not any(c.flags.c_contiguous for c in batch[:3])
+        assert_batch_matches_scalar(batch, 0.15)
+
+    @given(st.lists(tie_costs, min_size=1, max_size=6), st.sampled_from([0.0, 0.05, 0.15, 0.5]))
+    def test_equals_scalar_recurrence_property(self, batch, lam):
+        assert_batch_matches_scalar(batch, lam)
+
+    def test_align_chapter_on_a_slice_equals_align_chapter_alone(self):
+        rng = np.random.default_rng(20)
+        cfg = AlignConfig(0.15)
+        batch = [grid_costs(rng, n, m) for n, m in [(8, 3), (0, 4), (11, 12), (5, 0), (1, 9)]]
+        for costs, table in zip(batch, dp_tables(batch, cfg.skip_cost)):
+            alone = align_chapter(costs, cfg)
+            sliced = align_chapter(costs, cfg, table=table)
+            assert sliced.links == alone.links
+            assert sliced.total_cost == alone.total_cost
+
+    def test_align_chapter_rejects_a_table_too_small(self):
+        costs = np.zeros((4, 5))
+        with pytest.raises(AlignmentError):
+            align_chapter(costs, table=dp_tables([np.zeros((4, 4))], 0.15)[0])
+
+
+class TestDpBatches:
+    def test_paper_group_is_one_batch(self):
+        assert dp_batches([(40, 40)] * 10) == [list(range(10))]
+
+    def test_long_pairs_run_alone(self):
+        assert dp_batches([(330, 330)] * 4) == [[0], [1], [2], [3]]
+
+    def test_batches_are_consecutive_and_within_budget(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            shapes = [tuple(int(x) for x in rng.integers(0, 400, size=2)) for _ in range(int(rng.integers(0, 12)))]
+            batches = dp_batches(shapes)
+            assert [b for batch in batches for b in batch] == list(range(len(shapes)))
+            for batch in batches:
+                n = max(shapes[b][0] for b in batch)
+                m = max(shapes[b][1] for b in batch)
+                assert len(batch) == 1 or len(batch) * n * m <= BATCH_CELLS
 
 
 class TestProperties:

@@ -11,7 +11,7 @@ from polyalign.ingest import (
     parse_volume,
     segment_html,
 )
-from polyalign.model import validate_corpus
+from polyalign.model import nfc, validate_corpus
 
 from oracles import segment_html_reference
 
@@ -126,6 +126,13 @@ class TestSegmentHtml:
         strip = lambda s: re.sub(r"\s+|<[^>]+>", "", s)
         assert "".join(strip(t) for t, _ in out) == strip("".join(texts))
 
+    def test_candidate_html_is_nfc(self):
+        # Re-rendered markup: two blocks, one decomposed, one precomposed.
+        out = segment_html("<p>cafe\u0301</p><p>caf\u00e9</p>")
+        assert out == [("caf\u00e9", "<p>caf\u00e9</p>")] * 2
+        # The element's own markup, kept verbatim.
+        assert segment_html("<p>cafe\u0301</p>") == [("caf\u00e9", "<p>caf\u00e9</p>")]
+
     def test_candidate_html_escapes_text_and_attributes(self):
         out = segment_html('<ul><li>a &lt; b</li><li>c &amp; d</li></ul>')
         assert out == [("a &lt; b", "<li>a &lt; b</li>"), ("c &amp; d", "<li>c &amp; d</li>")]
@@ -150,7 +157,9 @@ class TestSegmentHtml:
     def test_matches_the_two_renderer_segmenter(self, markup):
         warnings, expected_warnings = [], []
         out = segment_html(markup, warnings, "vol#element0")
-        assert out == segment_html_reference(markup, expected_warnings, "vol#element0")
+        # The reference keeps markup as parsed; the segmenter NFC-normalizes it.
+        expected = [(t, nfc(h)) for t, h in segment_html_reference(markup, expected_warnings, "vol#element0")]
+        assert out == expected
         assert warnings == expected_warnings
 
     def test_only_strong_tags_in_output_texts(self):
