@@ -31,7 +31,7 @@ class AlignConfig:
             raise AlignmentError(f"skip_cost must be a finite number >= 0, got {self.skip_cost!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
     src: int | None
     tgt: int | None

@@ -1,8 +1,7 @@
 """Alignment-quality evaluation.
 
 Strict precision/recall/F1 against gold rows (a hypothesis link counts only
-on exact match of its full source/target sets, deletions excluded), and the
-greedy 1-NN harness for comparing embedding inputs.
+on exact match of its full source/target sets, deletions excluded).
 """
 
 from __future__ import annotations
@@ -10,8 +9,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
 
 from .model import MultiParallelRow, PolyalignError, Segment, check_idiom
 
@@ -121,25 +118,6 @@ def multi_prf(
     else:
         macro = PRF(0.0, 0.0, 0.0)
     return table, macro
-
-
-def greedy_accuracy(
-    src: np.ndarray, tgt: np.ndarray, gold_pairs: list[tuple[int, int]]
-) -> float:
-    """Fraction of gold 1-1 pairs whose argmax-cosine target is the gold one.
-
-    Ties go to the lowest target index.
-    """
-    if not gold_pairs:
-        raise EvalError("greedy_accuracy requires at least one gold pair")
-    sims = src.astype(np.float64) @ tgt.astype(np.float64).T
-    correct = 0
-    for s, t in gold_pairs:
-        if not (0 <= s < sims.shape[0] and 0 <= t < sims.shape[1]):
-            raise EvalError(f"gold pair ({s}, {t}) out of range for {sims.shape}")
-        if int(np.argmax(sims[s])) == t:  # np.argmax returns the first maximum
-            correct += 1
-    return correct / len(gold_pairs)
 
 
 def load_gold(path, seg_index: dict[str, Segment]) -> GoldAlignment:

@@ -170,10 +170,9 @@ def segment_html(
 
     Returns (text, html) pairs: text has inline tags stripped except
     ``<strong>``, literal ``<``, ``>`` and ``&`` escaped, and whitespace
-    collapsed; html is the candidate's markup, re-rendered, or the element's
-    own when the element yields one candidate and its top level holds no
-    structural node, or one with only whitespace beside it. Both are
-    NFC-normalized.
+    collapsed; html is the candidate's markup re-rendered from the parsed
+    tree, character data and attribute values escaped, so equal content gets
+    equal markup however the element was cut. Both are NFC-normalized.
     Empty candidates are dropped. Unbalanced markup is recovered best-effort
     with a warning record; the call never raises for bad markup.
     """
@@ -185,11 +184,6 @@ def segment_html(
 
     out: list[tuple[str, str]] = []
     _walk(builder.root, out)
-    top = builder.root.children
-    structural = sum(c.tag in STRUCTURAL_TAGS for c in top)
-    blank_beside = all(c.tag in STRUCTURAL_TAGS or not c.tag and not c.text.strip() for c in top)
-    if len(out) == 1 and (structural == 0 or structural == 1 and blank_beside):
-        out[0] = (out[0][0], nfc(element_html.strip()))
     return out
 
 

@@ -1,8 +1,10 @@
 """Core data model: idioms, volumes, chapters, segments and multi-parallel rows.
 
-All values are plain frozen dataclasses, immutable after construction and safe
-to share across workers. Segment ids encode (idiom, volume, chapter key,
-position) so that every downstream artifact is self-describing.
+All values are plain frozen dataclasses, immutable after construction. The
+records a build makes once per item, ``Segment`` and ``MultiParallelRow``
+(and ``bialign.Link``), are slotted: they carry no ``__dict__``. Segment ids
+encode (idiom, volume, chapter key, position) so that every downstream
+artifact is self-describing.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from html import unescape
+from json.encoder import encode_basestring
 
 VOLUME_KINDS = ("workbook", "commentary")
 
@@ -69,12 +72,14 @@ def chapter_id(idiom: str, volume_id: str, chapter_key: str) -> str:
     return f"{idiom}/{volume_id}/{chapter_key}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """One extracted text unit.
 
-    ``html`` is the original element markup; ``text`` is the content as
-    markup with only ``<strong>`` tags retained, ``<``, ``>`` and ``&``
+    ``html`` is the segment's markup as the segmenter re-renders it from the
+    parsed element: tag names lowercased, character data and attribute
+    values escaped, never the element's own bytes. ``text`` is the content
+    as markup with only ``<strong>`` tags retained, ``<``, ``>`` and ``&``
     escaped as ``&lt;``, ``&gt;`` and ``&amp;``, and whitespace collapsed.
     A length in characters counts the content: tags removed, escapes decoded.
     """
@@ -121,7 +126,7 @@ class ChapterGroup:
         return sorted(self.members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiParallelRow:
     """One corpus row: at most one segment per idiom, null where absent."""
 
@@ -147,10 +152,14 @@ def validate_corpus(volumes: list[BookVolume]) -> list[str]:
             report.append(f"{vol_ref}: volume_id {vol.volume_id!r} is empty or holds '/', '#' or whitespace")
         if vol.kind not in VOLUME_KINDS:
             report.append(f"{vol_ref}: unknown volume kind {vol.kind!r}")
+        keys: set[str] = set()
         for chap in vol.chapters:
             chap_ref = chapter_id(vol.idiom, vol.volume_id, chap.key)
             if not chap.key:
                 report.append(f"{chap_ref}: empty chapter key")
+            elif chap.key in keys:
+                report.append(f"{vol_ref}: two chapters have the key {chap.key!r}")
+            keys.add(chap.key)
             for pos, seg in enumerate(chap.segments):
                 if seg.position != pos:
                     report.append(f"{seg.id}: position {seg.position} != slot {pos}")
@@ -177,38 +186,6 @@ def validate_corpus(volumes: list[BookVolume]) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Corpus serialization (corpus.json)
-
-
-def corpus_to_dict(volumes: list[BookVolume]) -> dict:
-    return {
-        "format": "polyalign-corpus/1",
-        "volumes": [
-            {
-                "idiom": v.idiom,
-                "volume_id": v.volume_id,
-                "grade": v.grade,
-                "kind": v.kind,
-                "chapters": [
-                    {
-                        "key": c.key,
-                        "title": c.title,
-                        "segments": [
-                            {
-                                "id": s.id,
-                                "position": s.position,
-                                "html": s.html,
-                                "text": s.text,
-                                "token_count": s.token_count,
-                            }
-                            for s in c.segments
-                        ],
-                    }
-                    for c in v.chapters
-                ],
-            }
-            for v in volumes
-        ],
-    }
 
 
 def corpus_from_dict(doc: dict) -> list[BookVolume]:
@@ -241,9 +218,33 @@ def corpus_from_dict(doc: dict) -> list[BookVolume]:
 
 
 def save_corpus(volumes: list[BookVolume], path) -> None:
+    """Write ``corpus.json``, one chapter at a time.
+
+    The bytes are exactly ``json.dump(doc, fh, ensure_ascii=False, indent=1)``
+    and a newline, where ``doc`` is ``{"format": "polyalign-corpus/1",
+    "volumes": [...]}`` and each volume, chapter and segment is an object of
+    its fields in declaration order (a segment without its ``idiom``). The
+    layout is spelled out here and strings go through ``encode_basestring``,
+    the string encoder ``json.dump`` uses, so no dict copy of the corpus is
+    built and no value passes through the pure-Python indenting encoder.
+    """
+    s = encode_basestring
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(corpus_to_dict(volumes), fh, ensure_ascii=False, indent=1)
-        fh.write("\n")
+        fh.write('{\n "format": "polyalign-corpus/1",\n "volumes": [')
+        for v_idx, v in enumerate(volumes):
+            fh.write(f'{"," if v_idx else ""}\n  {{\n   "idiom": {s(v.idiom)},\n   "volume_id": {s(v.volume_id)},\n'
+                     f'   "grade": {v.grade},\n   "kind": {s(v.kind)},\n   "chapters": [')
+            for c_idx, c in enumerate(v.chapters):
+                segments = ",\n      ".join([
+                    f'{{\n       "id": {s(g.id)},\n       "position": {g.position},\n       "html": {s(g.html)},\n'
+                    f'       "text": {s(g.text)},\n       "token_count": {g.token_count}\n      }}'
+                    for g in c.segments
+                ])
+                segments = f"[\n      {segments}\n     ]" if segments else "[]"
+                fh.write(f'{"," if c_idx else ""}\n    {{\n     "key": {s(c.key)},\n     "title": {s(c.title)},\n'
+                         f'     "segments": {segments}\n    }}')
+            fh.write("\n   ]\n  }" if v.chapters else "]\n  }")
+        fh.write("\n ]\n}\n" if volumes else "]\n}\n")
 
 
 def load_json_object(path, error: type[PolyalignError] = PolyalignError) -> dict:

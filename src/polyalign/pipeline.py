@@ -8,8 +8,9 @@ and a copy of the chapter mapping as ``mapping.tsv``; the corpus and its
 chapter groups are then resolved once from those two files
 (``corpus_groups``), as the CLI's ``bialign`` and ``multialign`` resolve
 them, and handed to the later stages. Multialign checks each alignment
-against its chapters' segment ids and builds each group's rows on partner
-maps (see ``multialign``). Every run writes a manifest with the resolved
+against its chapters' segment ids, keeping the corpus's own id tuples where
+they match, and builds each group's rows on partner maps (see
+``multialign``). Every run writes a manifest with the resolved
 config, content hashes of all artifacts, and per-stage counts, so a build
 can be audited and reproduced bit-for-bit (with a warm embedding cache).
 """
@@ -262,7 +263,19 @@ def align_pairs(groups: list[ChapterGroup], alignments_path, config: PipelineCon
     return {"chapter_pairs": count}
 
 
-def load_alignments(path) -> list[tuple[str, str, str, BilingualAlignment]]:
+def _shared(ids: list[str], known: tuple[str, ...] | None) -> tuple[str, ...]:
+    """``known`` itself when it holds exactly ``ids``, else ``ids`` as a tuple."""
+    ids = tuple(ids)
+    return known if ids == known else ids
+
+
+def load_alignments(path, chapter_ids: dict[tuple[str, str], tuple[str, ...]]
+                    ) -> list[tuple[str, str, str, BilingualAlignment]]:
+    """The (group, src idiom, tgt idiom, alignment) records of ``path``.
+
+    ``chapter_ids`` maps (group, idiom) to that chapter's segment ids; a
+    record whose ids equal them holds that tuple itself, so each id is kept
+    once, by the corpus. Other ids are kept as read."""
     out = []
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -270,15 +283,16 @@ def load_alignments(path) -> list[tuple[str, str, str, BilingualAlignment]]:
                 continue
             try:
                 doc = json.loads(line.decode("utf-8"))
+                gid, i, j = doc["group"], doc["src_idiom"], doc["tgt_idiom"]
                 alignment = BilingualAlignment(
                     src_chapter=doc["src_chapter"],
                     tgt_chapter=doc["tgt_chapter"],
-                    src_ids=tuple(doc["src_ids"]),
-                    tgt_ids=tuple(doc["tgt_ids"]),
+                    src_ids=_shared(doc["src_ids"], chapter_ids.get((gid, i))),
+                    tgt_ids=_shared(doc["tgt_ids"], chapter_ids.get((gid, j))),
                     links=[Link(src=l["src"], tgt=l["tgt"], cost=l["cost"]) for l in doc["links"]],
                     total_cost=doc["total_cost"],
                 )
-                out.append((doc["group"], doc["src_idiom"], doc["tgt_idiom"], alignment))
+                out.append((gid, i, j, alignment))
             except (ValueError, KeyError, TypeError, AlignmentError) as exc:
                 raise PipelineError(
                     f"{path}, line {line_no}: not an alignment record ({type(exc).__name__}: {exc})"
@@ -313,7 +327,7 @@ def build_rows(volumes: list[BookVolume], groups: list[ChapterGroup], alignments
     seg_index = segment_index(volumes)
     chapter_ids = {(g.group_id, k): tuple(s.id for s in c.segments) for g in groups for k, c in g.members.items()}
     by_group: dict[str, dict[tuple[str, str], BilingualAlignment]] = {}
-    for gid, i, j, alignment in load_alignments(alignments_path):
+    for gid, i, j, alignment in load_alignments(alignments_path, chapter_ids):
         if (alignment.src_ids, alignment.tgt_ids) != (chapter_ids.get((gid, i)), chapter_ids.get((gid, j))):
             raise PipelineError(f"group {gid}: the {i}:{j} alignment does not match the corpus's "
                                 "chapters; rerun bialign on this corpus")

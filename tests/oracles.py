@@ -4,8 +4,11 @@ The alignment DP is checked against exhaustive enumeration of every monotone
 cover, and the set operations against plain set comprehensions over pair
 lists; none of them shares code with the implementation it checks. The one
 exception is ``segment_html_reference``, the segmenter as it was before its
-text and markup renderers were merged: it parses with the shipped
-``_TreeBuilder``, which it does not check.
+text and markup renderers were merged (less the verbatim-markup rules, which
+the segmenter dropped too): it parses with the shipped ``_TreeBuilder``,
+which it does not check. ``corpus_to_dict`` is the corpus document that
+``save_corpus`` must write, and ``greedy_accuracy`` is the 1-NN harness for
+comparing embedding inputs, which only the tests use.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ from polyalign.bialign import (
     _default_ids,
 )
 from polyalign.embedding import EmbeddingError
+from polyalign.evaluate import EvalError
 from polyalign.ingest import BLOCK_TAGS, STRUCTURAL_TAGS, VOID_TAGS, Warnings, _Node, _TreeBuilder
-from polyalign.model import nfc
+from polyalign.model import BookVolume, nfc
 
 
 def random_alignment(rng: random.Random, n: int, m: int, src_prefix: str,
@@ -335,8 +339,7 @@ def partner_vector_rows(idioms, links, segments):
     return [row for _, row in sorted(rows, key=lambda r: r[0])]
 
 
-# The segmenter as two renderers (text and markup) over the parsed tree, with
-# separate verbatim-markup rules for an element with and without structure.
+# The segmenter as two renderers (text and markup) over the parsed tree.
 
 
 def _render_attrs(attrs) -> str:
@@ -436,21 +439,58 @@ def segment_html_reference(
     builder.close()
 
     out: list[tuple[str, str]] = []
-    root = builder.root
-    has_structure = any(_is_structural(c) for c in root.children)
-    if has_structure:
-        _walk(root, out)
-    else:
-        text = _collapse(_render_text(root))
-        if text:
-            out.append((text, element_html.strip()))
-        return out
-
-    # A single top-level block keeps its element markup verbatim.
-    structural = [c for c in root.children if _is_structural(c)]
-    if len(out) == 1 and len(structural) == 1 and not any(
-        c.tag == "" and c.text.strip() or (c.tag and not _is_structural(c))
-        for c in root.children
-    ):
-        out[0] = (out[0][0], element_html.strip())
+    _walk(builder.root, out)
     return out
+
+
+def corpus_to_dict(volumes: list[BookVolume]) -> dict:
+    """The corpus document: ``save_corpus`` writes exactly
+    ``json.dumps(corpus_to_dict(volumes), ensure_ascii=False, indent=1)`` and a newline."""
+    return {
+        "format": "polyalign-corpus/1",
+        "volumes": [
+            {
+                "idiom": v.idiom,
+                "volume_id": v.volume_id,
+                "grade": v.grade,
+                "kind": v.kind,
+                "chapters": [
+                    {
+                        "key": c.key,
+                        "title": c.title,
+                        "segments": [
+                            {
+                                "id": s.id,
+                                "position": s.position,
+                                "html": s.html,
+                                "text": s.text,
+                                "token_count": s.token_count,
+                            }
+                            for s in c.segments
+                        ],
+                    }
+                    for c in v.chapters
+                ],
+            }
+            for v in volumes
+        ],
+    }
+
+
+def greedy_accuracy(
+    src: np.ndarray, tgt: np.ndarray, gold_pairs: list[tuple[int, int]]
+) -> float:
+    """Fraction of gold 1-1 pairs whose argmax-cosine target is the gold one.
+
+    Ties go to the lowest target index.
+    """
+    if not gold_pairs:
+        raise EvalError("greedy_accuracy requires at least one gold pair")
+    sims = src.astype(np.float64) @ tgt.astype(np.float64).T
+    correct = 0
+    for s, t in gold_pairs:
+        if not (0 <= s < sims.shape[0] and 0 <= t < sims.shape[1]):
+            raise EvalError(f"gold pair ({s}, {t}) out of range for {sims.shape}")
+        if int(np.argmax(sims[s])) == t:  # np.argmax returns the first maximum
+            correct += 1
+    return correct / len(gold_pairs)

@@ -11,11 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_force_align, naive_consensus, naive_pivot_join, pairs_by_id, random_alignment
+from oracles import (brute_force_align, greedy_accuracy, naive_consensus, naive_pivot_join, pairs_by_id,
+                     random_alignment)
 from synth import generate
 from polyalign.bialign import AlignConfig, align_chapter, cost_matrix
 from polyalign.embedding import ProviderConfig, embed_segments
-from polyalign.evaluate import greedy_accuracy, multi_prf, strict_prf
+from polyalign.evaluate import multi_prf, strict_prf
 from polyalign.ingest import build_chapter_groups
 from polyalign.model import MultiParallelRow, Segment, segment_index
 from polyalign.multialign import (

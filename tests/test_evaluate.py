@@ -8,12 +8,13 @@ from polyalign.evaluate import (
     EvalError,
     GoldAlignment,
     PRF,
-    greedy_accuracy,
     load_gold,
     multi_prf,
     strict_prf,
 )
 from polyalign.model import MultiParallelRow, Segment
+
+from oracles import greedy_accuracy
 
 
 def seg(sid, idiom, pos=0):

@@ -130,8 +130,15 @@ class TestSegmentHtml:
         # Re-rendered markup: two blocks, one decomposed, one precomposed.
         out = segment_html("<p>cafe\u0301</p><p>caf\u00e9</p>")
         assert out == [("caf\u00e9", "<p>caf\u00e9</p>")] * 2
-        # The element's own markup, kept verbatim.
+        # A single block is re-rendered too.
         assert segment_html("<p>cafe\u0301</p>") == [("caf\u00e9", "<p>caf\u00e9</p>")]
+
+    def test_candidate_html_does_not_depend_on_how_the_element_was_cut(self):
+        alone = [("a &lt; b &amp; c", "a &lt; b &amp; c")]
+        assert segment_html("a < b & c") == alone
+        assert segment_html("a < b & c<p>d</p>")[:1] == alone
+        assert segment_html("<P CLASS=x>a < b</P>") == [("a &lt; b", '<p class="x">a &lt; b</p>')]
+        assert segment_html("<div><p>a < b</p></div>") == segment_html("<div><p>a < b</p><p>d</p></div>")[:1]
 
     def test_candidate_html_escapes_text_and_attributes(self):
         out = segment_html('<ul><li>a &lt; b</li><li>c &amp; d</li></ul>')

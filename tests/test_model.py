@@ -1,14 +1,16 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
+from polyalign.bialign import Link
 from polyalign.model import (
     BookVolume,
     Chapter,
+    MultiParallelRow,
     Segment,
     check_idiom,
     corpus_from_dict,
-    corpus_to_dict,
     count_tokens,
     load_corpus,
     make_segment_id,
@@ -17,6 +19,8 @@ from polyalign.model import (
     segment_index,
     validate_corpus,
 )
+
+from oracles import corpus_to_dict
 
 
 def make_segment(idiom="puter", volume="v1", chapter="intro", pos=0, text="hello world"):
@@ -82,6 +86,16 @@ class TestValidateCorpus:
         assert validate_corpus([vol]) == []
 
 
+    def test_chapter_key_repeated_in_a_volume(self):
+        # "Intro" and "intro!" both normalize to the key "intro".
+        first = make_volume()
+        later = Chapter(key=normalize_chapter_key("intro!"), title="intro!", segments=())
+        vol = BookVolume(idiom="puter", volume_id="v1", grade=1, kind="workbook",
+                         chapters=first.chapters + (later,))
+        assert validate_corpus([vol]) == ["puter/v1: two chapters have the key 'intro'"]
+        other = BookVolume(idiom="puter", volume_id="v2", grade=1, kind="workbook", chapters=(later,))
+        assert validate_corpus([make_volume(), other]) == []
+
     def test_volume_id_must_fit_the_id_grammar(self):
         for bad in ("", "a/b", "a#b", "a b", "a\tb"):
             vol = BookVolume(idiom="puter", volume_id=bad, grade=1, kind="workbook", chapters=())
@@ -115,6 +129,44 @@ def test_corpus_round_trip(tmp_path, small_corpus):
     assert reloaded == small_corpus.volumes
     # dict-level round trip too
     assert corpus_from_dict(corpus_to_dict(small_corpus.volumes)) == small_corpus.volumes
+
+
+# Quotes, backslashes, control characters, U+2028 and non-BMP text, among any
+# other characters a UTF-8 file can hold (lone surrogates cannot be written).
+json_text = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\u00e9\U0001f600'),
+                              st.characters(exclude_categories=("Cs",))), max_size=8)
+
+
+@st.composite
+def corpora(draw):
+    volumes = []
+    for _ in range(draw(st.integers(0, 3))):
+        idiom = draw(json_text)
+        chapters = tuple(
+            Chapter(key=draw(json_text), title=draw(json_text), segments=tuple(
+                Segment(id=draw(json_text), idiom=idiom, position=draw(st.integers()), html=draw(json_text),
+                        text=draw(json_text), token_count=draw(st.integers()))
+                for _ in range(draw(st.integers(0, 3)))
+            ))
+            for _ in range(draw(st.integers(0, 3)))
+        )
+        volumes.append(BookVolume(idiom=idiom, volume_id=draw(json_text), grade=draw(st.integers()),
+                                  kind=draw(json_text), chapters=chapters))
+    return volumes
+
+
+@given(corpora())
+def test_save_corpus_writes_the_json_dump_bytes(tmp_path_factory, volumes):
+    path = tmp_path_factory.getbasetemp() / "corpus-property.json"
+    save_corpus(volumes, path)
+    expected = json.dumps(corpus_to_dict(volumes), ensure_ascii=False, indent=1) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_per_item_records_are_slotted():
+    seg = make_segment()
+    for record in (seg, Link(src=0, tgt=None, cost=0.15), MultiParallelRow(cells={"puter": seg}, provenance="g")):
+        assert not hasattr(record, "__dict__")
 
 
 def test_segment_ids_injective(small_corpus):

@@ -11,6 +11,7 @@ from polyalign.cli import main
 from polyalign.embedding import EmbeddingCache
 from polyalign.model import PolyalignError
 import polyalign.pipeline as pipeline
+from polyalign.pipeline import load_alignments as pipeline_load_alignments
 from polyalign.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -332,6 +333,22 @@ class TestRunPipeline:
     def test_workers_other_than_one_rejected(self):
         with pytest.raises(PipelineError, match="workers"):
             PipelineConfig(workers=2)
+
+    def test_stored_alignments_hold_the_corpus_segment_ids(self, tmp_path, monkeypatch):
+        raw, mapping, _ = write_fixture(generate(seed=0, n_groups=40, segs_per_chapter=30), tmp_path)
+        loaded = []
+
+        def load_alignments(path, chapter_ids):
+            records = pipeline_load_alignments(path, chapter_ids)
+            loaded.append((chapter_ids, records))
+            return records
+
+        monkeypatch.setattr(pipeline, "load_alignments", load_alignments)
+        run_pipeline(make_config(tmp_path, raw, mapping))
+        [(chapter_ids, records)] = loaded
+        assert len(records) == 400
+        for gid, i, j, alignment in records:
+            assert alignment.src_ids is chapter_ids[(gid, i)] and alignment.tgt_ids is chapter_ids[(gid, j)]
 
     def test_volume_id_breaking_the_id_grammar_fails_ingest(self, small_corpus, tmp_path):
         raw, mapping = write_bad_volume(small_corpus, tmp_path)
@@ -843,6 +860,19 @@ class TestCliReportsMalformedFiles:
         ])
         assert_reported(result, path, expected)
         assert not (tmp_path / "corpus.json").exists()
+
+    def test_two_chapters_with_one_key(self, tmp_path):
+        # "Chapter 000!" normalizes to the key of "Chapter 000"; the later
+        # chapter, empty, would otherwise take the earlier one's place.
+        raw, mapping, _ = write_fixture(generate(seed=0, n_groups=2, segs_per_chapter=5), tmp_path)
+        path = raw / "puter-vol01.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["chapters"].append({"title": doc["chapters"][0]["title"] + "!", "elements": []})
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(make_config(tmp_path, raw, mapping).to_dict()), encoding="utf-8")
+        result = CliRunner().invoke(main, ["run", "--config", str(config_path)])
+        assert_reported(result, "puter/vol01: two chapters have the key 'chapter 000'")
 
     @pytest.mark.parametrize("command", ["ingest", "bialign", "multialign"])
     def test_mapping_with_an_invalid_idiom_code(self, cli_workspace, tmp_path, command):
