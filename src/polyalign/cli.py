@@ -149,7 +149,7 @@ def bialign(config, corpus_path, mapping, pair, skip_cost, out_path):
 @click.option("--no-length-filter", is_flag=True, default=False)
 def multialign(corpus_path, mapping, alignments_path, pivot, out_path, dropped_path,
                length_unit, no_length_filter):
-    """Build multi-parallel rows by consensus (or one pivot's outer join)."""
+    """Build multi-parallel rows by consensus (or one pivot's join)."""
     volumes, groups = corpus_groups(corpus_path, mapping)
     length_config = None if no_length_filter else LengthFilterConfig(unit=length_unit)
     counts = build_rows(volumes, groups, alignments_path, out_path, dropped_path, length_config,

@@ -51,7 +51,8 @@ def export_rows(rows: list[MultiParallelRow], out_path) -> int:
 
 
 def load_rows(path, seg_index: dict[str, Segment]) -> list[MultiParallelRow]:
-    """Re-import a rows.jsonl file; cells resolve through the corpus index."""
+    """Re-import a rows.jsonl file; each cell's segment_id resolves through the
+    corpus index to a segment of the cell's idiom."""
     rows: list[MultiParallelRow] = []
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -65,9 +66,11 @@ def load_rows(path, seg_index: dict[str, Segment]) -> list[MultiParallelRow]:
                 raise ExportError(f"{path}, line {line_no}: not a row record ({type(exc).__name__}: {exc})") from exc
             cells: dict[str, Segment | None] = {}
             for idiom, sid in ids.items():
-                if sid is not None and sid not in seg_index:
-                    raise ExportError(f"{path}, line {line_no}: row references unknown segment {sid!r}")
-                cells[idiom] = None if sid is None else seg_index[sid]
+                seg = seg_index.get(sid) if isinstance(sid, str) else None
+                if sid is not None and (seg is None or seg.idiom != idiom):
+                    raise ExportError(f"{path}, line {line_no}: row references unknown segment {sid!r}, "
+                                      f"no {idiom} segment of the corpus")
+                cells[idiom] = seg
             rows.append(MultiParallelRow(cells=cells, provenance=provenance, flags=flags))
     return rows
 

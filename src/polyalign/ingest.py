@@ -9,11 +9,13 @@ stays markup, so a literal ``<``, ``>`` or ``&`` in it is escaped.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from html import escape
 from html.parser import HTMLParser
 
 from .model import (
+    VOLUME_KINDS,
     BookVolume,
     Chapter,
     ChapterGroup,
@@ -30,6 +32,9 @@ from .model import (
 class IngestError(PolyalignError):
     """Malformed input document or dangling mapping reference."""
 
+
+# Segment ids join with "/", mapping cells with "#" and mapping columns with tabs.
+_VOLUME_ID_RE = re.compile(r"[^/#\s]+")
 
 # An ingest warning is the warnings.jsonl record {"source": ..., "message": ...}.
 Warnings = list[dict[str, str]]
@@ -188,7 +193,8 @@ def segment_html(
 
 
 def parse_volume(raw: bytes | str, warnings: Warnings | None = None) -> BookVolume:
-    """Parse one raw volume document (ingestion JSON, UTF-8) into a BookVolume."""
+    """Parse one raw volume document (ingestion JSON, UTF-8) into a BookVolume,
+    the one check of its fields: a wrong type or value raises an IngestError."""
     try:
         doc = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
     except UnicodeDecodeError as exc:
@@ -207,15 +213,26 @@ def parse_volume(raw: bytes | str, warnings: Warnings | None = None) -> BookVolu
         raise IngestError(f"volume document missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise IngestError(f"volume document: {exc}") from exc
+    vol_ref = f"{idiom}/{volume_id}"
+    if not isinstance(volume_id, str) or not _VOLUME_ID_RE.fullmatch(volume_id):
+        raise IngestError(f"{vol_ref}: volume_id {volume_id!r} is not a non-empty string free of '/', '#' and whitespace")
+    if kind not in VOLUME_KINDS:
+        raise IngestError(f"{vol_ref}: unknown volume kind {kind!r}")
 
-    chapters = []
+    chapters: dict[str, Chapter] = {}
     for title, elements in raw_chapters:
+        if not isinstance(title, str):
+            raise IngestError(f"{vol_ref}: chapter title {title!r} is not a string")
         key = normalize_chapter_key(title)
         if not key:
-            raise IngestError(f"chapter title {title!r} normalizes to an empty key")
+            raise IngestError(f"{vol_ref}: chapter title {title!r} normalizes to an empty key")
+        if key in chapters:
+            raise IngestError(f"{vol_ref}: two chapters have the key {key!r}")
         segments: list[Segment] = []
         for elem_idx, element_html in enumerate(elements):
-            source = f"{idiom}/{volume_id}/{key}#element{elem_idx}"
+            source = f"{vol_ref}/{key}#element{elem_idx}"
+            if not isinstance(element_html, str):
+                raise IngestError(f"{source}: html {element_html!r} is not a string")
             for text, html in segment_html(element_html, warnings, source):
                 pos = len(segments)
                 segments.append(
@@ -228,9 +245,9 @@ def parse_volume(raw: bytes | str, warnings: Warnings | None = None) -> BookVolu
                         token_count=count_tokens(text),
                     )
                 )
-        chapters.append(Chapter(key=key, title=title, segments=tuple(segments)))
+        chapters[key] = Chapter(key=key, title=title, segments=tuple(segments))
     return BookVolume(
-        idiom=idiom, volume_id=volume_id, grade=grade, kind=kind, chapters=tuple(chapters)
+        idiom=idiom, volume_id=volume_id, grade=grade, kind=kind, chapters=tuple(chapters.values())
     )
 
 

@@ -90,11 +90,8 @@ def pivot_multialign(
     seg_index: dict[str, Segment],
     provenance: str = "",
 ) -> list[MultiParallelRow]:
-    """Full outer join of the group's ``idioms`` on the pivot idiom.
-
-    One row per pivot segment (cells null where an idiom deleted it), plus one
-    singleton row per segment of another idiom unmatched to the pivot.
-    """
+    """One row per pivot segment, cells null where an idiom deleted it; a
+    segment unmatched to the pivot is in no row, as one cell aligns nothing."""
     others = [k for k in idioms if k != pivot]
     pivot_ids = partners[(pivot, others[0])] if others else {}
     rows: list[MultiParallelRow] = []
@@ -104,12 +101,6 @@ def pivot_multialign(
             other = partners[(pivot, k)][p_seg]
             cells[k] = seg_index[other] if other is not None else None
         rows.append(MultiParallelRow(cells=cells, provenance=provenance))
-    for k in others:
-        for t_seg, p_seg in partners[(k, pivot)].items():
-            if p_seg is None:
-                cells = dict.fromkeys(idioms)
-                cells[k] = seg_index[t_seg]
-                rows.append(MultiParallelRow(cells=cells, provenance=provenance))
     return rows
 
 

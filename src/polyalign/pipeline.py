@@ -7,12 +7,12 @@ commands bind it to the files named by their flags. Ingest stores the corpus
 and a copy of the chapter mapping as ``mapping.tsv``; the corpus and its
 chapter groups are then resolved once from those two files
 (``corpus_groups``), as the CLI's ``bialign`` and ``multialign`` resolve
-them, and handed to the later stages. Multialign checks each alignment
-against its chapters' segment ids, keeping the corpus's own id tuples where
-they match, and builds each group's rows on partner maps (see
-``multialign``). Every run writes a manifest with the resolved
-config, content hashes of all artifacts, and per-stage counts, so a build
-can be audited and reproduced bit-for-bit (with a warm embedding cache).
+them, and handed to the later stages. Each input is checked where it is
+read: a volume by ``parse_volume``, an alignment by ``load_alignments``.
+Multialign builds each group's rows on partner maps (see ``multialign``).
+Every run writes a manifest with the resolved config, content hashes of all
+artifacts, and per-stage counts, so a build can be audited and reproduced
+bit-for-bit (with a warm embedding cache).
 """
 
 from __future__ import annotations
@@ -155,8 +155,8 @@ def _naming(path):
 
 
 def ingest_raw(raw_dir, mapping, corpus_path, warnings_path) -> dict:
-    """Parse and validate the raw volumes, group their chapters by the mapping,
-    and write the corpus and the ingest warnings."""
+    """Parse the raw volumes, check that no idiom repeats a volume id, group
+    their chapters by the mapping, and write the corpus and the ingest warnings."""
     raw_paths = sorted(glob.glob(os.path.join(raw_dir, "*.json")))
     if not raw_paths:
         raise PipelineError(f"no raw volume documents in {raw_dir!r}")
@@ -263,20 +263,12 @@ def align_pairs(groups: list[ChapterGroup], alignments_path, config: PipelineCon
     return {"chapter_pairs": count}
 
 
-def _shared(ids: list[str], known: tuple[str, ...] | None) -> tuple[str, ...]:
-    """``known`` itself when it holds exactly ``ids``, else ``ids`` as a tuple."""
-    ids = tuple(ids)
-    return known if ids == known else ids
-
-
 def load_alignments(path, chapter_ids: dict[tuple[str, str], tuple[str, ...]]
-                    ) -> list[tuple[str, str, str, BilingualAlignment]]:
-    """The (group, src idiom, tgt idiom, alignment) records of ``path``.
-
-    ``chapter_ids`` maps (group, idiom) to that chapter's segment ids; a
-    record whose ids equal them holds that tuple itself, so each id is kept
-    once, by the corpus. Other ids are kept as read."""
-    out = []
+                    ) -> dict[str, dict[tuple[str, str], BilingualAlignment]]:
+    """``{group: {(src idiom, tgt idiom): alignment}}`` of the records in ``path``, the
+    one check of a record: its ids are ``chapter_ids[(group, idiom)]``, whose tuples it then
+    holds, its links a monotone 1-1 full cover, and no other record holds its pair."""
+    out: dict[str, dict[tuple[str, str], BilingualAlignment]] = {}
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -284,19 +276,33 @@ def load_alignments(path, chapter_ids: dict[tuple[str, str], tuple[str, ...]]
             try:
                 doc = json.loads(line.decode("utf-8"))
                 gid, i, j = doc["group"], doc["src_idiom"], doc["tgt_idiom"]
+                known = chapter_ids.get((gid, i)), chapter_ids.get((gid, j))
+                stale = (tuple(doc["src_ids"]), tuple(doc["tgt_ids"])) != known
                 alignment = BilingualAlignment(
                     src_chapter=doc["src_chapter"],
                     tgt_chapter=doc["tgt_chapter"],
-                    src_ids=_shared(doc["src_ids"], chapter_ids.get((gid, i))),
-                    tgt_ids=_shared(doc["tgt_ids"], chapter_ids.get((gid, j))),
+                    src_ids=known[0],
+                    tgt_ids=known[1],
                     links=[Link(src=l["src"], tgt=l["tgt"], cost=l["cost"]) for l in doc["links"]],
                     total_cost=doc["total_cost"],
                 )
-                out.append((gid, i, j, alignment))
             except (ValueError, KeyError, TypeError, AlignmentError) as exc:
                 raise PipelineError(
                     f"{path}, line {line_no}: not an alignment record ({type(exc).__name__}: {exc})"
                 ) from exc
+            pairs = out.setdefault(gid, {})
+            name = f"{i}:{j}"
+            if stale:
+                problem = "does not match the corpus's chapters; rerun bialign on this corpus"
+            elif (i, j) in pairs:
+                problem = "is stored twice"
+            elif (j, i) in pairs:
+                name, problem = f"{j}:{i}", f"is stored twice, the second time as {name}"
+            else:
+                problem = _cover_problem(alignment)
+            if problem:
+                raise PipelineError(f"{path}, line {line_no}: group {gid}: the {name} alignment {problem}")
+            pairs[(i, j)] = alignment
     return out
 
 
@@ -305,6 +311,8 @@ def _cover_problem(alignment: BilingualAlignment) -> str | None:
     n, m = len(alignment.src_ids), len(alignment.tgt_ids)
     srcs = [l.src for l in alignment.links if l.src is not None]
     tgts = [l.tgt for l in alignment.links if l.tgt is not None]
+    if any(type(k) is not int for k in srcs + tgts):
+        return "has a link index that is not an integer"
     if any(not 0 <= k < n for k in srcs) or any(not 0 <= k < m for k in tgts):
         return "has a segment index out of range"
     if sorted(srcs) != list(range(n)) or sorted(tgts) != list(range(m)):
@@ -318,23 +326,15 @@ def _cover_problem(alignment: BilingualAlignment) -> str | None:
 def build_rows(volumes: list[BookVolume], groups: list[ChapterGroup], alignments_path, rows_path,
                dropped_path, length_config: LengthFilterConfig | None, pivot: str | None = None) -> dict:
     """Multi-parallel rows of every group: the consensus of every pivot or, given
-    ``pivot``, that pivot's outer join; some group must hold the pivot. Stale
-    alignments (segment ids other than their chapters') and links that are not a
-    monotone 1-1 full cover fail the build. Without ``length_config`` no cell is
+    ``pivot``, that pivot's join; some group must hold the pivot. The
+    alignments are checked as ``load_alignments`` reads them, and a group that
+    lacks a pair the build needs fails it. Without ``length_config`` no cell is
     length-filtered. Rows left with fewer than two cells are demoted."""
     if pivot is not None and not any(pivot in g.members for g in groups):
         raise PipelineError(f"no chapter group has the pivot idiom {pivot!r}")
     seg_index = segment_index(volumes)
     chapter_ids = {(g.group_id, k): tuple(s.id for s in c.segments) for g in groups for k, c in g.members.items()}
-    by_group: dict[str, dict[tuple[str, str], BilingualAlignment]] = {}
-    for gid, i, j, alignment in load_alignments(alignments_path, chapter_ids):
-        if (alignment.src_ids, alignment.tgt_ids) != (chapter_ids.get((gid, i)), chapter_ids.get((gid, j))):
-            raise PipelineError(f"group {gid}: the {i}:{j} alignment does not match the corpus's "
-                                "chapters; rerun bialign on this corpus")
-        problem = _cover_problem(alignment)
-        if problem:
-            raise PipelineError(f"group {gid}: the {i}:{j} alignment {problem}")
-        by_group.setdefault(gid, {})[(i, j)] = alignment
+    by_group = load_alignments(alignments_path, chapter_ids)
 
     all_rows = []
     dropped: list[DroppedComponent] = []

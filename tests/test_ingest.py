@@ -11,7 +11,7 @@ from polyalign.ingest import (
     parse_volume,
     segment_html,
 )
-from polyalign.model import nfc, validate_corpus
+from polyalign.model import nfc
 
 from oracles import segment_html_reference
 
@@ -50,6 +50,14 @@ def tag_soup():
         lambda t: t[0].format(t[1], t[2]))
     text = st.text(alphabet="ae <>&\t\n\u0301\u212b", max_size=6) | st.sampled_from(["&lt;", "&amp;b"])
     return st.lists(tag | text, max_size=12).map("".join)
+
+
+def assert_valid_segments(vol):
+    """Each segment's text is non-blank, has at least one token and keeps only ``<strong>`` tags."""
+    for chap in vol.chapters:
+        for seg in chap.segments:
+            assert seg.text.strip() and seg.token_count >= 1
+            assert set(re.findall(r"</?\s*([a-zA-Z0-9]+)", seg.text)) <= {"strong"}
 
 
 def content(markup):
@@ -154,7 +162,7 @@ class TestSegmentHtml:
         assert [seg.text for seg in segs] == [text for text, _ in out]
         assert [seg.position for seg in segs] == list(range(len(segs)))
         assert len({seg.id for seg in segs}) == len(segs)
-        assert not [v for v in validate_corpus([vol]) if "tag" in v]
+        assert_valid_segments(vol)
         for text, candidate in out:
             assert [t for t, _ in segment_html(candidate)] == [text]
             assert content(candidate) == content(text)
@@ -195,12 +203,12 @@ class TestParseVolume:
         vol = parse_volume(volume_doc([{"title": "One", "elements": [{"html": element}]}]))
         seg = vol.chapters[0].segments[0]
         assert (seg.text, seg.html) == (text, element)
-        assert validate_corpus([vol]) == []
+        assert_valid_segments(vol)
 
     def test_real_inline_tag_is_still_stripped(self):
         vol = parse_volume(volume_doc([{"title": "One", "elements": [{"html": "<p>x <em>y</em> z</p>"}]}]))
         assert vol.chapters[0].segments[0].text == "x y z"
-        assert validate_corpus([vol]) == []
+        assert_valid_segments(vol)
 
     def test_zero_chapters(self):
         vol = parse_volume(volume_doc([]))
@@ -229,6 +237,36 @@ class TestParseVolume:
     def test_bytes_input_accepted(self):
         vol = parse_volume(volume_doc([]).encode("utf-8"))
         assert vol.idiom == "sursilvan"
+
+    def test_volume_id_must_fit_the_id_grammar(self):
+        for bad in ("", "a/b", "a#b", "a b", "a\tb", 7, None):
+            with pytest.raises(IngestError) as exc:
+                parse_volume(volume_doc([], volume_id=bad))
+            assert str(exc.value) == (f"sursilvan/{bad}: volume_id {bad!r} is not a non-empty string "
+                                      "free of '/', '#' and whitespace")
+
+    def test_unknown_kind_is_rejected(self):
+        doc = json.loads(volume_doc([]))
+        doc["kind"] = "reader"
+        with pytest.raises(IngestError, match="sursilvan/v1: unknown volume kind 'reader'"):
+            parse_volume(json.dumps(doc))
+
+    def test_chapter_key_repeated_in_a_volume(self):
+        # "Intro" and "intro!" both normalize to the key "intro".
+        chapters = [{"title": "Intro", "elements": [{"html": "<p>a</p>"}]}, {"title": "intro!", "elements": []}]
+        with pytest.raises(IngestError, match="sursilvan/v1: two chapters have the key 'intro'"):
+            parse_volume(volume_doc(chapters))
+        assert len(parse_volume(volume_doc(chapters[:1])).chapters) == 1
+
+    @pytest.mark.parametrize("chapter, message", [
+        ({"title": 7, "elements": []}, "sursilvan/v1: chapter title 7 is not a string"),
+        ({"title": "One", "elements": [{"html": "<p>a</p>"}, {"html": ["<p>b</p>"]}]},
+         "sursilvan/v1/one#element1: html ['<p>b</p>'] is not a string"),
+    ])
+    def test_title_or_html_that_is_not_a_string(self, chapter, message):
+        with pytest.raises(IngestError) as exc:
+            parse_volume(volume_doc([chapter]))
+        assert str(exc.value) == message
 
 
 class TestBuildChapterGroups:

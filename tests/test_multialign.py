@@ -201,15 +201,13 @@ class TestPivotMultialign:
         assert pivot_row.cells["x"].id == "x0"
         assert pivot_row.cells["y"] is None
 
-    def test_unmatched_segment_gets_singleton_row(self):
+    def test_unmatched_segment_is_in_no_row(self):
         alignments = {
             "x": alignment_from_pairs([("p0", None), (None, "x0")], "cp", "cx"),
         }
         index = self._index({"p": ["p0"], "x": ["x0"]})
         out = multialign_on_pivot("p", alignments, index)
-        singles = [r for r in out if r.cells.get("p") is None]
-        assert len(singles) == 1
-        assert sum(1 for v in singles[0].cells.values() if v is not None) == 1
+        assert [row.cells for row in out] == [{"p": index["p0"], "x": None}]
 
     def test_rows_partition_pivot_segments(self):
         rng = random.Random(2)

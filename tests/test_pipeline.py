@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import shutil
@@ -17,6 +18,7 @@ from polyalign.pipeline import (
     PipelineError,
     build_rows,
     corpus_groups,
+    ingest_raw,
     load_config,
     run_pipeline,
 )
@@ -345,10 +347,19 @@ class TestRunPipeline:
 
         monkeypatch.setattr(pipeline, "load_alignments", load_alignments)
         run_pipeline(make_config(tmp_path, raw, mapping))
-        [(chapter_ids, records)] = loaded
-        assert len(records) == 400
-        for gid, i, j, alignment in records:
-            assert alignment.src_ids is chapter_ids[(gid, i)] and alignment.tgt_ids is chapter_ids[(gid, j)]
+        [(chapter_ids, by_group)] = loaded
+        assert sum(len(pairs) for pairs in by_group.values()) == 400
+        for gid, pairs in by_group.items():
+            for (i, j), alignment in pairs.items():
+                assert alignment.src_ids is chapter_ids[(gid, i)] and alignment.tgt_ids is chapter_ids[(gid, j)]
+
+    def test_ingest_of_the_paper_fixture_is_pinned(self, tmp_path):
+        # corpus.json holds no floats, so its bytes are the same on every Python.
+        raw, mapping, _ = write_fixture(generate(seed=0, n_groups=40, segs_per_chapter=30), tmp_path)
+        ingest_raw(raw, mapping, tmp_path / "corpus.json", tmp_path / "warnings.jsonl")
+        digest = hashlib.sha256((tmp_path / "corpus.json").read_bytes()).hexdigest()
+        assert digest == "86e1c7b626e1c6699afcdd9027cf7fab631e81677e41ec6ddc70996fbd3dde21"
+        assert (tmp_path / "warnings.jsonl").read_bytes() == b""
 
     def test_volume_id_breaking_the_id_grammar_fails_ingest(self, small_corpus, tmp_path):
         raw, mapping = write_bad_volume(small_corpus, tmp_path)
@@ -382,23 +393,53 @@ def _links_swapped(doc):
     doc["links"][first], doc["links"][second] = doc["links"][second], doc["links"][first]
 
 
-# Each edit of the first stored record (group g0001, puter:surmiran) and
-# the error it must raise.
+def _source_a_string(doc):
+    link = next(l for l in doc["links"] if l["src"] is not None)
+    link["src"] = str(link["src"])
+
+
+def _source_a_float(doc):
+    link = next(l for l in doc["links"] if l["src"] is not None)
+    link["src"] = float(link["src"])
+
+
+def _record_repeated(doc):
+    return dict(doc)
+
+
+def _reverse_pair_appended(doc):
+    reverse = {"src_idiom": "tgt_idiom", "src_chapter": "tgt_chapter", "src_ids": "tgt_ids"}
+    reverse.update({v: k for k, v in reverse.items()})
+    record = {reverse.get(k, k): v for k, v in doc.items()}
+    record["links"] = [{"src": l["tgt"], "tgt": l["src"], "cost": l["cost"]} for l in doc["links"]]
+    return record
+
+
+# Each edit of the first stored record (group g0001, puter:surmiran), or
+# record it appends, and the error it must raise.
 BROKEN_COVERS = [
     (_source_out_of_range, "has a segment index out of range"),
     (_target_negative, "has a segment index out of range"),
     (_target_repeated, "does not link every segment exactly once"),
     (_link_missing, "does not link every segment exactly once"),
     (_links_swapped, "has 1-1 links that are not increasing"),
+    (_source_a_string, "has a link index that is not an integer"),
+    (_source_a_float, "has a link index that is not an integer"),
+    (_record_repeated, "is stored twice"),
+    (_reverse_pair_appended, "is stored twice, the second time as surmiran:puter"),
 ]
 
 
-def write_broken_alignments(out, edit, path):
+def write_broken_alignments(out, edit, path) -> int:
+    """Write the stored alignments with ``edit`` applied to path; return the
+    line of the record the error must name."""
     lines = (out / "alignments.jsonl").read_text(encoding="utf-8").splitlines()
     doc = json.loads(lines[0])
     assert (doc["group"], doc["src_idiom"], doc["tgt_idiom"]) == ("g0001", "puter", "surmiran")
-    edit(doc)
-    path.write_text("\n".join([json.dumps(doc)] + lines[1:]) + "\n", encoding="utf-8")
+    appended = edit(doc)
+    lines = [json.dumps(doc)] + lines[1:] + ([json.dumps(appended)] if appended else [])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return len(lines) if appended else 1
 
 
 class TestStoredAlignmentsMustBeCovers:
@@ -418,15 +459,14 @@ class TestStoredAlignmentsMustBeCovers:
         root, runner = cli_workspace
         out = root / "out"
         broken = tmp_path / "alignments.jsonl"
-        write_broken_alignments(out, edit, broken)
+        line = write_broken_alignments(out, edit, broken)
         for pivot in ("all", "sursilvan"):
             result = runner.invoke(main, [
                 "multialign", "--corpus", str(out / "corpus.json"), "--mapping", str(out / "mapping.tsv"),
                 "--alignments", str(broken), "--pivot", pivot,
                 "--out", str(tmp_path / "rows.jsonl"), "--dropped", str(tmp_path / "dropped.jsonl"),
             ])
-            assert result.exit_code == 1
-            assert f"group g0001: the puter:surmiran alignment {problem}" in result.output
+            assert_reported(result, f"{broken}, line {line}: group g0001: the puter:surmiran alignment {problem}")
             assert not (tmp_path / "rows.jsonl").exists()
 
 
@@ -860,6 +900,47 @@ class TestCliReportsMalformedFiles:
         ])
         assert_reported(result, path, expected)
         assert not (tmp_path / "corpus.json").exists()
+
+    @pytest.mark.parametrize("field, expected", [
+        ("volume_id", "puter/7: volume_id 7 is not"),
+        ("title", "puter/vol01: chapter title 7 is not a string"),
+        ("html", "#element0: html 7 is not a string"),
+    ])
+    def test_volume_field_that_is_a_number(self, small_corpus, tmp_path, field, expected):
+        raw, mapping, _ = write_fixture(small_corpus, tmp_path)
+        path = next(raw.glob("puter-*.json"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if field == "volume_id":
+            doc["volume_id"] = 7
+        elif field == "title":
+            doc["chapters"][0]["title"] = 7
+        else:
+            doc["chapters"][0]["elements"][0]["html"] = 7
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = CliRunner().invoke(main, [
+            "ingest", "--raw-dir", str(raw), "--mapping", str(mapping),
+            "--out", str(tmp_path / "corpus.json"), "--report", str(tmp_path / "w.jsonl"),
+        ])
+        assert_reported(result, path, expected)
+        assert not (tmp_path / "corpus.json").exists()
+
+    @pytest.mark.parametrize("cell", ["an id that is a list", "a segment of another idiom"])
+    def test_row_cell_that_does_not_fit_the_corpus(self, cli_workspace, cell):
+        root, runner = cli_workspace
+        docs = [json.loads(l) for l in (root / "out" / "rows.jsonl").read_text(encoding="utf-8").splitlines()]
+        puter = docs[2]["cells"]["puter"]
+        if cell == "an id that is a list":
+            puter["segment_id"] = [puter["segment_id"]]
+            expected = f"row references unknown segment {puter['segment_id']!r}, no puter segment of the corpus"
+        else:
+            docs[2]["cells"]["vallader"] = puter
+            expected = f"row references unknown segment {puter['segment_id']!r}, no vallader segment of the corpus"
+        rows = root / "rows-misfiled.jsonl"
+        rows.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+        result = runner.invoke(main, [
+            "export", "stats", "--rows", str(rows), "--corpus", str(root / "out" / "corpus.json"),
+        ])
+        assert_reported(result, f"{rows}, line 3: {expected}")
 
     def test_two_chapters_with_one_key(self, tmp_path):
         # "Chapter 000!" normalizes to the key of "Chapter 000"; the later
