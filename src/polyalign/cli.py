@@ -144,15 +144,13 @@ def bialign(config, corpus_path, mapping, pair, skip_cost, out_path):
 @click.option("--alignments", "alignments_path", required=True, type=click.Path(exists=True))
 @click.option("--pivot", default="all", help="'all' for consensus, or one pivot idiom.")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--dropped", "dropped_path", required=True, type=click.Path())
 @click.option("--length-unit", type=click.Choice(["tokens", "characters"]), default="tokens")
 @click.option("--no-length-filter", is_flag=True, default=False)
-def multialign(corpus_path, mapping, alignments_path, pivot, out_path, dropped_path,
-               length_unit, no_length_filter):
+def multialign(corpus_path, mapping, alignments_path, pivot, out_path, length_unit, no_length_filter):
     """Build multi-parallel rows by consensus (or one pivot's join)."""
     volumes, groups = corpus_groups(corpus_path, mapping)
     length_config = None if no_length_filter else LengthFilterConfig(unit=length_unit)
-    counts = build_rows(volumes, groups, alignments_path, out_path, dropped_path, length_config,
+    counts = build_rows(volumes, groups, alignments_path, out_path, length_config,
                         None if pivot == "all" else pivot)
     click.echo(f"{counts['rows']} aligned rows, {counts['dropped_components']} dropped components")
 

@@ -106,17 +106,15 @@ def stats(corpus: list[BookVolume], rows: list[MultiParallelRow]) -> dict:
     the ``stats.json`` document, ``{"per_idiom": {idiom: counts}, "total": counts}``.
 
     Aligned = segments appearing in rows with at least two non-null cells.
+    The rows come from ``load_rows``, so every cell is a corpus segment.
     """
     per: dict[str, dict[str, int]] = {}
-    known_ids: set[str] = set()
     for vol in corpus:
         s = per.setdefault(vol.idiom, dict.fromkeys(_STATS_KEYS, 0))
         s["volumes"] += 1
         for chap in vol.chapters:
-            for seg in chap.segments:
-                s["segments"] += 1
-                s["tokens"] += seg.token_count
-                known_ids.add(seg.id)
+            s["segments"] += len(chap.segments)
+            s["tokens"] += sum(seg.token_count for seg in chap.segments)
 
     counted: set[str] = set()
     for row in rows:
@@ -124,12 +122,10 @@ def stats(corpus: list[BookVolume], rows: list[MultiParallelRow]) -> dict:
         if len(present) < 2:
             continue
         for seg in present.values():
-            if seg.id not in known_ids:
-                raise ExportError(f"row references segment {seg.id!r} outside the corpus")
             if seg.id in counted:
                 continue
             counted.add(seg.id)
-            s = per.setdefault(seg.idiom, dict.fromkeys(_STATS_KEYS, 0))
+            s = per[seg.idiom]
             s["aligned_segments"] += 1
             s["aligned_tokens"] += seg.token_count
 

@@ -206,7 +206,7 @@ def parse_volume(raw: bytes | str, warnings: Warnings | None = None) -> BookVolu
     try:
         idiom = check_idiom(doc["idiom"])
         volume_id = doc["volume_id"]
-        grade = int(doc["grade"])
+        grade = doc["grade"]
         kind = doc["kind"]
         raw_chapters = [(c["title"], [e["html"] for e in c["elements"]]) for c in doc["chapters"]]
     except KeyError as exc:
@@ -216,6 +216,8 @@ def parse_volume(raw: bytes | str, warnings: Warnings | None = None) -> BookVolu
     vol_ref = f"{idiom}/{volume_id}"
     if not isinstance(volume_id, str) or not _VOLUME_ID_RE.fullmatch(volume_id):
         raise IngestError(f"{vol_ref}: volume_id {volume_id!r} is not a non-empty string free of '/', '#' and whitespace")
+    if type(grade) is not int:
+        raise IngestError(f"{vol_ref}: grade {grade!r} is not an integer")
     if kind not in VOLUME_KINDS:
         raise IngestError(f"{vol_ref}: unknown volume kind {kind!r}")
 

@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from html import unescape
 from json.encoder import encode_basestring
+from operator import itemgetter
 
 VOLUME_KINDS = ("workbook", "commentary")
 
@@ -143,32 +144,42 @@ def validate_corpus(volumes: list[BookVolume]) -> list[str]:
 # Corpus serialization (corpus.json)
 
 
+class _Fields:
+    """Reads a record's named fields, each of exactly its type (no bool passes
+    for an int); a missing one raises KeyError, a wrong one TypeError."""
+
+    def __init__(self, **types: type):
+        self.types = types
+        self.kinds = tuple(types.values())
+        self.get = itemgetter(*types)
+
+    def __call__(self, record: dict) -> tuple:
+        values = self.get(record)
+        if tuple(map(type, values)) != self.kinds:
+            for (name, kind), value in zip(self.types.items(), values):
+                if type(value) is not kind:
+                    raise TypeError(f"field {name!r} is {value!r}, not {kind.__name__}")
+        return values
+
+
+_volume_fields = _Fields(idiom=str, volume_id=str, grade=int, kind=str)
+_chapter_fields = _Fields(key=str, title=str)
+_segment_fields = _Fields(id=str, position=int, html=str, text=str, token_count=int)
+
+
 def corpus_from_dict(doc: dict) -> list[BookVolume]:
     volumes = []
     for v in doc["volumes"]:
+        idiom, volume_id, grade, kind = _volume_fields(v)
         chapters = []
         for c in v["chapters"]:
-            segments = tuple(
-                Segment(
-                    id=s["id"],
-                    idiom=v["idiom"],
-                    position=s["position"],
-                    html=s["html"],
-                    text=s["text"],
-                    token_count=s["token_count"],
-                )
-                for s in c["segments"]
-            )
-            chapters.append(Chapter(key=c["key"], title=c["title"], segments=segments))
-        volumes.append(
-            BookVolume(
-                idiom=v["idiom"],
-                volume_id=v["volume_id"],
-                grade=v["grade"],
-                kind=v["kind"],
-                chapters=tuple(chapters),
-            )
-        )
+            key, title = _chapter_fields(c)
+            segments = []
+            for s in c["segments"]:
+                sid, position, html, text, token_count = _segment_fields(s)
+                segments.append(Segment(sid, idiom, position, html, text, token_count))
+            chapters.append(Chapter(key=key, title=title, segments=tuple(segments)))
+        volumes.append(BookVolume(idiom=idiom, volume_id=volume_id, grade=grade, kind=kind, chapters=tuple(chapters)))
     return volumes
 
 

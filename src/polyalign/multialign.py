@@ -119,23 +119,17 @@ def consensus(pair_sets: dict[str, PairLinkSet]) -> PairLinkSet:
     return PairLinkSet(idiom_a=idiom_a, idiom_b=idiom_b, pairs=pairs)
 
 
-@dataclass
-class DroppedComponent:
-    group_id: str
-    segment_ids: list[str]
-    reason: str
-
-
 def assemble_rows(
     consensus_sets: list[PairLinkSet],
     group: ChapterGroup,
     seg_index: dict[str, Segment],
-    dropped: list[DroppedComponent] | None = None,
+    dropped: list[list[str]] | None = None,
 ) -> list[MultiParallelRow]:
     """Connected components of the consensus pairs become corpus rows.
 
     Components holding two segments of the same idiom are contradictory and
-    are dropped whole (precision over recall), with a log entry.
+    are dropped whole (precision over recall); ``dropped`` receives each one's
+    sorted segment ids.
     """
     adj: dict[str, set[str]] = {}
     for s in consensus_sets:
@@ -163,13 +157,7 @@ def assemble_rows(
             by_idiom.setdefault(seg.idiom, []).append(seg)
         if any(len(v) > 1 for v in by_idiom.values()):
             if dropped is not None:
-                dropped.append(
-                    DroppedComponent(
-                        group_id=group.group_id,
-                        segment_ids=sorted(component),
-                        reason="multiple segments from one idiom in a consensus component",
-                    )
-                )
+                dropped.append(sorted(component))
             continue
         cells: dict[str, Segment | None] = {idiom: None for idiom in group.idioms()}
         for idiom, segs in by_idiom.items():
@@ -207,7 +195,7 @@ def align_group_consensus(
     group: ChapterGroup,
     pair_alignments: dict[tuple[str, str], BilingualAlignment],
     seg_index: dict[str, Segment],
-    dropped: list[DroppedComponent] | None = None,
+    dropped: list[list[str]] | None = None,
 ) -> list[MultiParallelRow]:
     """Consensus rows for one chapter group from its pairwise alignments.
 

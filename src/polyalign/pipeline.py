@@ -46,7 +46,6 @@ from .model import (
     validate_corpus,
 )
 from .multialign import (
-    DroppedComponent,
     LengthFilterConfig,
     align_group_consensus,
     length_filter,
@@ -324,12 +323,13 @@ def _cover_problem(alignment: BilingualAlignment) -> str | None:
 
 
 def build_rows(volumes: list[BookVolume], groups: list[ChapterGroup], alignments_path, rows_path,
-               dropped_path, length_config: LengthFilterConfig | None, pivot: str | None = None) -> dict:
+               length_config: LengthFilterConfig | None, pivot: str | None = None) -> dict:
     """Multi-parallel rows of every group: the consensus of every pivot or, given
     ``pivot``, that pivot's join; some group must hold the pivot. The
     alignments are checked as ``load_alignments`` reads them, and a group that
     lacks a pair the build needs fails it. Without ``length_config`` no cell is
-    length-filtered. Rows left with fewer than two cells are demoted."""
+    length-filtered. Rows left with fewer than two cells are demoted; a
+    contradictory consensus component is only counted (``dropped_components``)."""
     if pivot is not None and not any(pivot in g.members for g in groups):
         raise PipelineError(f"no chapter group has the pivot idiom {pivot!r}")
     seg_index = segment_index(volumes)
@@ -337,7 +337,7 @@ def build_rows(volumes: list[BookVolume], groups: list[ChapterGroup], alignments
     by_group = load_alignments(alignments_path, chapter_ids)
 
     all_rows = []
-    dropped: list[DroppedComponent] = []
+    dropped: list[list[str]] = []
     demoted = 0
     for group in groups:
         pair_alignments = by_group.get(group.group_id, {})
@@ -369,14 +369,6 @@ def build_rows(volumes: list[BookVolume], groups: list[ChapterGroup], alignments
                 demoted += 1
 
     export_mod.export_rows(all_rows, rows_path)
-    with open(dropped_path, "w", encoding="utf-8") as fh:
-        for d in dropped:
-            fh.write(
-                json.dumps(
-                    {"group": d.group_id, "segment_ids": d.segment_ids, "reason": d.reason}
-                )
-                + "\n"
-            )
     return {"rows": len(all_rows), "dropped_components": len(dropped), "demoted_rows": demoted}
 
 
@@ -412,7 +404,7 @@ def stage_bialign(config: PipelineConfig, writer: _StageWriter, groups: list[Cha
 def stage_multialign(config: PipelineConfig, writer: _StageWriter, volumes: list[BookVolume],
                      groups: list[ChapterGroup]) -> dict:
     return build_rows(volumes, groups, _out(config, "alignments.jsonl"), writer.path_for(_out(config, "rows.jsonl")),
-                      writer.path_for(_out(config, "dropped.jsonl")), config.length_filter)
+                      config.length_filter)
 
 
 def stage_export(config: PipelineConfig, writer: _StageWriter, volumes: list[BookVolume]) -> dict:
@@ -439,7 +431,6 @@ ARTIFACTS = (
     "warnings.jsonl",
     "alignments.jsonl",
     "rows.jsonl",
-    "dropped.jsonl",
     "stats.json",
     "stats.txt",
 )

@@ -177,14 +177,6 @@ class TestStats:
         report = stats(volumes, rows)
         assert report["per_idiom"]["puter"]["aligned_segments"] == 1
 
-    def test_dangling_row_reference_errors(self, corpus):
-        volumes, segments = corpus
-        ghost = seg("puter", "vol09", 0, "ghost")
-        rows = [MultiParallelRow(cells={"puter": ghost, "vallader": segments["vallader/vol01/c/0"]},
-                                 provenance="g")]
-        with pytest.raises(ExportError, match="outside the corpus"):
-            stats(volumes, rows)
-
     def test_render_and_dict_agree(self, corpus, alignment):
         volumes, _ = corpus
         report = stats(volumes, alignment)

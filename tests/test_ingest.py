@@ -251,6 +251,14 @@ class TestParseVolume:
         with pytest.raises(IngestError, match="sursilvan/v1: unknown volume kind 'reader'"):
             parse_volume(json.dumps(doc))
 
+    @pytest.mark.parametrize("grade", [3.7, True, "3"])
+    def test_grade_that_is_not_an_integer(self, grade):
+        doc = json.loads(volume_doc([]))
+        doc["grade"] = grade
+        with pytest.raises(IngestError) as exc:
+            parse_volume(json.dumps(doc))
+        assert str(exc.value) == f"sursilvan/v1: grade {grade!r} is not an integer"
+
     def test_chapter_key_repeated_in_a_volume(self):
         # "Intro" and "intro!" both normalize to the key "intro".
         chapters = [{"title": "Intro", "elements": [{"html": "<p>a</p>"}]}, {"title": "intro!", "elements": []}]

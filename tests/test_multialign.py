@@ -18,7 +18,6 @@ from polyalign.embedding import embed_segments
 from polyalign.ingest import build_chapter_groups
 from polyalign.model import ChapterGroup, Chapter, MultiParallelRow, Segment
 from polyalign.multialign import (
-    DroppedComponent,
     LengthFilterConfig,
     MultiAlignError,
     PairLinkSet,
@@ -106,7 +105,7 @@ def write_alignments(path, groups, stale_pair=None):
 
 def rows_on(root, alignments, pivot=None):
     volumes, groups = corpus_groups(root / "corpus.json", root / "mapping.tsv")
-    return build_rows(volumes, groups, alignments, root / "rows.jsonl", root / "dropped.jsonl", None, pivot=pivot)
+    return build_rows(volumes, groups, alignments, root / "rows.jsonl", None, pivot=pivot)
 
 
 class TestPivotJoin:
@@ -327,8 +326,7 @@ class TestAssembleRows:
         dropped = []
         out = assemble_rows(sets, group, self._index(ids), dropped)
         assert out == []
-        assert len(dropped) == 1
-        assert sorted(dropped[0].segment_ids) == ["a", "b", "b2"]
+        assert dropped == [["a", "b", "b2"]]
 
     def test_no_edges_no_rows(self):
         ids = {"x": ["a"], "y": ["b"]}
@@ -371,7 +369,7 @@ class TestAssembleRows:
                 {p for s in sets for p in s.pairs}, group.idioms(), segments
             )
             assert [cell_ids(row) for row in out] == rows
-            assert [d.segment_ids for d in dropped] == naive_dropped
+            assert dropped == naive_dropped
             n_rows += len(rows)
             n_dropped += len(dropped)
         assert n_rows and n_dropped
@@ -487,7 +485,7 @@ class TestGroupConsensus:
                 {sid: (s.idiom, s.position) for sid, s in index.items()},
             )
             assert [cell_ids(row) for row in out] == rows
-            assert [d.segment_ids for d in dropped] == naive_dropped
+            assert dropped == naive_dropped
             n_rows += len(rows)
         assert n_rows > 100
 

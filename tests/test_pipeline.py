@@ -88,6 +88,15 @@ class TestRunPipeline:
             assert path.exists()
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_multialign_writes_only_its_rows(self, pipeline_run):
+        # Checked alignments are 1-1 covers, so no consensus component is ever
+        # contradictory; the count stays as a tripwire, with no file of its own.
+        root, _, manifest, _ = pipeline_run
+        assert list(manifest["artifacts"]) == ["corpus.json", "mapping.tsv", "warnings.jsonl", "alignments.jsonl",
+                                               "rows.jsonl", "stats.json", "stats.txt"]
+        assert not (root / "out" / "dropped.jsonl").exists()
+        assert manifest["stages"]["multialign"]["dropped_components"] == 0
+
     def test_rows_reference_known_segments(self, pipeline_run, small_corpus):
         root, _, _, _ = pipeline_run
         known = {
@@ -149,7 +158,7 @@ class TestRunPipeline:
             ["bialign", "--corpus", corpus, "--mapping", stored, "--embeddings", str(tmp_path / "cache"),
              "--out", str(out / "alignments.jsonl")],
             ["multialign", "--corpus", corpus, "--mapping", stored, "--alignments", str(out / "alignments.jsonl"),
-             "--out", str(out / "rows.jsonl"), "--dropped", str(out / "dropped.jsonl")],
+             "--out", str(out / "rows.jsonl")],
         ):
             result = runner.invoke(main, args)
             assert result.exit_code == 0, result.output
@@ -451,7 +460,7 @@ class TestStoredAlignmentsMustBeCovers:
         volumes, groups = corpus_groups(out / "corpus.json", out / "mapping.tsv")
         for pivot in (None, "sursilvan"):
             with pytest.raises(PipelineError, match=f"group g0001: the puter:surmiran alignment {problem}"):
-                build_rows(volumes, groups, broken, tmp_path / "rows.jsonl", tmp_path / "dropped.jsonl", None, pivot)
+                build_rows(volumes, groups, broken, tmp_path / "rows.jsonl", None, pivot)
             assert not (tmp_path / "rows.jsonl").exists()
 
     @pytest.mark.parametrize("edit, problem", BROKEN_COVERS)
@@ -464,7 +473,7 @@ class TestStoredAlignmentsMustBeCovers:
             result = runner.invoke(main, [
                 "multialign", "--corpus", str(out / "corpus.json"), "--mapping", str(out / "mapping.tsv"),
                 "--alignments", str(broken), "--pivot", pivot,
-                "--out", str(tmp_path / "rows.jsonl"), "--dropped", str(tmp_path / "dropped.jsonl"),
+                "--out", str(tmp_path / "rows.jsonl"),
             ])
             assert_reported(result, f"{broken}, line {line}: group g0001: the puter:surmiran alignment {problem}")
             assert not (tmp_path / "rows.jsonl").exists()
@@ -607,7 +616,7 @@ class TestCli:
             "multialign", "--corpus", str(root / "out" / "corpus.json"),
             "--mapping", str(root / "out" / "mapping.tsv"),
             "--alignments", str(root / "out" / "alignments.jsonl"),
-            "--out", str(out), "--dropped", str(root / "dropped-cli.jsonl"),
+            "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
         # Same inputs as the pipeline run, so the row file must agree.
@@ -621,7 +630,7 @@ class TestCli:
             "--mapping", str(root / "out" / "mapping.tsv"),
             "--alignments", str(root / "out" / "alignments.jsonl"),
             "--pivot", "sursilvan",
-            "--out", str(out), "--dropped", str(root / "dropped-pivot.jsonl"),
+            "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
         assert out.read_text().strip()
@@ -633,7 +642,7 @@ class TestCli:
             "multialign", "--corpus", str(root / "out" / "corpus.json"),
             "--mapping", str(root / "out" / "mapping.tsv"),
             "--alignments", str(root / "out" / "alignments.jsonl"),
-            "--pivot", "nowhere", "--out", str(out), "--dropped", str(root / "dropped-nowhere.jsonl"),
+            "--pivot", "nowhere", "--out", str(out),
         ])
         assert result.exit_code == 1
         assert result.output.startswith("Error: ") and "'nowhere'" in result.output
@@ -738,7 +747,7 @@ class TestCli:
              "--pair", "all", "--out", str(chain / "alignments.jsonl")],
             ["multialign", "--corpus", corpus, "--mapping", mapping,
              "--alignments", str(chain / "alignments.jsonl"),
-             "--out", str(chain / "rows.jsonl"), "--dropped", str(chain / "dropped.jsonl")],
+             "--out", str(chain / "rows.jsonl")],
         ]
         for args in commands:
             result = runner.invoke(main, args)
@@ -776,7 +785,6 @@ class TestCli:
             result = runner.invoke(main, [
                 "multialign", "--corpus", corpus, "--mapping", mapping, "--alignments", pairs,
                 "--pivot", pivot, "--out", str(root / "rows-pv.jsonl"),
-                "--dropped", str(root / "dropped-pv.jsonl"),
             ])
             assert result.exit_code == 1
             assert missing in result.output
@@ -792,7 +800,7 @@ class TestCli:
                 result = runner.invoke(main, [
                     "multialign", "--corpus", str(out / "corpus.json"), "--mapping", str(out / "mapping.tsv"),
                     "--alignments", str(two_sizes[other] / "alignments.jsonl"), "--pivot", pivot,
-                    "--out", str(out.parent / "rows-stale.jsonl"), "--dropped", str(out.parent / "dropped-stale.jsonl"),
+                    "--out", str(out.parent / "rows-stale.jsonl"),
                 ])
                 assert result.exit_code == 1
                 assert stale in result.output
@@ -860,6 +868,18 @@ class TestCliReportsMalformedFiles:
         ])
         assert_reported(result, corpus)
 
+    @pytest.mark.parametrize("field, value", [("token_count", "3"), ("position", True), ("html", 7)])
+    def test_corpus_segment_field_of_the_wrong_type(self, cli_workspace, tmp_path, field, value):
+        root, runner = cli_workspace
+        doc = json.loads((root / "out" / "corpus.json").read_text(encoding="utf-8"))
+        doc["volumes"][0]["chapters"][0]["segments"][0][field] = value
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(main, [
+            "export", "stats", "--rows", str(root / "out" / "rows.jsonl"), "--corpus", str(corpus),
+        ])
+        assert_reported(result, f"{corpus}: not a polyalign corpus", f"field {field!r} is {value!r}")
+
     def test_alignments_with_a_truncated_line(self, cli_workspace):
         root, runner = cli_workspace
         lines = (root / "out" / "alignments.jsonl").read_text(encoding="utf-8").splitlines()
@@ -868,7 +888,7 @@ class TestCliReportsMalformedFiles:
         result = runner.invoke(main, [
             "multialign", "--corpus", str(root / "out" / "corpus.json"),
             "--mapping", str(root / "out" / "mapping.tsv"), "--alignments", str(alignments),
-            "--out", str(root / "rows-cut.jsonl"), "--dropped", str(root / "dropped-cut.jsonl"),
+            "--out", str(root / "rows-cut.jsonl"),
         ])
         assert_reported(result, alignments, "line 2")
         assert not (root / "rows-cut.jsonl").exists()
@@ -968,7 +988,7 @@ class TestCliReportsMalformedFiles:
             "bialign": ["--corpus", corpus, "--embeddings", str(root / "cache"),
                         "--out", str(tmp_path / "alignments.jsonl")],
             "multialign": ["--corpus", corpus, "--alignments", str(root / "out" / "alignments.jsonl"),
-                           "--out", str(tmp_path / "rows.jsonl"), "--dropped", str(tmp_path / "dropped.jsonl")],
+                           "--out", str(tmp_path / "rows.jsonl")],
         }[command]
         result = runner.invoke(main, [command, "--mapping", str(mapping), *args])
         assert_reported(result, mapping, "'Puter'")
@@ -1034,7 +1054,7 @@ class TestCliReportsMalformedFiles:
         args = {
             "export-stats": ["export", "stats", "--rows", bad, "--corpus", corpus, "--out", written],
             "multialign": ["multialign", "--corpus", corpus, "--mapping", mapping, "--alignments", bad,
-                           "--out", written, "--dropped", tmp_path / "dropped.jsonl"],
+                           "--out", written],
             "bialign": ["bialign", "--corpus", corpus, "--mapping", bad, "--embeddings", root / "cache",
                         "--out", written],
             "evaluate": ["evaluate", "--hyp", out / "rows.jsonl", "--gold", bad, "--corpus", corpus,
