@@ -28,7 +28,7 @@ from .export import (
     write_sheet,
     write_stats,
 )
-from .model import PolyalignError, load_corpus, load_json_object, parse_pair, segment_index
+from .model import CORPUS_FORMAT, PolyalignError, load_corpus, load_json_object, parse_pair, segment_index
 from .multialign import LengthFilterConfig
 from .pipeline import (
     PipelineConfig,
@@ -40,8 +40,6 @@ from .pipeline import (
     load_config,
     run_pipeline,
 )
-
-FORMAT_VERSION = "polyalign-corpus/1"
 
 
 class _Main(click.Group):
@@ -55,7 +53,7 @@ class _Main(click.Group):
 
 
 @click.group(cls=_Main)
-@click.version_option(__version__, message=f"polyalign %(version)s ({FORMAT_VERSION})")
+@click.version_option(__version__, message=f"polyalign %(version)s ({CORPUS_FORMAT})")
 def main():
     """Multi-parallel segment alignment toolkit."""
 

@@ -20,6 +20,9 @@ from operator import itemgetter
 
 VOLUME_KINDS = ("workbook", "commentary")
 
+# The "format" of corpus.json, which load_corpus requires.
+CORPUS_FORMAT = "polyalign-corpus/1"
+
 # The canonical idiom set; other lowercase codes are accepted.
 CANONICAL_IDIOMS = ("sursilvan", "sutsilvan", "surmiran", "puter", "vallader")
 
@@ -168,7 +171,14 @@ _segment_fields = _Fields(id=str, position=int, html=str, text=str, token_count=
 
 
 def corpus_from_dict(doc: dict) -> list[BookVolume]:
+    """The volumes of a ``CORPUS_FORMAT`` document; a field of the wrong type, a
+    segment id that does not spell ``idiom/volume_id/key/position`` or that an
+    earlier segment holds, and another format raise KeyError, TypeError or
+    ValueError."""
+    if doc["format"] != CORPUS_FORMAT:
+        raise ValueError(f"format {doc['format']!r} is not {CORPUS_FORMAT!r}")
     volumes = []
+    ids: set[str] = set()
     for v in doc["volumes"]:
         idiom, volume_id, grade, kind = _volume_fields(v)
         chapters = []
@@ -177,6 +187,11 @@ def corpus_from_dict(doc: dict) -> list[BookVolume]:
             segments = []
             for s in c["segments"]:
                 sid, position, html, text, token_count = _segment_fields(s)
+                if sid != make_segment_id(idiom, volume_id, key, position):
+                    raise ValueError(f"segment id {sid!r} does not spell idiom/volume_id/key/position")
+                if sid in ids:
+                    raise ValueError(f"segment id {sid!r} is held by two segments")
+                ids.add(sid)
                 segments.append(Segment(sid, idiom, position, html, text, token_count))
             chapters.append(Chapter(key=key, title=title, segments=tuple(segments)))
         volumes.append(BookVolume(idiom=idiom, volume_id=volume_id, grade=grade, kind=kind, chapters=tuple(chapters)))
@@ -187,7 +202,7 @@ def save_corpus(volumes: list[BookVolume], path) -> None:
     """Write ``corpus.json``, one chapter at a time.
 
     The bytes are exactly ``json.dump(doc, fh, ensure_ascii=False, indent=1)``
-    and a newline, where ``doc`` is ``{"format": "polyalign-corpus/1",
+    and a newline, where ``doc`` is ``{"format": CORPUS_FORMAT,
     "volumes": [...]}`` and each volume, chapter and segment is an object of
     its fields in declaration order (a segment without its ``idiom``). The
     layout is spelled out here and strings go through ``encode_basestring``,
@@ -196,7 +211,7 @@ def save_corpus(volumes: list[BookVolume], path) -> None:
     """
     s = encode_basestring
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{\n "format": "polyalign-corpus/1",\n "volumes": [')
+        fh.write(f'{{\n "format": {s(CORPUS_FORMAT)},\n "volumes": [')
         for v_idx, v in enumerate(volumes):
             fh.write(f'{"," if v_idx else ""}\n  {{\n   "idiom": {s(v.idiom)},\n   "volume_id": {s(v.volume_id)},\n'
                      f'   "grade": {v.grade},\n   "kind": {s(v.kind)},\n   "chapters": [')

@@ -9,10 +9,14 @@ chapter groups are then resolved once from those two files
 (``corpus_groups``), as the CLI's ``bialign`` and ``multialign`` resolve
 them, and handed to the later stages. Each input is checked where it is
 read: a volume by ``parse_volume``, an alignment by ``load_alignments``.
-Multialign builds each group's rows on partner maps (see ``multialign``).
-Every run writes a manifest with the resolved config, content hashes of all
-artifacts, and per-stage counts, so a build can be audited and reproduced
-bit-for-bit (with a warm embedding cache).
+Multialign reads ``alignments.jsonl`` one chapter group at a time and builds
+that group's rows on partner maps (see ``multialign``) before it reads the
+next, so it holds one group's alignments, not the corpus's. A group's records
+must therefore be together and in the mapping's group order, as ``bialign``
+writes them; per-pair ``bialign`` outputs concatenated into one file are
+rejected. Every run writes a manifest with the resolved config, content
+hashes of all artifacts, and per-stage counts, so a build can be audited and
+reproduced bit-for-bit (with a warm embedding cache).
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import json
 import logging
 import os
 import shutil
+import sys
 import time
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
@@ -263,11 +269,22 @@ def align_pairs(groups: list[ChapterGroup], alignments_path, config: PipelineCon
 
 
 def load_alignments(path, chapter_ids: dict[tuple[str, str], tuple[str, ...]]
-                    ) -> dict[str, dict[tuple[str, str], BilingualAlignment]]:
-    """``{group: {(src idiom, tgt idiom): alignment}}`` of the records in ``path``, the
-    one check of a record: its ids are ``chapter_ids[(group, idiom)]``, whose tuples it then
-    holds, its links a monotone 1-1 full cover, and no other record holds its pair."""
-    out: dict[str, dict[tuple[str, str], BilingualAlignment]] = {}
+                    ) -> Iterator[tuple[str, dict[tuple[str, str], BilingualAlignment]]]:
+    """``(group, {(src idiom, tgt idiom): alignment})`` for each group of ``chapter_ids``,
+    in the order of its keys (the mapping's group order), read from ``path`` one group at
+    a time: a group is yielded once the first record of a later group, or the end of the
+    file, is read, so at most one record of the next group is held with it.
+
+    This is the one check of a record: its ids are ``chapter_ids[(group, idiom)]``, whose
+    tuples it then holds, its links a monotone 1-1 full cover, no other record holds its
+    pair, and it does not follow a later group's records. So a group's records must be
+    together and in the mapping's group order, as ``align_pairs`` writes them; per-pair
+    ``bialign`` outputs concatenated into one file are rejected. The keys of the records
+    already read are kept, so a repeated pair is reported wherever the repeat sits."""
+    rank = {gid: n for n, (gid, _) in enumerate(chapter_ids)}
+    order = iter(rank)
+    current, pairs = next(order, None), {}
+    seen: set[tuple[str, str, str]] = set()
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -289,20 +306,29 @@ def load_alignments(path, chapter_ids: dict[tuple[str, str], tuple[str, ...]]
                 raise PipelineError(
                     f"{path}, line {line_no}: not an alignment record ({type(exc).__name__}: {exc})"
                 ) from exc
-            pairs = out.setdefault(gid, {})
             name = f"{i}:{j}"
             if stale:
                 problem = "does not match the corpus's chapters; rerun bialign on this corpus"
-            elif (i, j) in pairs:
+            elif (gid, i, j) in seen:
                 problem = "is stored twice"
-            elif (j, i) in pairs:
+            elif (gid, j, i) in seen:
                 name, problem = f"{j}:{i}", f"is stored twice, the second time as {name}"
+            elif rank[gid] < rank[current]:
+                problem = (f"follows group {current}'s records: each group's records must be together and "
+                           "in the mapping's group order, as bialign writes them")
             else:
                 problem = _cover_problem(alignment)
             if problem:
                 raise PipelineError(f"{path}, line {line_no}: group {gid}: the {name} alignment {problem}")
+            while gid != current:
+                yield current, pairs
+                current, pairs = next(order), {}
+            # Interned, a key costs its tuple and not three more strings.
+            seen.add((sys.intern(gid), sys.intern(i), sys.intern(j)))
             pairs[(i, j)] = alignment
-    return out
+    while current is not None:
+        yield current, pairs
+        current, pairs = next(order, None), {}
 
 
 def _cover_problem(alignment: BilingualAlignment) -> str | None:
@@ -326,10 +352,16 @@ def build_rows(volumes: list[BookVolume], groups: list[ChapterGroup], alignments
                length_config: LengthFilterConfig | None, pivot: str | None = None) -> dict:
     """Multi-parallel rows of every group: the consensus of every pivot or, given
     ``pivot``, that pivot's join; some group must hold the pivot. The
-    alignments are checked as ``load_alignments`` reads them, and a group that
-    lacks a pair the build needs fails it. Without ``length_config`` no cell is
+    alignments are read one group at a time, and each group's rows are built
+    before the next group's records are read, so only one group's alignments
+    are held. They are checked as ``load_alignments`` reads them: a group's
+    records must be together and in the mapping's group order, as ``bialign``
+    writes them, so concatenated per-pair ``bialign`` outputs are rejected. A
+    group that lacks a pair the build needs fails the build, once the rest of
+    the file has been checked. Without ``length_config`` no cell is
     length-filtered. Rows left with fewer than two cells are demoted; a
-    contradictory consensus component is only counted (``dropped_components``)."""
+    contradictory consensus component is only counted (``dropped_components``).
+    The rows are written once, after every group."""
     if pivot is not None and not any(pivot in g.members for g in groups):
         raise PipelineError(f"no chapter group has the pivot idiom {pivot!r}")
     seg_index = segment_index(volumes)
@@ -339,8 +371,7 @@ def build_rows(volumes: list[BookVolume], groups: list[ChapterGroup], alignments
     all_rows = []
     dropped: list[list[str]] = []
     demoted = 0
-    for group in groups:
-        pair_alignments = by_group.get(group.group_id, {})
+    for group, (_, pair_alignments) in zip(groups, by_group):
         stored = set(pair_alignments) | {(j, i) for i, j in pair_alignments}
         idioms = group.idioms()
         if pivot is None:
@@ -351,6 +382,10 @@ def build_rows(volumes: list[BookVolume], groups: list[ChapterGroup], alignments
             continue
         missing = [f"{i}:{j}" for i, j in needed if (i, j) not in stored]
         if missing:
+            # A bad record later in the file, such as the missing pair stored
+            # after another group's records, is the error to report.
+            for _ in by_group:
+                pass
             raise PipelineError(
                 f"group {group.group_id} has no alignment of {', '.join(missing)}; "
                 "consensus needs every idiom pair (bialign --pair all)"

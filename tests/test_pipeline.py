@@ -3,6 +3,7 @@ import importlib.util
 import json
 import shutil
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 
 from polyalign.cli import main
 from polyalign.embedding import EmbeddingCache
-from polyalign.model import PolyalignError
+from polyalign.model import CORPUS_FORMAT, PolyalignError
 import polyalign.pipeline as pipeline
 from polyalign.pipeline import load_alignments as pipeline_load_alignments
 from polyalign.pipeline import (
@@ -347,20 +348,43 @@ class TestRunPipeline:
 
     def test_stored_alignments_hold_the_corpus_segment_ids(self, tmp_path, monkeypatch):
         raw, mapping, _ = write_fixture(generate(seed=0, n_groups=40, segs_per_chapter=30), tmp_path)
-        loaded = []
+        calls, loaded = [], []
 
         def load_alignments(path, chapter_ids):
-            records = pipeline_load_alignments(path, chapter_ids)
-            loaded.append((chapter_ids, records))
-            return records
+            calls.append(chapter_ids)
+            for gid, pairs in pipeline_load_alignments(path, chapter_ids):
+                loaded.extend(((gid, i, j), alignment) for (i, j), alignment in pairs.items())
+                yield gid, pairs
 
         monkeypatch.setattr(pipeline, "load_alignments", load_alignments)
         run_pipeline(make_config(tmp_path, raw, mapping))
-        [(chapter_ids, by_group)] = loaded
-        assert sum(len(pairs) for pairs in by_group.values()) == 400
-        for gid, pairs in by_group.items():
-            for (i, j), alignment in pairs.items():
-                assert alignment.src_ids is chapter_ids[(gid, i)] and alignment.tgt_ids is chapter_ids[(gid, j)]
+        [chapter_ids] = calls
+        assert len(loaded) == 400
+        for (gid, i, j), alignment in loaded:
+            assert alignment.src_ids is chapter_ids[(gid, i)] and alignment.tgt_ids is chapter_ids[(gid, j)]
+
+    def test_multialign_holds_one_group_of_alignments(self, tmp_path, monkeypatch):
+        raw, mapping, _ = write_fixture(generate(seed=0, n_groups=40, segs_per_chapter=30), tmp_path)
+        live = weakref.WeakSet()
+        held = []
+
+        class Counted(pipeline.BilingualAlignment):
+            __hash__ = object.__hash__  # a WeakSet member must be hashable
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                live.add(self)
+
+        def align_group_consensus(*args):
+            held.append(len(live))
+            return original(*args)
+
+        original = pipeline.align_group_consensus
+        monkeypatch.setattr(pipeline, "BilingualAlignment", Counted)
+        monkeypatch.setattr(pipeline, "align_group_consensus", align_group_consensus)
+        run_pipeline(make_config(tmp_path, raw, mapping))
+        # One group's 10 pairs, plus the next group's first record read ahead.
+        assert len(held) == 40 and 10 <= max(held) <= 11
 
     def test_ingest_of_the_paper_fixture_is_pinned(self, tmp_path):
         # corpus.json holds no floats, so its bytes are the same on every Python.
@@ -479,6 +503,43 @@ class TestStoredAlignmentsMustBeCovers:
             assert not (tmp_path / "rows.jsonl").exists()
 
 
+def group_blocks(out):
+    """The stored alignment lines of the first two groups, and the lines after them."""
+    lines = (out / "alignments.jsonl").read_text(encoding="utf-8").splitlines()
+    groups = [json.loads(line)["group"] for line in lines]
+    first, second = groups[0], next(g for g in groups if g != groups[0])
+    n_a, n_b = groups.count(first), groups.count(second)
+    assert groups[:n_a + n_b] == [first] * n_a + [second] * n_b
+    return first, second, lines[:n_a], lines[n_a:n_a + n_b], lines[n_a + n_b:]
+
+
+def _one_record_after_the_next_group(a, b):
+    return a[:-1] + b + a[-1:], len(a) + len(b)
+
+
+def _groups_swapped(a, b):
+    return b + a, len(b) + 1
+
+
+class TestStoredAlignmentsMustBeGrouped:
+    @pytest.mark.parametrize("arrange", [_one_record_after_the_next_group, _groups_swapped])
+    def test_multialign_command_rejects(self, cli_workspace, tmp_path, arrange):
+        root, runner = cli_workspace
+        out = root / "out"
+        first, second, a, b, rest = group_blocks(out)
+        lines, line = arrange(a, b)
+        broken = tmp_path / "alignments.jsonl"
+        broken.write_text("\n".join(lines + rest) + "\n", encoding="utf-8")
+        for pivot in ("all", "sursilvan"):
+            result = runner.invoke(main, [
+                "multialign", "--corpus", str(out / "corpus.json"), "--mapping", str(out / "mapping.tsv"),
+                "--alignments", str(broken), "--pivot", pivot, "--out", str(tmp_path / "rows.jsonl"),
+            ])
+            assert_reported(result, f"{broken}, line {line}: group {first}: ",
+                            f"alignment follows group {second}'s records")
+            assert not (tmp_path / "rows.jsonl").exists()
+
+
 @pytest.fixture(scope="module")
 def two_sizes(tmp_path_factory):
     """Output directories of full runs on two-group corpora with 5 and 8
@@ -510,7 +571,7 @@ class TestCli:
     def test_version(self):
         result = CliRunner().invoke(main, ["--version"])
         assert result.exit_code == 0
-        assert "polyalign" in result.output
+        assert "polyalign" in result.output and f"({CORPUS_FORMAT})" in result.output
 
     def test_run_emits_stage_counts(self, cli_workspace):
         root, _ = cli_workspace
@@ -852,6 +913,26 @@ class TestCliChecksValues:
         assert not out.exists()
 
 
+def _format_missing(doc, segments):
+    del doc["format"]
+    return "KeyError: 'format'"
+
+
+def _format_other(doc, segments):
+    doc["format"] = "polyalign-corpus/2"
+    return "format 'polyalign-corpus/2' is not 'polyalign-corpus/1'"
+
+
+def _segment_id_repeated(doc, segments):
+    segments[1]["id"], segments[1]["position"] = segments[0]["id"], segments[0]["position"]
+    return f"segment id {segments[0]['id']!r} is held by two segments"
+
+
+def _segment_id_misspelled(doc, segments):
+    segments[0]["id"] += "x"
+    return f"segment id {segments[0]['id']!r} does not spell idiom/volume_id/key/position"
+
+
 class TestCliReportsMalformedFiles:
     @pytest.mark.parametrize("text", ['{"raw_dir": ', "[1, 2]"])
     def test_run_config_not_a_json_object(self, tmp_path, text):
@@ -879,6 +960,18 @@ class TestCliReportsMalformedFiles:
             "export", "stats", "--rows", str(root / "out" / "rows.jsonl"), "--corpus", str(corpus),
         ])
         assert_reported(result, f"{corpus}: not a polyalign corpus", f"field {field!r} is {value!r}")
+
+    @pytest.mark.parametrize("edit", [_format_missing, _format_other, _segment_id_repeated, _segment_id_misspelled])
+    def test_corpus_that_is_not_polyalign_corpus_1(self, cli_workspace, tmp_path, edit):
+        root, runner = cli_workspace
+        doc = json.loads((root / "out" / "corpus.json").read_text(encoding="utf-8"))
+        problem = edit(doc, doc["volumes"][0]["chapters"][0]["segments"])
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps(doc), encoding="utf-8")
+        result = runner.invoke(main, [
+            "export", "stats", "--rows", str(root / "out" / "rows.jsonl"), "--corpus", str(corpus),
+        ])
+        assert_reported(result, f"{corpus}: not a polyalign corpus", problem)
 
     def test_alignments_with_a_truncated_line(self, cli_workspace):
         root, runner = cli_workspace
