@@ -5,13 +5,16 @@ style dynamic program over embedding costs: moves are substitute (1-1 at the
 cell cost), skip-source (1-0) and skip-target (0-1), both at a flat penalty.
 ``dp_tables`` fills the tables of a batch of pairs (``dp_batches`` groups
 them) in one pass over their anti-diagonals; ``align_chapter`` backtraces one
-pair from its slice, or computes its table alone as a batch of one.
+pair from its slice, or computes its table alone as a batch of one, and
+returns the ``(src, tgt, cost)`` moves of the cover. The caller turns them
+into its record: ``pipeline`` writes each pair's ``alignments.jsonl`` line,
+and ``BilingualAlignment`` is what multialign reads back from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,29 +38,19 @@ class AlignConfig:
 class Link:
     src: int | None
     tgt: int | None
-    cost: float
 
     def __post_init__(self):
         if self.src is None and self.tgt is None:
             raise AlignmentError("link must touch at least one side")
 
-    @property
-    def is_substitution(self) -> bool:
-        return self.src is not None and self.tgt is not None
-
 
 @dataclass
 class BilingualAlignment:
-    src_chapter: str
-    tgt_chapter: str
+    """A stored alignment as multialign reads it: links index into the ids."""
+
     src_ids: tuple[str, ...]
     tgt_ids: tuple[str, ...]
-    links: list[Link] = field(default_factory=list)
-    total_cost: float = 0.0
-
-
-def _default_ids(prefix: str, n: int) -> tuple[str, ...]:
-    return tuple(f"{prefix}:{i}" for i in range(n))
+    links: list[Link]
 
 
 def cost_matrix(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
@@ -135,9 +128,33 @@ def dp_tables(costs: list[np.ndarray], lam: float) -> np.ndarray:
     return table
 
 
-def _backtrace(table: np.ndarray, costs: np.ndarray, lam: float) -> list[tuple[int | None, int | None, float]]:
-    moves: list[tuple[int | None, int | None, float]] = []
+def align_chapter(costs: np.ndarray, config: AlignConfig | None = None,
+                  table: np.ndarray | None = None) -> list[tuple[int | None, int | None, float]]:
+    """Minimum-cost monotone full cover of the two segment sequences, as its
+    ``(src, tgt, cost)`` moves ordered by (src, tgt): a substitution at its
+    cell cost, or a deletion, None on the other side, at the skip cost.
+
+    ``table`` is this pair's slice of a ``dp_tables`` batch that holds
+    ``costs``; without it the table is computed here, as a batch of one.
+
+    Ties resolve deterministically: substitute, then skip-source, then
+    skip-target.
+    """
+    if config is None:
+        config = AlignConfig()
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.ndim != 2:
+        raise AlignmentError(f"cost matrix must be 2-D, got shape {costs.shape}")
+    if costs.size and not np.all(np.isfinite(costs)):
+        raise AlignmentError("cost matrix contains non-finite entries")
     i, j = costs.shape
+    lam = config.skip_cost
+    if table is None:
+        table = dp_tables([costs], lam)[0]
+    elif table.shape[0] < i + j + 1 or table.shape[1] < i + 1:
+        raise AlignmentError(f"DP table of shape {table.shape} is too small for {i} by {j} costs")
+
+    moves: list[tuple[int | None, int | None, float]] = []
     while i > 0 or j > 0:
         # Exact equality holds: each cell was computed from these expressions.
         d = i + j
@@ -152,48 +169,3 @@ def _backtrace(table: np.ndarray, costs: np.ndarray, lam: float) -> list[tuple[i
             j -= 1
     moves.reverse()
     return moves
-
-
-def align_chapter(
-    costs: np.ndarray,
-    config: AlignConfig | None = None,
-    src_chapter: str = "src",
-    tgt_chapter: str = "tgt",
-    src_ids: tuple[str, ...] | None = None,
-    tgt_ids: tuple[str, ...] | None = None,
-    table: np.ndarray | None = None,
-) -> BilingualAlignment:
-    """Minimum-cost monotone full cover of the two segment sequences.
-
-    ``table`` is this pair's slice of a ``dp_tables`` batch that holds
-    ``costs``; without it the table is computed here, as a batch of one.
-
-    Ties resolve deterministically: substitute, then skip-source, then
-    skip-target. Links come out ordered by (src, tgt).
-    """
-    if config is None:
-        config = AlignConfig()
-    costs = np.asarray(costs, dtype=np.float64)
-    if costs.ndim != 2:
-        raise AlignmentError(f"cost matrix must be 2-D, got shape {costs.shape}")
-    if costs.size and not np.all(np.isfinite(costs)):
-        raise AlignmentError("cost matrix contains non-finite entries")
-    n, m = costs.shape
-    lam = config.skip_cost
-    if table is None:
-        table = dp_tables([costs], lam)[0]
-    elif table.shape[0] < n + m + 1 or table.shape[1] < n + 1:
-        raise AlignmentError(f"DP table of shape {table.shape} is too small for {n} by {m} costs")
-
-    links = [Link(src=s, tgt=t, cost=c) for s, t, c in _backtrace(table, costs, lam)]
-    total = 0.0
-    for link in links:
-        total += link.cost
-    return BilingualAlignment(
-        src_chapter=src_chapter,
-        tgt_chapter=tgt_chapter,
-        src_ids=src_ids if src_ids is not None else _default_ids(src_chapter, n),
-        tgt_ids=tgt_ids if tgt_ids is not None else _default_ids(tgt_chapter, m),
-        links=links,
-        total_cost=total,
-    )

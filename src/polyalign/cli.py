@@ -245,7 +245,7 @@ def export_split_cmd(rows_path, corpus_path, splits_path, out_dir):
         raise ExportError(f"{splits_path}: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
     for name, part in parts.items():
-        export_rows(part, os.path.join(out_dir, f"{name}.jsonl"))
+        export_rows(rows, os.path.join(out_dir, f"{name}.jsonl"), part)
     with open(os.path.join(out_dir, "conflicts.jsonl"), "w", encoding="utf-8") as fh:
         for c in conflicts:
             fh.write(json.dumps(c) + "\n")

@@ -39,15 +39,22 @@ def row_to_dict(row: MultiParallelRow, row_id: str) -> dict:
     }
 
 
-def export_rows(rows: list[MultiParallelRow], out_path) -> int:
-    """Write one JSON object per row, deterministic order, UTF-8."""
+def row_id(row: MultiParallelRow, idx: int) -> str:
+    """The ``row_id`` of the row at index ``idx`` of a row file."""
+    return f"{row.provenance}/r{idx:05d}"
+
+
+def export_rows(rows: list[MultiParallelRow], out_path, indices: list[int] | None = None) -> int:
+    """Write one JSON object per row, deterministic order, UTF-8. Given
+    ``indices``, write only those rows, each under the id its index in
+    ``rows`` gives it."""
+    if indices is None:
+        indices = range(len(rows))
     with open(out_path, "w", encoding="utf-8") as fh:
-        for idx, row in enumerate(rows):
-            fh.write(
-                json.dumps(row_to_dict(row, f"{row.provenance}/r{idx:05d}"), ensure_ascii=False, sort_keys=True)
-            )
+        for idx in indices:
+            fh.write(json.dumps(row_to_dict(rows[idx], row_id(rows[idx], idx)), ensure_ascii=False, sort_keys=True))
             fh.write("\n")
-    return len(rows)
+    return len(indices)
 
 
 def load_rows(path, seg_index: dict[str, Segment]) -> list[MultiParallelRow]:
@@ -162,8 +169,9 @@ def split_rows(
     rows: list[MultiParallelRow],
     assignment: dict[str, str],
     conflicts: list[dict] | None = None,
-) -> dict[str, list[MultiParallelRow]]:
-    """Partition rows by the split of their member volumes.
+) -> dict[str, list[int]]:
+    """Partition rows by the split of their member volumes: each split's
+    indices into ``rows``, in order.
 
     Every value of ``assignment`` must be one of ``SPLIT_NAMES``. Rows whose
     member volumes map to different splits are dropped with a logged
@@ -173,7 +181,7 @@ def split_rows(
         if split not in SPLIT_NAMES:
             raise ExportError(f"volume {volume!r} maps to {split!r}, "
                               f"not one of {', '.join(SPLIT_NAMES)}")
-    out: dict[str, list[MultiParallelRow]] = {name: [] for name in SPLIT_NAMES}
+    out: dict[str, list[int]] = {name: [] for name in SPLIT_NAMES}
     for idx, row in enumerate(rows):
         splits = set()
         for seg in row.non_null().values():
@@ -187,7 +195,7 @@ def split_rows(
                     {"row_index": idx, "provenance": row.provenance, "splits": sorted(splits)}
                 )
             continue
-        out[splits.pop()].append(row)
+        out[splits.pop()].append(idx)
     return out
 
 
@@ -210,7 +218,7 @@ def sample_rows(rows: list[MultiParallelRow], n: int, seed: int):
             _WS_RE.sub(" ", row.cells[i].text) if row.cells.get(i) is not None else ""
             for i in idioms
         ]
-        sheet.append([f"{row.provenance}/r{idx:05d}"] + cells)
+        sheet.append([row_id(row, idx)] + cells)
     return header, sheet
 
 

@@ -33,13 +33,14 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
 from . import export as export_mod
 from .bialign import (AlignConfig, AlignmentError, BilingualAlignment, Link, align_chapter, cost_matrix,
                       dp_batches, dp_tables)
-from .embedding import EmbeddingCache, ProviderConfig, embed_segments
+from .embedding import MODES, EmbeddingCache, ProviderConfig, embed_segments
 from .ingest import IngestError, build_chapter_groups, parse_volume
 from .model import (
     BookVolume,
@@ -88,6 +89,8 @@ class PipelineConfig:
             raise PipelineError(f"workers must be 1, got {self.workers}")
         if not isinstance(self.dim, int) or self.dim < 1:
             raise PipelineError(f"dim must be a positive integer, got {self.dim!r}")
+        if self.mode not in MODES:
+            raise PipelineError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -217,29 +220,27 @@ def embed_chapters(chapters, config: PipelineConfig) -> int:
 def _align_batch(group: ChapterGroup, pairs: list[tuple[str, str]], matrices: dict[str, np.ndarray],
                  config: PipelineConfig) -> list[dict]:
     """Alignment records of one ``dp_batches`` batch of the group's pairs; its
-    cost matrices and tables are freed on return."""
+    cost matrices and tables are freed on return. This is the one place an
+    ``alignments.jsonl`` record is built. ``total_cost`` adds the link costs
+    left to right, as ``+=`` does on every Python; ``sum()`` of floats is
+    compensated from 3.12 on and could round differently."""
     costs = [cost_matrix(matrices[i], matrices[j]) for i, j in pairs]
     records = []
     for (i, j), c, table in zip(pairs, costs, dp_tables(costs, config.align.skip_cost)):
-        alignment = align_chapter(
-            c,
-            config.align,
-            src_chapter=f"{group.group_id}/{i}",
-            tgt_chapter=f"{group.group_id}/{j}",
-            src_ids=tuple(s.id for s in group.members[i].segments),
-            tgt_ids=tuple(s.id for s in group.members[j].segments),
-            table=table,
-        )
+        links, total = [], 0.0
+        for src, tgt, cost in align_chapter(c, config.align, table=table):
+            links.append({"src": src, "tgt": tgt, "cost": cost})
+            total += cost
         records.append({
             "group": group.group_id,
             "src_idiom": i,
             "tgt_idiom": j,
-            "src_chapter": alignment.src_chapter,
-            "tgt_chapter": alignment.tgt_chapter,
-            "src_ids": list(alignment.src_ids),
-            "tgt_ids": list(alignment.tgt_ids),
-            "links": [{"src": l.src, "tgt": l.tgt, "cost": l.cost} for l in alignment.links],
-            "total_cost": alignment.total_cost,
+            "src_chapter": f"{group.group_id}/{i}",
+            "tgt_chapter": f"{group.group_id}/{j}",
+            "src_ids": [s.id for s in group.members[i].segments],
+            "tgt_ids": [s.id for s in group.members[j].segments],
+            "links": links,
+            "total_cost": total,
         })
     return records
 
@@ -268,6 +269,12 @@ def align_pairs(groups: list[ChapterGroup], alignments_path, config: PipelineCon
     return {"chapter_pairs": count}
 
 
+# The keys every record and every link of ``alignments.jsonl`` must have,
+# including the ones multialign does not read.
+_record_keys = itemgetter("group", "src_idiom", "tgt_idiom", "src_chapter", "tgt_chapter", "total_cost")
+_link_keys = itemgetter("src", "tgt", "cost")
+
+
 def load_alignments(path, chapter_ids: dict[tuple[str, str], tuple[str, ...]]
                     ) -> Iterator[tuple[str, dict[tuple[str, str], BilingualAlignment]]]:
     """``(group, {(src idiom, tgt idiom): alignment})`` for each group of ``chapter_ids``,
@@ -291,17 +298,10 @@ def load_alignments(path, chapter_ids: dict[tuple[str, str], tuple[str, ...]]
                 continue
             try:
                 doc = json.loads(line.decode("utf-8"))
-                gid, i, j = doc["group"], doc["src_idiom"], doc["tgt_idiom"]
+                gid, i, j, *_ = _record_keys(doc)
                 known = chapter_ids.get((gid, i)), chapter_ids.get((gid, j))
                 stale = (tuple(doc["src_ids"]), tuple(doc["tgt_ids"])) != known
-                alignment = BilingualAlignment(
-                    src_chapter=doc["src_chapter"],
-                    tgt_chapter=doc["tgt_chapter"],
-                    src_ids=known[0],
-                    tgt_ids=known[1],
-                    links=[Link(src=l["src"], tgt=l["tgt"], cost=l["cost"]) for l in doc["links"]],
-                    total_cost=doc["total_cost"],
-                )
+                alignment = BilingualAlignment(*known, [Link(src, tgt) for src, tgt, _ in map(_link_keys, doc["links"])])
             except (ValueError, KeyError, TypeError, AlignmentError) as exc:
                 raise PipelineError(
                     f"{path}, line {line_no}: not an alignment record ({type(exc).__name__}: {exc})"
@@ -342,7 +342,7 @@ def _cover_problem(alignment: BilingualAlignment) -> str | None:
         return "has a segment index out of range"
     if sorted(srcs) != list(range(n)) or sorted(tgts) != list(range(m)):
         return "does not link every segment exactly once"
-    subs = [(l.src, l.tgt) for l in alignment.links if l.is_substitution]
+    subs = [(l.src, l.tgt) for l in alignment.links if l.src is not None and l.tgt is not None]
     if any(a >= c or b >= d for (a, b), (c, d) in zip(subs, subs[1:])):
         return "has 1-1 links that are not increasing"
     return None

@@ -21,21 +21,17 @@ from html import escape
 
 import numpy as np
 
-from polyalign.bialign import (
-    AlignConfig,
-    AlignmentError,
-    BilingualAlignment,
-    Link,
-    _default_ids,
-)
+from polyalign.bialign import AlignConfig, AlignmentError, BilingualAlignment, Link
 from polyalign.embedding import EmbeddingError
 from polyalign.evaluate import EvalError
 from polyalign.ingest import BLOCK_TAGS, STRUCTURAL_TAGS, VOID_TAGS, Warnings, _Node, _TreeBuilder
 from polyalign.model import BookVolume, nfc
 
 
-def random_alignment(rng: random.Random, n: int, m: int, src_prefix: str,
-                     tgt_prefix: str, src_chapter: str, tgt_chapter: str) -> BilingualAlignment:
+Move = tuple[int | None, int | None, float]
+
+
+def random_alignment(rng: random.Random, n: int, m: int, src_prefix: str, tgt_prefix: str) -> BilingualAlignment:
     """A random monotone full cover between n source and m target segments."""
     links = []
     i = j = 0
@@ -49,23 +45,26 @@ def random_alignment(rng: random.Random, n: int, m: int, src_prefix: str,
             moves.append("del_tgt")
         move = rng.choice(moves)
         if move == "sub":
-            links.append(Link(src=i, tgt=j, cost=rng.random()))
+            rng.random()  # a link's cost, which multialign does not read; drawing it fixes each seed's instance
+            links.append(Link(src=i, tgt=j))
             i += 1
             j += 1
         elif move == "del_src":
-            links.append(Link(src=i, tgt=None, cost=0.15))
+            links.append(Link(src=i, tgt=None))
             i += 1
         else:
-            links.append(Link(src=None, tgt=j, cost=0.15))
+            links.append(Link(src=None, tgt=j))
             j += 1
     return BilingualAlignment(
-        src_chapter=src_chapter,
-        tgt_chapter=tgt_chapter,
         src_ids=tuple(f"{src_prefix}{k}" for k in range(n)),
         tgt_ids=tuple(f"{tgt_prefix}{k}" for k in range(m)),
         links=links,
-        total_cost=sum(l.cost for l in links),
     )
+
+
+def alignment_of(moves: list[Move], src_ids: tuple[str, ...], tgt_ids: tuple[str, ...]) -> BilingualAlignment:
+    """The alignment multialign reads for ``align_chapter``'s moves."""
+    return BilingualAlignment(src_ids, tgt_ids, [Link(s, t) for s, t, _ in moves])
 
 
 def pairs_by_id(alignment: BilingualAlignment) -> list[tuple[str | None, str | None]]:
@@ -218,15 +217,9 @@ def _enumerate_covers(n: int, m: int):
             yield rest + [(None, m - 1, "skip-target")]
 
 
-def brute_force_align(
-    costs: np.ndarray,
-    config: AlignConfig | None = None,
-    src_chapter: str = "src",
-    tgt_chapter: str = "tgt",
-    src_ids: tuple[str, ...] | None = None,
-    tgt_ids: tuple[str, ...] | None = None,
-) -> BilingualAlignment:
+def brute_force_align(costs: np.ndarray, config: AlignConfig | None = None) -> tuple[list[Move], float]:
     """Exhaustive oracle: enumerate every monotone full cover, take the best.
+    Returns its ``(src, tgt, cost)`` moves and its total cost.
 
     Tie-breaking matches the DP backtrace: among equal-cost covers, the one
     whose reversed move-kind sequence (substitute < skip-source < skip-target)
@@ -250,31 +243,25 @@ def brute_force_align(
         if best_key is None or key < best_key:
             best, best_key = cover, key
 
-    links = [
-        Link(src=s, tgt=t, cost=float(costs[s, t]) if kind == "substitute" else lam)
-        for s, t, kind in best
-    ]
+    moves = [(s, t, float(costs[s, t]) if kind == "substitute" else lam) for s, t, kind in best]
+    return moves, float(best_key[0])
+
+
+def left_to_right_total(moves: list[Move]) -> float:
+    """The moves' costs added in order, as ``alignments.jsonl`` stores ``total_cost``."""
     total = 0.0
-    for link in links:
-        total += link.cost
-    return BilingualAlignment(
-        src_chapter=src_chapter,
-        tgt_chapter=tgt_chapter,
-        src_ids=src_ids if src_ids is not None else _default_ids(src_chapter, n),
-        tgt_ids=tgt_ids if tgt_ids is not None else _default_ids(tgt_chapter, m),
-        links=links,
-        total_cost=total,
-    )
+    for _, _, cost in moves:
+        total += cost
+    return total
 
 
-def check_full_cover(alignment: BilingualAlignment) -> None:
-    """Raise if the alignment is not a monotone full cover."""
-    n, m = len(alignment.src_ids), len(alignment.tgt_ids)
-    srcs = [l.src for l in alignment.links if l.src is not None]
-    tgts = [l.tgt for l in alignment.links if l.tgt is not None]
+def check_full_cover(moves: list[Move], n: int, m: int) -> None:
+    """Raise if the moves are not a monotone full cover of n by m segments."""
+    srcs = [s for s, _, _ in moves if s is not None]
+    tgts = [t for _, t, _ in moves if t is not None]
     if sorted(srcs) != list(range(n)) or sorted(tgts) != list(range(m)):
         raise AlignmentError("alignment does not cover all segments exactly once")
-    subs = [(l.src, l.tgt) for l in alignment.links if l.is_substitution]
+    subs = [(s, t) for s, t, _ in moves if s is not None and t is not None]
     for (i, j), (i2, j2) in zip(subs, subs[1:]):
         if not (i < i2 and j < j2):
             raise AlignmentError("1-1 links are not monotone")

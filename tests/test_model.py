@@ -114,7 +114,7 @@ def test_save_corpus_writes_the_json_dump_bytes(tmp_path_factory, volumes):
 
 def test_per_item_records_are_slotted():
     seg = make_segment()
-    for record in (seg, Link(src=0, tgt=None, cost=0.15), MultiParallelRow(cells={"puter": seg}, provenance="g")):
+    for record in (seg, Link(src=0, tgt=None), MultiParallelRow(cells={"puter": seg}, provenance="g")):
         assert not hasattr(record, "__dict__")
 
 

@@ -5,6 +5,7 @@ from itertools import combinations, zip_longest
 import pytest
 
 from oracles import (
+    alignment_of,
     naive_consensus,
     naive_group_consensus,
     naive_pivot_join,
@@ -33,7 +34,7 @@ from polyalign.pipeline import PipelineError, build_rows, corpus_groups, ingest_
 from synth import generate
 
 
-def alignment_from_pairs(pairs, src_chapter="ci", tgt_chapter="cp"):
+def alignment_from_pairs(pairs):
     """Build a BilingualAlignment from explicit id pairs."""
     src_ids = [a for a, _ in pairs if a is not None]
     tgt_ids = [b for _, b in pairs if b is not None]
@@ -41,15 +42,10 @@ def alignment_from_pairs(pairs, src_chapter="ci", tgt_chapter="cp"):
     tgt_pos = {t: i for i, t in enumerate(tgt_ids)}
     links = [
         Link(src=src_pos[a] if a is not None else None,
-             tgt=tgt_pos[b] if b is not None else None,
-             cost=0.1)
+             tgt=tgt_pos[b] if b is not None else None)
         for a, b in pairs
     ]
-    return BilingualAlignment(
-        src_chapter=src_chapter, tgt_chapter=tgt_chapter,
-        src_ids=tuple(src_ids), tgt_ids=tuple(tgt_ids),
-        links=links, total_cost=sum(l.cost for l in links),
-    )
+    return BilingualAlignment(src_ids=tuple(src_ids), tgt_ids=tuple(tgt_ids), links=links)
 
 
 def join_through_pivot(a_ip, a_pj, idiom_a="", idiom_b=""):
@@ -93,13 +89,13 @@ def write_alignments(path, groups, stale_pair=None):
                 ids = {k: [s.id for s in group.members[k].segments] for k in (i, j)}
                 if group is groups[-1] and (i, j) == stale_pair:
                     ids[i] = [s.id for s in groups[0].members[i].segments]
-                a = alignment_from_pairs(list(zip_longest(ids[i], ids[j])), f"{group.group_id}/{i}", f"{group.group_id}/{j}")
+                a = alignment_from_pairs(list(zip_longest(ids[i], ids[j])))
                 fh.write(json.dumps({
                     "group": group.group_id, "src_idiom": i, "tgt_idiom": j,
-                    "src_chapter": a.src_chapter, "tgt_chapter": a.tgt_chapter,
+                    "src_chapter": f"{group.group_id}/{i}", "tgt_chapter": f"{group.group_id}/{j}",
                     "src_ids": list(a.src_ids), "tgt_ids": list(a.tgt_ids),
-                    "links": [{"src": l.src, "tgt": l.tgt, "cost": l.cost} for l in a.links],
-                    "total_cost": a.total_cost,
+                    "links": [{"src": l.src, "tgt": l.tgt, "cost": 0.1} for l in a.links],
+                    "total_cost": 0.1 * len(a.links),
                 }) + "\n")
 
 
@@ -110,8 +106,8 @@ def rows_on(root, alignments, pivot=None):
 
 class TestPivotJoin:
     def test_spec_hand_case(self):
-        a_ip = alignment_from_pairs([("a1", "p1"), ("a2", "p2"), ("a3", None)], "ci", "cp")
-        a_pj = alignment_from_pairs([("p1", "b1"), ("p2", None), (None, "b3")], "cp", "cj")
+        a_ip = alignment_from_pairs([("a1", "p1"), ("a2", "p2"), ("a3", None)])
+        a_pj = alignment_from_pairs([("p1", "b1"), ("p2", None), (None, "b3")])
         out = join_through_pivot(a_ip, a_pj, "i", "j")
         assert out.pairs == frozenset(
             {("a1", "b1"), ("a2", None), ("a3", None), (None, "b3")}
@@ -119,13 +115,13 @@ class TestPivotJoin:
         assert (out.idiom_a, out.idiom_b) == ("i", "j")
 
     def test_empty_inputs(self):
-        a_ip = alignment_from_pairs([], "ci", "cp")
-        a_pj = alignment_from_pairs([], "cp", "cj")
+        a_ip = alignment_from_pairs([])
+        a_pj = alignment_from_pairs([])
         assert join_through_pivot(a_ip, a_pj).pairs == frozenset()
 
     def test_identity_join(self):
-        a_ip = alignment_from_pairs([(f"a{k}", f"p{k}") for k in range(3)], "ci", "cp")
-        a_pj = alignment_from_pairs([(f"p{k}", f"b{k}") for k in range(3)], "cp", "cj")
+        a_ip = alignment_from_pairs([(f"a{k}", f"p{k}") for k in range(3)])
+        a_pj = alignment_from_pairs([(f"p{k}", f"b{k}") for k in range(3)])
         out = join_through_pivot(a_ip, a_pj)
         assert out.pairs == frozenset({(f"a{k}", f"b{k}") for k in range(3)})
 
@@ -147,8 +143,8 @@ class TestPivotJoin:
         rng = random.Random(0)
         for _ in range(50):
             n, k, m = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
-            a_ip = random_alignment(rng, n, k, "a", "p", "ci", "cp")
-            a_pj = random_alignment(rng, k, m, "p", "b", "cp", "cj")
+            a_ip = random_alignment(rng, n, k, "a", "p")
+            a_pj = random_alignment(rng, k, m, "p", "b")
             out = join_through_pivot(a_ip, a_pj)
             flat = {x for p in out.pairs for x in p if x is not None}
             assert not any(x.startswith("p") for x in flat)
@@ -160,8 +156,8 @@ class TestPivotJoin:
         rng = random.Random(1)
         for _ in range(200):
             n, k, m = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
-            a_ip = random_alignment(rng, n, k, "a", "p", "ci", "cp")
-            a_pj = random_alignment(rng, k, m, "p", "b", "cp", "cj")
+            a_ip = random_alignment(rng, n, k, "a", "p")
+            a_pj = random_alignment(rng, k, m, "p", "b")
             out = join_through_pivot(a_ip, a_pj)
             assert out.pairs == frozenset(
                 naive_pivot_join(pairs_by_id(a_ip), pairs_by_id(a_pj))
@@ -178,7 +174,7 @@ class TestPivotMultialign:
 
     def test_identity_join_all_cells_filled(self):
         alignments = {
-            idiom: alignment_from_pairs([(f"p{k}", f"{idiom}{k}") for k in range(2)], "cp", f"c{idiom}")
+            idiom: alignment_from_pairs([(f"p{k}", f"{idiom}{k}") for k in range(2)])
             for idiom in ("x", "y", "z", "w")
         }
         index = self._index({"p": ["p0", "p1"], "x": ["x0", "x1"], "y": ["y0", "y1"],
@@ -191,8 +187,8 @@ class TestPivotMultialign:
 
     def test_pivot_deletion_leaves_null_cell(self):
         alignments = {
-            "x": alignment_from_pairs([("p0", "x0")], "cp", "cx"),
-            "y": alignment_from_pairs([("p0", None), (None, "y0")], "cp", "cy"),
+            "x": alignment_from_pairs([("p0", "x0")]),
+            "y": alignment_from_pairs([("p0", None), (None, "y0")]),
         }
         index = self._index({"p": ["p0"], "x": ["x0"], "y": ["y0"]})
         out = multialign_on_pivot("p", alignments, index)
@@ -202,7 +198,7 @@ class TestPivotMultialign:
 
     def test_unmatched_segment_is_in_no_row(self):
         alignments = {
-            "x": alignment_from_pairs([("p0", None), (None, "x0")], "cp", "cx"),
+            "x": alignment_from_pairs([("p0", None), (None, "x0")]),
         }
         index = self._index({"p": ["p0"], "x": ["x0"]})
         out = multialign_on_pivot("p", alignments, index)
@@ -213,7 +209,7 @@ class TestPivotMultialign:
         for _ in range(20):
             k = rng.randint(1, 6)
             alignments = {
-                idiom: random_alignment(rng, k, rng.randint(0, 6), "p", idiom, "cp", f"c{idiom}")
+                idiom: random_alignment(rng, k, rng.randint(0, 6), "p", idiom)
                 for idiom in ("x", "y")
             }
             ids = {"p": [f"p{i}" for i in range(k)]}
@@ -396,9 +392,9 @@ def noisy_group(rng):
         if rng.random() < 0.8:
             pairs = [(f"{i}{c}" if c in kept[i] else None, f"{j}{c}" if c in kept[j] else None)
                      for c in sorted(set(kept[i]) | set(kept[j]))]
-            alignments[(i, j)] = alignment_from_pairs(pairs, i, j)
+            alignments[(i, j)] = alignment_from_pairs(pairs)
         else:
-            alignment = random_alignment(rng, len(ids[i]), len(ids[j]), i, j, i, j)
+            alignment = random_alignment(rng, len(ids[i]), len(ids[j]), i, j)
             alignment.src_ids, alignment.tgt_ids = tuple(ids[i]), tuple(ids[j])
             alignments[(i, j)] = alignment
     return make_group(ids), alignments
@@ -422,7 +418,7 @@ def substitution_heavy_group(rng):
                 pairs.append((src.pop(0), None))
             else:
                 pairs.append((None, tgt.pop(0)))
-        alignments[(i, j)] = alignment_from_pairs(pairs, i, j)
+        alignments[(i, j)] = alignment_from_pairs(pairs)
     return make_group(ids), alignments
 
 
@@ -433,9 +429,9 @@ def dp_aligned_groups(corpus):
         chapters = group.members
         matrices = {k: embed_segments(list(c.segments)) for k, c in chapters.items()}
         out.append((group, {
-            (i, j): align_chapter(cost_matrix(matrices[i], matrices[j]),
-                                  src_ids=tuple(s.id for s in chapters[i].segments),
-                                  tgt_ids=tuple(s.id for s in chapters[j].segments))
+            (i, j): alignment_of(align_chapter(cost_matrix(matrices[i], matrices[j])),
+                                 tuple(s.id for s in chapters[i].segments),
+                                 tuple(s.id for s in chapters[j].segments))
             for i, j in combinations(group.idioms(), 2)
         }))
     return out

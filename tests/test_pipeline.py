@@ -319,6 +319,17 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match="dim must be a positive integer"):
             PipelineConfig.from_dict({"dim": dim})
 
+    def test_unknown_mode_rejected_before_any_stage_runs(self, tmp_path):
+        with pytest.raises(PipelineError, match="mode"):
+            PipelineConfig(mode="bogus")
+        raw, mapping, _ = write_fixture(generate(seed=0, n_groups=2, segs_per_chapter=5), tmp_path)
+        doc = make_config(tmp_path, raw, mapping).to_dict()
+        doc["mode"] = "bogus"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert_reported(CliRunner().invoke(main, ["run", "--config", str(path)]), "mode", "bogus")
+        assert not (tmp_path / "out" / "corpus.json").exists()
+
     @pytest.mark.parametrize("skip_cost", [float("nan"), float("inf")])
     def test_skip_cost_that_is_not_finite_rejected(self, tmp_path, skip_cost):
         with pytest.raises(PolyalignError, match="skip_cost must be a finite number >= 0"):
@@ -553,6 +564,17 @@ def two_sizes(tmp_path_factory):
     return outs
 
 
+def test_total_cost_is_the_left_to_right_sum_of_link_costs(two_sizes):
+    # Exactly, so the stored bytes do not depend on how a Python version sums floats.
+    for out in two_sizes.values():
+        for line in (out / "alignments.jsonl").read_text(encoding="utf-8").splitlines():
+            doc = json.loads(line)
+            total = 0.0
+            for link in doc["links"]:
+                total += link["cost"]
+            assert doc["links"] and doc["total_cost"] == total
+
+
 @pytest.fixture(scope="module")
 def cli_workspace(small_corpus, tmp_path_factory):
     """A fixture corpus on disk plus a completed `run` invocation."""
@@ -770,6 +792,32 @@ class TestCli:
         assert result.exit_code == 0, result.output
         for name in ("train", "validation", "test", "extra"):
             assert (out_dir / f"{name}.jsonl").exists()
+
+    def test_export_split_keeps_each_rows_id(self, tmp_path):
+        # Four volumes of two chapters each, split alternately: each split
+        # holds rows from the middle of rows.jsonl.
+        corpus = generate(seed=0, n_groups=8, segs_per_chapter=5, chapters_per_volume=2)
+        raw, mapping, _ = write_fixture(corpus, tmp_path)
+        run_pipeline(make_config(tmp_path, raw, mapping))
+        splits_path = tmp_path / "splits.json"
+        splits_path.write_text(json.dumps({"vol01": "train", "vol02": "test", "vol03": "train", "vol04": "test"}),
+                               encoding="utf-8")
+        result = CliRunner().invoke(main, [
+            "export", "split", "--rows", str(tmp_path / "out" / "rows.jsonl"),
+            "--corpus", str(tmp_path / "out" / "corpus.json"),
+            "--splits", str(splits_path), "--out", str(tmp_path / "splits"),
+        ])
+        assert result.exit_code == 0, result.output
+        rows = {}
+        for line in (tmp_path / "out" / "rows.jsonl").read_text(encoding="utf-8").splitlines():
+            doc = json.loads(line)
+            rows[doc["row_id"]] = doc["cells"]
+        for name in ("train", "test"):
+            lines = (tmp_path / "splits" / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()
+            assert lines
+            for line in lines:
+                doc = json.loads(line)
+                assert doc["cells"] == rows[doc["row_id"]], doc["row_id"]
 
     def test_export_sample_command(self, cli_workspace):
         root, runner = cli_workspace
