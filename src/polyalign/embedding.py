@@ -26,6 +26,7 @@ from .model import PolyalignError, Segment
 MODES = ("text", "html", "concat")
 
 HASH_DIM_DEFAULT = 256
+HASH_DIM_MIN = 8
 _HASH_SEED = b"polyalign-ngram-v1"
 
 
@@ -42,8 +43,8 @@ class ProviderConfig:
     auth: str = ""  # env var holding the API secret, for remote providers
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise EmbeddingError("batch_size must be >= 1")
+        if type(self.batch_size) is not int or self.batch_size < 1:
+            raise EmbeddingError(f"batch_size must be a positive integer, got {self.batch_size!r}")
 
 
 def _ngrams(text: str, n: int = 3):
@@ -72,8 +73,8 @@ def hash_embed(text: str, dim: int = HASH_DIM_DEFAULT) -> np.ndarray:
     per-bucket sums are small integers in float64, exact in any order, so
     summing with ``bincount`` gives the same bits as adding gram by gram.
     """
-    if dim < 8:
-        raise EmbeddingError("hash_embed requires dim >= 8")
+    if dim < HASH_DIM_MIN:
+        raise EmbeddingError(f"hash_embed requires dim >= {HASH_DIM_MIN}")
     buckets, signs = zip(*[_slot(gram, dim) for gram in _ngrams(text)])
     vec = np.bincount(buckets, weights=signs, minlength=dim)
     norm = np.linalg.norm(vec)

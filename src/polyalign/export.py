@@ -68,7 +68,11 @@ def load_rows(path, seg_index: dict[str, Segment]) -> list[MultiParallelRow]:
             try:
                 doc = json.loads(line.decode("utf-8"))
                 ids = {idiom: None if cell is None else cell["segment_id"] for idiom, cell in doc["cells"].items()}
-                provenance, flags = doc["provenance"], frozenset(doc.get("flags", []))
+                provenance, flags = doc["provenance"], doc.get("flags", [])
+                if not isinstance(provenance, str):
+                    raise TypeError(f"provenance {provenance!r} is not a string")
+                if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
+                    raise TypeError(f"flags {flags!r} is not a list of strings")
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise ExportError(f"{path}, line {line_no}: not a row record ({type(exc).__name__}: {exc})") from exc
             cells: dict[str, Segment | None] = {}
@@ -78,7 +82,7 @@ def load_rows(path, seg_index: dict[str, Segment]) -> list[MultiParallelRow]:
                     raise ExportError(f"{path}, line {line_no}: row references unknown segment {sid!r}, "
                                       f"no {idiom} segment of the corpus")
                 cells[idiom] = seg
-            rows.append(MultiParallelRow(cells=cells, provenance=provenance, flags=flags))
+            rows.append(MultiParallelRow(cells=cells, provenance=provenance, flags=frozenset(flags)))
     return rows
 
 

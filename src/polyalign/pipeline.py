@@ -3,9 +3,12 @@
 ``run_pipeline`` always runs the five stages in order; a partial rerun is
 the CLI's stage commands. Each stage's work is one function; the ``stage_*``
 functions bind it to the artifacts in ``out_dir``, and the CLI's stage
-commands bind it to the files named by their flags. Ingest stores the corpus
-and a copy of the chapter mapping as ``mapping.tsv``; the corpus and its
-chapter groups are then resolved once from those two files
+commands bind it to the files named by their flags. A stage names each file
+it writes once, as ``out(name)``, which returns the temporary path
+``<name>.tmp``; ``run_pipeline`` renames it to ``<name>`` when the stage
+returns, or to ``<name>.quarantine`` when the stage fails. Ingest stores the
+corpus and a copy of the chapter mapping as ``mapping.tsv``; the corpus and
+its chapter groups are then resolved once from those two files
 (``corpus_groups``), as the CLI's ``bialign`` and ``multialign`` resolve
 them, and handed to the later stages. Each input is checked where it is
 read: a volume by ``parse_volume``, an alignment by ``load_alignments``.
@@ -14,9 +17,9 @@ that group's rows on partner maps (see ``multialign``) before it reads the
 next, so it holds one group's alignments, not the corpus's. A group's records
 must therefore be together and in the mapping's group order, as ``bialign``
 writes them; per-pair ``bialign`` outputs concatenated into one file are
-rejected. Every run writes a manifest with the resolved config, content
-hashes of all artifacts, and per-stage counts, so a build can be audited and
-reproduced bit-for-bit (with a warm embedding cache).
+rejected. Every run writes a manifest with the resolved config, the content
+hashes of exactly the files its stages committed, and per-stage counts, so a
+build can be audited and reproduced bit-for-bit (with a warm embedding cache).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import os
 import shutil
 import sys
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
@@ -40,7 +43,7 @@ import numpy as np
 from . import export as export_mod
 from .bialign import (AlignConfig, AlignmentError, BilingualAlignment, Link, align_chapter, cost_matrix,
                       dp_batches, dp_tables)
-from .embedding import MODES, EmbeddingCache, ProviderConfig, embed_segments
+from .embedding import HASH_DIM_MIN, MODES, EmbeddingCache, ProviderConfig, embed_segments
 from .ingest import IngestError, build_chapter_groups, parse_volume
 from .model import (
     BookVolume,
@@ -87,8 +90,10 @@ class PipelineConfig:
             setattr(self, name, os.fspath(getattr(self, name)))
         if self.workers != 1:
             raise PipelineError(f"workers must be 1, got {self.workers}")
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise PipelineError(f"dim must be a positive integer, got {self.dim!r}")
+        least = HASH_DIM_MIN if self.provider.name == "hash" else 1
+        if type(self.dim) is not int or self.dim < least:
+            raise PipelineError(f"dim must be a positive integer, at least {HASH_DIM_MIN} for the hash provider, "
+                                f"got {self.dim!r}")
         if self.mode not in MODES:
             raise PipelineError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
 
@@ -122,29 +127,6 @@ def _sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-class _StageWriter:
-    """Write stage outputs atomically; failures leave a quarantine file."""
-
-    def __init__(self):
-        self.pending: list[tuple[str, str]] = []
-
-    def path_for(self, final_path: str) -> str:
-        tmp = final_path + ".tmp"
-        self.pending.append((tmp, final_path))
-        return tmp
-
-    def commit(self):
-        for tmp, final in self.pending:
-            os.replace(tmp, final)
-        self.pending.clear()
-
-    def quarantine(self):
-        for tmp, final in self.pending:
-            if os.path.exists(tmp):
-                os.replace(tmp, final + ".quarantine")
-        self.pending.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -411,43 +393,37 @@ def build_rows(volumes: list[BookVolume], groups: list[ChapterGroup], alignments
 # Stages: the work above bound to the artifacts in out_dir
 
 
-def _out(config: PipelineConfig, name: str) -> str:
+def _final(config: PipelineConfig, name: str) -> str:
     return os.path.join(config.out_dir, name)
 
 
-def stage_ingest(config: PipelineConfig, writer: _StageWriter) -> dict:
+def stage_ingest(config: PipelineConfig, out: Callable[[str], str]) -> dict:
+    corpus, mapping, warnings = out("corpus.json"), out("mapping.tsv"), out("warnings.jsonl")
     # Later stages group chapters by this copy, never by the input file.
-    mapping = writer.path_for(_out(config, "mapping.tsv"))
     shutil.copyfile(config.mapping, mapping)
-    return ingest_raw(
-        config.raw_dir,
-        mapping,
-        writer.path_for(_out(config, "corpus.json")),
-        writer.path_for(_out(config, "warnings.jsonl")),
-    )
+    return ingest_raw(config.raw_dir, mapping, corpus, warnings)
 
 
-def stage_embed(config: PipelineConfig, writer: _StageWriter, groups: list[ChapterGroup]) -> dict:
+def stage_embed(config: PipelineConfig, groups: list[ChapterGroup]) -> dict:
     embedded = embed_chapters([chap for g in groups for chap in g.members.values()], config)
     return {"segments_embedded": embedded, "chapter_groups": len(groups)}
 
 
-def stage_bialign(config: PipelineConfig, writer: _StageWriter, groups: list[ChapterGroup]) -> dict:
-    return align_pairs(groups, writer.path_for(_out(config, "alignments.jsonl")), config)
+def stage_bialign(config: PipelineConfig, out: Callable[[str], str], groups: list[ChapterGroup]) -> dict:
+    return align_pairs(groups, out("alignments.jsonl"), config)
 
 
-def stage_multialign(config: PipelineConfig, writer: _StageWriter, volumes: list[BookVolume],
+def stage_multialign(config: PipelineConfig, out: Callable[[str], str], volumes: list[BookVolume],
                      groups: list[ChapterGroup]) -> dict:
-    return build_rows(volumes, groups, _out(config, "alignments.jsonl"), writer.path_for(_out(config, "rows.jsonl")),
-                      config.length_filter)
+    return build_rows(volumes, groups, _final(config, "alignments.jsonl"), out("rows.jsonl"), config.length_filter)
 
 
-def stage_export(config: PipelineConfig, writer: _StageWriter, volumes: list[BookVolume]) -> dict:
+def stage_export(config: PipelineConfig, out: Callable[[str], str], volumes: list[BookVolume]) -> dict:
     seg_index = segment_index(volumes)
-    rows = export_mod.load_rows(_out(config, "rows.jsonl"), seg_index)
+    rows = export_mod.load_rows(_final(config, "rows.jsonl"), seg_index)
     report = export_mod.stats(volumes, rows)
-    export_mod.write_stats(report, writer.path_for(_out(config, "stats.json")))
-    with open(writer.path_for(_out(config, "stats.txt")), "w", encoding="utf-8") as fh:
+    export_mod.write_stats(report, out("stats.json"))
+    with open(out("stats.txt"), "w", encoding="utf-8") as fh:
         fh.write(export_mod.render_stats(report))
     return {"aligned_rows": len(rows), "total_aligned_segments": report["total"]["aligned_segments"]}
 
@@ -460,20 +436,14 @@ _STAGE_FNS = {
     "export": stage_export,
 }
 
-ARTIFACTS = (
-    "corpus.json",
-    "mapping.tsv",
-    "warnings.jsonl",
-    "alignments.jsonl",
-    "rows.jsonl",
-    "stats.json",
-    "stats.txt",
-)
-
 
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run the five stages in order and write the run manifest. The corpus and
-    its chapter groups are resolved once, from what ingest stored."""
+    its chapter groups are resolved once, from what ingest stored. Each stage
+    that writes to ``out_dir`` is given ``out``: ``out(name)`` returns
+    ``<name>.tmp`` and records the name. Once the stage returns, each recorded
+    file is renamed to ``<name>``; if it raises, each one written is renamed to
+    ``<name>.quarantine``. The manifest hashes exactly the committed files."""
     os.makedirs(config.out_dir, exist_ok=True)
     config_json = json.dumps(config.to_dict(), sort_keys=True)
     manifest = {
@@ -484,33 +454,42 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "stages": {},
         "artifacts": {},
     }
+    pending: list[str] = []
+    committed: list[str] = []
+
+    def out(name: str) -> str:
+        pending.append(name)
+        return _final(config, name) + ".tmp"
 
     def run_stage(stage: str, *inputs) -> None:
-        writer = _StageWriter()
         t0 = time.monotonic()
         try:
-            counts = _STAGE_FNS[stage](config, writer, *inputs)
+            counts = _STAGE_FNS[stage](config, *inputs)
         except Exception as exc:
-            writer.quarantine()
+            for name in pending:
+                tmp = _final(config, name) + ".tmp"
+                if os.path.exists(tmp):
+                    os.replace(tmp, _final(config, name) + ".quarantine")
             raise PipelineError(f"stage {stage!r} failed: {exc}") from exc
-        writer.commit()
+        for name in pending:
+            os.replace(_final(config, name) + ".tmp", _final(config, name))
+        committed.extend(pending)
+        pending.clear()
         counts["seconds"] = round(time.monotonic() - t0, 3)
         manifest["stages"][stage] = counts
         logger.info("stage %s: %s", stage, counts)
 
     start = time.monotonic()
-    run_stage("ingest")
-    volumes, groups = corpus_groups(_out(config, "corpus.json"), _out(config, "mapping.tsv"))
+    run_stage("ingest", out)
+    volumes, groups = corpus_groups(_final(config, "corpus.json"), _final(config, "mapping.tsv"))
     run_stage("embed", groups)
-    run_stage("bialign", groups)
-    run_stage("multialign", volumes, groups)
-    run_stage("export", volumes)
+    run_stage("bialign", out, groups)
+    run_stage("multialign", out, volumes, groups)
+    run_stage("export", out, volumes)
     manifest["wall_seconds"] = round(time.monotonic() - start, 3)
-    for name in ARTIFACTS:
-        path = os.path.join(config.out_dir, name)
-        if os.path.exists(path):
-            manifest["artifacts"][name] = _sha256_file(path)
-    with open(os.path.join(config.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    for name in committed:
+        manifest["artifacts"][name] = _sha256_file(_final(config, name))
+    with open(_final(config, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return manifest

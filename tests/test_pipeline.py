@@ -267,30 +267,37 @@ class TestRunPipeline:
             assert np.array_equal(vectors, np.stack([emb.hash_embed(t, 256) for t in texts]))
         assert run_pipeline(config)["artifacts"] == clean_artifacts
 
-    def test_stage_writer_quarantines_on_failure(self, tmp_path):
-        from polyalign.pipeline import _StageWriter
+    def test_stage_writer_quarantines_on_failure(self, pipeline_run, small_corpus, tmp_path, monkeypatch):
+        # Export fails once it has written stats.json and opened stats.txt.
+        def render_fails(report):
+            raise RuntimeError("render failed")
 
-        writer = _StageWriter()
-        final = tmp_path / "corpus.json"
-        tmp = writer.path_for(str(final))
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("partial")
-        writer.quarantine()
-        assert not final.exists()
-        assert (tmp_path / "corpus.json.quarantine").read_text() == "partial"
+        monkeypatch.setattr(pipeline.export_mod, "render_stats", render_fails)
+        raw, mapping, _ = write_fixture(small_corpus, tmp_path)
+        with pytest.raises(PipelineError, match="stage 'export' failed: render failed"):
+            run_pipeline(make_config(tmp_path, raw, mapping))
+        out, clean = tmp_path / "out", pipeline_run[0] / "out"
+        assert (out / "stats.json.quarantine").read_bytes() == (clean / "stats.json").read_bytes()
+        assert (out / "stats.txt.quarantine").read_text() == ""
+        assert not (out / "stats.json").exists() and not (out / "stats.txt").exists()
+        assert not list(out.glob("*.tmp"))
+        assert not (out / "manifest.json").exists()
+        # The stages before export committed theirs.
+        assert (out / "rows.jsonl").read_bytes() == (clean / "rows.jsonl").read_bytes()
 
-    def test_stage_writer_commit_replaces_atomically(self, tmp_path):
-        from polyalign.pipeline import _StageWriter
-
-        writer = _StageWriter()
-        final = tmp_path / "rows.jsonl"
-        final.write_text("old")
-        tmp = writer.path_for(str(final))
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("new")
-        writer.commit()
-        assert final.read_text() == "new"
-        assert not (tmp_path / "rows.jsonl.tmp").exists()
+    def test_stage_writer_commit_replaces_atomically(self, pipeline_run, small_corpus, tmp_path):
+        raw, mapping, _ = write_fixture(small_corpus, tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "rows.jsonl").write_text("old")
+        with open(out / "rows.jsonl", encoding="utf-8") as reader:
+            manifest = run_pipeline(make_config(tmp_path, raw, mapping))
+            # Renamed over, not rewritten in place: a reader of the old file still sees all of it.
+            assert reader.read() == "old"
+        rows = (out / "rows.jsonl").read_bytes()
+        assert rows == (pipeline_run[0] / "out" / "rows.jsonl").read_bytes()
+        assert manifest["artifacts"]["rows.jsonl"] == hashlib.sha256(rows).hexdigest()
+        assert not list(out.glob("*.tmp"))
 
     def test_config_round_trip(self, tmp_path):
         config = PipelineConfig(raw_dir="a", mapping="b", cache_dir="c", out_dir="d", dim=64)
@@ -314,10 +321,31 @@ class TestRunPipeline:
         assert result.exit_code == 1
         assert result.output.startswith("Error: ") and key in result.output
 
-    @pytest.mark.parametrize("dim", ["256", 0])
+    @pytest.mark.parametrize("dim", ["256", 0, True, 4])
     def test_dim_other_than_a_positive_integer_rejected(self, dim):
-        with pytest.raises(PipelineError, match="dim must be a positive integer"):
+        with pytest.raises(PipelineError, match="dim must be a positive integer, at least 8 for the hash provider"):
             PipelineConfig.from_dict({"dim": dim})
+
+    def test_dim_below_the_hash_minimum_accepted_for_a_remote_provider(self):
+        provider = {"name": "remote", "endpoint": "http://unit.test/embed", "model": "m"}
+        assert PipelineConfig.from_dict({"provider": provider, "dim": 4}).dim == 4
+
+    @pytest.mark.parametrize("batch_size", ["64", 0, True, 2.5])
+    def test_batch_size_other_than_a_positive_integer_rejected(self, batch_size):
+        with pytest.raises(PolyalignError, match="batch_size must be a positive integer"):
+            PipelineConfig.from_dict({"provider": {"batch_size": batch_size}})
+
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "dim", 4), (None, "dim", True), ("provider", "batch_size", 2.5),
+    ])
+    def test_config_the_embed_stage_refuses_rejected_before_any_stage_runs(self, tmp_path, section, key, value):
+        raw, mapping, _ = write_fixture(generate(seed=0, n_groups=2, segs_per_chapter=5), tmp_path)
+        doc = make_config(tmp_path, raw, mapping).to_dict()
+        (doc[section] if section else doc)[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert_reported(CliRunner().invoke(main, ["run", "--config", str(path)]), key, repr(value))
+        assert not (tmp_path / "out" / "corpus.json").exists()
 
     def test_unknown_mode_rejected_before_any_stage_runs(self, tmp_path):
         with pytest.raises(PipelineError, match="mode"):
@@ -1034,16 +1062,22 @@ class TestCliReportsMalformedFiles:
         assert_reported(result, alignments, "line 2")
         assert not (root / "rows-cut.jsonl").exists()
 
-    def test_row_without_provenance(self, cli_workspace):
+    @pytest.mark.parametrize("field, edit", [
+        ("provenance", lambda doc: doc.pop("provenance")),
+        ("provenance", lambda doc: doc.update(provenance=["g"])),
+        ("flags", lambda doc: doc.update(flags="noise")),
+        ("flags", lambda doc: doc.update(flags=["noise", 1])),
+    ], ids=["no-provenance", "provenance-list", "flags-string", "flags-non-string"])
+    def test_row_with_a_malformed_field(self, cli_workspace, tmp_path, field, edit):
         root, runner = cli_workspace
         docs = [json.loads(l) for l in (root / "out" / "rows.jsonl").read_text(encoding="utf-8").splitlines()]
-        del docs[2]["provenance"]
-        rows = root / "rows-no-provenance.jsonl"
+        edit(docs[2])
+        rows = tmp_path / "rows-malformed.jsonl"
         rows.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
         result = runner.invoke(main, [
             "export", "stats", "--rows", str(rows), "--corpus", str(root / "out" / "corpus.json"),
         ])
-        assert_reported(result, rows, "line 3", "provenance")
+        assert_reported(result, rows, "line 3", field)
 
     @pytest.mark.parametrize("chapter, expected", [
         ({"title": "Lecziun"}, "'elements'"),
