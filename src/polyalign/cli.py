@@ -1,20 +1,18 @@
 """Command-line interface: the full pipeline plus one subcommand per stage.
 
 The stage subcommands run the pipeline's own stage functions on the files
-their flags name.
+their flags name, with every setting read from the config file that ``run``
+takes.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 
 import click
 
 from . import __version__
-from .bialign import AlignConfig
-from .embedding import MODES, ProviderConfig
 from .evaluate import load_gold, multi_prf
 from .export import (
     ExportError,
@@ -29,9 +27,7 @@ from .export import (
     write_stats,
 )
 from .model import CORPUS_FORMAT, PolyalignError, load_corpus, load_json_object, parse_pair, segment_index
-from .multialign import LengthFilterConfig
 from .pipeline import (
-    PipelineConfig,
     align_pairs,
     build_rows,
     corpus_groups,
@@ -58,36 +54,12 @@ def main():
     """Multi-parallel segment alignment toolkit."""
 
 
-_EMBEDDING_OPTIONS = (
-    click.option("--provider", default="hash"),
-    click.option("--model", default="ngram3-v1"),
-    click.option("--endpoint", default=""),
-    click.option("--auth", default="", help="Env var holding the API secret."),
-    click.option("--batch-size", default=64),
-    click.option("--mode", type=click.Choice(MODES), default="text"),
-    click.option("--dim", default=256),
-)
-
-
-def _embedding_options(command):
-    """Add the provider, mode and dim flags, passed on with the cache directory
-    as one PipelineConfig, so that every command keys the cache alike."""
-
-    @functools.wraps(command)
-    def wrapper(cache_dir, provider, model, endpoint, auth, batch_size, mode, dim, **flags):
-        provider_config = ProviderConfig(
-            name=provider, endpoint=endpoint, model=model, batch_size=batch_size, auth=auth
-        )
-        config = PipelineConfig(cache_dir=cache_dir, provider=provider_config, mode=mode, dim=dim)
-        return command(config, **flags)
-
-    for option in reversed(_EMBEDDING_OPTIONS):
-        wrapper = option(wrapper)
-    return wrapper
+# Every setting comes from this one file: `run` and the stage commands read it alike.
+_config_option = click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@_config_option
 def run(config_path):
     """Run the whole pipeline from a config file."""
     config = load_config(config_path)
@@ -110,26 +82,24 @@ def ingest(raw_dir, mapping, out_path, report_path):
 
 
 @main.command()
+@_config_option
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
-@click.option("--cache", "cache_dir", required=True, type=click.Path())
-@_embedding_options
-def embed(config, corpus_path):
+def embed(config_path, corpus_path):
     """Embed every corpus segment through the on-disk cache."""
+    config = load_config(config_path)
     total = embed_chapters([chap for vol in load_corpus(corpus_path) for chap in vol.chapters], config)
     click.echo(f"embedded {total} segments into {config.cache_dir}")
 
 
 @main.command()
+@_config_option
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
 @click.option("--mapping", required=True, type=click.Path(exists=True))
-@click.option("--embeddings", "cache_dir", required=True, type=click.Path())
 @click.option("--pair", default="all", help="SRC:TGT idiom pair, or 'all'.")
-@click.option("--lambda", "skip_cost", default=0.15)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_embedding_options
-def bialign(config, corpus_path, mapping, pair, skip_cost, out_path):
+def bialign(config_path, corpus_path, mapping, pair, out_path):
     """Align chapter pairs with the monotone 1-1/deletion DP."""
-    config.align = AlignConfig(skip_cost=skip_cost)
+    config = load_config(config_path)
     pair = None if pair == "all" else parse_pair(pair)
     _, groups = corpus_groups(corpus_path, mapping)
     counts = align_pairs(groups, out_path, config, pair)
@@ -137,19 +107,19 @@ def bialign(config, corpus_path, mapping, pair, skip_cost, out_path):
 
 
 @main.command()
+@_config_option
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
 @click.option("--mapping", required=True, type=click.Path(exists=True))
 @click.option("--alignments", "alignments_path", required=True, type=click.Path(exists=True))
 @click.option("--pivot", default="all", help="'all' for consensus, or one pivot idiom.")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--length-unit", type=click.Choice(["tokens", "characters"]), default="tokens")
 @click.option("--no-length-filter", is_flag=True, default=False)
-def multialign(corpus_path, mapping, alignments_path, pivot, out_path, length_unit, no_length_filter):
+def multialign(config_path, corpus_path, mapping, alignments_path, pivot, out_path, no_length_filter):
     """Build multi-parallel rows by consensus (or one pivot's join)."""
+    config = load_config(config_path)
     volumes, groups = corpus_groups(corpus_path, mapping)
-    length_config = None if no_length_filter else LengthFilterConfig(unit=length_unit)
-    counts = build_rows(volumes, groups, alignments_path, out_path, length_config,
-                        None if pivot == "all" else pivot)
+    counts = build_rows(volumes, groups, alignments_path, out_path,
+                        None if no_length_filter else config.length_filter, None if pivot == "all" else pivot)
     click.echo(f"{counts['rows']} aligned rows, {counts['dropped_components']} dropped components")
 
 
@@ -196,7 +166,7 @@ def _read_rows(rows_path, corpus_path):
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 def export_rows_cmd(rows_path, corpus_path, out_path):
-    """Re-emit rows in canonical order after validating references."""
+    """Re-emit rows in file order after validating references."""
     _, rows = _read_rows(rows_path, corpus_path)
     n = export_rows(rows, out_path)
     click.echo(f"wrote {n} rows")

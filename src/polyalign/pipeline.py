@@ -3,7 +3,8 @@
 ``run_pipeline`` always runs the five stages in order; a partial rerun is
 the CLI's stage commands. Each stage's work is one function; the ``stage_*``
 functions bind it to the artifacts in ``out_dir``, and the CLI's stage
-commands bind it to the files named by their flags. A stage names each file
+commands bind it to the files named by their flags, with the settings of
+the config file that ``run`` takes. A stage names each file
 it writes once, as ``out(name)``, which returns the temporary path
 ``<name>.tmp``; ``run_pipeline`` renames it to ``<name>`` when the stage
 returns, or to ``<name>.quarantine`` when the stage fails. Ingest stores the
@@ -33,7 +34,7 @@ import shutil
 import sys
 import time
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from operator import itemgetter
@@ -69,6 +70,9 @@ class PipelineError(PolyalignError):
     pass
 
 
+_PATHS = ("raw_dir", "mapping", "cache_dir", "out_dir")
+
+
 @dataclass
 class PipelineConfig:
     raw_dir: str = ""
@@ -86,7 +90,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         # Paths may be given as str or os.PathLike; the manifest stores str.
-        for name in ("raw_dir", "mapping", "cache_dir", "out_dir"):
+        for name in _PATHS:
             setattr(self, name, os.fspath(getattr(self, name)))
         if self.workers != 1:
             raise PipelineError(f"workers must be 1, got {self.workers}")
@@ -118,7 +122,13 @@ class PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    return PipelineConfig.from_dict(load_json_object(path, PipelineError))
+    """The config the file at ``path`` describes. A path it leaves empty is an
+    error: an empty ``raw_dir`` would read the working directory's files."""
+    config = PipelineConfig.from_dict(load_json_object(path, PipelineError))
+    empty = [name for name in _PATHS if not getattr(config, name)]
+    if empty:
+        raise PipelineError(f"{path}: no path given for {', '.join(empty)}")
+    return config
 
 
 def _sha256_file(path) -> str:
@@ -443,8 +453,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     that writes to ``out_dir`` is given ``out``: ``out(name)`` returns
     ``<name>.tmp`` and records the name. Once the stage returns, each recorded
     file is renamed to ``<name>``; if it raises, each one written is renamed to
-    ``<name>.quarantine``. The manifest hashes exactly the committed files."""
+    ``<name>.quarantine``. The manifest hashes exactly the committed files; an
+    earlier build's manifest is removed before the first stage runs."""
     os.makedirs(config.out_dir, exist_ok=True)
+    # An earlier build's manifest hashes files this run replaces; a failed run must not leave it.
+    with suppress(FileNotFoundError):
+        os.remove(_final(config, "manifest.json"))
     config_json = json.dumps(config.to_dict(), sort_keys=True)
     manifest = {
         "toolkit": "polyalign",

@@ -57,6 +57,12 @@ def make_config(root, raw, mapping, out_name="out"):
     )
 
 
+def write_config(path, config: PipelineConfig, **changes) -> str:
+    """Write ``config`` as a config file, with the top-level keys ``changes`` replaced; return its path."""
+    path.write_text(json.dumps({**config.to_dict(), **changes}), encoding="utf-8")
+    return str(path)
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(small_corpus, tmp_path_factory):
     root = tmp_path_factory.mktemp("pipe")
@@ -147,7 +153,9 @@ class TestRunPipeline:
         # mapping edited, they still reproduce the run from the stored copy.
         root, _, manifest, _ = pipeline_run
         raw, mapping, _ = write_fixture(small_corpus, tmp_path)
-        manifest2 = run_pipeline(make_config(tmp_path, raw, mapping))
+        config = make_config(tmp_path, raw, mapping)
+        config_path = write_config(tmp_path / "config.json", config)
+        manifest2 = run_pipeline(config)
         out = tmp_path / "out"
         assert (out / "mapping.tsv").read_bytes() == mapping.read_bytes()
         n_cols = len(small_corpus.mapping_tsv.splitlines()[0].split("\t"))
@@ -156,10 +164,10 @@ class TestRunPipeline:
         corpus, stored = str(out / "corpus.json"), str(out / "mapping.tsv")
         runner = CliRunner()
         for args in (
-            ["bialign", "--corpus", corpus, "--mapping", stored, "--embeddings", str(tmp_path / "cache"),
+            ["bialign", "--config", config_path, "--corpus", corpus, "--mapping", stored,
              "--out", str(out / "alignments.jsonl")],
-            ["multialign", "--corpus", corpus, "--mapping", stored, "--alignments", str(out / "alignments.jsonl"),
-             "--out", str(out / "rows.jsonl")],
+            ["multialign", "--config", config_path, "--corpus", corpus, "--mapping", stored,
+             "--alignments", str(out / "alignments.jsonl"), "--out", str(out / "rows.jsonl")],
         ):
             result = runner.invoke(main, args)
             assert result.exit_code == 0, result.output
@@ -285,6 +293,21 @@ class TestRunPipeline:
         # The stages before export committed theirs.
         assert (out / "rows.jsonl").read_bytes() == (clean / "rows.jsonl").read_bytes()
 
+    def test_failed_rerun_leaves_no_manifest_of_the_earlier_build(self, tmp_path, monkeypatch):
+        raw, mapping, _ = write_fixture(generate(seed=0, n_groups=2, segs_per_chapter=5), tmp_path)
+        config = make_config(tmp_path, raw, mapping)
+        run_pipeline(config)
+        assert (tmp_path / "out" / "manifest.json").exists()
+
+        def render_fails(report):
+            raise RuntimeError("render failed")
+
+        monkeypatch.setattr(pipeline.export_mod, "render_stats", render_fails)
+        with pytest.raises(PipelineError, match="stage 'export' failed: render failed"):
+            run_pipeline(config)
+        # The earlier manifest would hash alignments.jsonl and rows.jsonl, which the rerun replaced.
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_stage_writer_commit_replaces_atomically(self, pipeline_run, small_corpus, tmp_path):
         raw, mapping, _ = write_fixture(small_corpus, tmp_path)
         out = tmp_path / "out"
@@ -357,6 +380,18 @@ class TestRunPipeline:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert_reported(CliRunner().invoke(main, ["run", "--config", str(path)]), "mode", "bogus")
         assert not (tmp_path / "out" / "corpus.json").exists()
+
+    @pytest.mark.parametrize("key", ["raw_dir", "mapping", "cache_dir", "out_dir"])
+    def test_config_that_leaves_a_path_empty_rejected_before_any_stage_runs(self, tmp_path, monkeypatch, key):
+        # An empty path is the working directory's: an empty raw_dir would read config.json as a volume.
+        monkeypatch.chdir(tmp_path)
+        raw, mapping, _ = write_fixture(generate(seed=0, n_groups=2, segs_per_chapter=5), tmp_path)
+        doc = make_config(tmp_path, raw, mapping).to_dict()
+        del doc[key]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert_reported(CliRunner().invoke(main, ["run", "--config", str(path)]), f"no path given for {key}")
+        assert not list(tmp_path.rglob("corpus.json"))
 
     @pytest.mark.parametrize("skip_cost", [float("nan"), float("inf")])
     def test_skip_cost_that_is_not_finite_rejected(self, tmp_path, skip_cost):
@@ -534,7 +569,8 @@ class TestStoredAlignmentsMustBeCovers:
         line = write_broken_alignments(out, edit, broken)
         for pivot in ("all", "sursilvan"):
             result = runner.invoke(main, [
-                "multialign", "--corpus", str(out / "corpus.json"), "--mapping", str(out / "mapping.tsv"),
+                "multialign", "--config", str(root / "config.json"),
+                "--corpus", str(out / "corpus.json"), "--mapping", str(out / "mapping.tsv"),
                 "--alignments", str(broken), "--pivot", pivot,
                 "--out", str(tmp_path / "rows.jsonl"),
             ])
@@ -571,7 +607,8 @@ class TestStoredAlignmentsMustBeGrouped:
         broken.write_text("\n".join(lines + rest) + "\n", encoding="utf-8")
         for pivot in ("all", "sursilvan"):
             result = runner.invoke(main, [
-                "multialign", "--corpus", str(out / "corpus.json"), "--mapping", str(out / "mapping.tsv"),
+                "multialign", "--config", str(root / "config.json"),
+                "--corpus", str(out / "corpus.json"), "--mapping", str(out / "mapping.tsv"),
                 "--alignments", str(broken), "--pivot", pivot, "--out", str(tmp_path / "rows.jsonl"),
             ])
             assert_reported(result, f"{broken}, line {line}: group {first}: ",
@@ -582,12 +619,15 @@ class TestStoredAlignmentsMustBeGrouped:
 @pytest.fixture(scope="module")
 def two_sizes(tmp_path_factory):
     """Output directories of full runs on two-group corpora with 5 and 8
-    segments per chapter: the same groups and idioms, different segments."""
+    segments per chapter: the same groups and idioms, different segments.
+    Each run's config file is config.json beside its output directory."""
     outs = {}
     for n in (5, 8):
         root = tmp_path_factory.mktemp(f"segs{n}")
         raw, mapping, _ = write_fixture(generate(seed=0, n_groups=2, segs_per_chapter=n), root)
-        run_pipeline(make_config(root, raw, mapping))
+        config = make_config(root, raw, mapping)
+        write_config(root / "config.json", config)
+        run_pipeline(config)
         outs[n] = root / "out"
     return outs
 
@@ -605,14 +645,13 @@ def test_total_cost_is_the_left_to_right_sum_of_link_costs(two_sizes):
 
 @pytest.fixture(scope="module")
 def cli_workspace(small_corpus, tmp_path_factory):
-    """A fixture corpus on disk plus a completed `run` invocation."""
+    """A fixture corpus on disk plus a completed `run` invocation of
+    root/config.json, the config file every stage command is given."""
     root = tmp_path_factory.mktemp("cli")
     raw, mapping, gold = write_fixture(small_corpus, root)
-    config = make_config(root, raw, mapping)
-    config_path = root / "config.json"
-    config_path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+    config_path = write_config(root / "config.json", make_config(root, raw, mapping))
     runner = CliRunner()
-    result = runner.invoke(main, ["run", "--config", str(config_path)])
+    result = runner.invoke(main, ["run", "--config", config_path])
     assert result.exit_code == 0, result.output
     return root, runner
 
@@ -674,10 +713,8 @@ class TestCli:
 
     def test_embed_command(self, cli_workspace):
         root, runner = cli_workspace
-        result = runner.invoke(main, [
-            "embed", "--corpus", str(root / "out" / "corpus.json"),
-            "--cache", str(root / "cache"), "--dim", "64",
-        ])
+        config = write_config(root / "config-dim64.json", load_config(root / "config.json"), dim=64)
+        result = runner.invoke(main, ["embed", "--config", config, "--corpus", str(root / "out" / "corpus.json")])
         assert result.exit_code == 0, result.output
         assert "embedded" in result.output
 
@@ -685,9 +722,8 @@ class TestCli:
         root, runner = cli_workspace
         out = root / "pair.jsonl"
         result = runner.invoke(main, [
-            "bialign", "--corpus", str(root / "out" / "corpus.json"),
+            "bialign", "--config", str(root / "config.json"), "--corpus", str(root / "out" / "corpus.json"),
             "--mapping", str(root / "out" / "mapping.tsv"),
-            "--embeddings", str(root / "cache"),
             "--pair", "puter:vallader", "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
@@ -700,9 +736,8 @@ class TestCli:
         root, runner = cli_workspace
         out = root / "bad-pair.jsonl"
         result = runner.invoke(main, [
-            "bialign", "--corpus", str(root / "out" / "corpus.json"),
-            "--mapping", str(root / "out" / "mapping.tsv"),
-            "--embeddings", str(root / "cache"), "--pair", pair, "--out", str(out),
+            "bialign", "--config", str(root / "config.json"), "--corpus", str(root / "out" / "corpus.json"),
+            "--mapping", str(root / "out" / "mapping.tsv"), "--pair", pair, "--out", str(out),
         ])
         assert result.exit_code == 1
         assert result.output.startswith("Error: ") and repr(pair) in result.output
@@ -712,10 +747,11 @@ class TestCli:
     def test_bialign_rejects_a_skip_cost_that_is_not_finite_and_non_negative(self, cli_workspace, skip_cost):
         root, runner = cli_workspace
         out = root / "bad-lambda.jsonl"
+        config = write_config(root / "config-bad-lambda.json", load_config(root / "config.json"),
+                              align={"skip_cost": float(skip_cost)})
         result = runner.invoke(main, [
-            "bialign", "--corpus", str(root / "out" / "corpus.json"),
-            "--mapping", str(root / "out" / "mapping.tsv"),
-            "--embeddings", str(root / "cache"), "--lambda", skip_cost, "--out", str(out),
+            "bialign", "--config", config, "--corpus", str(root / "out" / "corpus.json"),
+            "--mapping", str(root / "out" / "mapping.tsv"), "--out", str(out),
         ])
         assert_reported(result, f"skip_cost must be a finite number >= 0, got {float(skip_cost)!r}")
         assert not out.exists()
@@ -724,7 +760,7 @@ class TestCli:
         root, runner = cli_workspace
         out = root / "rows-cli.jsonl"
         result = runner.invoke(main, [
-            "multialign", "--corpus", str(root / "out" / "corpus.json"),
+            "multialign", "--config", str(root / "config.json"), "--corpus", str(root / "out" / "corpus.json"),
             "--mapping", str(root / "out" / "mapping.tsv"),
             "--alignments", str(root / "out" / "alignments.jsonl"),
             "--out", str(out),
@@ -737,7 +773,7 @@ class TestCli:
         root, runner = cli_workspace
         out = root / "rows-pivot.jsonl"
         result = runner.invoke(main, [
-            "multialign", "--corpus", str(root / "out" / "corpus.json"),
+            "multialign", "--config", str(root / "config.json"), "--corpus", str(root / "out" / "corpus.json"),
             "--mapping", str(root / "out" / "mapping.tsv"),
             "--alignments", str(root / "out" / "alignments.jsonl"),
             "--pivot", "sursilvan",
@@ -750,7 +786,7 @@ class TestCli:
         root, runner = cli_workspace
         out = root / "rows-nowhere.jsonl"
         result = runner.invoke(main, [
-            "multialign", "--corpus", str(root / "out" / "corpus.json"),
+            "multialign", "--config", str(root / "config.json"), "--corpus", str(root / "out" / "corpus.json"),
             "--mapping", str(root / "out" / "mapping.tsv"),
             "--alignments", str(root / "out" / "alignments.jsonl"),
             "--pivot", "nowhere", "--out", str(out),
@@ -876,13 +912,14 @@ class TestCli:
         chain = root / "chain"
         chain.mkdir()
         corpus, mapping = str(chain / "corpus.json"), str(root / "mapping.tsv")
+        config = write_config(chain / "config.json", load_config(root / "config.json"), cache_dir=str(chain / "cache"))
         commands = [
             ["ingest", "--raw-dir", str(root / "raw"), "--mapping", mapping,
              "--out", corpus, "--report", str(chain / "warnings.jsonl")],
-            ["embed", "--corpus", corpus, "--cache", str(chain / "cache")],
-            ["bialign", "--corpus", corpus, "--mapping", mapping, "--embeddings", str(chain / "cache"),
+            ["embed", "--config", config, "--corpus", corpus],
+            ["bialign", "--config", config, "--corpus", corpus, "--mapping", mapping,
              "--pair", "all", "--out", str(chain / "alignments.jsonl")],
-            ["multialign", "--corpus", corpus, "--mapping", mapping,
+            ["multialign", "--config", config, "--corpus", corpus, "--mapping", mapping,
              "--alignments", str(chain / "alignments.jsonl"),
              "--out", str(chain / "rows.jsonl")],
         ]
@@ -892,19 +929,56 @@ class TestCli:
         for name in ("alignments.jsonl", "rows.jsonl"):
             assert (chain / name).read_bytes() == (root / "out" / name).read_bytes()
 
+    def test_stage_commands_reproduce_a_run_of_a_non_default_config(self, tmp_path):
+        raw, mapping, _ = write_fixture(generate(seed=0, n_groups=2, segs_per_chapter=5), tmp_path)
+        # Puter's first segment of g0001 gains half its words again, and its second keeps 8 of its 11:
+        # the default length ratios (1.5, 0.67) filter neither, this config's (1.3, 0.8) both.
+        path = raw / "puter-vol01.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        elements = doc["chapters"][0]["elements"]
+        first, second = (element["html"][len("<p>"):-len("</p>")].split() for element in elements[:2])
+        elements[:2] = [{"html": f"<p>{' '.join(first + first[:len(first) // 2])}</p>"},
+                        {"html": f"<p>{' '.join(second[:8])}</p>"}]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        config = write_config(tmp_path / "config.json", make_config(tmp_path, raw, mapping), dim=64,
+                              align={"skip_cost": 0.3}, length_filter={"upper_ratio": 1.3, "lower_ratio": 0.8})
+        runner = CliRunner()
+        result = runner.invoke(main, ["run", "--config", config])
+        assert result.exit_code == 0, result.output
+        chain = tmp_path / "chain"
+        chain.mkdir()
+        corpus = str(chain / "corpus.json")
+        for args in (
+            ["ingest", "--raw-dir", str(raw), "--mapping", str(mapping),
+             "--out", corpus, "--report", str(chain / "warnings.jsonl")],
+            ["embed", "--config", config, "--corpus", corpus],
+            ["bialign", "--config", config, "--corpus", corpus, "--mapping", str(mapping),
+             "--out", str(chain / "alignments.jsonl")],
+            ["multialign", "--config", config, "--corpus", corpus, "--mapping", str(mapping),
+             "--alignments", str(chain / "alignments.jsonl"), "--out", str(chain / "rows.jsonl")],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+        for name in ("alignments.jsonl", "rows.jsonl"):
+            assert (chain / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+        rows = [json.loads(line) for line in (chain / "rows.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert {row["row_id"]: row["flags"] for row in rows if row.get("flags")} == {
+            "g0001/r00000": ["noise-filtered:puter"], "g0001/r00001": ["noise-filtered:puter"],
+        }
+
     def test_bialign_reuses_the_model_embed_cached(self, cli_workspace):
         root, runner = cli_workspace
         cache = root / "cache-other"
         corpus, mapping = str(root / "out" / "corpus.json"), str(root / "out" / "mapping.tsv")
-        result = runner.invoke(main, [
-            "embed", "--corpus", corpus, "--cache", str(cache), "--model", "other-v2",
-        ])
+        config = write_config(root / "config-other.json", load_config(root / "config.json"),
+                              cache_dir=str(cache), provider={"model": "other-v2"})
+        result = runner.invoke(main, ["embed", "--config", config, "--corpus", corpus])
         assert result.exit_code == 0, result.output
         filled = {p.name for p in cache.glob("*.bin")}
         assert filled
         result = runner.invoke(main, [
-            "bialign", "--corpus", corpus, "--mapping", mapping, "--embeddings", str(cache),
-            "--model", "other-v2", "--pair", "all", "--out", str(root / "pairs-other.jsonl"),
+            "bialign", "--config", config, "--corpus", corpus, "--mapping", mapping,
+            "--pair", "all", "--out", str(root / "pairs-other.jsonl"),
         ])
         assert result.exit_code == 0, result.output
         assert {p.name for p in cache.glob("*.bin")} == filled
@@ -914,14 +988,14 @@ class TestCli:
         corpus, mapping = str(root / "out" / "corpus.json"), str(root / "out" / "mapping.tsv")
         pairs = str(root / "pairs-pv.jsonl")
         result = runner.invoke(main, [
-            "bialign", "--corpus", corpus, "--mapping", mapping, "--embeddings", str(root / "cache"),
+            "bialign", "--config", str(root / "config.json"), "--corpus", corpus, "--mapping", mapping,
             "--pair", "puter:vallader", "--out", pairs,
         ])
         assert result.exit_code == 0, result.output
         for pivot, missing in (("all", "puter:surmiran"), ("sursilvan", "sursilvan:puter")):
             result = runner.invoke(main, [
-                "multialign", "--corpus", corpus, "--mapping", mapping, "--alignments", pairs,
-                "--pivot", pivot, "--out", str(root / "rows-pv.jsonl"),
+                "multialign", "--config", str(root / "config.json"), "--corpus", corpus, "--mapping", mapping,
+                "--alignments", pairs, "--pivot", pivot, "--out", str(root / "rows-pv.jsonl"),
             ])
             assert result.exit_code == 1
             assert missing in result.output
@@ -935,7 +1009,8 @@ class TestCli:
             out = two_sizes[corpus]
             for pivot in ("all", "sursilvan"):
                 result = runner.invoke(main, [
-                    "multialign", "--corpus", str(out / "corpus.json"), "--mapping", str(out / "mapping.tsv"),
+                    "multialign", "--config", str(out.parent / "config.json"),
+                    "--corpus", str(out / "corpus.json"), "--mapping", str(out / "mapping.tsv"),
                     "--alignments", str(two_sizes[other] / "alignments.jsonl"), "--pivot", pivot,
                     "--out", str(out.parent / "rows-stale.jsonl"),
                 ])
@@ -1055,7 +1130,7 @@ class TestCliReportsMalformedFiles:
         alignments = root / "alignments-cut.jsonl"
         alignments.write_text(lines[0] + "\n" + lines[1][:40] + "\n", encoding="utf-8")
         result = runner.invoke(main, [
-            "multialign", "--corpus", str(root / "out" / "corpus.json"),
+            "multialign", "--config", str(root / "config.json"), "--corpus", str(root / "out" / "corpus.json"),
             "--mapping", str(root / "out" / "mapping.tsv"), "--alignments", str(alignments),
             "--out", str(root / "rows-cut.jsonl"),
         ])
@@ -1160,9 +1235,10 @@ class TestCliReportsMalformedFiles:
         args = {
             "ingest": ["--raw-dir", str(root / "raw"), "--out", str(tmp_path / "corpus.json"),
                        "--report", str(tmp_path / "w.jsonl")],
-            "bialign": ["--corpus", corpus, "--embeddings", str(root / "cache"),
+            "bialign": ["--config", str(root / "config.json"), "--corpus", corpus,
                         "--out", str(tmp_path / "alignments.jsonl")],
-            "multialign": ["--corpus", corpus, "--alignments", str(root / "out" / "alignments.jsonl"),
+            "multialign": ["--config", str(root / "config.json"), "--corpus", corpus,
+                           "--alignments", str(root / "out" / "alignments.jsonl"),
                            "--out", str(tmp_path / "rows.jsonl")],
         }[command]
         result = runner.invoke(main, [command, "--mapping", str(mapping), *args])
@@ -1228,9 +1304,9 @@ class TestCliReportsMalformedFiles:
         written = tmp_path / "written"
         args = {
             "export-stats": ["export", "stats", "--rows", bad, "--corpus", corpus, "--out", written],
-            "multialign": ["multialign", "--corpus", corpus, "--mapping", mapping, "--alignments", bad,
-                           "--out", written],
-            "bialign": ["bialign", "--corpus", corpus, "--mapping", bad, "--embeddings", root / "cache",
+            "multialign": ["multialign", "--config", root / "config.json", "--corpus", corpus, "--mapping", mapping,
+                           "--alignments", bad, "--out", written],
+            "bialign": ["bialign", "--config", root / "config.json", "--corpus", corpus, "--mapping", bad,
                         "--out", written],
             "evaluate": ["evaluate", "--hyp", out / "rows.jsonl", "--gold", bad, "--corpus", corpus,
                          "--report", written],
