@@ -24,17 +24,16 @@ from .export import (
     split_rows,
     stats,
     write_sheet,
-    write_stats,
 )
-from .model import CORPUS_FORMAT, PolyalignError, load_corpus, load_json_object, parse_pair, segment_index
+from .model import CORPUS_FORMAT, PolyalignError, load_corpus, load_json_object, parse_pair, segment_index, write_json
 from .pipeline import (
     align_pairs,
     build_rows,
     corpus_groups,
-    embed_chapters,
     ingest_raw,
     load_config,
     run_pipeline,
+    stage_embed,
 )
 
 
@@ -84,11 +83,12 @@ def ingest(raw_dir, mapping, out_path, report_path):
 @main.command()
 @_config_option
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
-def embed(config_path, corpus_path):
-    """Embed every corpus segment through the on-disk cache."""
+@click.option("--mapping", required=True, type=click.Path(exists=True))
+def embed(config_path, corpus_path, mapping):
+    """Embed the segments of every grouped chapter through the on-disk cache."""
     config = load_config(config_path)
-    total = embed_chapters([chap for vol in load_corpus(corpus_path) for chap in vol.chapters], config)
-    click.echo(f"embedded {total} segments into {config.cache_dir}")
+    counts = stage_embed(config, corpus_groups(corpus_path, mapping)[1])
+    click.echo(f"embedded {counts['segments_embedded']} segments into {config.cache_dir}")
 
 
 @main.command()
@@ -142,9 +142,7 @@ def evaluate(hyp_path, gold_path, corpus_path, report_path):
         },
         "macro": {"precision": macro.precision, "recall": macro.recall, "f1": macro.f1},
     }
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(report, report_path)
     click.echo(
         f"macro P/R/F1 = {macro.precision:.3f}/{macro.recall:.3f}/{macro.f1:.3f}"
     )
@@ -194,7 +192,7 @@ def export_stats_cmd(rows_path, corpus_path, out_path):
     volumes, rows = _read_rows(rows_path, corpus_path)
     report = stats(volumes, rows)
     if out_path:
-        write_stats(report, out_path)
+        write_json(report, out_path)
     click.echo(render_stats(report), nl=False)
 
 

@@ -45,6 +45,8 @@ class ProviderConfig:
     def __post_init__(self):
         if type(self.batch_size) is not int or self.batch_size < 1:
             raise EmbeddingError(f"batch_size must be a positive integer, got {self.batch_size!r}")
+        if self.name != "hash" and not self.endpoint:
+            raise EmbeddingError(f"provider {self.name!r} is not 'hash' and has no endpoint")
 
 
 def _ngrams(text: str, n: int = 3):
@@ -95,8 +97,6 @@ class HashProvider:
         self.dim = dim
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
-        if not texts:
-            return np.zeros((0, self.dim), dtype=np.float32)
         return np.stack([hash_embed(t, self.dim) for t in texts])
 
 
@@ -112,8 +112,6 @@ class RemoteProvider:
     RETRIES = 3
 
     def __init__(self, config: ProviderConfig, dim: int = HASH_DIM_DEFAULT, session=None):
-        if not config.endpoint:
-            raise EmbeddingError(f"provider {config.name!r} has no endpoint")
         self.config = config
         self.dim = dim
         if session is None:

@@ -78,35 +78,18 @@ def strict_prf(hypothesis, gold) -> PRF:
     return PRF.from_counts(correct, len(hyp), len(gld))
 
 
-def _project_rows(rows: list[MultiParallelRow], idiom_a: str, idiom_b: str):
-    pairs = []
-    for row in rows:
-        a = row.cells.get(idiom_a)
-        b = row.cells.get(idiom_b)
-        if a is not None and b is not None:
-            pairs.append(((a.id,), (b.id,)))
-    return pairs
-
-
-def _project_gold(gold: GoldAlignment, idiom_a: str, idiom_b: str):
-    pairs = []
-    for row in gold.rows:
-        a = row.get(idiom_a, ())
-        b = row.get(idiom_b, ())
-        if a and b:
-            pairs.append((tuple(sorted(a)), tuple(sorted(b))))
-    return pairs
-
-
 def multi_prf(
     hypothesis: list[MultiParallelRow], gold: GoldAlignment
 ) -> tuple[dict[tuple[str, str], PRF], PRF]:
-    """Per-idiom-pair strict PRF plus the unweighted macro average."""
+    """Per-idiom-pair strict PRF plus the unweighted macro average. Each pair's
+    sides go to ``strict_prf`` as they are: a hypothesis cell as its segment id
+    or None, a gold cell as its id tuple."""
     table: dict[tuple[str, str], PRF] = {}
     for idiom_a, idiom_b in combinations(sorted(gold.idioms), 2):
+        cells = [(row.cells.get(idiom_a), row.cells.get(idiom_b)) for row in hypothesis]
         table[(idiom_a, idiom_b)] = strict_prf(
-            _project_rows(hypothesis, idiom_a, idiom_b),
-            _project_gold(gold, idiom_a, idiom_b),
+            [(a and a.id, b and b.id) for a, b in cells],
+            [(row.get(idiom_a, ()), row.get(idiom_b, ())) for row in gold.rows],
         )
     if table:
         scores = list(table.values())

@@ -159,13 +159,6 @@ def render_stats(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_stats(report: dict, out_path) -> None:
-    """Write ``stats.json``: the stats document, keys sorted, one-space indent."""
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 SPLIT_NAMES = ("train", "validation", "test", "extra")
 
 

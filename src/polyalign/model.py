@@ -201,9 +201,9 @@ def corpus_from_dict(doc: dict) -> list[BookVolume]:
 def save_corpus(volumes: list[BookVolume], path) -> None:
     """Write ``corpus.json``, one chapter at a time.
 
-    The bytes are exactly ``json.dump(doc, fh, ensure_ascii=False, indent=1)``
-    and a newline, where ``doc`` is ``{"format": CORPUS_FORMAT,
-    "volumes": [...]}`` and each volume, chapter and segment is an object of
+    The bytes are exactly what ``json.dump`` writes of ``doc`` with
+    ``ensure_ascii=False`` and ``indent=1``, and a newline, where ``doc`` is
+    ``{"format": CORPUS_FORMAT, "volumes": [...]}`` and each volume, chapter and segment is an object of
     its fields in declaration order (a segment without its ``idiom``). The
     layout is spelled out here and strings go through ``encode_basestring``,
     the string encoder ``json.dump`` uses, so no dict copy of the corpus is
@@ -239,6 +239,14 @@ def load_json_object(path, error: type[PolyalignError] = PolyalignError) -> dict
     if not isinstance(doc, dict):
         raise error(f"{path}: not a JSON object")
     return doc
+
+
+def write_json(doc: dict, path) -> None:
+    """Write ``doc`` to ``path`` as a JSON document: keys sorted, a one-space
+    indent and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def load_corpus(path) -> list[BookVolume]:

@@ -10,17 +10,16 @@ it writes once, as ``out(name)``, which returns the temporary path
 returns, or to ``<name>.quarantine`` when the stage fails. Ingest stores the
 corpus and a copy of the chapter mapping as ``mapping.tsv``; the corpus and
 its chapter groups are then resolved once from those two files
-(``corpus_groups``), as the CLI's ``bialign`` and ``multialign`` resolve
-them, and handed to the later stages. Each input is checked where it is
-read: a volume by ``parse_volume``, an alignment by ``load_alignments``.
-Multialign reads ``alignments.jsonl`` one chapter group at a time and builds
-that group's rows on partner maps (see ``multialign``) before it reads the
-next, so it holds one group's alignments, not the corpus's. A group's records
-must therefore be together and in the mapping's group order, as ``bialign``
-writes them; per-pair ``bialign`` outputs concatenated into one file are
-rejected. Every run writes a manifest with the resolved config, the content
-hashes of exactly the files its stages committed, and per-stage counts, so a
-build can be audited and reproduced bit-for-bit (with a warm embedding cache).
+(``corpus_groups``), as the CLI's ``embed``, ``bialign`` and ``multialign``
+resolve them, and handed to the later stages. Each input is checked where it
+is read: a volume by ``parse_volume``, an alignment by ``load_alignments``.
+Multialign reads ``alignments.jsonl`` one chapter group at a time, in the
+record order ``load_alignments`` requires, and builds that group's rows on
+partner maps (see ``multialign``) before it reads the next, so it holds one
+group's alignments, not the corpus's. Every run writes a manifest with the
+resolved config, the content hashes of exactly the files its stages
+committed, and per-stage counts, so a build can be audited and reproduced
+bit-for-bit (with a warm embedding cache).
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ from .model import (
     save_corpus,
     segment_index,
     validate_corpus,
+    write_json,
 )
 from .multialign import (
     LengthFilterConfig,
@@ -201,14 +201,6 @@ def _chapter_matrix(chapter, config: PipelineConfig, cache: EmbeddingCache):
     )
 
 
-def embed_chapters(chapters, config: PipelineConfig) -> int:
-    """Embed each chapter through the cache; return the number of segments."""
-    cache = EmbeddingCache(config.cache_dir)
-    for chap in chapters:
-        _chapter_matrix(chap, config, cache)
-    return sum(len(c.segments) for c in chapters)
-
-
 def _align_batch(group: ChapterGroup, pairs: list[tuple[str, str]], matrices: dict[str, np.ndarray],
                  config: PipelineConfig) -> list[dict]:
     """Alignment records of one ``dp_batches`` batch of the group's pairs; its
@@ -343,16 +335,15 @@ def _cover_problem(alignment: BilingualAlignment) -> str | None:
 def build_rows(volumes: list[BookVolume], groups: list[ChapterGroup], alignments_path, rows_path,
                length_config: LengthFilterConfig | None, pivot: str | None = None) -> dict:
     """Multi-parallel rows of every group: the consensus of every pivot or, given
-    ``pivot``, that pivot's join; some group must hold the pivot. The
-    alignments are read one group at a time, and each group's rows are built
-    before the next group's records are read, so only one group's alignments
-    are held. They are checked as ``load_alignments`` reads them: a group's
-    records must be together and in the mapping's group order, as ``bialign``
-    writes them, so concatenated per-pair ``bialign`` outputs are rejected. A
-    group that lacks a pair the build needs fails the build, once the rest of
-    the file has been checked. Without ``length_config`` no cell is
-    length-filtered. Rows left with fewer than two cells are demoted; a
-    contradictory consensus component is only counted (``dropped_components``).
+    ``pivot``, that pivot's join; some group must hold the pivot, and a group
+    that does not adds no rows. The alignments are read one group at a time,
+    and each group's rows are built before the next group's records are read,
+    so only one group's alignments are held. They are checked, their order
+    too, as ``load_alignments`` reads them. A group that lacks a pair the build
+    needs fails the build, once the rest of the file has been checked. Without
+    ``length_config`` no cell is length-filtered. Rows left with fewer than two
+    cells are demoted; a contradictory consensus component is only counted
+    (``dropped_components``).
     The rows are written once, after every group."""
     if pivot is not None and not any(pivot in g.members for g in groups):
         raise PipelineError(f"no chapter group has the pivot idiom {pivot!r}")
@@ -415,8 +406,13 @@ def stage_ingest(config: PipelineConfig, out: Callable[[str], str]) -> dict:
 
 
 def stage_embed(config: PipelineConfig, groups: list[ChapterGroup]) -> dict:
-    embedded = embed_chapters([chap for g in groups for chap in g.members.values()], config)
-    return {"segments_embedded": embedded, "chapter_groups": len(groups)}
+    """Embed every chapter that a group holds through the cache. It writes no
+    artifact, so the CLI's ``embed`` runs it as ``run`` does."""
+    cache = EmbeddingCache(config.cache_dir)
+    chapters = [chap for g in groups for chap in g.members.values()]
+    for chap in chapters:
+        _chapter_matrix(chap, config, cache)
+    return {"segments_embedded": sum(len(c.segments) for c in chapters), "chapter_groups": len(groups)}
 
 
 def stage_bialign(config: PipelineConfig, out: Callable[[str], str], groups: list[ChapterGroup]) -> dict:
@@ -432,7 +428,7 @@ def stage_export(config: PipelineConfig, out: Callable[[str], str], volumes: lis
     seg_index = segment_index(volumes)
     rows = export_mod.load_rows(_final(config, "rows.jsonl"), seg_index)
     report = export_mod.stats(volumes, rows)
-    export_mod.write_stats(report, out("stats.json"))
+    write_json(report, out("stats.json"))
     with open(out("stats.txt"), "w", encoding="utf-8") as fh:
         fh.write(export_mod.render_stats(report))
     return {"aligned_rows": len(rows), "total_aligned_segments": report["total"]["aligned_segments"]}
@@ -503,7 +499,5 @@ def run_pipeline(config: PipelineConfig) -> dict:
     manifest["wall_seconds"] = round(time.monotonic() - start, 3)
     for name in committed:
         manifest["artifacts"][name] = _sha256_file(_final(config, name))
-    with open(_final(config, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, _final(config, "manifest.json"))
     return manifest

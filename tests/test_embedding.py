@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import sys
@@ -350,9 +351,17 @@ class FlakySession:
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.calls += 1
+        self.headers = headers
         if self.calls <= self.fail_times:
             raise ConnectionError("boom")
         return FakeResponse([list(hash_embed(t, self.dim).astype(float)) for t in json["texts"]])
+
+
+class ShortSession(FlakySession):
+    """Returns one row fewer than it was sent texts."""
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        return super().post(url, {"texts": json["texts"][1:]}, headers, timeout)
 
 
 class NanSession(FlakySession):
@@ -392,8 +401,33 @@ class TestRemoteProvider:
         assert sleeps == [0.5, 1.0]
 
     def test_missing_endpoint_errors(self):
-        with pytest.raises(EmbeddingError):
-            RemoteProvider(ProviderConfig(name="remote"))
+        with pytest.raises(EmbeddingError, match="provider 'remote' is not 'hash' and has no endpoint"):
+            ProviderConfig(name="remote")
+
+    def test_auth_env_var_is_sent_as_a_bearer_token(self, monkeypatch):
+        monkeypatch.setenv("POLYALIGN_TEST_SECRET", "s3cret")
+        session = FlakySession()
+        config = dataclasses.replace(self.config(), auth="POLYALIGN_TEST_SECRET")
+        RemoteProvider(config, dim=8, session=session).embed_batch(["a"])
+        assert session.headers == {"Authorization": "Bearer s3cret"}
+
+    def test_unset_auth_env_var_fails_without_a_request(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("time.sleep", sleeps.append)
+        monkeypatch.delenv("POLYALIGN_TEST_SECRET", raising=False)
+        session = FlakySession()
+        config = dataclasses.replace(self.config(), auth="POLYALIGN_TEST_SECRET")
+        with pytest.raises(EmbeddingError, match="env var POLYALIGN_TEST_SECRET is not set"):
+            RemoteProvider(config, dim=8, session=session).embed_batch(["a"])
+        assert session.calls == 0 and sleeps == []
+
+    def test_wrong_row_count_is_not_retried(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("time.sleep", sleeps.append)
+        session = ShortSession()
+        with pytest.raises(EmbeddingError, match="provider returned 1 rows for 2 inputs"):
+            RemoteProvider(self.config(), dim=8, session=session).embed_batch(["a", "b"])
+        assert session.calls == 1 and sleeps == []
 
     def test_client_error_is_not_retried(self, monkeypatch):
         monkeypatch.setattr("time.sleep", lambda s: None)

@@ -381,6 +381,19 @@ class TestRunPipeline:
         assert_reported(CliRunner().invoke(main, ["run", "--config", str(path)]), "mode", "bogus")
         assert not (tmp_path / "out" / "corpus.json").exists()
 
+    @pytest.mark.parametrize("section, value, message", [
+        # Only the hash provider needs no endpoint; a misspelt name is a remote provider without one.
+        ("provider", {"name": "hsh"}, "provider 'hsh' is not 'hash' and has no endpoint"),
+        ("length_filter", {"unit": "words"}, "unknown length unit 'words'"),
+    ], ids=["provider-without-endpoint", "length-unit-words"])
+    def test_config_a_later_stage_refuses_rejected_before_any_stage_runs(self, tmp_path, section, value, message):
+        with pytest.raises(PolyalignError, match=message):
+            PipelineConfig.from_dict({section: value})
+        raw, mapping, _ = write_fixture(generate(seed=0, n_groups=2, segs_per_chapter=5), tmp_path)
+        path = write_config(tmp_path / "config.json", make_config(tmp_path, raw, mapping), **{section: value})
+        assert_reported(CliRunner().invoke(main, ["run", "--config", path]), message)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["raw_dir", "mapping", "cache_dir", "out_dir"])
     def test_config_that_leaves_a_path_empty_rejected_before_any_stage_runs(self, tmp_path, monkeypatch, key):
         # An empty path is the working directory's: an empty raw_dir would read config.json as a volume.
@@ -714,7 +727,8 @@ class TestCli:
     def test_embed_command(self, cli_workspace):
         root, runner = cli_workspace
         config = write_config(root / "config-dim64.json", load_config(root / "config.json"), dim=64)
-        result = runner.invoke(main, ["embed", "--config", config, "--corpus", str(root / "out" / "corpus.json")])
+        result = runner.invoke(main, ["embed", "--config", config, "--corpus", str(root / "out" / "corpus.json"),
+                                      "--mapping", str(root / "out" / "mapping.tsv")])
         assert result.exit_code == 0, result.output
         assert "embedded" in result.output
 
@@ -782,6 +796,27 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert out.read_text().strip()
 
+    def test_multialign_pivot_skips_a_group_without_the_pivot(self, tmp_path):
+        corpus = generate(seed=0, n_groups=2, segs_per_chapter=5)
+        raw, mapping, _ = write_fixture(corpus, tmp_path)
+        # Group g0002 holds no sursilvan chapter.
+        header, first, second = corpus.mapping_tsv.splitlines()
+        mapping.write_text("\n".join([header, first, "\t" + second.split("\t", 1)[1]]) + "\n", encoding="utf-8")
+        config = make_config(tmp_path, raw, mapping)
+        run_pipeline(config)
+        out = tmp_path / "out"
+        args = ["multialign", "--config", write_config(tmp_path / "config.json", config),
+                "--corpus", str(out / "corpus.json"), "--mapping", str(out / "mapping.tsv"),
+                "--alignments", str(out / "alignments.jsonl")]
+        provenance = {}
+        for pivot in ("sursilvan", "puter"):
+            rows = tmp_path / f"rows-{pivot}.jsonl"
+            result = CliRunner().invoke(main, [*args, "--pivot", pivot, "--out", str(rows)])
+            assert result.exit_code == 0, result.output
+            lines = rows.read_text(encoding="utf-8").splitlines()
+            provenance[pivot] = {json.loads(line)["provenance"] for line in lines}
+        assert provenance == {"sursilvan": {"g0001"}, "puter": {"g0001", "g0002"}}
+
     def test_multialign_rejects_an_unknown_pivot(self, cli_workspace):
         root, runner = cli_workspace
         out = root / "rows-nowhere.jsonl"
@@ -832,12 +867,15 @@ class TestCli:
 
     def test_export_stats_command(self, cli_workspace):
         root, runner = cli_workspace
+        out = root / "stats-cli.json"
         result = runner.invoke(main, [
             "export", "stats", "--rows", str(root / "out" / "rows.jsonl"),
-            "--corpus", str(root / "out" / "corpus.json"),
+            "--corpus", str(root / "out" / "corpus.json"), "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
         assert "Total" in result.output
+        assert result.output == (root / "out" / "stats.txt").read_text(encoding="utf-8")
+        assert out.read_bytes() == (root / "out" / "stats.json").read_bytes()
 
     def test_export_split_command(self, cli_workspace, small_corpus):
         root, runner = cli_workspace
@@ -883,6 +921,34 @@ class TestCli:
                 doc = json.loads(line)
                 assert doc["cells"] == rows[doc["row_id"]], doc["row_id"]
 
+    def test_export_split_writes_a_row_of_two_splits_to_conflicts(self, tmp_path):
+        corpus = generate(seed=0, n_groups=4, segs_per_chapter=5, chapters_per_volume=2)
+        raw, mapping, _ = write_fixture(corpus, tmp_path)
+        run_pipeline(make_config(tmp_path, raw, mapping))
+        out = tmp_path / "out"
+        docs = [json.loads(line) for line in (out / "rows.jsonl").read_text(encoding="utf-8").splitlines()]
+        # Row 0 lies in vol01; its puter cell moves to a puter segment of vol02.
+        puter = docs[0]["cells"]["puter"]
+        assert puter["segment_id"].startswith("puter/vol01/")
+        puter["segment_id"] = "puter/vol02/chapter 002/0"
+        rows = tmp_path / "rows-mixed.jsonl"
+        rows.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+        splits = tmp_path / "splits.json"
+        splits.write_text(json.dumps({"vol01": "train", "vol02": "test"}), encoding="utf-8")
+        result = CliRunner().invoke(main, [
+            "export", "split", "--rows", str(rows), "--corpus", str(out / "corpus.json"),
+            "--splits", str(splits), "--out", str(tmp_path / "splits"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.output.endswith(", conflicts: 1\n")
+        conflicts = (tmp_path / "splits" / "conflicts.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in conflicts] == [
+            {"row_index": 0, "provenance": docs[0]["provenance"], "splits": ["test", "train"]}
+        ]
+        written = [json.loads(line)["row_id"] for name in ("train", "test")
+                   for line in (tmp_path / "splits" / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert len(written) == len(docs) - 1 and docs[0]["row_id"] not in written
+
     def test_export_sample_command(self, cli_workspace):
         root, runner = cli_workspace
         out = root / "sheet.tsv"
@@ -916,7 +982,7 @@ class TestCli:
         commands = [
             ["ingest", "--raw-dir", str(root / "raw"), "--mapping", mapping,
              "--out", corpus, "--report", str(chain / "warnings.jsonl")],
-            ["embed", "--config", config, "--corpus", corpus],
+            ["embed", "--config", config, "--corpus", corpus, "--mapping", mapping],
             ["bialign", "--config", config, "--corpus", corpus, "--mapping", mapping,
              "--pair", "all", "--out", str(chain / "alignments.jsonl")],
             ["multialign", "--config", config, "--corpus", corpus, "--mapping", mapping,
@@ -951,7 +1017,7 @@ class TestCli:
         for args in (
             ["ingest", "--raw-dir", str(raw), "--mapping", str(mapping),
              "--out", corpus, "--report", str(chain / "warnings.jsonl")],
-            ["embed", "--config", config, "--corpus", corpus],
+            ["embed", "--config", config, "--corpus", corpus, "--mapping", str(mapping)],
             ["bialign", "--config", config, "--corpus", corpus, "--mapping", str(mapping),
              "--out", str(chain / "alignments.jsonl")],
             ["multialign", "--config", config, "--corpus", corpus, "--mapping", str(mapping),
@@ -972,7 +1038,7 @@ class TestCli:
         corpus, mapping = str(root / "out" / "corpus.json"), str(root / "out" / "mapping.tsv")
         config = write_config(root / "config-other.json", load_config(root / "config.json"),
                               cache_dir=str(cache), provider={"model": "other-v2"})
-        result = runner.invoke(main, ["embed", "--config", config, "--corpus", corpus])
+        result = runner.invoke(main, ["embed", "--config", config, "--corpus", corpus, "--mapping", mapping])
         assert result.exit_code == 0, result.output
         filled = {p.name for p in cache.glob("*.bin")}
         assert filled
@@ -982,6 +1048,31 @@ class TestCli:
         ])
         assert result.exit_code == 0, result.output
         assert {p.name for p in cache.glob("*.bin")} == filled
+
+    def test_stage_chain_caches_what_run_caches(self, tmp_path):
+        # The fixture has 10 chapters, and a one-row mapping groups 5 of them: only those are embedded.
+        corpus = generate(seed=0, n_groups=2, segs_per_chapter=5)
+        raw, mapping, _ = write_fixture(corpus, tmp_path)
+        mapping.write_text("\n".join(corpus.mapping_tsv.splitlines()[:2]) + "\n", encoding="utf-8")
+        config = make_config(tmp_path, raw, mapping)
+        run_pipeline(config)
+        chain = tmp_path / "chain"
+        chain.mkdir()
+        path = write_config(chain / "config.json", config, cache_dir=str(chain / "cache"))
+        corpus_path = str(chain / "corpus.json")
+        runner = CliRunner()
+        for args in (
+            ["ingest", "--raw-dir", str(raw), "--mapping", str(mapping),
+             "--out", corpus_path, "--report", str(chain / "warnings.jsonl")],
+            ["embed", "--config", path, "--corpus", corpus_path, "--mapping", str(mapping)],
+            ["bialign", "--config", path, "--corpus", corpus_path, "--mapping", str(mapping),
+             "--out", str(chain / "alignments.jsonl")],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+        cached = {p.name for p in (tmp_path / "cache").glob("*.bin")}
+        assert len(cached) == 5
+        assert {p.name for p in (chain / "cache").glob("*.bin")} == cached
 
     def test_multialign_names_the_missing_pairs(self, cli_workspace):
         root, runner = cli_workspace
@@ -1265,6 +1356,33 @@ class TestCliReportsMalformedFiles:
             "--out", str(tmp_path / "corpus.json"), "--report", str(tmp_path / "w.jsonl"),
         ])
         assert_reported(result, mapping, expected)
+        assert not (tmp_path / "corpus.json").exists()
+
+    @pytest.mark.parametrize("case", ["two volumes with one id", "a title with no key", "an empty mapping",
+                                      "a mapping cell without #"])
+    def test_raw_volumes_or_mapping_that_ingest_rejects(self, tmp_path, case):
+        raw, mapping, _ = write_fixture(generate(seed=0, n_groups=2, segs_per_chapter=5), tmp_path)
+        volume = raw / "puter-vol01.json"
+        if case == "two volumes with one id":
+            shutil.copyfile(volume, raw / "puter-copy.json")
+            expected = "corpus validation failed: puter/vol01: duplicate volume_id"
+        elif case == "a title with no key":
+            doc = json.loads(volume.read_text(encoding="utf-8"))
+            doc["chapters"][0]["title"] = "?!"
+            volume.write_text(json.dumps(doc), encoding="utf-8")
+            expected = f"puter/vol01: chapter title '?!' normalizes to an empty key (in {volume})"
+        elif case == "an empty mapping":
+            mapping.write_text("\n \n", encoding="utf-8")
+            expected = f"empty chapter mapping file (in {mapping})"
+        else:
+            mapping.write_text(mapping.read_text(encoding="utf-8").replace("vol01#chapter 000", "vol01", 1),
+                               encoding="utf-8")
+            expected = f"mapping row 1, idiom sursilvan: cell 'vol01' is not volume_id#chapter_key (in {mapping})"
+        result = CliRunner().invoke(main, [
+            "ingest", "--raw-dir", str(raw), "--mapping", str(mapping),
+            "--out", str(tmp_path / "corpus.json"), "--report", str(tmp_path / "w.jsonl"),
+        ])
+        assert_reported(result, expected)
         assert not (tmp_path / "corpus.json").exists()
 
     @pytest.mark.parametrize("text", ["{vol01: train}", '["vol01"]'])
