@@ -30,7 +30,7 @@ class AlignConfig:
     skip_cost: float = 0.15
 
     def __post_init__(self):
-        if not (math.isfinite(self.skip_cost) and self.skip_cost >= 0):
+        if type(self.skip_cost) is bool or not (math.isfinite(self.skip_cost) and self.skip_cost >= 0):
             raise AlignmentError(f"skip_cost must be a finite number >= 0, got {self.skip_cost!r}")
 
 

@@ -2,7 +2,8 @@
 
 The stage subcommands run the pipeline's own stage functions on the files
 their flags name, with every setting read from the config file that ``run``
-takes.
+takes. Every command writes through ``committing``, as ``run`` does, so a
+failed command leaves the file it was to replace as it was.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .model import CORPUS_FORMAT, PolyalignError, load_corpus, load_json_object,
 from .pipeline import (
     align_pairs,
     build_rows,
+    committing,
     corpus_groups,
     ingest_raw,
     load_config,
@@ -73,7 +75,8 @@ def run(config_path):
 @click.option("--report", "report_path", required=True, type=click.Path())
 def ingest(raw_dir, mapping, out_path, report_path):
     """Parse raw volumes, segment HTML, build chapter groups."""
-    counts = ingest_raw(raw_dir, mapping, out_path, report_path)
+    with committing() as out:
+        counts = ingest_raw(raw_dir, mapping, out(out_path), out(report_path))
     click.echo(
         f"{counts['volumes']} volumes, {counts['chapter_groups']} chapter groups, "
         f"{counts['warnings']} warnings"
@@ -87,7 +90,7 @@ def ingest(raw_dir, mapping, out_path, report_path):
 def embed(config_path, corpus_path, mapping):
     """Embed the segments of every grouped chapter through the on-disk cache."""
     config = load_config(config_path)
-    counts = stage_embed(config, corpus_groups(corpus_path, mapping)[1])
+    counts = stage_embed(config, None, corpus_groups(corpus_path, mapping)[1])
     click.echo(f"embedded {counts['segments_embedded']} segments into {config.cache_dir}")
 
 
@@ -102,7 +105,8 @@ def bialign(config_path, corpus_path, mapping, pair, out_path):
     config = load_config(config_path)
     pair = None if pair == "all" else parse_pair(pair)
     _, groups = corpus_groups(corpus_path, mapping)
-    counts = align_pairs(groups, out_path, config, pair)
+    with committing() as out:
+        counts = align_pairs(groups, out(out_path), config, pair)
     click.echo(f"aligned {counts['chapter_pairs']} chapter pairs -> {out_path}")
 
 
@@ -118,8 +122,9 @@ def multialign(config_path, corpus_path, mapping, alignments_path, pivot, out_pa
     """Build multi-parallel rows by consensus (or one pivot's join)."""
     config = load_config(config_path)
     volumes, groups = corpus_groups(corpus_path, mapping)
-    counts = build_rows(volumes, groups, alignments_path, out_path,
-                        None if no_length_filter else config.length_filter, None if pivot == "all" else pivot)
+    with committing() as out:
+        counts = build_rows(volumes, groups, alignments_path, out(out_path),
+                            None if no_length_filter else config.length_filter, None if pivot == "all" else pivot)
     click.echo(f"{counts['rows']} aligned rows, {counts['dropped_components']} dropped components")
 
 
@@ -142,7 +147,8 @@ def evaluate(hyp_path, gold_path, corpus_path, report_path):
         },
         "macro": {"precision": macro.precision, "recall": macro.recall, "f1": macro.f1},
     }
-    write_json(report, report_path)
+    with committing() as out:
+        write_json(report, out(report_path))
     click.echo(
         f"macro P/R/F1 = {macro.precision:.3f}/{macro.recall:.3f}/{macro.f1:.3f}"
     )
@@ -166,7 +172,8 @@ def _read_rows(rows_path, corpus_path):
 def export_rows_cmd(rows_path, corpus_path, out_path):
     """Re-emit rows in file order after validating references."""
     _, rows = _read_rows(rows_path, corpus_path)
-    n = export_rows(rows, out_path)
+    with committing() as out:
+        n = export_rows(rows, out(out_path))
     click.echo(f"wrote {n} rows")
 
 
@@ -179,7 +186,8 @@ def export_bitext_cmd(rows_path, corpus_path, pair, out_path):
     """Two-column TSV for one idiom pair."""
     idiom_a, idiom_b = parse_pair(pair)
     volumes, rows = _read_rows(rows_path, corpus_path)
-    n = export_bitext(volumes, rows, idiom_a, idiom_b, out_path)
+    with committing() as out:
+        n = export_bitext(volumes, rows, idiom_a, idiom_b, out(out_path))
     click.echo(f"wrote {n} bitext lines")
 
 
@@ -192,7 +200,8 @@ def export_stats_cmd(rows_path, corpus_path, out_path):
     volumes, rows = _read_rows(rows_path, corpus_path)
     report = stats(volumes, rows)
     if out_path:
-        write_json(report, out_path)
+        with committing() as out:
+            write_json(report, out(out_path))
     click.echo(render_stats(report), nl=False)
 
 
@@ -212,11 +221,12 @@ def export_split_cmd(rows_path, corpus_path, splits_path, out_dir):
     except ExportError as exc:
         raise ExportError(f"{splits_path}: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
-    for name, part in parts.items():
-        export_rows(rows, os.path.join(out_dir, f"{name}.jsonl"), part)
-    with open(os.path.join(out_dir, "conflicts.jsonl"), "w", encoding="utf-8") as fh:
-        for c in conflicts:
-            fh.write(json.dumps(c) + "\n")
+    with committing(out_dir) as out:
+        for name, part in parts.items():
+            export_rows(part, out(f"{name}.jsonl"))
+        with open(out("conflicts.jsonl"), "w", encoding="utf-8") as fh:
+            for c in conflicts:
+                fh.write(json.dumps(c) + "\n")
     click.echo(
         ", ".join(f"{name}: {len(part)}" for name, part in parts.items())
         + f", conflicts: {len(conflicts)}"
@@ -233,7 +243,8 @@ def export_sample_cmd(rows_path, corpus_path, n, seed, out_path):
     """Random evaluation sheet of n rows (seeded, reproducible)."""
     _, rows = _read_rows(rows_path, corpus_path)
     header, sheet = sample_rows(rows, n, seed)
-    write_sheet(header, sheet, out_path)
+    with committing() as out:
+        write_sheet(header, sheet, out(out_path))
     click.echo(f"wrote sheet with {len(sheet)} rows")
 
 

@@ -27,9 +27,9 @@ def _volume_of(segment_id: str) -> str:
     return parts[1]
 
 
-def row_to_dict(row: MultiParallelRow, row_id: str) -> dict:
+def row_to_dict(row: MultiParallelRow) -> dict:
     return {
-        "row_id": row_id,
+        "row_id": row.row_id,
         "cells": {
             idiom: ({"segment_id": seg.id, "text": seg.text} if seg is not None else None)
             for idiom, seg in sorted(row.cells.items())
@@ -39,28 +39,21 @@ def row_to_dict(row: MultiParallelRow, row_id: str) -> dict:
     }
 
 
-def row_id(row: MultiParallelRow, idx: int) -> str:
-    """The ``row_id`` of the row at index ``idx`` of a row file."""
-    return f"{row.provenance}/r{idx:05d}"
-
-
-def export_rows(rows: list[MultiParallelRow], out_path, indices: list[int] | None = None) -> int:
-    """Write one JSON object per row, deterministic order, UTF-8. Given
-    ``indices``, write only those rows, each under the id its index in
-    ``rows`` gives it."""
-    if indices is None:
-        indices = range(len(rows))
+def export_rows(rows: list[MultiParallelRow], out_path) -> int:
+    """Write one JSON object per row, in order, each under its own ``row_id``; UTF-8."""
     with open(out_path, "w", encoding="utf-8") as fh:
-        for idx in indices:
-            fh.write(json.dumps(row_to_dict(rows[idx], row_id(rows[idx], idx)), ensure_ascii=False, sort_keys=True))
+        for row in rows:
+            fh.write(json.dumps(row_to_dict(row), ensure_ascii=False, sort_keys=True))
             fh.write("\n")
-    return len(indices)
+    return len(rows)
 
 
 def load_rows(path, seg_index: dict[str, Segment]) -> list[MultiParallelRow]:
     """Re-import a rows.jsonl file; each cell's segment_id resolves through the
-    corpus index to a segment of the cell's idiom."""
+    corpus index to a segment of the cell's idiom. A row keeps its ``row_id``:
+    a string, unique in the file, that starts with its provenance and ``/r``."""
     rows: list[MultiParallelRow] = []
+    line_of: dict[str, int] = {}
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -68,13 +61,19 @@ def load_rows(path, seg_index: dict[str, Segment]) -> list[MultiParallelRow]:
             try:
                 doc = json.loads(line.decode("utf-8"))
                 ids = {idiom: None if cell is None else cell["segment_id"] for idiom, cell in doc["cells"].items()}
-                provenance, flags = doc["provenance"], doc.get("flags", [])
+                row_id, provenance, flags = doc["row_id"], doc["provenance"], doc.get("flags", [])
                 if not isinstance(provenance, str):
                     raise TypeError(f"provenance {provenance!r} is not a string")
+                if not isinstance(row_id, str):
+                    raise TypeError(f"row_id {row_id!r} is not a string")
                 if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
                     raise TypeError(f"flags {flags!r} is not a list of strings")
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise ExportError(f"{path}, line {line_no}: not a row record ({type(exc).__name__}: {exc})") from exc
+            if not row_id.startswith(provenance + "/r"):
+                raise ExportError(f"{path}, line {line_no}: row_id {row_id!r} does not start with {provenance}/r")
+            if line_of.setdefault(row_id, line_no) != line_no:
+                raise ExportError(f"{path}, line {line_no}: row_id {row_id!r} repeats the id of line {line_of[row_id]}")
             cells: dict[str, Segment | None] = {}
             for idiom, sid in ids.items():
                 seg = seg_index.get(sid) if isinstance(sid, str) else None
@@ -82,7 +81,7 @@ def load_rows(path, seg_index: dict[str, Segment]) -> list[MultiParallelRow]:
                     raise ExportError(f"{path}, line {line_no}: row references unknown segment {sid!r}, "
                                       f"no {idiom} segment of the corpus")
                 cells[idiom] = seg
-            rows.append(MultiParallelRow(cells=cells, provenance=provenance, flags=frozenset(flags)))
+            rows.append(MultiParallelRow(cells=cells, provenance=provenance, flags=frozenset(flags), row_id=row_id))
     return rows
 
 
@@ -166,9 +165,8 @@ def split_rows(
     rows: list[MultiParallelRow],
     assignment: dict[str, str],
     conflicts: list[dict] | None = None,
-) -> dict[str, list[int]]:
-    """Partition rows by the split of their member volumes: each split's
-    indices into ``rows``, in order.
+) -> dict[str, list[MultiParallelRow]]:
+    """Partition rows by the split of their member volumes: each split's rows, in order.
 
     Every value of ``assignment`` must be one of ``SPLIT_NAMES``. Rows whose
     member volumes map to different splits are dropped with a logged
@@ -178,7 +176,7 @@ def split_rows(
         if split not in SPLIT_NAMES:
             raise ExportError(f"volume {volume!r} maps to {split!r}, "
                               f"not one of {', '.join(SPLIT_NAMES)}")
-    out: dict[str, list[int]] = {name: [] for name in SPLIT_NAMES}
+    out: dict[str, list[MultiParallelRow]] = {name: [] for name in SPLIT_NAMES}
     for idx, row in enumerate(rows):
         splits = set()
         for seg in row.non_null().values():
@@ -192,7 +190,7 @@ def split_rows(
                     {"row_index": idx, "provenance": row.provenance, "splits": sorted(splits)}
                 )
             continue
-        out[splits.pop()].append(idx)
+        out[splits.pop()].append(row)
     return out
 
 
@@ -205,17 +203,14 @@ def sample_rows(rows: list[MultiParallelRow], n: int, seed: int):
     if not 0 <= n <= len(rows):
         raise ExportError(f"cannot sample {n} of {len(rows)} rows")
     idioms = sorted({i for row in rows for i in row.cells})
-    rng = random.Random(seed)
-    indices = rng.sample(range(len(rows)), n)
     header = ["row_id"] + idioms
     sheet = []
-    for idx in indices:
-        row = rows[idx]
+    for row in random.Random(seed).sample(rows, n):
         cells = [
             _WS_RE.sub(" ", row.cells[i].text) if row.cells.get(i) is not None else ""
             for i in idioms
         ]
-        sheet.append([row_id(row, idx)] + cells)
+        sheet.append([row.row_id] + cells)
     return header, sheet
 
 

@@ -126,11 +126,13 @@ class ChapterGroup:
 
 @dataclass(frozen=True, slots=True)
 class MultiParallelRow:
-    """One corpus row: at most one segment per idiom, null where absent."""
+    """One corpus row: at most one segment per idiom, null where absent, and
+    its ``row_id`` in a row file, given by ``build_rows`` or read by ``load_rows``."""
 
     cells: dict[str, Segment | None]
     provenance: str
     flags: frozenset[str] = frozenset()
+    row_id: str = ""
 
     def non_null(self) -> dict[str, Segment]:
         return {k: v for k, v in self.cells.items() if v is not None}

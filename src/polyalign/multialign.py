@@ -188,7 +188,7 @@ def length_filter(row: MultiParallelRow, config: LengthFilterConfig | None = Non
         if ln > config.upper_ratio * avg or ln < config.lower_ratio * avg:
             cells[idiom] = None
             flags.add(f"noise-filtered:{idiom}")
-    return MultiParallelRow(cells=cells, provenance=row.provenance, flags=frozenset(flags))
+    return MultiParallelRow(cells=cells, provenance=row.provenance, flags=frozenset(flags), row_id=row.row_id)
 
 
 def align_group_consensus(

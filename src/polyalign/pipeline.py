@@ -1,15 +1,14 @@
 """End-to-end pipeline: ingest, embed, bialign, multialign, export.
 
-``run_pipeline`` always runs the five stages in order; a partial rerun is
-the CLI's stage commands. Each stage's work is one function; the ``stage_*``
+``run_pipeline`` always runs the five stages in order; a partial rerun is the
+CLI's stage commands. Each stage's work is one function; the ``stage_*``
 functions bind it to the artifacts in ``out_dir``, and the CLI's stage
-commands bind it to the files named by their flags, with the settings of
-the config file that ``run`` takes. A stage names each file
-it writes once, as ``out(name)``, which returns the temporary path
-``<name>.tmp``; ``run_pipeline`` renames it to ``<name>`` when the stage
-returns, or to ``<name>.quarantine`` when the stage fails. Ingest stores the
-corpus and a copy of the chapter mapping as ``mapping.tsv``; the corpus and
-its chapter groups are then resolved once from those two files
+commands bind it to the files named by their flags, with the settings of the
+config file that ``run`` takes. Both write every file through ``committing``,
+as ``out(name)``: the temporary path ``<name>.tmp``, renamed to ``<name>``
+when the block returns, or to ``<name>.quarantine`` when it raises. Ingest
+stores the corpus and a copy of the chapter mapping as ``mapping.tsv``; the
+corpus and its chapter groups are then resolved once from those two files
 (``corpus_groups``), as the CLI's ``embed``, ``bialign`` and ``multialign``
 resolve them, and handed to the later stages. Each input is checked where it
 is read: a volume by ``parse_volume``, an alignment by ``load_alignments``.
@@ -17,9 +16,9 @@ Multialign reads ``alignments.jsonl`` one chapter group at a time, in the
 record order ``load_alignments`` requires, and builds that group's rows on
 partner maps (see ``multialign``) before it reads the next, so it holds one
 group's alignments, not the corpus's. Every run writes a manifest with the
-resolved config, the content hashes of exactly the files its stages
-committed, and per-stage counts, so a build can be audited and reproduced
-bit-for-bit (with a warm embedding cache).
+resolved config, the content hashes of exactly the files its stages committed,
+and per-stage counts, so a build can be audited and reproduced bit-for-bit
+(with a warm embedding cache).
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from .ingest import IngestError, build_chapter_groups, parse_volume
 from .model import (
     BookVolume,
     ChapterGroup,
+    MultiParallelRow,
     PolyalignError,
     load_corpus,
     load_json_object,
@@ -137,6 +137,33 @@ def _sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+@contextmanager
+def committing(directory=""):
+    """Commit the files written in the block together: ``out(name)`` records the
+    path ``<directory>/<name>``, which no other output may share, and returns
+    ``<path>.tmp`` to write. If the block returns, each recorded file is renamed
+    to its path; if it raises, each one written is renamed to
+    ``<path>.quarantine``, and the file at its path is left as it was."""
+    paths: list[str] = []
+
+    def out(name) -> str:
+        path = os.path.join(directory, name)
+        if os.path.realpath(path) in map(os.path.realpath, paths):
+            raise PipelineError(f"{path} is named for two outputs")
+        paths.append(path)
+        return path + ".tmp"
+
+    try:
+        yield out
+    except BaseException:
+        for path in paths:
+            if os.path.exists(path + ".tmp"):
+                os.replace(path + ".tmp", path + ".quarantine")
+        raise
+    for path in paths:
+        os.replace(path + ".tmp", path)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +370,8 @@ def build_rows(volumes: list[BookVolume], groups: list[ChapterGroup], alignments
     needs fails the build, once the rest of the file has been checked. Without
     ``length_config`` no cell is length-filtered. Rows left with fewer than two
     cells are demoted; a contradictory consensus component is only counted
-    (``dropped_components``).
-    The rows are written once, after every group."""
+    (``dropped_components``). Kept rows get the ``row_id`` ``<provenance>/r<index
+    in the file>``, and are written once, after every group."""
     if pivot is not None and not any(pivot in g.members for g in groups):
         raise PipelineError(f"no chapter group has the pivot idiom {pivot!r}")
     seg_index = segment_index(volumes)
@@ -382,7 +409,8 @@ def build_rows(volumes: list[BookVolume], groups: list[ChapterGroup], alignments
             if length_config is not None:
                 row = length_filter(row, length_config)
             if len(row.non_null()) >= 2:
-                all_rows.append(row)
+                row_id = f"{row.provenance}/r{len(all_rows):05d}"
+                all_rows.append(MultiParallelRow(row.cells, row.provenance, row.flags, row_id))
             else:
                 demoted += 1
 
@@ -405,9 +433,9 @@ def stage_ingest(config: PipelineConfig, out: Callable[[str], str]) -> dict:
     return ingest_raw(config.raw_dir, mapping, corpus, warnings)
 
 
-def stage_embed(config: PipelineConfig, groups: list[ChapterGroup]) -> dict:
+def stage_embed(config: PipelineConfig, out: Callable[[str], str] | None, groups: list[ChapterGroup]) -> dict:
     """Embed every chapter that a group holds through the cache. It writes no
-    artifact, so the CLI's ``embed`` runs it as ``run`` does."""
+    artifact and never calls ``out``; the CLI's ``embed`` passes None."""
     cache = EmbeddingCache(config.cache_dir)
     chapters = [chap for g in groups for chap in g.members.values()]
     for chap in chapters:
@@ -446,11 +474,9 @@ _STAGE_FNS = {
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run the five stages in order and write the run manifest. The corpus and
     its chapter groups are resolved once, from what ingest stored. Each stage
-    that writes to ``out_dir`` is given ``out``: ``out(name)`` returns
-    ``<name>.tmp`` and records the name. Once the stage returns, each recorded
-    file is renamed to ``<name>``; if it raises, each one written is renamed to
-    ``<name>.quarantine``. The manifest hashes exactly the committed files; an
-    earlier build's manifest is removed before the first stage runs."""
+    runs in its own ``committing`` block over ``out_dir``, and is given its
+    ``out``. The manifest hashes exactly the committed files; an earlier
+    build's manifest is removed before the first stage runs."""
     os.makedirs(config.out_dir, exist_ok=True)
     # An earlier build's manifest hashes files this run replaces; a failed run must not leave it.
     with suppress(FileNotFoundError):
@@ -464,38 +490,31 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "stages": {},
         "artifacts": {},
     }
-    pending: list[str] = []
+    # Once every stage has returned, the names given to ``out`` are the committed files.
     committed: list[str] = []
-
-    def out(name: str) -> str:
-        pending.append(name)
-        return _final(config, name) + ".tmp"
 
     def run_stage(stage: str, *inputs) -> None:
         t0 = time.monotonic()
         try:
-            counts = _STAGE_FNS[stage](config, *inputs)
+            with committing(config.out_dir) as commit:
+                def out(name: str) -> str:
+                    committed.append(name)
+                    return commit(name)
+
+                counts = _STAGE_FNS[stage](config, out, *inputs)
         except Exception as exc:
-            for name in pending:
-                tmp = _final(config, name) + ".tmp"
-                if os.path.exists(tmp):
-                    os.replace(tmp, _final(config, name) + ".quarantine")
             raise PipelineError(f"stage {stage!r} failed: {exc}") from exc
-        for name in pending:
-            os.replace(_final(config, name) + ".tmp", _final(config, name))
-        committed.extend(pending)
-        pending.clear()
         counts["seconds"] = round(time.monotonic() - t0, 3)
         manifest["stages"][stage] = counts
         logger.info("stage %s: %s", stage, counts)
 
     start = time.monotonic()
-    run_stage("ingest", out)
+    run_stage("ingest")
     volumes, groups = corpus_groups(_final(config, "corpus.json"), _final(config, "mapping.tsv"))
     run_stage("embed", groups)
-    run_stage("bialign", out, groups)
-    run_stage("multialign", out, volumes, groups)
-    run_stage("export", out, volumes)
+    run_stage("bialign", groups)
+    run_stage("multialign", volumes, groups)
+    run_stage("export", volumes)
     manifest["wall_seconds"] = round(time.monotonic() - start, 3)
     for name in committed:
         manifest["artifacts"][name] = _sha256_file(_final(config, name))

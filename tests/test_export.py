@@ -47,13 +47,14 @@ def make_corpus():
 
 
 def make_rows(segments, specs, provenance="g001"):
+    """Rows with the ids ``build_rows`` gives them: provenance, /r, index."""
     rows = []
     for spec in specs:
         cells = {
             idiom: segments[sid] if sid is not None else None
             for idiom, sid in spec.items()
         }
-        rows.append(MultiParallelRow(cells=cells, provenance=provenance))
+        rows.append(MultiParallelRow(cells=cells, provenance=provenance, row_id=f"{provenance}/r{len(rows):05d}"))
     return rows
 
 

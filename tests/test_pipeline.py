@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import polyalign.cli as cli
 from polyalign.cli import main
-from polyalign.embedding import EmbeddingCache
+from polyalign.embedding import EmbeddingCache, hash_embed
+from polyalign.export import ExportError, export_rows
 from polyalign.model import CORPUS_FORMAT, PolyalignError
 import polyalign.pipeline as pipeline
 from polyalign.pipeline import load_alignments as pipeline_load_alignments
@@ -24,6 +26,7 @@ from polyalign.pipeline import (
     run_pipeline,
 )
 from synth import generate
+from test_embedding import FakeResponse
 
 
 def write_fixture(corpus, root):
@@ -406,7 +409,7 @@ class TestRunPipeline:
         assert_reported(CliRunner().invoke(main, ["run", "--config", str(path)]), f"no path given for {key}")
         assert not list(tmp_path.rglob("corpus.json"))
 
-    @pytest.mark.parametrize("skip_cost", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("skip_cost", [float("nan"), float("inf"), True])
     def test_skip_cost_that_is_not_finite_rejected(self, tmp_path, skip_cost):
         with pytest.raises(PolyalignError, match="skip_cost must be a finite number >= 0"):
             PipelineConfig.from_dict({"align": {"skip_cost": skip_cost}})
@@ -657,6 +660,27 @@ def test_total_cost_is_the_left_to_right_sum_of_link_costs(two_sizes):
 
 
 @pytest.fixture(scope="module")
+def split_run(tmp_path_factory):
+    """A run's out_dir and its rows split by `export split`. Four volumes of two
+    chapters each, split alternately: each split holds rows from the middle of
+    rows.jsonl."""
+    root = tmp_path_factory.mktemp("split")
+    corpus = generate(seed=0, n_groups=8, segs_per_chapter=5, chapters_per_volume=2)
+    raw, mapping, _ = write_fixture(corpus, root)
+    run_pipeline(make_config(root, raw, mapping))
+    splits_path = root / "splits.json"
+    splits_path.write_text(json.dumps({"vol01": "train", "vol02": "test", "vol03": "train", "vol04": "test"}),
+                           encoding="utf-8")
+    result = CliRunner().invoke(main, [
+        "export", "split", "--rows", str(root / "out" / "rows.jsonl"),
+        "--corpus", str(root / "out" / "corpus.json"),
+        "--splits", str(splits_path), "--out", str(root / "splits"),
+    ])
+    assert result.exit_code == 0, result.output
+    return root / "out", root / "splits"
+
+
+@pytest.fixture(scope="module")
 def cli_workspace(small_corpus, tmp_path_factory):
     """A fixture corpus on disk plus a completed `run` invocation of
     root/config.json, the config file every stage command is given."""
@@ -724,6 +748,18 @@ class TestCli:
         assert result.exit_code == 1
         assert "no raw volume documents" in result.output
 
+    def test_ingest_refuses_one_path_for_both_outputs(self, cli_workspace, tmp_path):
+        root, runner = cli_workspace
+        corpus = tmp_path / "x.json"
+        shutil.copyfile(root / "out" / "corpus.json", corpus)
+        result = runner.invoke(main, [
+            "ingest", "--raw-dir", str(root / "raw"), "--mapping", str(root / "mapping.tsv"),
+            "--out", str(corpus), "--report", f"{tmp_path}/./x.json",
+        ])
+        assert_reported(result, "is named for two outputs")
+        assert corpus.read_bytes() == (root / "out" / "corpus.json").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
+
     def test_embed_command(self, cli_workspace):
         root, runner = cli_workspace
         config = write_config(root / "config-dim64.json", load_config(root / "config.json"), dim=64)
@@ -769,6 +805,28 @@ class TestCli:
         ])
         assert_reported(result, f"skip_cost must be a finite number >= 0, got {float(skip_cost)!r}")
         assert not out.exists()
+
+    def test_failed_bialign_keeps_the_alignments_it_was_to_replace(self, cli_workspace, tmp_path, monkeypatch):
+        root, runner = cli_workspace
+        corpus, mapping = str(root / "out" / "corpus.json"), str(root / "out" / "mapping.tsv")
+        first = corpus_groups(corpus, mapping)[1][0]
+        n = len(first.members)
+        alignments = tmp_path / "alignments.jsonl"
+        shutil.copyfile(root / "out" / "alignments.jsonl", alignments)
+        # One request per chapter: the endpoint answers the first group's, then refuses.
+        session = EndpointDownAfter(n)
+        monkeypatch.setattr("requests.Session", lambda: session)
+        monkeypatch.setattr("polyalign.embedding.time.sleep", lambda seconds: None)
+        config = write_config(tmp_path / "remote.json", load_config(root / "config.json"),
+                              provider={"name": "remote", "endpoint": "http://127.0.0.1:9/embed"},
+                              cache_dir=str(tmp_path / "cache"))
+        result = runner.invoke(main, ["bialign", "--config", config, "--corpus", corpus, "--mapping", mapping,
+                                      "--out", str(alignments)])
+        assert_reported(result, "connection refused")
+        assert alignments.read_bytes() == (root / "out" / "alignments.jsonl").read_bytes()
+        written = [json.loads(line) for line in (tmp_path / "alignments.jsonl.quarantine").read_text().splitlines()]
+        assert [doc["group"] for doc in written] == [first.group_id] * (n * (n - 1) // 2)
+        assert not (tmp_path / "alignments.jsonl.tmp").exists()
 
     def test_multialign_consensus_command(self, cli_workspace):
         root, runner = cli_workspace
@@ -895,31 +953,71 @@ class TestCli:
         for name in ("train", "validation", "test", "extra"):
             assert (out_dir / f"{name}.jsonl").exists()
 
-    def test_export_split_keeps_each_rows_id(self, tmp_path):
-        # Four volumes of two chapters each, split alternately: each split
-        # holds rows from the middle of rows.jsonl.
-        corpus = generate(seed=0, n_groups=8, segs_per_chapter=5, chapters_per_volume=2)
-        raw, mapping, _ = write_fixture(corpus, tmp_path)
-        run_pipeline(make_config(tmp_path, raw, mapping))
-        splits_path = tmp_path / "splits.json"
-        splits_path.write_text(json.dumps({"vol01": "train", "vol02": "test", "vol03": "train", "vol04": "test"}),
-                               encoding="utf-8")
-        result = CliRunner().invoke(main, [
-            "export", "split", "--rows", str(tmp_path / "out" / "rows.jsonl"),
-            "--corpus", str(tmp_path / "out" / "corpus.json"),
-            "--splits", str(splits_path), "--out", str(tmp_path / "splits"),
-        ])
-        assert result.exit_code == 0, result.output
+    def test_export_split_keeps_each_rows_id(self, split_run):
+        out, splits = split_run
         rows = {}
-        for line in (tmp_path / "out" / "rows.jsonl").read_text(encoding="utf-8").splitlines():
+        for line in (out / "rows.jsonl").read_text(encoding="utf-8").splitlines():
             doc = json.loads(line)
             rows[doc["row_id"]] = doc["cells"]
         for name in ("train", "test"):
-            lines = (tmp_path / "splits" / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()
+            lines = (splits / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()
             assert lines
             for line in lines:
                 doc = json.loads(line)
                 assert doc["cells"] == rows[doc["row_id"]], doc["row_id"]
+
+    def test_export_rows_writes_back_a_split_file_byte_for_byte(self, split_run, tmp_path):
+        out, splits = split_run
+        echo = tmp_path / "echo.jsonl"
+        result = CliRunner().invoke(main, [
+            "export", "rows", "--rows", str(splits / "test.jsonl"), "--corpus", str(out / "corpus.json"),
+            "--out", str(echo),
+        ])
+        assert result.exit_code == 0, result.output
+        assert echo.read_bytes() == (splits / "test.jsonl").read_bytes()
+
+    def test_sheet_sampled_from_a_split_names_rows_of_the_split(self, split_run, tmp_path):
+        out, splits = split_run
+        sheet = tmp_path / "sheet.tsv"
+        result = CliRunner().invoke(main, [
+            "export", "sample", "--rows", str(splits / "test.jsonl"), "--corpus", str(out / "corpus.json"),
+            "--n", "3", "--seed", "1", "--out", str(sheet),
+        ])
+        assert result.exit_code == 0, result.output
+        header, *lines = [line.split("\t") for line in sheet.read_text(encoding="utf-8").splitlines()]
+        assert len(lines) == 3
+        for path in (splits / "test.jsonl", out / "rows.jsonl"):
+            docs = {doc["row_id"]: doc for doc in map(json.loads, path.read_text(encoding="utf-8").splitlines())}
+            for row_id, *texts in lines:
+                cells = docs[row_id]["cells"]
+                assert texts == [cells[i]["text"] if cells.get(i) else "" for i in header[1:]], row_id
+
+    def test_failed_export_split_keeps_the_split_files_it_was_to_replace(self, split_run, tmp_path, monkeypatch):
+        out, splits = split_run
+        shutil.copytree(splits, tmp_path / "splits")
+        old = {p.name: p.read_bytes() for p in (tmp_path / "splits").iterdir()}
+        # Another assignment: each split file it writes differs from the one it replaces.
+        swapped = tmp_path / "swapped.json"
+        swapped.write_text(json.dumps({"vol01": "test", "vol02": "train", "vol03": "test", "vol04": "train"}),
+                           encoding="utf-8")
+        written = []
+
+        def third_file_fails(*args):
+            if len(written) == 2:
+                raise ExportError("disk full")
+            written.append(args[1])
+            return export_rows(*args)
+
+        monkeypatch.setattr(cli, "export_rows", third_file_fails)
+        result = CliRunner().invoke(main, [
+            "export", "split", "--rows", str(out / "rows.jsonl"), "--corpus", str(out / "corpus.json"),
+            "--splits", str(swapped), "--out", str(tmp_path / "splits"),
+        ])
+        assert_reported(result, "disk full")
+        assert {name: (tmp_path / "splits" / name).read_bytes() for name in old} == old
+        assert sorted(p.name for p in (tmp_path / "splits").glob("*.quarantine")) == [
+            "train.jsonl.quarantine", "validation.jsonl.quarantine"]
+        assert not list((tmp_path / "splits").glob("*.tmp"))
 
     def test_export_split_writes_a_row_of_two_splits_to_conflicts(self, tmp_path):
         corpus = generate(seed=0, n_groups=4, segs_per_chapter=5, chapters_per_volume=2)
@@ -1110,6 +1208,20 @@ class TestCli:
                 assert not (out.parent / "rows-stale.jsonl").exists()
 
 
+class EndpointDownAfter:
+    """A remote endpoint's session that answers ``n`` requests with hash
+    vectors, then refuses every connection."""
+
+    def __init__(self, n):
+        self.left = n
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        if not self.left:
+            raise ConnectionError("connection refused")
+        self.left -= 1
+        return FakeResponse([[float(x) for x in hash_embed(t, 256)] for t in json["texts"]])
+
+
 def assert_reported(result, *names):
     """Exit 1 through the CLI's own error path: one `Error:` line naming each of ``names``."""
     assert result.exit_code == 1, result.output
@@ -1233,7 +1345,13 @@ class TestCliReportsMalformedFiles:
         ("provenance", lambda doc: doc.update(provenance=["g"])),
         ("flags", lambda doc: doc.update(flags="noise")),
         ("flags", lambda doc: doc.update(flags=["noise", 1])),
-    ], ids=["no-provenance", "provenance-list", "flags-string", "flags-non-string"])
+        ("row_id", lambda doc: doc.pop("row_id")),
+        ("row_id", lambda doc: doc.update(row_id=2)),
+        ("row_id", lambda doc: doc.update(row_id="g9999/r00002")),
+        # Line 3's id is r00002; r00001 is line 2's.
+        ("row_id", lambda doc: doc.update(row_id=doc["row_id"].replace("r00002", "r00001"))),
+    ], ids=["no-provenance", "provenance-list", "flags-string", "flags-non-string",
+            "no-row-id", "row-id-number", "row-id-of-another-group", "row-id-repeated"])
     def test_row_with_a_malformed_field(self, cli_workspace, tmp_path, field, edit):
         root, runner = cli_workspace
         docs = [json.loads(l) for l in (root / "out" / "rows.jsonl").read_text(encoding="utf-8").splitlines()]
