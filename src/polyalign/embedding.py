@@ -1,7 +1,8 @@
 """Unit-norm segment embeddings with pluggable providers and a disk cache.
 
-Three input modes are supported: ``text`` embeds the plain text, ``html``
-embeds the raw markup, ``concat`` concatenates the two unit vectors and
+Three input modes are supported: ``text`` embeds the plain text (a
+segment's ``content()``: tags removed, escapes decoded), ``html`` embeds the
+segment's markup, ``concat`` concatenates the two unit vectors and
 renormalizes. The default offline provider is a deterministic character
 3-gram hashing embedder, so the whole pipeline runs without network access.
 The disk cache holds one record per chapter and setting: the chapter's
@@ -15,13 +16,12 @@ import hashlib
 import json
 import os
 import time
-import unicodedata
 import uuid
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PolyalignError, Segment
+from .model import PolyalignError, Segment, nfc
 
 MODES = ("text", "html", "concat")
 
@@ -50,7 +50,7 @@ class ProviderConfig:
 
 
 def _ngrams(text: str, n: int = 3):
-    text = unicodedata.normalize("NFC", text).lower()
+    text = nfc(text).lower()
     if len(text) < n:
         yield text
         return
@@ -268,12 +268,10 @@ def embed_segments(
         raise EmbeddingError(f"unknown mode {mode!r}")
 
     if mode == "concat":
-        text_vecs = _embed_texts([s.text for s in segments], provider_config, "text", dim, cache)
-        html_vecs = _embed_texts([s.html for s in segments], provider_config, "html", dim, cache)
-        rows = []
-        for tv, hv in zip(text_vecs, html_vecs):
-            cat = np.concatenate([tv, hv]).astype(np.float64)
-            rows.append((cat / np.linalg.norm(cat)).astype(np.float32))
-        return np.stack(rows) if rows else np.zeros((0, 2 * dim), dtype=np.float32)
-    texts = [s.text if mode == "text" else s.html for s in segments]
+        cat = np.concatenate([
+            _embed_texts([s.content() for s in segments], provider_config, "text", dim, cache),
+            _embed_texts([s.html for s in segments], provider_config, "html", dim, cache),
+        ], axis=1, dtype=np.float64)
+        return (cat / np.linalg.norm(cat, axis=1, keepdims=True)).astype(np.float32)
+    texts = [s.content() if mode == "text" else s.html for s in segments]
     return _embed_texts(texts, provider_config, mode, dim, cache)

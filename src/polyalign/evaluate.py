@@ -10,7 +10,7 @@ import logging
 from dataclasses import dataclass
 from itertools import combinations
 
-from .model import MultiParallelRow, PolyalignError, Segment, check_idiom
+from .model import MultiParallelRow, PolyalignError, Segment, read_idiom_table
 
 logger = logging.getLogger(__name__)
 
@@ -104,30 +104,24 @@ def multi_prf(
 
 
 def load_gold(path, seg_index: dict[str, Segment]) -> GoldAlignment:
-    """Parse the gold TSV: header = idiom codes, cells = ';'-separated ids.
-
-    Every idiom and every id must be in the corpus ``seg_index`` indexes, each
-    id under its own idiom; a file that fails a check is an EvalError naming it.
-    """
+    """Parse the gold TSV: an idiom-column table (``read_idiom_table``) of two
+    or more idioms of the corpus ``seg_index`` indexes, whose cells are
+    ';'-separated ids of its segments, each under its own idiom. A file that
+    fails a check is an EvalError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-        if not lines:
-            raise EvalError(f"{path}: empty gold file")
-        idioms = [check_idiom(c.strip()) for c in lines[0].split("\t")]
+            idioms, cell_rows = read_idiom_table(fh.read(), "gold", "gold row", lambda msg: EvalError(f"{path}: {msg}"))
     except ValueError as exc:  # not UTF-8, or a header cell that is no idiom code
         raise EvalError(f"{path}: not a gold file ({exc})") from exc
-    if len(idioms) < 2 or len(set(idioms)) != len(idioms):
-        raise EvalError(f"{path}: the header must name two or more distinct idioms")
+    if len(idioms) < 2:
+        raise EvalError(f"{path}: the header must name two or more idioms")
     corpus_idioms = {seg.idiom for seg in seg_index.values()}
     unknown = [idiom for idiom in idioms if idiom not in corpus_idioms]
     if unknown:
         raise EvalError(f"{path}: idiom(s) {', '.join(unknown)} not in the corpus")
     rows: list[dict[str, tuple[str, ...]]] = []
     seen: dict[str, int] = {}
-    for row_no, line in enumerate(lines[1:], start=1):
-        cells = line.split("\t")
-        cells += [""] * (len(idioms) - len(cells))
+    for row_no, cells in enumerate(cell_rows, start=1):
         row: dict[str, tuple[str, ...]] = {}
         for idiom, cell in zip(idioms, cells):
             ids = tuple(s.strip() for s in cell.split(";") if s.strip())

@@ -168,16 +168,16 @@ def split_rows(
 ) -> dict[str, list[MultiParallelRow]]:
     """Partition rows by the split of their member volumes: each split's rows, in order.
 
-    Every value of ``assignment`` must be one of ``SPLIT_NAMES``. Rows whose
-    member volumes map to different splits are dropped with a logged
-    conflict; an unassigned volume is an error.
+    Every value of ``assignment`` must be one of ``SPLIT_NAMES``. A row whose
+    member volumes map to different splits is dropped, and ``conflicts`` gets
+    its record ``{"row_id", "splits"}``; an unassigned volume is an error.
     """
     for volume, split in assignment.items():
         if split not in SPLIT_NAMES:
             raise ExportError(f"volume {volume!r} maps to {split!r}, "
                               f"not one of {', '.join(SPLIT_NAMES)}")
     out: dict[str, list[MultiParallelRow]] = {name: [] for name in SPLIT_NAMES}
-    for idx, row in enumerate(rows):
+    for row in rows:
         splits = set()
         for seg in row.non_null().values():
             vol = _volume_of(seg.id)
@@ -186,9 +186,7 @@ def split_rows(
             splits.add(assignment[vol])
         if len(splits) != 1:
             if conflicts is not None:
-                conflicts.append(
-                    {"row_index": idx, "provenance": row.provenance, "splits": sorted(splits)}
-                )
+                conflicts.append({"row_id": row.row_id, "splits": sorted(splits)})
             continue
         out[splits.pop()].append(row)
     return out

@@ -26,6 +26,7 @@ from .model import (
     make_segment_id,
     nfc,
     normalize_chapter_key,
+    read_idiom_table,
 )
 
 
@@ -253,34 +254,13 @@ def parse_volume(raw: bytes | str, warnings: Warnings | None = None) -> BookVolu
     )
 
 
-def parse_mapping(mapping_text: str) -> tuple[list[str], list[list[str]]]:
-    """Parse the chapter mapping TSV into (idiom columns, rows of cells)."""
-    lines = [ln for ln in mapping_text.splitlines() if ln.strip()]
-    if not lines:
-        raise IngestError("empty chapter mapping file")
-    header = lines[0].split("\t")
-    try:
-        idioms = [check_idiom(col.strip()) for col in header]
-    except ValueError as exc:
-        raise IngestError(f"chapter mapping header: {exc}") from exc
-    repeated = [idiom for col, idiom in enumerate(idioms) if idiom in idioms[:col]]
-    if repeated:
-        raise IngestError(f"chapter mapping header: idiom {repeated[0]} names two columns")
-    rows = []
-    for row_idx, line in enumerate(lines[1:], start=1):
-        cells = [c.strip() for c in line.split("\t")]
-        if any(cells[len(idioms):]):
-            raise IngestError(f"mapping row {row_idx}: a cell lies beyond the header's {len(idioms)} columns")
-        rows.append(cells[: len(idioms)] + [""] * (len(idioms) - len(cells)))
-    return idioms, rows
-
-
 def build_chapter_groups(
     volumes: list[BookVolume],
     mapping_text: str,
     warnings: Warnings | None = None,
 ) -> list[ChapterGroup]:
-    """Assemble cross-idiom ChapterGroups from the mapping TSV.
+    """Assemble cross-idiom ChapterGroups from the mapping TSV, an idiom-column
+    table (``read_idiom_table``).
 
     Cells are "volume_id#chapter_key"; a dangling reference is an error naming
     the row and cell, and so is a chapter that a group of an earlier row
@@ -290,7 +270,10 @@ def build_chapter_groups(
     """
     if warnings is None:
         warnings = []
-    idioms, rows = parse_mapping(mapping_text)
+    try:
+        idioms, rows = read_idiom_table(mapping_text, "chapter mapping", "mapping row", IngestError)
+    except ValueError as exc:
+        raise IngestError(f"chapter mapping header: {exc}") from exc
     chapters: dict[tuple[str, str, str], Chapter] = {}
     for vol in volumes:
         for chap in vol.chapters:

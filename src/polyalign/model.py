@@ -13,6 +13,7 @@ import json
 import re
 import unicodedata
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from html import unescape
 from json.encoder import encode_basestring
@@ -27,6 +28,7 @@ CORPUS_FORMAT = "polyalign-corpus/1"
 CANONICAL_IDIOMS = ("sursilvan", "sutsilvan", "surmiran", "puter", "vallader")
 
 _IDIOM_RE = re.compile(r"^[a-z][a-z0-9_-]*$")
+_TAG_RE = re.compile(r"<[^>]*>")
 
 
 class PolyalignError(Exception):
@@ -76,10 +78,11 @@ class Segment:
 
     ``html`` is the segment's markup as the segmenter re-renders it from the
     parsed element: tag names lowercased, character data and attribute
-    values escaped, never the element's own bytes. ``text`` is the content
+    values escaped, never the element's own bytes. ``text`` is the segment
     as markup with only ``<strong>`` tags retained, ``<``, ``>`` and ``&``
     escaped as ``&lt;``, ``&gt;`` and ``&amp;``, and whitespace collapsed.
-    A length in characters counts the content: tags removed, escapes decoded.
+    ``content()`` is that text with its tags removed and escapes decoded: a
+    length in characters counts it, and ``text`` mode embeds it.
     """
 
     id: str
@@ -89,11 +92,14 @@ class Segment:
     text: str
     token_count: int
 
+    def content(self) -> str:
+        return unescape(_TAG_RE.sub("", self.text))
+
     def length(self, unit: str = "tokens") -> int:
         if unit == "tokens":
             return self.token_count
         if unit == "characters":
-            return len(unescape(re.sub(r"<[^>]*>", "", self.text)))
+            return len(self.content())
         raise ValueError(f"unknown length unit: {unit!r}")
 
 
@@ -136,6 +142,29 @@ class MultiParallelRow:
 
     def non_null(self) -> dict[str, Segment]:
         return {k: v for k, v in self.cells.items() if v is not None}
+
+
+def read_idiom_table(text: str, name: str, row: str,
+                     error: Callable[[str], Exception]) -> tuple[list[str], list[list[str]]]:
+    """The idioms and rows of an idiom-column TSV, such as the chapter mapping or a
+    gold file: a header of distinct idiom codes, then per non-blank line a row of
+    stripped cells, padded with "" to the header's width. A header cell that is no
+    code raises ``check_idiom``'s ValueError; no line, a repeated idiom and a cell
+    beyond the header raise ``error`` of a message naming ``name`` or ``row``."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise error(f"empty {name} file")
+    idioms = [check_idiom(col.strip()) for col in lines[0].split("\t")]
+    repeated = [idiom for col, idiom in enumerate(idioms) if idiom in idioms[:col]]
+    if repeated:
+        raise error(f"{name} header: idiom {repeated[0]} names two columns")
+    rows = []
+    for row_no, line in enumerate(lines[1:], start=1):
+        cells = [c.strip() for c in line.split("\t")]
+        if any(cells[len(idioms):]):
+            raise error(f"{row} {row_no}: a cell lies beyond the header's {len(idioms)} columns")
+        rows.append(cells[: len(idioms)] + [""] * (len(idioms) - len(cells)))
+    return idioms, rows
 
 
 def validate_corpus(volumes: list[BookVolume]) -> list[str]:

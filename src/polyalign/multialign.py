@@ -27,8 +27,6 @@ class MultiAlignError(PolyalignError):
 
 @dataclass(frozen=True)
 class PairLinkSet:
-    idiom_a: str
-    idiom_b: str
     pairs: frozenset[Pair]
 
     def full_pairs(self) -> frozenset[Pair]:
@@ -65,13 +63,8 @@ def partner_maps(pair_alignments: dict[tuple[str, str], BilingualAlignment]) -> 
     return partners
 
 
-def pivot_join(
-    i_to_p: dict[str, str | None],
-    p_to_j: dict[str, str | None],
-    j_to_p: dict[str, str | None],
-    idiom_a: str = "",
-    idiom_b: str = "",
-) -> PairLinkSet:
+def pivot_join(i_to_p: dict[str, str | None], p_to_j: dict[str, str | None],
+               j_to_p: dict[str, str | None]) -> PairLinkSet:
     """Full outer join of idioms ``i`` and ``j`` through a pivot's partner maps.
 
     ``i`` and ``j`` segments matched to one pivot segment pair up; everything
@@ -80,7 +73,7 @@ def pivot_join(
     pairs = {(a, p_to_j.get(p)) for a, p in i_to_p.items()}
     matched = {b for _, b in pairs}
     pairs |= {(None, b) for b in j_to_p if b not in matched}
-    return PairLinkSet(idiom_a=idiom_a, idiom_b=idiom_b, pairs=frozenset(pairs))
+    return PairLinkSet(frozenset(pairs))
 
 
 def pivot_multialign(
@@ -109,14 +102,7 @@ def consensus(pair_sets: dict[str, PairLinkSet]) -> PairLinkSet:
 
     Only full (non-null, non-null) pairs participate.
     """
-    if not pair_sets:
-        raise MultiAlignError("consensus needs at least one pivot input")
-    idiom_pairs = {(s.idiom_a, s.idiom_b) for s in pair_sets.values()}
-    if len(idiom_pairs) > 1:
-        raise MultiAlignError(f"pivot sets mix idiom pairs: {sorted(idiom_pairs)}")
-    [(idiom_a, idiom_b)] = idiom_pairs
-    pairs = frozenset.intersection(*(s.full_pairs() for s in pair_sets.values()))
-    return PairLinkSet(idiom_a=idiom_a, idiom_b=idiom_b, pairs=pairs)
+    return PairLinkSet(frozenset.intersection(*(s.full_pairs() for s in pair_sets.values())))
 
 
 def assemble_rows(
@@ -208,9 +194,9 @@ def align_group_consensus(
     partners = partner_maps(pair_alignments)
     consensus_sets: list[PairLinkSet] = []
     for i, j in combinations(idioms, 2):
-        direct = PairLinkSet(idiom_a=i, idiom_b=j, pairs=frozenset(partners[(i, j)].items()))
+        direct = PairLinkSet(frozenset(partners[(i, j)].items()))
         per_pivot = {
-            p: direct if p in (i, j) else pivot_join(partners[(i, p)], partners[(p, j)], partners[(j, p)], i, j)
+            p: direct if p in (i, j) else pivot_join(partners[(i, p)], partners[(p, j)], partners[(j, p)])
             for p in idioms
         }
         consensus_sets.append(consensus(per_pivot))

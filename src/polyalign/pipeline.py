@@ -144,8 +144,9 @@ def committing(directory=""):
     """Commit the files written in the block together: ``out(name)`` records the
     path ``<directory>/<name>``, which no other output may share, and returns
     ``<path>.tmp`` to write. If the block returns, each recorded file is renamed
-    to its path; if it raises, each one written is renamed to
-    ``<path>.quarantine``, and the file at its path is left as it was."""
+    to its path, and an earlier failure's ``<path>.quarantine`` is removed; if it
+    raises, each one written is renamed to ``<path>.quarantine``, and the file
+    at its path is left as it was."""
     paths: list[str] = []
 
     def out(name) -> str:
@@ -164,6 +165,8 @@ def committing(directory=""):
         raise
     for path in paths:
         os.replace(path + ".tmp", path)
+        with suppress(FileNotFoundError):
+            os.remove(path + ".quarantine")
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_criterion_2_join_consensus_oracles():
             for _ in range(rng.randint(1, 5))
         ]
         sets = {
-            f"p{idx}": PairLinkSet(idiom_a="i", idiom_b="j", pairs=frozenset(p))
+            f"p{idx}": PairLinkSet(frozenset(p))
             for idx, p in enumerate(raw_sets)
         }
         out = consensus(sets)

@@ -131,6 +131,7 @@ class TestEmbedSegments:
     def test_empty_input(self):
         mat = embed_segments([], ProviderConfig(), "text")
         assert mat.shape == (0, 256)
+        assert embed_segments([], ProviderConfig(), "concat", dim=64).shape == (0, 128)
 
     def test_batching_and_order(self, monkeypatch):
         import polyalign.embedding as emb
@@ -151,6 +152,19 @@ class TestEmbedSegments:
         assert not np.array_equal(text_mat[0], html_mat[0])
         assert np.array_equal(html_mat[0], hash_embed(s.html, 64))
 
+    def test_text_mode_embeds_the_content(self):
+        plain = seg("Il chaun cuorra sur la prada verda.", 0)
+        bold = seg("Il <strong>chaun</strong> cuorra sur la prada verda.", 1,
+                   html="<p>Il <strong>chaun</strong> cuorra sur la prada verda.</p>")
+        text_mat = embed_segments([plain, bold, seg("Tom &amp; Jerry", 2)], ProviderConfig(), "text", dim=64)
+        assert np.array_equal(text_mat[0], text_mat[1])
+        assert np.array_equal(text_mat[2], hash_embed("Tom & Jerry", 64))
+        html_mat = embed_segments([plain, bold], ProviderConfig(), "html", dim=64)
+        assert not np.array_equal(html_mat[0], html_mat[1])
+        concat = embed_segments([plain, bold], ProviderConfig(), "concat", dim=64)
+        assert np.allclose(concat[0, :64], concat[1, :64], atol=1e-6)
+        assert not np.allclose(concat[0, 64:], concat[1, 64:], atol=1e-6)
+
     def test_concat_hand_arithmetic(self, monkeypatch):
         import polyalign.embedding as emb
 
@@ -163,6 +177,13 @@ class TestEmbedSegments:
         expected = np.array([1 / math.sqrt(2), 0.0, 0.0, 1 / math.sqrt(2)])
         assert np.allclose(mat[0], expected, atol=1e-6)
         assert mat.shape == (1, 4)
+
+    def test_concat_rows_match_the_per_row_reference(self):
+        segs = [seg(f"segment <strong>{i}</strong> of {'word ' * i}", i) for i in range(6)]
+        mat = embed_segments(segs, ProviderConfig(), "concat", dim=64)
+        for row, s in zip(mat, segs):
+            cat = np.concatenate([hash_embed(s.content(), 64), hash_embed(s.html, 64)]).astype(np.float64)
+            assert np.allclose(row, cat / np.linalg.norm(cat), rtol=0, atol=1e-7)
 
     @given(st.integers(0, 2**32 - 1))
     def test_concat_cosine_is_mean_of_part_cosines(self, seed):

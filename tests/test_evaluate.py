@@ -222,9 +222,15 @@ class TestLoadGold:
 
     @pytest.mark.parametrize("header", ["x", "x\tx"])
     def test_header_must_name_two_distinct_idioms(self, tmp_path, header):
-        p = self.write(tmp_path, f"{header}\nx0\tx1\n")
-        with pytest.raises(EvalError, match=r"gold\.tsv: the header must name two or more distinct idioms"):
+        p = self.write(tmp_path, f"{header}\nx0\n")
+        expected = {"x": "the header must name two or more idioms", "x\tx": "gold header: idiom x names two columns"}
+        with pytest.raises(EvalError, match=rf"gold\.tsv: {expected[header]}$"):
             load_gold(p, self.index("x0", "x1", "y0"))
+
+    def test_cell_beyond_the_header_names_the_file_and_row(self, tmp_path):
+        p = self.write(tmp_path, "x\ty\nx0\ty0\nx1\t\ty1\n")
+        with pytest.raises(EvalError, match=r"gold\.tsv: gold row 2: a cell lies beyond the header's 2 columns$"):
+            load_gold(p, self.index("x0", "x1", "y0", "y1"))
 
     def test_idioms_must_be_in_the_corpus(self, tmp_path):
         p = self.write(tmp_path, "x\tw\nx0\t\n")

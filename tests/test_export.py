@@ -207,9 +207,7 @@ class TestSplitRows:
         conflicts = []
         out = split_rows(rows, {"vol01": "train", "vol02": "test"}, conflicts)
         assert all(len(a) == 0 for a in out.values())
-        assert conflicts == [
-            {"row_index": 0, "provenance": "g001", "splits": ["test", "train"]}
-        ]
+        assert conflicts == [{"row_id": "g001/r00000", "splits": ["test", "train"]}]
 
     def test_unassigned_volume_errors(self, alignment):
         with pytest.raises(ExportError, match="vol02"):

@@ -48,10 +48,10 @@ def alignment_from_pairs(pairs):
     return BilingualAlignment(src_ids=tuple(src_ids), tgt_ids=tuple(tgt_ids), links=links)
 
 
-def join_through_pivot(a_ip, a_pj, idiom_a="", idiom_b=""):
+def join_through_pivot(a_ip, a_pj):
     """pivot_join on the partner maps of an i-p and a p-j alignment."""
     partners = partner_maps({("i", "p"): a_ip, ("p", "j"): a_pj})
-    return pivot_join(partners[("i", "p")], partners[("p", "j")], partners[("j", "p")], idiom_a, idiom_b)
+    return pivot_join(partners[("i", "p")], partners[("p", "j")], partners[("j", "p")])
 
 
 def multialign_on_pivot(pivot, alignments, index):
@@ -108,11 +108,10 @@ class TestPivotJoin:
     def test_spec_hand_case(self):
         a_ip = alignment_from_pairs([("a1", "p1"), ("a2", "p2"), ("a3", None)])
         a_pj = alignment_from_pairs([("p1", "b1"), ("p2", None), (None, "b3")])
-        out = join_through_pivot(a_ip, a_pj, "i", "j")
+        out = join_through_pivot(a_ip, a_pj)
         assert out.pairs == frozenset(
             {("a1", "b1"), ("a2", None), ("a3", None), (None, "b3")}
         )
-        assert (out.idiom_a, out.idiom_b) == ("i", "j")
 
     def test_empty_inputs(self):
         a_ip = alignment_from_pairs([])
@@ -234,8 +233,8 @@ class TestPivotMultialign:
         assert not (root / "rows.jsonl").exists()
 
 
-def link_set(pairs, a="i", b="j"):
-    return PairLinkSet(idiom_a=a, idiom_b=b, pairs=frozenset(pairs))
+def link_set(pairs):
+    return PairLinkSet(frozenset(pairs))
 
 
 class TestConsensus:
@@ -261,12 +260,6 @@ class TestConsensus:
             "q": link_set({("a", "b"), (None, "d")}),
         }
         assert consensus(sets).pairs == frozenset({("a", "b")})
-
-    def test_mixed_chapter_pairs_rejected(self):
-        sets = {"p": link_set({("a", "b")}, a="i", b="j"),
-                "q": link_set({("a", "b")}, a="i", b="k")}
-        with pytest.raises(MultiAlignError):
-            consensus(sets)
 
     def test_subset_law_and_oracle_on_random_inputs(self):
         rng = random.Random(3)
@@ -306,9 +299,9 @@ class TestAssembleRows:
         ids = {"x": ["a"], "y": ["b"], "z": ["c"]}
         group = make_group(ids)
         sets = [
-            link_set({("a", "b")}, "x", "y", ),
-            link_set({("b", "c")}, "y", "z", ),
-            link_set({("a", "c")}, "x", "z", ),
+            link_set({("a", "b")}),
+            link_set({("b", "c")}),
+            link_set({("a", "c")}),
         ]
         out = assemble_rows(sets, group, self._index(ids))
         assert len(out) == 1
@@ -318,7 +311,7 @@ class TestAssembleRows:
     def test_same_idiom_conflict_drops_component(self):
         ids = {"x": ["a"], "y": ["b", "b2"]}
         group = make_group(ids)
-        sets = [link_set({("a", "b"), ("a", "b2")}, "x", "y", )]
+        sets = [link_set({("a", "b"), ("a", "b2")})]
         dropped = []
         out = assemble_rows(sets, group, self._index(ids), dropped)
         assert out == []
@@ -342,7 +335,7 @@ class TestAssembleRows:
                     (f"{a}{rng.randint(0,5)}", f"{b}{rng.randint(0,5)}")
                     for _ in range(rng.randint(0, 5))
                 }
-                sets.append(link_set(pairs, a, b, ))
+                sets.append(link_set(pairs))
             out = assemble_rows(sets, group, index)
             seen = [s.id for row in out for s in row.non_null().values()]
             assert len(seen) == len(set(seen))
@@ -356,7 +349,7 @@ class TestAssembleRows:
         n_rows = n_dropped = 0
         for _ in range(100):
             sets = [
-                link_set({(rng.choice(ids[a]), rng.choice(ids[b])) for _ in range(rng.randint(0, 4))}, a, b)
+                link_set({(rng.choice(ids[a]), rng.choice(ids[b])) for _ in range(rng.randint(0, 4))})
                 for a, b in (("x", "y"), ("y", "z"), ("x", "z"))
             ]
             dropped = []

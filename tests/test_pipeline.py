@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
+import random
 import shutil
 import time
 import weakref
@@ -277,6 +279,29 @@ class TestRunPipeline:
             vectors = EmbeddingCache(cache).get(key, len(texts), 256)
             assert np.array_equal(vectors, np.stack([emb.hash_embed(t, 256) for t in texts]))
         assert run_pipeline(config)["artifacts"] == clean_artifacts
+
+    def test_bolded_words_keep_every_row(self, tmp_path):
+        """Bolding the first word of about half of puter's elements changes no row:
+        ``text`` mode embeds a segment's content, tags removed."""
+        corpus = generate(seed=0, n_groups=2, segs_per_chapter=5)
+        rng = random.Random(1)
+        bolded = dict(corpus.raw_docs)
+        for name in sorted(n for n in bolded if n.startswith("puter-")):
+            doc = json.loads(bolded[name])
+            for element in (e for chapter in doc["chapters"] for e in chapter["elements"]):
+                if rng.random() < 0.5:
+                    element["html"] = element["html"].replace("<p>", "<p><strong>", 1).replace(" ", "</strong> ", 1)
+            bolded[name] = json.dumps(doc)
+        ids = []
+        for name, raw_docs in (("plain", corpus.raw_docs), ("bold", bolded)):
+            (tmp_path / name).mkdir()
+            raw, mapping, _ = write_fixture(dataclasses.replace(corpus, raw_docs=raw_docs), tmp_path / name)
+            run_pipeline(make_config(tmp_path / name, raw, mapping))
+            rows = (tmp_path / name / "out" / "rows.jsonl").read_text(encoding="utf-8").splitlines()
+            ids.append([{k: c and c["segment_id"] for k, c in json.loads(line)["cells"].items()} for line in rows])
+        assert "<strong>" in (tmp_path / "bold" / "out" / "corpus.json").read_text(encoding="utf-8")
+        assert len(ids[0]) == 8
+        assert ids[1] == ids[0]
 
     def test_stage_writer_quarantines_on_failure(self, pipeline_run, small_corpus, tmp_path, monkeypatch):
         # Export fails once it has written stats.json and opened stats.txt.
@@ -828,6 +853,23 @@ class TestCli:
         assert [doc["group"] for doc in written] == [first.group_id] * (n * (n - 1) // 2)
         assert not (tmp_path / "alignments.jsonl.tmp").exists()
 
+    def test_bialign_after_a_failed_one_leaves_no_quarantine(self, cli_workspace, tmp_path, monkeypatch):
+        root, runner = cli_workspace
+        alignments = tmp_path / "alignments.jsonl"
+        args = ["--corpus", str(root / "out" / "corpus.json"), "--mapping", str(root / "out" / "mapping.tsv"),
+                "--out", str(alignments)]
+        monkeypatch.setattr("requests.Session", lambda: EndpointDownAfter(0))
+        monkeypatch.setattr("polyalign.embedding.time.sleep", lambda seconds: None)
+        down = write_config(tmp_path / "remote.json", load_config(root / "config.json"),
+                            provider={"name": "remote", "endpoint": "http://127.0.0.1:9/embed"},
+                            cache_dir=str(tmp_path / "cache"))
+        assert_reported(runner.invoke(main, ["bialign", "--config", down, *args]), "connection refused")
+        assert (tmp_path / "alignments.jsonl.quarantine").exists()
+        result = runner.invoke(main, ["bialign", "--config", str(root / "config.json"), *args])
+        assert result.exit_code == 0, result.output
+        assert alignments.read_bytes() == (root / "out" / "alignments.jsonl").read_bytes()
+        assert sorted(p.name for p in tmp_path.glob("alignments.jsonl*")) == ["alignments.jsonl"]
+
     def test_multialign_consensus_command(self, cli_workspace):
         root, runner = cli_workspace
         out = root / "rows-cli.jsonl"
@@ -1040,9 +1082,7 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert result.output.endswith(", conflicts: 1\n")
         conflicts = (tmp_path / "splits" / "conflicts.jsonl").read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line) for line in conflicts] == [
-            {"row_index": 0, "provenance": docs[0]["provenance"], "splits": ["test", "train"]}
-        ]
+        assert [json.loads(line) for line in conflicts] == [{"row_id": docs[0]["row_id"], "splits": ["test", "train"]}]
         written = [json.loads(line)["row_id"] for name in ("train", "test")
                    for line in (tmp_path / "splits" / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()]
         assert len(written) == len(docs) - 1 and docs[0]["row_id"] not in written
