@@ -8,7 +8,7 @@ them) in one pass over their anti-diagonals; ``align_chapter`` backtraces one
 pair from its slice, or computes its table alone as a batch of one, and
 returns the ``(src, tgt, cost)`` moves of the cover. The caller turns them
 into its record: ``pipeline`` writes each pair's ``alignments.jsonl`` line,
-and ``BilingualAlignment`` is what multialign reads back from it.
+which multialign reads back as index pairs (``multialign.Link``).
 """
 
 from __future__ import annotations
@@ -32,25 +32,6 @@ class AlignConfig:
     def __post_init__(self):
         if type(self.skip_cost) is bool or not (math.isfinite(self.skip_cost) and self.skip_cost >= 0):
             raise AlignmentError(f"skip_cost must be a finite number >= 0, got {self.skip_cost!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class Link:
-    src: int | None
-    tgt: int | None
-
-    def __post_init__(self):
-        if self.src is None and self.tgt is None:
-            raise AlignmentError("link must touch at least one side")
-
-
-@dataclass
-class BilingualAlignment:
-    """A stored alignment as multialign reads it: links index into the ids."""
-
-    src_ids: tuple[str, ...]
-    tgt_ids: tuple[str, ...]
-    links: list[Link]
 
 
 def cost_matrix(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:

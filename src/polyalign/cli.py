@@ -121,9 +121,9 @@ def bialign(config_path, corpus_path, mapping, pair, out_path):
 def multialign(config_path, corpus_path, mapping, alignments_path, pivot, out_path, no_length_filter):
     """Build multi-parallel rows by consensus (or one pivot's join)."""
     config = load_config(config_path)
-    volumes, groups = corpus_groups(corpus_path, mapping)
+    _, groups = corpus_groups(corpus_path, mapping)
     with committing() as out:
-        counts = build_rows(volumes, groups, alignments_path, out(out_path),
+        counts = build_rows(groups, alignments_path, out(out_path),
                             None if no_length_filter else config.length_filter, None if pivot == "all" else pivot)
     click.echo(f"{counts['rows']} aligned rows, {counts['dropped_components']} dropped components")
 

@@ -103,10 +103,10 @@ class HashProvider:
 class RemoteProvider:
     """HTTP embedding endpoint: POST {"model", "texts"} -> {"embeddings"}.
 
-    Retries transport failures, HTTP 429 and 5xx: 3 attempts, 0.5 s and
-    then 1 s apart. Any other HTTP 4xx, a row width other than ``dim``, and a
-    non-finite or all-zero row fail at once; a failed batch is an error,
-    never a partial result.
+    Retries transport failures, HTTP 429, 5xx and a body that is not JSON:
+    3 attempts, 0.5 s and then 1 s apart. Any other HTTP 4xx, and a JSON body
+    that is not one row of width ``dim`` per text, each finite and not all
+    zero, fail at once; a failed batch is an error, never a partial result.
     """
 
     RETRIES = 3
@@ -133,31 +133,28 @@ class RemoteProvider:
             if attempt:
                 time.sleep(0.5 * 2 ** (attempt - 1))
             try:
-                resp = self.session.post(
-                    self.config.endpoint, json=payload, headers=headers, timeout=60
-                )
-                if 400 <= resp.status_code < 500 and resp.status_code != 429:
-                    raise EmbeddingError(f"provider rejected the batch: HTTP {resp.status_code}")
-                resp.raise_for_status()
-                vectors = np.asarray(resp.json()["embeddings"], dtype=np.float32)
-                if vectors.shape[0] != len(texts):
-                    raise EmbeddingError(
-                        f"provider returned {vectors.shape[0]} rows for {len(texts)} inputs"
-                    )
-                if vectors.shape[1:] != (self.dim,):
-                    raise EmbeddingError(
-                        f"provider returned vectors of shape {vectors.shape}, requested dim {self.dim}"
-                    )
-                if not np.isfinite(vectors).all() or not vectors.any(axis=1).all():
-                    raise EmbeddingError("provider returned a non-finite or all-zero row")
-                return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
-            except EmbeddingError:
-                raise
-            except Exception as exc:  # transport, 429, 5xx or decode failure
+                resp = self.session.post(self.config.endpoint, json=payload, headers=headers, timeout=60)
+                if resp.status_code == 429 or resp.status_code >= 500:
+                    resp.raise_for_status()
+                doc = resp.json() if resp.status_code < 400 else None
+                break
+            except Exception as exc:  # transport, 429, 5xx or a body that is not JSON
                 last_exc = exc
-        raise EmbeddingError(
-            f"batch of {len(texts)} failed after {self.RETRIES} attempts: {last_exc}"
-        ) from last_exc
+        else:
+            raise EmbeddingError(
+                f"batch of {len(texts)} failed after {self.RETRIES} attempts: {last_exc}") from last_exc
+        if resp.status_code >= 400:
+            raise EmbeddingError(f"provider rejected the batch: HTTP {resp.status_code}")
+        try:
+            vectors = np.asarray(doc["embeddings"], dtype=np.float32)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise EmbeddingError(f"provider returned no embeddings array ({type(exc).__name__}: {exc})") from exc
+        if vectors.shape != (len(texts), self.dim):
+            raise EmbeddingError(f"provider returned vectors of shape {vectors.shape}, "
+                                 f"requested dim {self.dim} for {len(texts)} inputs")
+        if not np.isfinite(vectors).all() or not vectors.any(axis=1).all():
+            raise EmbeddingError("provider returned a non-finite or all-zero row")
+        return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
 
 
 def make_provider(config: ProviderConfig, dim: int = HASH_DIM_DEFAULT):

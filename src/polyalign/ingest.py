@@ -27,6 +27,7 @@ from .model import (
     nfc,
     normalize_chapter_key,
     read_idiom_table,
+    text_content,
 )
 
 
@@ -245,7 +246,7 @@ def parse_volume(raw: bytes | str, warnings: Warnings | None = None) -> BookVolu
                         position=pos,
                         html=html,
                         text=text,
-                        token_count=count_tokens(text),
+                        token_count=count_tokens(text_content(text)),
                     )
                 )
         chapters[key] = Chapter(key=key, title=title, segments=tuple(segments))

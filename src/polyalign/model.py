@@ -2,9 +2,9 @@
 
 All values are plain frozen dataclasses, immutable after construction. The
 records a build makes once per item, ``Segment`` and ``MultiParallelRow``
-(and ``bialign.Link``), are slotted: they carry no ``__dict__``. Segment ids
-encode (idiom, volume, chapter key, position) so that every downstream
-artifact is self-describing.
+(and ``multialign.Link``, a named tuple), are slotted: they carry no
+``__dict__``. Segment ids encode (idiom, volume, chapter key, position) so
+that every downstream artifact is self-describing.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ VOLUME_KINDS = ("workbook", "commentary")
 
 # The "format" of corpus.json, which load_corpus requires.
 CORPUS_FORMAT = "polyalign-corpus/1"
-
-# The canonical idiom set; other lowercase codes are accepted.
-CANONICAL_IDIOMS = ("sursilvan", "sutsilvan", "surmiran", "puter", "vallader")
 
 _IDIOM_RE = re.compile(r"^[a-z][a-z0-9_-]*$")
 _TAG_RE = re.compile(r"<[^>]*>")
@@ -59,6 +56,11 @@ def count_tokens(text: str) -> int:
     return len(nfc(text).split())
 
 
+def text_content(text: str) -> str:
+    """A segment's text with its tags removed and its escapes decoded."""
+    return unescape(_TAG_RE.sub("", text))
+
+
 _PUNCT_RE = re.compile(r"[^\w\s]", re.UNICODE)
 
 
@@ -81,8 +83,9 @@ class Segment:
     values escaped, never the element's own bytes. ``text`` is the segment
     as markup with only ``<strong>`` tags retained, ``<``, ``>`` and ``&``
     escaped as ``&lt;``, ``&gt;`` and ``&amp;``, and whitespace collapsed.
-    ``content()`` is that text with its tags removed and escapes decoded: a
-    length in characters counts it, and ``text`` mode embeds it.
+    ``content()`` is that text with its tags removed and escapes decoded
+    (``text_content``): ``token_count`` and a length in characters count it,
+    and ``text`` mode embeds it.
     """
 
     id: str
@@ -93,7 +96,7 @@ class Segment:
     token_count: int
 
     def content(self) -> str:
-        return unescape(_TAG_RE.sub("", self.text))
+        return text_content(self.text)
 
     def length(self, unit: str = "tokens") -> int:
         if unit == "tokens":
@@ -290,9 +293,4 @@ def load_corpus(path) -> list[BookVolume]:
 
 def segment_index(volumes: list[BookVolume]) -> dict[str, Segment]:
     """Map every segment id in the corpus to its Segment."""
-    index: dict[str, Segment] = {}
-    for vol in volumes:
-        for chap in vol.chapters:
-            for seg in chap.segments:
-                index[seg.id] = seg
-    return index
+    return {seg.id: seg for vol in volumes for chap in vol.chapters for seg in chap.segments}

@@ -1,20 +1,20 @@
 """Lift pairwise alignments to multi-parallel rows.
 
-Per chapter group, the pairwise alignments become partner maps once: for
-each ordered idiom pair ``(x, y)``, every ``x`` segment mapped to its ``y``
-partner or None. The pivot join, the strict intersection of the pivot link
-sets (consensus) and the single-pivot rows are dict and set operations on
-those maps; connected components of the consensus links become rows, and the
-length-ratio noise filter thins them. Consensus trades recall for precision
-by construction.
+Per chapter group, the stored pairwise alignments, each a ``BilingualAlignment``
+of ``Link`` index pairs, become partner maps once: for each ordered idiom pair
+``(x, y)``, every ``x`` segment mapped to its ``y`` partner or None. The pivot
+join, the strict intersection of the pivot link sets (consensus) and the
+single-pivot rows are dict and set operations on those maps; connected
+components of the consensus links become rows, and the length-ratio noise
+filter thins them. Consensus trades recall for precision by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
-from .bialign import BilingualAlignment
 from .model import ChapterGroup, MultiParallelRow, PolyalignError, Segment
 
 Pair = tuple[str | None, str | None]
@@ -23,6 +23,22 @@ Partners = dict[tuple[str, str], dict[str, str | None]]
 
 class MultiAlignError(PolyalignError):
     pass
+
+
+class Link(NamedTuple):
+    """A stored link: a source and a target index, None on a deleted side."""
+
+    src: int | None
+    tgt: int | None
+
+
+@dataclass
+class BilingualAlignment:
+    """A stored alignment as multialign reads it: links index into the ids."""
+
+    src_ids: tuple[str, ...]
+    tgt_ids: tuple[str, ...]
+    links: list[Link]
 
 
 @dataclass(frozen=True)
@@ -53,9 +69,10 @@ def partner_maps(pair_alignments: dict[tuple[str, str], BilingualAlignment]) -> 
     for (i, j), alignment in pair_alignments.items():
         forward = partners[(i, j)] = {}
         backward = partners[(j, i)] = {}
-        for link in alignment.links:
-            src = alignment.src_ids[link.src] if link.src is not None else None
-            tgt = alignment.tgt_ids[link.tgt] if link.tgt is not None else None
+        src_ids, tgt_ids = alignment.src_ids, alignment.tgt_ids
+        for s, t in alignment.links:
+            src = src_ids[s] if s is not None else None
+            tgt = tgt_ids[t] if t is not None else None
             if src is not None:
                 forward[src] = tgt
             if tgt is not None:

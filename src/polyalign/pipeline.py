@@ -40,8 +40,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import export as export_mod
-from .bialign import (AlignConfig, AlignmentError, BilingualAlignment, Link, align_chapter, cost_matrix,
-                      dp_batches, dp_tables)
+from .bialign import AlignConfig, align_chapter, cost_matrix, dp_batches, dp_tables
 from .embedding import HASH_DIM_MIN, MODES, EmbeddingCache, ProviderConfig, embed_segments
 from .ingest import IngestError, build_chapter_groups, parse_volume
 from .model import (
@@ -57,7 +56,9 @@ from .model import (
     write_json,
 )
 from .multialign import (
+    BilingualAlignment,
     LengthFilterConfig,
+    Link,
     align_group_consensus,
     length_filter,
     partner_maps,
@@ -316,7 +317,7 @@ def load_alignments(path, chapter_ids: dict[tuple[str, str], tuple[str, ...]]
                 known = chapter_ids.get((gid, i)), chapter_ids.get((gid, j))
                 stale = (tuple(doc["src_ids"]), tuple(doc["tgt_ids"])) != known
                 alignment = BilingualAlignment(*known, [Link(src, tgt) for src, tgt, _ in map(_link_keys, doc["links"])])
-            except (ValueError, KeyError, TypeError, AlignmentError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise PipelineError(
                     f"{path}, line {line_no}: not an alignment record ({type(exc).__name__}: {exc})"
                 ) from exc
@@ -348,28 +349,31 @@ def load_alignments(path, chapter_ids: dict[tuple[str, str], tuple[str, ...]]
 def _cover_problem(alignment: BilingualAlignment) -> str | None:
     """Why the stored links are not a monotone 1-1 full cover, or None."""
     n, m = len(alignment.src_ids), len(alignment.tgt_ids)
-    srcs = [l.src for l in alignment.links if l.src is not None]
-    tgts = [l.tgt for l in alignment.links if l.tgt is not None]
+    if (None, None) in alignment.links:
+        return "has a link that touches neither side: a link must touch at least one side"
+    srcs = [s for s, _ in alignment.links if s is not None]
+    tgts = [t for _, t in alignment.links if t is not None]
     if any(type(k) is not int for k in srcs + tgts):
         return "has a link index that is not an integer"
     if any(not 0 <= k < n for k in srcs) or any(not 0 <= k < m for k in tgts):
         return "has a segment index out of range"
     if sorted(srcs) != list(range(n)) or sorted(tgts) != list(range(m)):
         return "does not link every segment exactly once"
-    subs = [(l.src, l.tgt) for l in alignment.links if l.src is not None and l.tgt is not None]
+    subs = [(s, t) for s, t in alignment.links if s is not None and t is not None]
     if any(a >= c or b >= d for (a, b), (c, d) in zip(subs, subs[1:])):
         return "has 1-1 links that are not increasing"
     return None
 
 
-def build_rows(volumes: list[BookVolume], groups: list[ChapterGroup], alignments_path, rows_path,
+def build_rows(groups: list[ChapterGroup], alignments_path, rows_path,
                length_config: LengthFilterConfig | None, pivot: str | None = None) -> dict:
     """Multi-parallel rows of every group: the consensus of every pivot or, given
     ``pivot``, that pivot's join; some group must hold the pivot, and a group
-    that does not adds no rows. The alignments are read one group at a time,
-    and each group's rows are built before the next group's records are read,
-    so only one group's alignments are held. They are checked, their order
-    too, as ``load_alignments`` reads them. A group that lacks a pair the build
+    that does not adds no rows. It reads only the groups, whose chapters hold
+    every segment of a group's rows, and the alignments, one group at a time:
+    each group's rows are built before the next group's records are read, so
+    only one group's alignments are held. They are checked, their order too,
+    as ``load_alignments`` reads them. A group that lacks a pair the build
     needs fails the build, once the rest of the file has been checked. Without
     ``length_config`` no cell is length-filtered. Rows left with fewer than two
     cells are demoted; a contradictory consensus component is only counted
@@ -377,7 +381,6 @@ def build_rows(volumes: list[BookVolume], groups: list[ChapterGroup], alignments
     in the file>``, and are written once, after every group."""
     if pivot is not None and not any(pivot in g.members for g in groups):
         raise PipelineError(f"no chapter group has the pivot idiom {pivot!r}")
-    seg_index = segment_index(volumes)
     chapter_ids = {(g.group_id, k): tuple(s.id for s in c.segments) for g in groups for k, c in g.members.items()}
     by_group = load_alignments(alignments_path, chapter_ids)
 
@@ -403,6 +406,7 @@ def build_rows(volumes: list[BookVolume], groups: list[ChapterGroup], alignments
                 f"group {group.group_id} has no alignment of {', '.join(missing)}; "
                 "consensus needs every idiom pair (bialign --pair all)"
             )
+        seg_index = {s.id: s for chap in group.members.values() for s in chap.segments}
         if pivot is None:
             aligned = align_group_consensus(group, pair_alignments, seg_index, dropped)
         else:
@@ -450,9 +454,8 @@ def stage_bialign(config: PipelineConfig, out: Callable[[str], str], groups: lis
     return align_pairs(groups, out("alignments.jsonl"), config)
 
 
-def stage_multialign(config: PipelineConfig, out: Callable[[str], str], volumes: list[BookVolume],
-                     groups: list[ChapterGroup]) -> dict:
-    return build_rows(volumes, groups, _final(config, "alignments.jsonl"), out("rows.jsonl"), config.length_filter)
+def stage_multialign(config: PipelineConfig, out: Callable[[str], str], groups: list[ChapterGroup]) -> dict:
+    return build_rows(groups, _final(config, "alignments.jsonl"), out("rows.jsonl"), config.length_filter)
 
 
 def stage_export(config: PipelineConfig, out: Callable[[str], str], volumes: list[BookVolume]) -> dict:
@@ -516,7 +519,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     volumes, groups = corpus_groups(_final(config, "corpus.json"), _final(config, "mapping.tsv"))
     run_stage("embed", groups)
     run_stage("bialign", groups)
-    run_stage("multialign", volumes, groups)
+    run_stage("multialign", groups)
     run_stage("export", volumes)
     manifest["wall_seconds"] = round(time.monotonic() - start, 3)
     for name in committed:

@@ -21,11 +21,12 @@ from html import escape
 
 import numpy as np
 
-from polyalign.bialign import AlignConfig, AlignmentError, BilingualAlignment, Link
+from polyalign.bialign import AlignConfig, AlignmentError
 from polyalign.embedding import EmbeddingError
 from polyalign.evaluate import EvalError
 from polyalign.ingest import BLOCK_TAGS, STRUCTURAL_TAGS, VOID_TAGS, Warnings, _Node, _TreeBuilder
 from polyalign.model import BookVolume, nfc
+from polyalign.multialign import BilingualAlignment, Link
 
 
 Move = tuple[int | None, int | None, float]

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 from polyalign.evaluate import GoldAlignment
 from polyalign.model import (
     BookVolume,
-    CANONICAL_IDIOMS,
     corpus_from_dict,
     make_segment_id,
     normalize_chapter_key,
 )
+
+# The five Romansh idioms the fixture's varieties are named after.
+CANONICAL_IDIOMS = ("sursilvan", "sutsilvan", "surmiran", "puter", "vallader")
 
 CONSONANTS = "bcdfglmnprstvz"
 VOWELS = "aeiou"

@@ -8,7 +8,6 @@ from polyalign.bialign import (
     BATCH_CELLS,
     AlignConfig,
     AlignmentError,
-    Link,
     align_chapter,
     cost_matrix,
     dp_batches,
@@ -273,7 +272,3 @@ class TestProperties:
             # always, link sets when costs are tie-free.
             assert left_to_right_total(fwd) == pytest.approx(left_to_right_total(bwd), abs=1e-12)
             assert fwd_subs == bwd_subs
-
-    def test_link_requires_one_side(self):
-        with pytest.raises(AlignmentError):
-            Link(src=None, tgt=None)

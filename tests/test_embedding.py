@@ -397,6 +397,24 @@ class UnauthorizedSession(FlakySession):
         return FakeResponse(None, status_code=401)
 
 
+class BodySession(FlakySession):
+    """Answers HTTP 200 with the JSON body ``body``, or with a body that is not JSON."""
+
+    def __init__(self, body):
+        super().__init__()
+        self.body = body
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.calls += 1
+        response = FakeResponse(None)
+        response.json = (lambda: self.body) if self.body is not None else self.not_json
+        return response
+
+    @staticmethod
+    def not_json():
+        raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
+
 class TestRemoteProvider:
     def config(self):
         return ProviderConfig(name="remote", endpoint="http://unit.test/embed", model="m", batch_size=4)
@@ -446,9 +464,29 @@ class TestRemoteProvider:
         sleeps = []
         monkeypatch.setattr("time.sleep", sleeps.append)
         session = ShortSession()
-        with pytest.raises(EmbeddingError, match="provider returned 1 rows for 2 inputs"):
+        with pytest.raises(EmbeddingError, match=r"shape \(1, 8\), requested dim 8 for 2 inputs"):
             RemoteProvider(self.config(), dim=8, session=session).embed_batch(["a", "b"])
         assert session.calls == 1 and sleeps == []
+
+    @pytest.mark.parametrize("body", [
+        {"vectors": [[1.0] * 8, [1.0] * 8]},
+        {"embeddings": [[1.0] * 8, [1.0] * 7]},
+        [[1.0] * 8, [1.0] * 8],
+    ])
+    def test_malformed_body_is_not_retried(self, monkeypatch, body):
+        sleeps = []
+        monkeypatch.setattr("time.sleep", sleeps.append)
+        session = BodySession(body)
+        with pytest.raises(EmbeddingError, match="no embeddings array"):
+            RemoteProvider(self.config(), dim=8, session=session).embed_batch(["a", "b"])
+        assert session.calls == 1 and sleeps == []
+
+    def test_body_that_is_not_json_is_retried(self, monkeypatch):
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        session = BodySession(None)
+        with pytest.raises(EmbeddingError, match="after 3 attempts: Expecting value"):
+            RemoteProvider(self.config(), dim=8, session=session).embed_batch(["a"])
+        assert session.calls == 3
 
     def test_client_error_is_not_retried(self, monkeypatch):
         monkeypatch.setattr("time.sleep", lambda s: None)

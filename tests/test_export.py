@@ -86,6 +86,14 @@ class TestRowsRoundTrip:
             assert loaded.provenance == orig.provenance
             assert loaded.flags == orig.flags
 
+    def test_blank_lines_are_skipped(self, tmp_path, corpus, alignment):
+        _, segments = corpus
+        path = tmp_path / "rows.jsonl"
+        export_rows(alignment, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n" + "\n \n".join(lines) + "\n\n", encoding="utf-8")
+        assert load_rows(path, segments) == alignment
+
     def test_double_export_is_byte_identical(self, tmp_path, alignment):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         export_rows(alignment, p1)

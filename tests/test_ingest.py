@@ -210,6 +210,15 @@ class TestParseVolume:
         assert vol.chapters[0].segments[0].text == "x y z"
         assert_valid_segments(vol)
 
+    @pytest.mark.parametrize("element, tokens", [
+        ("<p>a <strong> b</strong> c</p>", 3),
+        ("<p>a <strong>b </strong> c</p>", 3),
+        ("<p>a &lt;b&gt; c</p>", 3),
+    ])
+    def test_token_count_counts_the_content(self, element, tokens):
+        seg = parse_volume(volume_doc([{"title": "One", "elements": [{"html": element}]}])).chapters[0].segments[0]
+        assert seg.token_count == tokens == len(seg.content().split())
+
     def test_zero_chapters(self):
         vol = parse_volume(volume_doc([]))
         assert vol.chapters == ()

@@ -3,7 +3,6 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from polyalign.bialign import Link
 from polyalign.model import (
     BookVolume,
     Chapter,
@@ -19,6 +18,7 @@ from polyalign.model import (
     segment_index,
     validate_corpus,
 )
+from polyalign.multialign import Link
 
 from oracles import corpus_to_dict
 

@@ -14,12 +14,14 @@ from oracles import (
     partner_vector_rows,
     random_alignment,
 )
-from polyalign.bialign import BilingualAlignment, Link, align_chapter, cost_matrix
+from polyalign.bialign import align_chapter, cost_matrix
 from polyalign.embedding import embed_segments
 from polyalign.ingest import build_chapter_groups
 from polyalign.model import ChapterGroup, Chapter, MultiParallelRow, Segment
 from polyalign.multialign import (
+    BilingualAlignment,
     LengthFilterConfig,
+    Link,
     MultiAlignError,
     PairLinkSet,
     align_group_consensus,
@@ -100,8 +102,8 @@ def write_alignments(path, groups, stale_pair=None):
 
 
 def rows_on(root, alignments, pivot=None):
-    volumes, groups = corpus_groups(root / "corpus.json", root / "mapping.tsv")
-    return build_rows(volumes, groups, alignments, root / "rows.jsonl", None, pivot=pivot)
+    _, groups = corpus_groups(root / "corpus.json", root / "mapping.tsv")
+    return build_rows(groups, alignments, root / "rows.jsonl", None, pivot=pivot)
 
 
 class TestPivotJoin:

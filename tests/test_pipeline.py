@@ -551,6 +551,10 @@ def _source_a_float(doc):
     link["src"] = float(link["src"])
 
 
+def _link_on_neither_side(doc):
+    _substitutions(doc)[0].update(src=None, tgt=None)
+
+
 def _record_repeated(doc):
     return dict(doc)
 
@@ -573,6 +577,7 @@ BROKEN_COVERS = [
     (_links_swapped, "has 1-1 links that are not increasing"),
     (_source_a_string, "has a link index that is not an integer"),
     (_source_a_float, "has a link index that is not an integer"),
+    (_link_on_neither_side, "has a link that touches neither side: a link must touch at least one side"),
     (_record_repeated, "is stored twice"),
     (_reverse_pair_appended, "is stored twice, the second time as surmiran:puter"),
 ]
@@ -596,10 +601,10 @@ class TestStoredAlignmentsMustBeCovers:
         out = pipeline_run[0] / "out"
         broken = tmp_path / "alignments.jsonl"
         write_broken_alignments(out, edit, broken)
-        volumes, groups = corpus_groups(out / "corpus.json", out / "mapping.tsv")
+        _, groups = corpus_groups(out / "corpus.json", out / "mapping.tsv")
         for pivot in (None, "sursilvan"):
             with pytest.raises(PipelineError, match=f"group g0001: the puter:surmiran alignment {problem}"):
-                build_rows(volumes, groups, broken, tmp_path / "rows.jsonl", None, pivot)
+                build_rows(groups, broken, tmp_path / "rows.jsonl", None, pivot)
             assert not (tmp_path / "rows.jsonl").exists()
 
     @pytest.mark.parametrize("edit, problem", BROKEN_COVERS)
@@ -617,6 +622,16 @@ class TestStoredAlignmentsMustBeCovers:
             ])
             assert_reported(result, f"{broken}, line {line}: group g0001: the puter:surmiran alignment {problem}")
             assert not (tmp_path / "rows.jsonl").exists()
+
+
+def test_blank_lines_of_the_stored_alignments_are_skipped(pipeline_run, tmp_path):
+    out, config = pipeline_run[0] / "out", pipeline_run[1]
+    lines = (out / "alignments.jsonl").read_text(encoding="utf-8").splitlines()
+    spaced = tmp_path / "alignments.jsonl"
+    spaced.write_text("\n" + "\n \n".join(lines) + "\n\n", encoding="utf-8")
+    _, groups = corpus_groups(out / "corpus.json", out / "mapping.tsv")
+    build_rows(groups, spaced, tmp_path / "rows.jsonl", config.length_filter)
+    assert (tmp_path / "rows.jsonl").read_bytes() == (out / "rows.jsonl").read_bytes()
 
 
 def group_blocks(out):
