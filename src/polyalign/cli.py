@@ -40,12 +40,13 @@ from .pipeline import (
 
 
 class _Main(click.Group):
-    """Report the package's own errors as a one-line error with exit code 1."""
+    """Report the package's own errors, and a file that cannot be opened or
+    made, as a one-line error with exit code 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except PolyalignError as exc:
+        except (PolyalignError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PolyalignError, Segment, nfc
+from .model import PolyalignError, Segment, _Fields, nfc
 
 MODES = ("text", "html", "concat")
 
@@ -34,6 +34,9 @@ class EmbeddingError(PolyalignError):
     pass
 
 
+_provider_strings = _Fields(name=str, endpoint=str, model=str, auth=str)
+
+
 @dataclass(frozen=True)
 class ProviderConfig:
     name: str = "hash"
@@ -43,6 +46,10 @@ class ProviderConfig:
     auth: str = ""  # env var holding the API secret, for remote providers
 
     def __post_init__(self):
+        try:
+            _provider_strings(vars(self))
+        except TypeError as exc:
+            raise EmbeddingError(f"provider {exc}") from exc
         if type(self.batch_size) is not int or self.batch_size < 1:
             raise EmbeddingError(f"batch_size must be a positive integer, got {self.batch_size!r}")
         if self.name != "hash" and not self.endpoint:

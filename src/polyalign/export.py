@@ -10,7 +10,7 @@ import json
 import random
 import re
 
-from .model import BookVolume, MultiParallelRow, PolyalignError, Segment
+from .model import BookVolume, MultiParallelRow, PolyalignError, Segment, _Fields, volume_of
 
 # Identifies the deterministic generator behind sample_rows in manifests.
 SAMPLER_NAME = "mt19937/sample-v1"
@@ -18,13 +18,6 @@ SAMPLER_NAME = "mt19937/sample-v1"
 
 class ExportError(PolyalignError):
     pass
-
-
-def _volume_of(segment_id: str) -> str:
-    parts = segment_id.split("/")
-    if len(parts) < 4:
-        raise ExportError(f"malformed segment id {segment_id!r}")
-    return parts[1]
 
 
 def row_to_dict(row: MultiParallelRow) -> dict:
@@ -48,10 +41,14 @@ def export_rows(rows: list[MultiParallelRow], out_path) -> int:
     return len(rows)
 
 
+_row_fields = _Fields(row_id=str, provenance=str)
+
+
 def load_rows(path, seg_index: dict[str, Segment]) -> list[MultiParallelRow]:
     """Re-import a rows.jsonl file; each cell's segment_id resolves through the
     corpus index to a segment of the cell's idiom. A row keeps its ``row_id``:
-    a string, unique in the file, that starts with its provenance and ``/r``."""
+    a string, unique in the file, that starts with its provenance and ``/r``; it and
+    the provenance are typed by ``model._Fields``."""
     rows: list[MultiParallelRow] = []
     line_of: dict[str, int] = {}
     with open(path, "rb") as fh:
@@ -61,11 +58,7 @@ def load_rows(path, seg_index: dict[str, Segment]) -> list[MultiParallelRow]:
             try:
                 doc = json.loads(line.decode("utf-8"))
                 ids = {idiom: None if cell is None else cell["segment_id"] for idiom, cell in doc["cells"].items()}
-                row_id, provenance, flags = doc["row_id"], doc["provenance"], doc.get("flags", [])
-                if not isinstance(provenance, str):
-                    raise TypeError(f"provenance {provenance!r} is not a string")
-                if not isinstance(row_id, str):
-                    raise TypeError(f"row_id {row_id!r} is not a string")
+                (row_id, provenance), flags = _row_fields(doc), doc.get("flags", [])
                 if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
                     raise TypeError(f"flags {flags!r} is not a list of strings")
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -180,7 +173,7 @@ def split_rows(
     for row in rows:
         splits = set()
         for seg in row.non_null().values():
-            vol = _volume_of(seg.id)
+            vol = volume_of(seg.id)
             if vol not in assignment:
                 raise ExportError(f"volume {vol!r} has no split assignment")
             splits.add(assignment[vol])

@@ -3,40 +3,36 @@
 Segmentation follows the block structure of the markup: every paragraph,
 list item, table cell or heading becomes one candidate segment, with no
 sentence splitting. Inline markup is stripped except ``<strong>``; the text
-stays markup, so a literal ``<``, ``>`` or ``&`` in it is escaped.
+stays markup, so a literal ``<``, ``>`` or ``&`` in it is escaped. The content
+of a ``<script>`` or ``<style>`` element is neither text nor markup.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from html import escape
 from html.parser import HTMLParser
 
 from .model import (
-    VOLUME_KINDS,
     BookVolume,
     Chapter,
     ChapterGroup,
     PolyalignError,
     Segment,
-    check_idiom,
     count_tokens,
     make_segment_id,
     nfc,
     normalize_chapter_key,
     read_idiom_table,
     text_content,
+    volume_header,
 )
 
 
 class IngestError(PolyalignError):
     """Malformed input document or dangling mapping reference."""
 
-
-# Segment ids join with "/", mapping cells with "#" and mapping columns with tabs.
-_VOLUME_ID_RE = re.compile(r"[^/#\s]+")
 
 # An ingest warning is the warnings.jsonl record {"source": ..., "message": ...}.
 Warnings = list[dict[str, str]]
@@ -52,6 +48,8 @@ CONTAINER_TAGS = frozenset(
 )
 STRUCTURAL_TAGS = BLOCK_TAGS | CONTAINER_TAGS
 VOID_TAGS = frozenset({"br", "hr", "img", "input", "meta", "link", "wbr"})
+# Elements whose content is code, not text: it is left out of text and markup.
+SCRIPT_TAGS = frozenset({"script", "style"})
 
 # Tags whose open instance is implicitly closed by a new sibling.
 _AUTOCLOSE = {
@@ -128,10 +126,13 @@ def _render(node: _Node) -> tuple[str, str]:
     """(text, markup) of ``node``, character data and attribute values escaped.
 
     The text keeps only ``<strong>`` tags, around non-blank content, and
-    ``<br>`` becomes a space."""
+    ``<br>`` becomes a space; a ``<script>`` or ``<style>`` element is left out
+    of both."""
     if not node.tag:
         text = escape(node.text, quote=False)
         return text, text
+    if node.tag in SCRIPT_TAGS:
+        return "", ""
     attrs = "".join([f" {k}" if v is None else f' {k}="{escape(v)}"' for k, v in node.attrs])
     if node.tag in VOID_TAGS:
         return " " if node.tag == "br" else "", f"<{node.tag}{attrs}/>"
@@ -195,8 +196,9 @@ def segment_html(
 
 
 def parse_volume(raw: bytes | str, warnings: Warnings | None = None) -> BookVolume:
-    """Parse one raw volume document (ingestion JSON, UTF-8) into a BookVolume,
-    the one check of its fields: a wrong type or value raises an IngestError."""
+    """Parse one raw volume document (ingestion JSON, UTF-8) into a BookVolume; a wrong type
+    or value raises an IngestError naming the field of a header (``model.volume_header``
+    checks it) and, past the header, the volume as ``idiom/volume_id``."""
     try:
         doc = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
     except UnicodeDecodeError as exc:
@@ -206,22 +208,13 @@ def parse_volume(raw: bytes | str, warnings: Warnings | None = None) -> BookVolu
             f"malformed volume document at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     try:
-        idiom = check_idiom(doc["idiom"])
-        volume_id = doc["volume_id"]
-        grade = doc["grade"]
-        kind = doc["kind"]
+        idiom, volume_id, grade, kind = volume_header(doc)
         raw_chapters = [(c["title"], [e["html"] for e in c["elements"]]) for c in doc["chapters"]]
     except KeyError as exc:
         raise IngestError(f"volume document missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise IngestError(f"volume document: {exc}") from exc
     vol_ref = f"{idiom}/{volume_id}"
-    if not isinstance(volume_id, str) or not _VOLUME_ID_RE.fullmatch(volume_id):
-        raise IngestError(f"{vol_ref}: volume_id {volume_id!r} is not a non-empty string free of '/', '#' and whitespace")
-    if type(grade) is not int:
-        raise IngestError(f"{vol_ref}: grade {grade!r} is not an integer")
-    if kind not in VOLUME_KINDS:
-        raise IngestError(f"{vol_ref}: unknown volume kind {kind!r}")
 
     chapters: dict[str, Chapter] = {}
     for title, elements in raw_chapters:

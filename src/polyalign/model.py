@@ -4,7 +4,8 @@ All values are plain frozen dataclasses, immutable after construction. The
 records a build makes once per item, ``Segment`` and ``MultiParallelRow``
 (and ``multialign.Link``, a named tuple), are slotted: they carry no
 ``__dict__``. Segment ids encode (idiom, volume, chapter key, position) so
-that every downstream artifact is self-describing.
+that every downstream artifact is self-describing; ``volume_header`` checks a
+volume's parts of one, ``volume_of`` reads it back, ``_Fields`` types JSON keys.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ VOLUME_KINDS = ("workbook", "commentary")
 # The "format" of corpus.json, which load_corpus requires.
 CORPUS_FORMAT = "polyalign-corpus/1"
 
-_IDIOM_RE = re.compile(r"^[a-z][a-z0-9_-]*$")
+_IDIOM_RE = re.compile(r"[a-z][a-z0-9_-]*")
+# Segment ids join with "/", mapping cells with "#" and mapping columns with tabs.
+_VOLUME_ID_RE = re.compile(r"[^/#\s]+")
 _TAG_RE = re.compile(r"<[^>]*>")
 
 
@@ -34,7 +37,7 @@ class PolyalignError(Exception):
 
 def check_idiom(code: str) -> str:
     """Validate an idiom code (non-empty, lowercase) and return it."""
-    if not code or not _IDIOM_RE.match(code):
+    if not _IDIOM_RE.fullmatch(code):
         raise ValueError(f"invalid idiom code: {code!r}")
     return code
 
@@ -42,7 +45,7 @@ def check_idiom(code: str) -> str:
 def parse_pair(text: str) -> tuple[str, str]:
     """``SRC:TGT`` as two distinct idiom codes."""
     src, _, tgt = text.partition(":")
-    if src == tgt or not _IDIOM_RE.match(src) or not _IDIOM_RE.match(tgt):
+    if src == tgt or not _IDIOM_RE.fullmatch(src) or not _IDIOM_RE.fullmatch(tgt):
         raise PolyalignError(f"pair {text!r} is not SRC:TGT, two distinct idiom codes")
     return src, tgt
 
@@ -72,6 +75,13 @@ def normalize_chapter_key(title: str) -> str:
 
 def make_segment_id(idiom: str, volume_id: str, chapter_key: str, position: int) -> str:
     return f"{idiom}/{volume_id}/{chapter_key}/{position}"
+
+
+def volume_of(segment_id: str) -> str:
+    parts = segment_id.split("/")
+    if len(parts) < 4:
+        raise PolyalignError(f"malformed segment id {segment_id!r}")
+    return parts[1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,17 +214,29 @@ _chapter_fields = _Fields(key=str, title=str)
 _segment_fields = _Fields(id=str, position=int, html=str, text=str, token_count=int)
 
 
+def volume_header(record: dict) -> tuple[str, str, int, str]:
+    """A volume record's idiom, volume_id, grade and kind, checked here for ingest and for a
+    stored corpus alike: KeyError if one is missing, TypeError if mistyped, else ValueError."""
+    idiom, volume_id, grade, kind = _volume_fields(record)
+    check_idiom(idiom)
+    if not _VOLUME_ID_RE.fullmatch(volume_id):
+        raise ValueError(f"field 'volume_id' is {volume_id!r}, not a non-empty string free of '/', '#' and whitespace")
+    if kind not in VOLUME_KINDS:
+        raise ValueError(f"field 'kind' is {kind!r}, not one of {', '.join(VOLUME_KINDS)}")
+    return idiom, volume_id, grade, kind
+
+
 def corpus_from_dict(doc: dict) -> list[BookVolume]:
     """The volumes of a ``CORPUS_FORMAT`` document; a field of the wrong type, a
-    segment id that does not spell ``idiom/volume_id/key/position`` or that an
-    earlier segment holds, and another format raise KeyError, TypeError or
-    ValueError."""
+    volume header that ``volume_header`` refuses, a segment id that does not spell
+    ``idiom/volume_id/key/position`` or that an earlier segment holds, and another
+    format raise KeyError, TypeError or ValueError."""
     if doc["format"] != CORPUS_FORMAT:
         raise ValueError(f"format {doc['format']!r} is not {CORPUS_FORMAT!r}")
     volumes = []
     ids: set[str] = set()
     for v in doc["volumes"]:
-        idiom, volume_id, grade, kind = _volume_fields(v)
+        idiom, volume_id, grade, kind = volume_header(v)
         chapters = []
         for c in v["chapters"]:
             key, title = _chapter_fields(c)

@@ -48,6 +48,7 @@ from .model import (
     ChapterGroup,
     MultiParallelRow,
     PolyalignError,
+    _Fields,
     load_corpus,
     load_json_object,
     save_corpus,
@@ -285,8 +286,8 @@ def align_pairs(groups: list[ChapterGroup], alignments_path, config: PipelineCon
 
 
 # The keys every record and every link of ``alignments.jsonl`` must have,
-# including the ones multialign does not read.
-_record_keys = itemgetter("group", "src_idiom", "tgt_idiom", "src_chapter", "tgt_chapter", "total_cost")
+# including the ones multialign does not read; a record's are typed too.
+_record_fields = _Fields(group=str, src_idiom=str, tgt_idiom=str, src_chapter=str, tgt_chapter=str, total_cost=float)
 _link_keys = itemgetter("src", "tgt", "cost")
 
 
@@ -297,12 +298,12 @@ def load_alignments(path, chapter_ids: dict[tuple[str, str], tuple[str, ...]]
     a time: a group is yielded once the first record of a later group, or the end of the
     file, is read, so at most one record of the next group is held with it.
 
-    This is the one check of a record: its ids are ``chapter_ids[(group, idiom)]``, whose
-    tuples it then holds, its links a monotone 1-1 full cover, no other record holds its
-    pair, and it does not follow a later group's records. So a group's records must be
-    together and in the mapping's group order, as ``align_pairs`` writes them; per-pair
-    ``bialign`` outputs concatenated into one file are rejected. The keys of the records
-    already read are kept, so a repeated pair is reported wherever the repeat sits."""
+    This is the one check of a record: its keys have their types (``_Fields``), its ids are
+    ``chapter_ids[(group, idiom)]``, whose tuples it then holds, its links a monotone 1-1 full
+    cover, no other record holds its pair, and it does not follow a later group's records. So a
+    group's records must be together and in the mapping's group order, as ``align_pairs`` writes
+    them; per-pair ``bialign`` outputs concatenated into one file are rejected. The keys of
+    records already read are kept, so a repeated pair is reported wherever it sits."""
     rank = {gid: n for n, (gid, _) in enumerate(chapter_ids)}
     order = iter(rank)
     current, pairs = next(order, None), {}
@@ -313,7 +314,7 @@ def load_alignments(path, chapter_ids: dict[tuple[str, str], tuple[str, ...]]
                 continue
             try:
                 doc = json.loads(line.decode("utf-8"))
-                gid, i, j, *_ = _record_keys(doc)
+                gid, i, j, *_ = _record_fields(doc)
                 known = chapter_ids.get((gid, i)), chapter_ids.get((gid, j))
                 stale = (tuple(doc["src_ids"]), tuple(doc["tgt_ids"])) != known
                 alignment = BilingualAlignment(*known, [Link(src, tgt) for src, tgt, _ in map(_link_keys, doc["links"])])

@@ -177,6 +177,14 @@ class TestSegmentHtml:
         assert out == expected
         assert warnings == expected_warnings
 
+    @pytest.mark.parametrize("markup, expected", [
+        ("<p>Hi</p><style>p{color:red}</style>", [("Hi", "<p>Hi</p>")]),
+        ("<p>Hi<script>var a=1;</script></p>", [("Hi", "<p>Hi</p>")]),
+        ("<div><script>if (a < b) {}</script></div><p><style>p{}</style></p>", []),
+    ])
+    def test_script_and_style_content_is_not_text(self, markup, expected):
+        assert segment_html(markup) == expected
+
     def test_only_strong_tags_in_output_texts(self):
         out = segment_html("<p><b>a</b> <strong>b</strong> <i>c</i></p>")
         for text, _ in out:
@@ -251,14 +259,16 @@ class TestParseVolume:
         for bad in ("", "a/b", "a#b", "a b", "a\tb", 7, None):
             with pytest.raises(IngestError) as exc:
                 parse_volume(volume_doc([], volume_id=bad))
-            assert str(exc.value) == (f"sursilvan/{bad}: volume_id {bad!r} is not a non-empty string "
-                                      "free of '/', '#' and whitespace")
+            problem = "not str" if not isinstance(bad, str) else (
+                "not a non-empty string free of '/', '#' and whitespace")
+            assert str(exc.value) == f"volume document: field 'volume_id' is {bad!r}, {problem}"
 
     def test_unknown_kind_is_rejected(self):
         doc = json.loads(volume_doc([]))
         doc["kind"] = "reader"
-        with pytest.raises(IngestError, match="sursilvan/v1: unknown volume kind 'reader'"):
+        with pytest.raises(IngestError) as exc:
             parse_volume(json.dumps(doc))
+        assert str(exc.value) == "volume document: field 'kind' is 'reader', not one of workbook, commentary"
 
     @pytest.mark.parametrize("grade", [3.7, True, "3"])
     def test_grade_that_is_not_an_integer(self, grade):
@@ -266,7 +276,7 @@ class TestParseVolume:
         doc["grade"] = grade
         with pytest.raises(IngestError) as exc:
             parse_volume(json.dumps(doc))
-        assert str(exc.value) == f"sursilvan/v1: grade {grade!r} is not an integer"
+        assert str(exc.value) == f"volume document: field 'grade' is {grade!r}, not int"
 
     def test_chapter_key_repeated_in_a_volume(self):
         # "Intro" and "intro!" both normalize to the key "intro".

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polyalign.model import (
     BookVolume,
@@ -17,6 +17,7 @@ from polyalign.model import (
     save_corpus,
     segment_index,
     validate_corpus,
+    volume_of,
 )
 from polyalign.multialign import Link
 
@@ -53,7 +54,7 @@ class TestValidateCorpus:
 
 
 def test_check_idiom_rejects_bad_codes():
-    for bad in ("", "Sursilvan", "with space", "über"):
+    for bad in ("", "Sursilvan", "with space", "über", "puter\n"):
         with pytest.raises(ValueError):
             check_idiom(bad)
     assert check_idiom("sursilvan") == "sursilvan"
@@ -110,6 +111,20 @@ def test_save_corpus_writes_the_json_dump_bytes(tmp_path_factory, volumes):
     save_corpus(volumes, path)
     expected = json.dumps(corpus_to_dict(volumes), ensure_ascii=False, indent=1) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+@settings(deadline=None)
+@given(st.from_regex(r"[a-z][a-z0-9_-]*", fullmatch=True), st.from_regex(r"[^/#\s]+", fullmatch=True),
+       st.integers(), st.sampled_from(["workbook", "commentary"]), json_text, st.integers(0, 3))
+def test_segment_ids_of_a_loaded_corpus_parse_back_to_their_volume(tmp_path_factory, idiom, volume_id, grade,
+                                                                  kind, key, n_segments):
+    segments = tuple(Segment(make_segment_id(idiom, volume_id, key, pos), idiom, pos, "<p>a</p>", "a", 1)
+                     for pos in range(n_segments))
+    volume = BookVolume(idiom, volume_id, grade, kind, (Chapter(key, "Title", segments),))
+    path = tmp_path_factory.getbasetemp() / "corpus-ids.json"
+    save_corpus([volume], path)
+    assert load_corpus(path) == [volume]
+    assert all(volume_of(seg.id) == volume_id for seg in segments)
 
 
 def test_per_item_records_are_slotted():

@@ -15,7 +15,7 @@ import polyalign.cli as cli
 from polyalign.cli import main
 from polyalign.embedding import EmbeddingCache, hash_embed
 from polyalign.export import ExportError, export_rows
-from polyalign.model import CORPUS_FORMAT, PolyalignError
+from polyalign.model import CORPUS_FORMAT, PolyalignError, make_segment_id
 import polyalign.pipeline as pipeline
 from polyalign.pipeline import load_alignments as pipeline_load_alignments
 from polyalign.pipeline import (
@@ -44,13 +44,15 @@ def write_fixture(corpus, root):
 
 
 def write_bad_volume(corpus, root):
-    """The fixture with one puter volume renamed to the id "a/b"."""
+    """The fixture with one puter volume renamed to the id "a/b", and the
+    error that names it."""
     raw, mapping, _ = write_fixture(corpus, root)
     path = next(raw.glob("puter-*.json"))
     doc = json.loads(path.read_text(encoding="utf-8"))
     doc["volume_id"] = "a/b"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    return raw, mapping
+    return raw, mapping, ("volume document: field 'volume_id' is 'a/b', not a non-empty string "
+                          f"free of '/', '#' and whitespace (in {path})")
 
 
 def make_config(root, raw, mapping, out_name="out"):
@@ -388,6 +390,7 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("section, key, value", [
         (None, "dim", 4), (None, "dim", True), ("provider", "batch_size", 2.5),
+        ("provider", "name", 5), ("provider", "endpoint", 5), ("provider", "model", 5), ("provider", "auth", 5),
     ])
     def test_config_the_embed_stage_refuses_rejected_before_any_stage_runs(self, tmp_path, section, key, value):
         raw, mapping, _ = write_fixture(generate(seed=0, n_groups=2, segs_per_chapter=5), tmp_path)
@@ -510,9 +513,10 @@ class TestRunPipeline:
         assert (tmp_path / "warnings.jsonl").read_bytes() == b""
 
     def test_volume_id_breaking_the_id_grammar_fails_ingest(self, small_corpus, tmp_path):
-        raw, mapping = write_bad_volume(small_corpus, tmp_path)
-        with pytest.raises(PipelineError, match="puter/a/b"):
+        raw, mapping, message = write_bad_volume(small_corpus, tmp_path)
+        with pytest.raises(PipelineError) as exc:
             run_pipeline(make_config(tmp_path, raw, mapping))
+        assert str(exc.value) == f"stage 'ingest' failed: {message}"
 
 
 def _substitutions(doc):
@@ -757,13 +761,13 @@ class TestCli:
         assert not (root / "corpus2.json.groups.json").exists()
 
     def test_ingest_command_rejects_bad_volume_id(self, small_corpus, tmp_path):
-        raw, mapping = write_bad_volume(small_corpus, tmp_path)
+        raw, mapping, message = write_bad_volume(small_corpus, tmp_path)
         result = CliRunner().invoke(main, [
             "ingest", "--raw-dir", str(raw), "--mapping", str(mapping),
             "--out", str(tmp_path / "corpus.json"), "--report", str(tmp_path / "w.jsonl"),
         ])
         assert result.exit_code == 1
-        assert "puter/a/b" in result.output
+        assert result.output == f"Error: {message}\n"
         assert not (tmp_path / "corpus.json").exists()
 
     def test_ingest_command_reports_malformed_volume(self, small_corpus, tmp_path):
@@ -1342,6 +1346,33 @@ def _segment_id_misspelled(doc, segments):
     return f"segment id {segments[0]['id']!r} does not spell idiom/volume_id/key/position"
 
 
+class TestCliReportsFileSystemErrors:
+    def test_bialign_into_a_missing_directory(self, cli_workspace, tmp_path):
+        root, runner = cli_workspace
+        result = runner.invoke(main, [
+            "bialign", "--config", str(root / "config.json"), "--corpus", str(root / "out" / "corpus.json"),
+            "--mapping", str(root / "out" / "mapping.tsv"), "--out", str(tmp_path / "nodir" / "al.jsonl"),
+        ])
+        assert_reported(result, "No such file or directory", tmp_path / "nodir")
+
+    def test_corpus_that_is_a_directory(self, cli_workspace, tmp_path):
+        root, runner = cli_workspace
+        result = runner.invoke(main, [
+            "export", "stats", "--rows", str(root / "out" / "rows.jsonl"), "--corpus", str(tmp_path),
+        ])
+        assert_reported(result, "Is a directory", tmp_path)
+
+    def test_split_into_a_file(self, split_run, tmp_path):
+        out, _ = split_run
+        (tmp_path / "splits").write_text("", encoding="utf-8")
+        result = CliRunner().invoke(main, [
+            "export", "split", "--rows", str(out / "rows.jsonl"), "--corpus", str(out / "corpus.json"),
+            "--splits", str(out.parent / "splits.json"), "--out", str(tmp_path / "splits"),
+        ])
+        assert_reported(result, "File exists", tmp_path / "splits")
+        assert (tmp_path / "splits").read_text(encoding="utf-8") == ""
+
+
 class TestCliReportsMalformedFiles:
     @pytest.mark.parametrize("text", ['{"raw_dir": ', "[1, 2]"])
     def test_run_config_not_a_json_object(self, tmp_path, text):
@@ -1381,6 +1412,44 @@ class TestCliReportsMalformedFiles:
             "export", "stats", "--rows", str(root / "out" / "rows.jsonl"), "--corpus", str(corpus),
         ])
         assert_reported(result, f"{corpus}: not a polyalign corpus", problem)
+
+    @pytest.mark.parametrize("field, value, expected", [
+        ("kind", "novel", "field 'kind' is 'novel'"),
+        ("idiom", "PUTER", "invalid idiom code: 'PUTER'"),
+        ("volume_id", "a b", "field 'volume_id' is 'a b'"),
+        ("volume_id", "a#b", "field 'volume_id' is 'a#b'"),
+        ("volume_id", "vol01/b", "field 'volume_id' is 'vol01/b'"),
+    ], ids=["kind-novel", "idiom-upper-case", "volume-id-space", "volume-id-hash", "volume-id-slash"])
+    def test_corpus_volume_header_that_ingest_refuses(self, cli_workspace, tmp_path, field, value, expected):
+        # The segment ids spell the new header, so only the header rules can refuse it.
+        root, runner = cli_workspace
+        doc = json.loads((root / "out" / "corpus.json").read_text(encoding="utf-8"))
+        volume = doc["volumes"][0]
+        volume[field] = value
+        for chapter in volume["chapters"]:
+            for seg in chapter["segments"]:
+                seg["id"] = make_segment_id(volume["idiom"], volume["volume_id"], chapter["key"], seg["position"])
+        corpus, rows = tmp_path / "corpus.json", tmp_path / "rows.jsonl"
+        corpus.write_text(json.dumps(doc), encoding="utf-8")
+        rows.write_text("", encoding="utf-8")
+        result = runner.invoke(main, ["export", "stats", "--rows", str(rows), "--corpus", str(corpus)])
+        assert_reported(result, f"{corpus}: not a polyalign corpus", field, expected)
+
+    @pytest.mark.parametrize("key, value", [("total_cost", "x"), ("src_chapter", 5)])
+    def test_alignment_key_of_the_wrong_type(self, cli_workspace, tmp_path, key, value):
+        root, runner = cli_workspace
+        lines = (root / "out" / "alignments.jsonl").read_text(encoding="utf-8").splitlines()
+        doc = json.loads(lines[1])
+        doc[key] = value
+        alignments = tmp_path / "alignments.jsonl"
+        alignments.write_text("\n".join([lines[0], json.dumps(doc)] + lines[2:]) + "\n", encoding="utf-8")
+        result = runner.invoke(main, [
+            "multialign", "--config", str(root / "config.json"), "--corpus", str(root / "out" / "corpus.json"),
+            "--mapping", str(root / "out" / "mapping.tsv"), "--alignments", str(alignments),
+            "--out", str(tmp_path / "rows.jsonl"),
+        ])
+        assert_reported(result, f"{alignments}, line 2: not an alignment record", f"field {key!r} is {value!r}")
+        assert not (tmp_path / "rows.jsonl").exists()
 
     def test_alignments_with_a_truncated_line(self, cli_workspace):
         root, runner = cli_workspace
@@ -1436,7 +1505,7 @@ class TestCliReportsMalformedFiles:
         assert not (tmp_path / "corpus.json").exists()
 
     @pytest.mark.parametrize("field, expected", [
-        ("volume_id", "puter/7: volume_id 7 is not"),
+        ("volume_id", "volume document: field 'volume_id' is 7, not str"),
         ("title", "puter/vol01: chapter title 7 is not a string"),
         ("html", "#element0: html 7 is not a string"),
     ])
