@@ -2,12 +2,16 @@
 
 The stage subcommands run the pipeline's own stage functions on the files
 their flags name, with every setting read from the config file that ``run``
-takes. Every command writes through ``committing``, as ``run`` does, so a
-failed command leaves the file it was to replace as it was.
+takes; ``_stage_inputs`` and ``_row_inputs`` declare and load the inputs they
+share. Every command writes through ``committing``, as ``run`` does, so a
+failed command leaves the file it was to replace as it was, and a file that
+cannot be made is named as the user gave it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
 
@@ -60,13 +64,35 @@ def main():
 _config_option = click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 
 
+def _stage_inputs(command):
+    """Declare ``--config``, ``--corpus`` and ``--mapping`` ahead of the command's own
+    options, and call it with the loaded config and the corpus's chapter groups."""
+    @_config_option
+    @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
+    @click.option("--mapping", required=True, type=click.Path(exists=True))
+    @functools.wraps(command)
+    def load(config_path, corpus_path, mapping, **options):
+        return command(load_config(config_path), corpus_groups(corpus_path, mapping)[1], **options)
+    return load
+
+
+def _row_inputs(command):
+    """Declare ``--rows`` and ``--corpus`` ahead of the command's own options, and call
+    it with the corpus's volumes and the rows, checked against them."""
+    @click.option("--rows", "rows_path", required=True, type=click.Path(exists=True))
+    @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
+    @functools.wraps(command)
+    def load(rows_path, corpus_path, **options):
+        volumes = load_corpus(corpus_path)
+        return command(volumes, load_rows(rows_path, segment_index(volumes)), **options)
+    return load
+
+
 @main.command()
 @_config_option
 def run(config_path):
     """Run the whole pipeline from a config file."""
-    config = load_config(config_path)
-    manifest = run_pipeline(config)
-    click.echo(json.dumps({s: c for s, c in manifest["stages"].items()}, indent=1))
+    click.echo(json.dumps(run_pipeline(load_config(config_path))["stages"], indent=1))
 
 
 @main.command()
@@ -78,51 +104,37 @@ def ingest(raw_dir, mapping, out_path, report_path):
     """Parse raw volumes, segment HTML, build chapter groups."""
     with committing() as out:
         counts = ingest_raw(raw_dir, mapping, out(out_path), out(report_path))
-    click.echo(
-        f"{counts['volumes']} volumes, {counts['chapter_groups']} chapter groups, "
-        f"{counts['warnings']} warnings"
-    )
+    click.echo(f"{counts['volumes']} volumes, {counts['chapter_groups']} chapter groups, {counts['warnings']} warnings")
 
 
 @main.command()
-@_config_option
-@click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
-@click.option("--mapping", required=True, type=click.Path(exists=True))
-def embed(config_path, corpus_path, mapping):
+@_stage_inputs
+def embed(config, groups):
     """Embed the segments of every grouped chapter through the on-disk cache."""
-    config = load_config(config_path)
-    counts = stage_embed(config, None, corpus_groups(corpus_path, mapping)[1])
+    counts = stage_embed(config, None, groups)
     click.echo(f"embedded {counts['segments_embedded']} segments into {config.cache_dir}")
 
 
 @main.command()
-@_config_option
-@click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
-@click.option("--mapping", required=True, type=click.Path(exists=True))
-@click.option("--pair", default="all", help="SRC:TGT idiom pair, or 'all'.")
+@_stage_inputs
+@click.option("--pair", default="all", help="SRC:TGT idiom pair, or 'all'.",
+              callback=lambda _ctx, _param, pair: None if pair == "all" else parse_pair(pair))
 @click.option("--out", "out_path", required=True, type=click.Path())
-def bialign(config_path, corpus_path, mapping, pair, out_path):
+def bialign(config, groups, pair, out_path):
     """Align chapter pairs with the monotone 1-1/deletion DP."""
-    config = load_config(config_path)
-    pair = None if pair == "all" else parse_pair(pair)
-    _, groups = corpus_groups(corpus_path, mapping)
     with committing() as out:
         counts = align_pairs(groups, out(out_path), config, pair)
     click.echo(f"aligned {counts['chapter_pairs']} chapter pairs -> {out_path}")
 
 
 @main.command()
-@_config_option
-@click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
-@click.option("--mapping", required=True, type=click.Path(exists=True))
+@_stage_inputs
 @click.option("--alignments", "alignments_path", required=True, type=click.Path(exists=True))
 @click.option("--pivot", default="all", help="'all' for consensus, or one pivot idiom.")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--no-length-filter", is_flag=True, default=False)
-def multialign(config_path, corpus_path, mapping, alignments_path, pivot, out_path, no_length_filter):
+def multialign(config, groups, alignments_path, pivot, out_path, no_length_filter):
     """Build multi-parallel rows by consensus (or one pivot's join)."""
-    config = load_config(config_path)
-    _, groups = corpus_groups(corpus_path, mapping)
     with committing() as out:
         counts = build_rows(groups, alignments_path, out(out_path),
                             None if no_length_filter else config.length_filter, None if pivot == "all" else pivot)
@@ -136,23 +148,15 @@ def multialign(config_path, corpus_path, mapping, alignments_path, pivot, out_pa
 @click.option("--report", "report_path", required=True, type=click.Path())
 def evaluate(hyp_path, gold_path, corpus_path, report_path):
     """Strict precision/recall/F1 of hypothesis rows against gold rows."""
-    volumes = load_corpus(corpus_path)
-    seg_index = segment_index(volumes)
-    rows = load_rows(hyp_path, seg_index)
-    gold = load_gold(gold_path, seg_index)
-    table, macro = multi_prf(rows, gold)
+    seg_index = segment_index(load_corpus(corpus_path))
+    table, macro = multi_prf(load_rows(hyp_path, seg_index), load_gold(gold_path, seg_index))
     report = {
-        "pairs": {
-            f"{a}-{b}": {"precision": s.precision, "recall": s.recall, "f1": s.f1}
-            for (a, b), s in sorted(table.items())
-        },
-        "macro": {"precision": macro.precision, "recall": macro.recall, "f1": macro.f1},
+        "pairs": {f"{a}-{b}": dataclasses.asdict(s) for (a, b), s in sorted(table.items())},
+        "macro": dataclasses.asdict(macro),
     }
     with committing() as out:
         write_json(report, out(report_path))
-    click.echo(
-        f"macro P/R/F1 = {macro.precision:.3f}/{macro.recall:.3f}/{macro.f1:.3f}"
-    )
+    click.echo(f"macro P/R/F1 = {macro.precision:.3f}/{macro.recall:.3f}/{macro.f1:.3f}")
 
 
 @main.group()
@@ -160,45 +164,33 @@ def export():
     """Emit row files, bitext, statistics, splits, sample sheets."""
 
 
-def _read_rows(rows_path, corpus_path):
-    volumes = load_corpus(corpus_path)
-    seg_index = segment_index(volumes)
-    return volumes, load_rows(rows_path, seg_index)
-
-
 @export.command("rows")
-@click.option("--rows", "rows_path", required=True, type=click.Path(exists=True))
-@click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
+@_row_inputs
 @click.option("--out", "out_path", required=True, type=click.Path())
-def export_rows_cmd(rows_path, corpus_path, out_path):
+def export_rows_cmd(volumes, rows, out_path):
     """Re-emit rows in file order after validating references."""
-    _, rows = _read_rows(rows_path, corpus_path)
     with committing() as out:
         n = export_rows(rows, out(out_path))
     click.echo(f"wrote {n} rows")
 
 
 @export.command("bitext")
-@click.option("--rows", "rows_path", required=True, type=click.Path(exists=True))
-@click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
-@click.option("--pair", required=True, help="SRC:TGT idiom pair.")
+@_row_inputs
+@click.option("--pair", required=True, help="SRC:TGT idiom pair.",
+              callback=lambda _ctx, _param, pair: parse_pair(pair))
 @click.option("--out", "out_path", required=True, type=click.Path())
-def export_bitext_cmd(rows_path, corpus_path, pair, out_path):
+def export_bitext_cmd(volumes, rows, pair, out_path):
     """Two-column TSV for one idiom pair."""
-    idiom_a, idiom_b = parse_pair(pair)
-    volumes, rows = _read_rows(rows_path, corpus_path)
     with committing() as out:
-        n = export_bitext(volumes, rows, idiom_a, idiom_b, out(out_path))
+        n = export_bitext(volumes, rows, *pair, out(out_path))
     click.echo(f"wrote {n} bitext lines")
 
 
 @export.command("stats")
-@click.option("--rows", "rows_path", required=True, type=click.Path(exists=True))
-@click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
+@_row_inputs
 @click.option("--out", "out_path", default=None, type=click.Path())
-def export_stats_cmd(rows_path, corpus_path, out_path):
+def export_stats_cmd(volumes, rows, out_path):
     """Corpus statistics table (overall vs aligned)."""
-    volumes, rows = _read_rows(rows_path, corpus_path)
     report = stats(volumes, rows)
     if out_path:
         with committing() as out:
@@ -207,14 +199,12 @@ def export_stats_cmd(rows_path, corpus_path, out_path):
 
 
 @export.command("split")
-@click.option("--rows", "rows_path", required=True, type=click.Path(exists=True))
-@click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
+@_row_inputs
 @click.option("--splits", "splits_path", required=True, type=click.Path(exists=True),
               help="JSON file mapping volume_id to train/validation/test/extra.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
-def export_split_cmd(rows_path, corpus_path, splits_path, out_dir):
+def export_split_cmd(volumes, rows, splits_path, out_dir):
     """Partition rows into per-split files by volume assignment."""
-    _, rows = _read_rows(rows_path, corpus_path)
     assignment = load_json_object(splits_path, ExportError)
     conflicts = []
     try:
@@ -228,21 +218,16 @@ def export_split_cmd(rows_path, corpus_path, splits_path, out_dir):
         with open(out("conflicts.jsonl"), "w", encoding="utf-8") as fh:
             for c in conflicts:
                 fh.write(json.dumps(c) + "\n")
-    click.echo(
-        ", ".join(f"{name}: {len(part)}" for name, part in parts.items())
-        + f", conflicts: {len(conflicts)}"
-    )
+    click.echo(", ".join(f"{name}: {len(part)}" for name, part in parts.items()) + f", conflicts: {len(conflicts)}")
 
 
 @export.command("sample")
-@click.option("--rows", "rows_path", required=True, type=click.Path(exists=True))
-@click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
+@_row_inputs
 @click.option("--n", "n", required=True, type=int)
 @click.option("--seed", default=0, type=int)
 @click.option("--out", "out_path", required=True, type=click.Path())
-def export_sample_cmd(rows_path, corpus_path, n, seed, out_path):
+def export_sample_cmd(volumes, rows, n, seed, out_path):
     """Random evaluation sheet of n rows (seeded, reproducible)."""
-    _, rows = _read_rows(rows_path, corpus_path)
     header, sheet = sample_rows(rows, n, seed)
     with committing() as out:
         write_sheet(header, sheet, out(out_path))

@@ -27,6 +27,7 @@ import glob
 import hashlib
 import json
 import logging
+import math
 import os
 import shutil
 import sys
@@ -147,8 +148,9 @@ def committing(directory=""):
     path ``<directory>/<name>``, which no other output may share, and returns
     ``<path>.tmp`` to write. If the block returns, each recorded file is renamed
     to its path, and an earlier failure's ``<path>.quarantine`` is removed; if it
-    raises, each one written is renamed to ``<path>.quarantine``, and the file
-    at its path is left as it was."""
+    raises, each one written is renamed to ``<path>.quarantine``, the file at
+    its path is left as it was, and an OSError on ``<path>.tmp`` names ``<path>``,
+    the file the caller asked for."""
     paths: list[str] = []
 
     def out(name) -> str:
@@ -160,10 +162,12 @@ def committing(directory=""):
 
     try:
         yield out
-    except BaseException:
+    except BaseException as exc:
         for path in paths:
             if os.path.exists(path + ".tmp"):
                 os.replace(path + ".tmp", path + ".quarantine")
+        if isinstance(exc, OSError) and exc.filename in [path + ".tmp" for path in paths]:
+            exc.filename = exc.filename.removesuffix(".tmp")
         raise
     for path in paths:
         os.replace(path + ".tmp", path)
@@ -286,9 +290,11 @@ def align_pairs(groups: list[ChapterGroup], alignments_path, config: PipelineCon
 
 
 # The keys every record and every link of ``alignments.jsonl`` must have,
-# including the ones multialign does not read; a record's are typed too.
+# including the ones multialign does not read; a record's are typed too, and a
+# link's cost is a finite int or float (an integer skip_cost writes int costs).
 _record_fields = _Fields(group=str, src_idiom=str, tgt_idiom=str, src_chapter=str, tgt_chapter=str, total_cost=float)
 _link_keys = itemgetter("src", "tgt", "cost")
+_cost_types = {int, float}
 
 
 def load_alignments(path, chapter_ids: dict[tuple[str, str], tuple[str, ...]]
@@ -317,8 +323,13 @@ def load_alignments(path, chapter_ids: dict[tuple[str, str], tuple[str, ...]]
                 gid, i, j, *_ = _record_fields(doc)
                 known = chapter_ids.get((gid, i)), chapter_ids.get((gid, j))
                 stale = (tuple(doc["src_ids"]), tuple(doc["tgt_ids"])) != known
-                alignment = BilingualAlignment(*known, [Link(src, tgt) for src, tgt, _ in map(_link_keys, doc["links"])])
-            except (ValueError, KeyError, TypeError) as exc:
+                links = list(map(_link_keys, doc["links"]))
+                costs = [cost for _, _, cost in links]
+                if not _cost_types.issuperset(map(type, costs)) or not math.isfinite(sum(costs)):
+                    bad = [c for c in costs if type(c) not in _cost_types or not math.isfinite(c)] or [sum(costs)]
+                    raise ValueError(f"field 'cost' is {bad[0]!r}, not a finite int or float")
+                alignment = BilingualAlignment(*known, [Link(src, tgt) for src, tgt, _ in links])
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise PipelineError(
                     f"{path}, line {line_no}: not an alignment record ({type(exc).__name__}: {exc})"
                 ) from exc

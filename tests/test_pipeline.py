@@ -338,6 +338,23 @@ class TestRunPipeline:
         # The earlier manifest would hash alignments.jsonl and rows.jsonl, which the rerun replaced.
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    def test_integer_skip_cost_writes_integer_costs_that_multialign_loads(self, tmp_path):
+        # One puter chapter is a segment short, so each of its pairs deletes a segment at
+        # the skip cost, here the int 1; multialign must still load those records.
+        corpus = generate(seed=0, n_groups=2, segs_per_chapter=5)
+        doc = json.loads(corpus.raw_docs["puter-vol01.json"])
+        doc["chapters"][0]["elements"].pop()
+        raw_docs = {**corpus.raw_docs, "puter-vol01.json": json.dumps(doc)}
+        raw, mapping, _ = write_fixture(dataclasses.replace(corpus, raw_docs=raw_docs), tmp_path)
+        config = make_config(tmp_path, raw, mapping)
+        run_pipeline(dataclasses.replace(config, align=dataclasses.replace(config.align, skip_cost=1)))
+        out = tmp_path / "out"
+        links = [link for line in (out / "alignments.jsonl").read_text(encoding="utf-8").splitlines()
+                 for link in json.loads(line)["links"]]
+        deletion_costs = [link["cost"] for link in links if None in (link["src"], link["tgt"])]
+        assert deletion_costs and all(type(cost) is int and cost == 1 for cost in deletion_costs)
+        assert (out / "rows.jsonl").read_text(encoding="utf-8")
+
     def test_stage_writer_commit_replaces_atomically(self, pipeline_run, small_corpus, tmp_path):
         raw, mapping, _ = write_fixture(small_corpus, tmp_path)
         out = tmp_path / "out"
@@ -1353,7 +1370,9 @@ class TestCliReportsFileSystemErrors:
             "bialign", "--config", str(root / "config.json"), "--corpus", str(root / "out" / "corpus.json"),
             "--mapping", str(root / "out" / "mapping.tsv"), "--out", str(tmp_path / "nodir" / "al.jsonl"),
         ])
-        assert_reported(result, "No such file or directory", tmp_path / "nodir")
+        # The file is named as given, not as the temporary file committing writes.
+        assert_reported(result, "No such file or directory", f"{tmp_path / 'nodir' / 'al.jsonl'}'")
+        assert ".tmp" not in result.output
 
     def test_corpus_that_is_a_directory(self, cli_workspace, tmp_path):
         root, runner = cli_workspace
@@ -1435,12 +1454,15 @@ class TestCliReportsMalformedFiles:
         result = runner.invoke(main, ["export", "stats", "--rows", str(rows), "--corpus", str(corpus)])
         assert_reported(result, f"{corpus}: not a polyalign corpus", field, expected)
 
-    @pytest.mark.parametrize("key, value", [("total_cost", "x"), ("src_chapter", 5)])
+    @pytest.mark.parametrize("key, value", [
+        ("total_cost", "x"), ("src_chapter", 5), ("cost", "x"), ("cost", True), ("cost", float("nan")),
+    ])
     def test_alignment_key_of_the_wrong_type(self, cli_workspace, tmp_path, key, value):
         root, runner = cli_workspace
         lines = (root / "out" / "alignments.jsonl").read_text(encoding="utf-8").splitlines()
         doc = json.loads(lines[1])
-        doc[key] = value
+        # A link's cost is checked with the record's keys.
+        (doc["links"][-1] if key == "cost" else doc)[key] = value
         alignments = tmp_path / "alignments.jsonl"
         alignments.write_text("\n".join([lines[0], json.dumps(doc)] + lines[2:]) + "\n", encoding="utf-8")
         result = runner.invoke(main, [
