@@ -5,11 +5,16 @@ list item, table cell or heading becomes one candidate segment, with no
 sentence splitting. Inline markup is stripped except ``<strong>``; the text
 stays markup, so a literal ``<``, ``>`` or ``&`` in it is escaped. The content
 of a ``<script>`` or ``<style>`` element is neither text nor markup.
+
+A plain element, one lowercase block tag or ``div`` with no attributes around
+text with no ``<``, ``>`` or ``&``, is segmented without the HTML parser; its
+output equals the parser's.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from html import escape
 from html.parser import HTMLParser
@@ -50,6 +55,10 @@ STRUCTURAL_TAGS = BLOCK_TAGS | CONTAINER_TAGS
 VOID_TAGS = frozenset({"br", "hr", "img", "input", "meta", "link", "wbr"})
 # Elements whose content is code, not text: it is left out of text and markup.
 SCRIPT_TAGS = frozenset({"script", "style"})
+
+# A plain element. The parser's tree for one is a single leaf block holding the text as
+# written, with no reference to decode and nothing to escape, so segment_html skips it.
+_PLAIN = re.compile(rf"<({'|'.join(sorted(BLOCK_TAGS | {'div'}))})>([^<>&]*)</\1>")
 
 # Tags whose open instance is implicitly closed by a new sibling.
 _AUTOCLOSE = {
@@ -183,7 +192,16 @@ def segment_html(
     equal markup however the element was cut. Both are NFC-normalized.
     Empty candidates are dropped. Unbalanced markup is recovered best-effort
     with a warning record; the call never raises for bad markup.
+
+    A plain element (``_PLAIN``: one lowercase block tag or ``div`` with no
+    attributes, closed by the same tag, around text with no ``<``, ``>`` or
+    ``&``) skips the parser: its text is its inner text, whitespace collapsed,
+    and its html the element itself, both NFC-normalized, as the parser's are.
     """
+    plain = _PLAIN.fullmatch(element_html)
+    if plain:
+        text = " ".join(nfc(plain[2]).split())
+        return [(text, nfc(element_html))] if text else []
     if warnings is None:
         warnings = []
     builder = _TreeBuilder(warnings, source)

@@ -3,6 +3,10 @@
 Varieties derive from a shared base text by deterministic character
 perturbations (~10% rate), plus ~10% variety-specific inserted segments,
 so the true row structure is known by construction.
+
+Every element is a plain ``<p>`` unless ``markup`` is on. Then each element
+takes one of ``MARKUP_FORMS``, which all yield one segment with the plain
+form's text, so the gold and the segment texts do not change.
 """
 
 from __future__ import annotations
@@ -25,6 +29,16 @@ CANONICAL_IDIOMS = ("sursilvan", "sutsilvan", "surmiran", "puter", "vallader")
 CONSONANTS = "bcdfglmnprstvz"
 VOWELS = "aeiou"
 ALPHABET = CONSONANTS + VOWELS
+
+# Element forms of the markup shape; the first is the plain one.
+MARKUP_FORMS = (
+    "<p>{}</p>",
+    '<P class="x">{}</P>',
+    "<ul><li>{}</li></ul>",
+    "<div><p>{}<br></p></div>",
+    "<table><tr><td>{}</td></tr></table>",
+    "<p><em>{}</em></p>",
+)
 
 
 def _word(rng: random.Random) -> str:
@@ -94,7 +108,14 @@ def generate(
     insert_rate: float = 0.10,
     idioms: tuple[str, ...] = CANONICAL_IDIOMS,
     chapters_per_volume: int = 10,
+    markup: bool = False,
+    markup_drift: float = 0.0,
 ) -> SynthCorpus:
+    """The fixture corpus. With ``markup``, each base segment slot draws one
+    element form for every idiom, and with probability ``markup_drift`` an
+    idiom draws its own form for the slot instead; an inserted segment always
+    draws its own. The forms come from their own random streams, so the texts
+    do not depend on them."""
     base_rng = random.Random(seed)
     n_volumes = (n_groups + chapters_per_volume - 1) // chapters_per_volume
 
@@ -117,6 +138,10 @@ def generate(
         for chapter in base_texts
     ]
     char_maps = {idiom: _char_map(idiom, seed) for idiom in idioms}
+    form_rng = random.Random(f"{seed}/markup")
+    base_forms = [
+        [form_rng.choice(MARKUP_FORMS) for _ in range(segs_per_chapter)] for _ in range(n_groups)
+    ] if markup else None
 
     raw_docs: dict[str, str] = {}
     gold_cells: dict[tuple[int, int], dict[str, tuple[str, ...]]] = {}
@@ -151,7 +176,17 @@ def generate(
                         words[var_rng.randrange(len(words))] = _word(var_rng)
                         extra = " ".join(words)
                     slots.insert(pos, (None, extra))
-                elements = [{"html": f"<p>{text}</p>"} for _, text in slots]
+                if base_forms is None:
+                    forms = [MARKUP_FORMS[0]] * len(slots)
+                else:
+                    own_rng = random.Random(f"{seed}/markup/{idiom}/{g}")
+                    forms = [
+                        own_rng.choice(MARKUP_FORMS)
+                        if slot is None or own_rng.random() < markup_drift
+                        else base_forms[g][slot]
+                        for slot, _ in slots
+                    ]
+                elements = [{"html": form.format(text)} for form, (_, text) in zip(forms, slots)]
                 for final_pos, (slot, _text) in enumerate(slots):
                     if slot is not None:
                         gold_cells.setdefault((g, slot), {})[idiom] = (

@@ -1,10 +1,13 @@
+import contextlib
 import json
 import re
 from html import escape, unescape
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polyalign.ingest as ingest
 from polyalign.ingest import (
     IngestError,
     build_chapter_groups,
@@ -14,6 +17,9 @@ from polyalign.ingest import (
 from polyalign.model import nfc
 
 from oracles import segment_html_reference
+from synth import generate
+
+PLAIN_TAGS = ("p", "li", "td", "th", "h1", "h2", "h3", "h4", "h5", "h6", "div")
 
 
 def volume_doc(chapters, idiom="sursilvan", volume_id="v1"):
@@ -50,6 +56,41 @@ def tag_soup():
         lambda t: t[0].format(t[1], t[2]))
     text = st.text(alphabet="ae <>&\t\n\u0301\u212b", max_size=6) | st.sampled_from(["&lt;", "&amp;b"])
     return st.lists(tag | text, max_size=12).map("".join)
+
+
+def plain_elements():
+    """One attribute-free block tag around text with no ``<``, ``>`` or ``&``: blank
+    or not, with whitespace that ``str.split`` and HTML tell apart, quotes, ``=``, ``/``
+    and characters that NFC changes, U+0338 among them, which composes with a ``>``."""
+    text = st.text(alphabet="ab \t\n\r\x0c\xa0\u2028\"'=/\u00df\u0301\u0338", max_size=8)
+    return st.tuples(st.sampled_from(PLAIN_TAGS), text).map(lambda t: f"<{t[0]}>{t[1]}</{t[0]}>")
+
+
+@contextlib.contextmanager
+def counting_tree_builders():
+    """Yield a list that gains one item per ``_TreeBuilder`` that ingest makes in the block."""
+    built = []
+
+    class Counting(ingest._TreeBuilder):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.source)
+
+    with mock.patch.object(ingest, "_TreeBuilder", Counting):
+        yield built
+
+
+def check_against_reference(markup) -> int:
+    """Assert that segment_html's candidates and warnings for ``markup`` equal the
+    two-renderer segmenter's, and return how many parse trees segment_html built."""
+    warnings, expected_warnings = [], []
+    with counting_tree_builders() as built:
+        out = segment_html(markup, warnings, "vol#element0")
+    # The reference keeps markup as parsed; the segmenter NFC-normalizes it.
+    expected = [(t, nfc(h)) for t, h in segment_html_reference(markup, expected_warnings, "vol#element0")]
+    assert out == expected
+    assert warnings == expected_warnings
+    return len(built)
 
 
 def assert_valid_segments(vol):
@@ -170,20 +211,32 @@ class TestSegmentHtml:
     @settings(max_examples=2000, deadline=None)
     @given(tag_soup())
     def test_matches_the_two_renderer_segmenter(self, markup):
-        warnings, expected_warnings = [], []
-        out = segment_html(markup, warnings, "vol#element0")
-        # The reference keeps markup as parsed; the segmenter NFC-normalizes it.
-        expected = [(t, nfc(h)) for t, h in segment_html_reference(markup, expected_warnings, "vol#element0")]
-        assert out == expected
-        assert warnings == expected_warnings
+        check_against_reference(markup)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(plain_elements())
+    def test_plain_element_skips_the_parser_and_matches_it(self, markup):
+        assert check_against_reference(markup) == 0
+
+    @pytest.mark.parametrize("markup", [
+        '<p class="x">a b</p>', "<p hidden>a</p>", "<P>a b</P>", "<p>a &amp; b</p>", "<p>a&nbsp;b</p>",
+        "<p>a <strong>b</strong></p>", " <p>a</p>", "<p>a</p>\n", "<p>x</li>", "<h1>x</h2>",
+        "<p>a</p><p>b</p>", "<span>x</span>", "<ul>x</ul>", "<p>x",
+    ])
+    def test_near_miss_of_a_plain_element_takes_the_parser(self, markup):
+        assert check_against_reference(markup) == 1
 
     @pytest.mark.parametrize("markup, expected", [
         ("<p>Hi</p><style>p{color:red}</style>", [("Hi", "<p>Hi</p>")]),
         ("<p>Hi<script>var a=1;</script></p>", [("Hi", "<p>Hi</p>")]),
         ("<div><script>if (a < b) {}</script></div><p><style>p{}</style></p>", []),
+        ("<script>x</script>", []),
     ])
     def test_script_and_style_content_is_not_text(self, markup, expected):
-        assert segment_html(markup) == expected
+        # The reference segmenter predates this rule; each case takes the parser.
+        with counting_tree_builders() as built:
+            assert segment_html(markup) == expected
+        assert len(built) == 1
 
     def test_only_strong_tags_in_output_texts(self):
         out = segment_html("<p><b>a</b> <strong>b</strong> <i>c</i></p>")
@@ -294,6 +347,18 @@ class TestParseVolume:
         with pytest.raises(IngestError) as exc:
             parse_volume(volume_doc([chapter]))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("shape", [{}, {"markup": True, "markup_drift": 0.5}], ids=["plain", "markup"])
+    def test_only_elements_that_are_not_plain_build_a_parse_tree(self, shape):
+        corpus = generate(seed=0, n_groups=2, segs_per_chapter=5, **shape)
+        elements = [element["html"] for doc in corpus.raw_docs.values()
+                    for chapter in json.loads(doc)["chapters"] for element in chapter["elements"]]
+        not_plain = sum(not re.fullmatch(r"<p>[^<>&]*</p>", html) for html in elements)
+        with counting_tree_builders() as built:
+            for doc in corpus.raw_docs.values():
+                parse_volume(doc)
+        assert len(built) == not_plain
+        assert (not_plain > 0) == bool(shape)
 
 
 class TestBuildChapterGroups:

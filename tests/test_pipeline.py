@@ -305,6 +305,18 @@ class TestRunPipeline:
         assert len(ids[0]) == 8
         assert ids[1] == ids[0]
 
+    def test_markup_shape_writes_the_plain_shape_rows(self, tmp_path):
+        """Each markup form is one segment with the plain form's text, so the rows are the
+        same bytes, though the elements that are not a plain <p> take the HTML parser."""
+        outs = []
+        for name, shape in (("plain", {}), ("markup", {"markup": True, "markup_drift": 0.5})):
+            (tmp_path / name).mkdir()
+            raw, mapping, _ = write_fixture(generate(seed=0, n_groups=8, segs_per_chapter=10, **shape), tmp_path / name)
+            run_pipeline(make_config(tmp_path / name, raw, mapping))
+            outs.append(tmp_path / name / "out")
+        assert (outs[0] / "corpus.json").read_bytes() != (outs[1] / "corpus.json").read_bytes()
+        assert (outs[0] / "rows.jsonl").read_bytes() == (outs[1] / "rows.jsonl").read_bytes()
+
     def test_stage_writer_quarantines_on_failure(self, pipeline_run, small_corpus, tmp_path, monkeypatch):
         # Export fails once it has written stats.json and opened stats.txt.
         def render_fails(report):
