@@ -21,17 +21,13 @@ import numpy as np
 from .model import PolyalignError
 
 
-class AlignmentError(PolyalignError):
-    pass
-
-
 @dataclass(frozen=True)
 class AlignConfig:
     skip_cost: float = 0.15
 
     def __post_init__(self):
-        if type(self.skip_cost) is bool or not (math.isfinite(self.skip_cost) and self.skip_cost >= 0):
-            raise AlignmentError(f"skip_cost must be a finite number >= 0, got {self.skip_cost!r}")
+        if type(self.skip_cost) not in (int, float) or not (math.isfinite(self.skip_cost) and self.skip_cost >= 0):
+            raise PolyalignError(f"skip_cost must be a finite number >= 0, got {self.skip_cost!r}")
 
 
 def cost_matrix(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
@@ -125,15 +121,15 @@ def align_chapter(costs: np.ndarray, config: AlignConfig | None = None,
         config = AlignConfig()
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim != 2:
-        raise AlignmentError(f"cost matrix must be 2-D, got shape {costs.shape}")
+        raise PolyalignError(f"cost matrix must be 2-D, got shape {costs.shape}")
     if costs.size and not np.all(np.isfinite(costs)):
-        raise AlignmentError("cost matrix contains non-finite entries")
+        raise PolyalignError("cost matrix contains non-finite entries")
     i, j = costs.shape
     lam = config.skip_cost
     if table is None:
         table = dp_tables([costs], lam)[0]
     elif table.shape[0] < i + j + 1 or table.shape[1] < i + 1:
-        raise AlignmentError(f"DP table of shape {table.shape} is too small for {i} by {j} costs")
+        raise PolyalignError(f"DP table of shape {table.shape} is too small for {i} by {j} costs")
 
     moves: list[tuple[int | None, int | None, float]] = []
     while i > 0 or j > 0:

@@ -20,7 +20,6 @@ import click
 from . import __version__
 from .evaluate import load_gold, multi_prf
 from .export import (
-    ExportError,
     export_bitext,
     export_rows,
     load_rows,
@@ -205,12 +204,12 @@ def export_stats_cmd(volumes, rows, out_path):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def export_split_cmd(volumes, rows, splits_path, out_dir):
     """Partition rows into per-split files by volume assignment."""
-    assignment = load_json_object(splits_path, ExportError)
+    assignment = load_json_object(splits_path)
     conflicts = []
     try:
         parts = split_rows(rows, assignment, conflicts)
-    except ExportError as exc:
-        raise ExportError(f"{splits_path}: {exc}") from exc
+    except PolyalignError as exc:
+        raise PolyalignError(f"{splits_path}: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
     with committing(out_dir) as out:
         for name, part in parts.items():

@@ -30,10 +30,6 @@ HASH_DIM_MIN = 8
 _HASH_SEED = b"polyalign-ngram-v1"
 
 
-class EmbeddingError(PolyalignError):
-    pass
-
-
 _provider_strings = _Fields(name=str, endpoint=str, model=str, auth=str)
 
 
@@ -49,11 +45,11 @@ class ProviderConfig:
         try:
             _provider_strings(vars(self))
         except TypeError as exc:
-            raise EmbeddingError(f"provider {exc}") from exc
+            raise PolyalignError(f"provider {exc}") from exc
         if type(self.batch_size) is not int or self.batch_size < 1:
-            raise EmbeddingError(f"batch_size must be a positive integer, got {self.batch_size!r}")
+            raise PolyalignError(f"batch_size must be a positive integer, got {self.batch_size!r}")
         if self.name != "hash" and not self.endpoint:
-            raise EmbeddingError(f"provider {self.name!r} is not 'hash' and has no endpoint")
+            raise PolyalignError(f"provider {self.name!r} is not 'hash' and has no endpoint")
 
 
 def _ngrams(text: str, n: int = 3):
@@ -83,7 +79,7 @@ def hash_embed(text: str, dim: int = HASH_DIM_DEFAULT) -> np.ndarray:
     summing with ``bincount`` gives the same bits as adding gram by gram.
     """
     if dim < HASH_DIM_MIN:
-        raise EmbeddingError(f"hash_embed requires dim >= {HASH_DIM_MIN}")
+        raise PolyalignError(f"hash_embed requires dim >= {HASH_DIM_MIN}")
     buckets, signs = zip(*[_slot(gram, dim) for gram in _ngrams(text)])
     vec = np.bincount(buckets, weights=signs, minlength=dim)
     norm = np.linalg.norm(vec)
@@ -132,7 +128,7 @@ class RemoteProvider:
         if self.config.auth:
             secret = os.environ.get(self.config.auth)
             if not secret:
-                raise EmbeddingError(f"env var {self.config.auth} is not set")
+                raise PolyalignError(f"env var {self.config.auth} is not set")
             headers["Authorization"] = f"Bearer {secret}"
         payload = {"model": self.config.model, "texts": texts}
         last_exc = None
@@ -148,19 +144,19 @@ class RemoteProvider:
             except Exception as exc:  # transport, 429, 5xx or a body that is not JSON
                 last_exc = exc
         else:
-            raise EmbeddingError(
+            raise PolyalignError(
                 f"batch of {len(texts)} failed after {self.RETRIES} attempts: {last_exc}") from last_exc
         if resp.status_code >= 400:
-            raise EmbeddingError(f"provider rejected the batch: HTTP {resp.status_code}")
+            raise PolyalignError(f"provider rejected the batch: HTTP {resp.status_code}")
         try:
             vectors = np.asarray(doc["embeddings"], dtype=np.float32)
         except (KeyError, TypeError, ValueError) as exc:
-            raise EmbeddingError(f"provider returned no embeddings array ({type(exc).__name__}: {exc})") from exc
+            raise PolyalignError(f"provider returned no embeddings array ({type(exc).__name__}: {exc})") from exc
         if vectors.shape != (len(texts), self.dim):
-            raise EmbeddingError(f"provider returned vectors of shape {vectors.shape}, "
+            raise PolyalignError(f"provider returned vectors of shape {vectors.shape}, "
                                  f"requested dim {self.dim} for {len(texts)} inputs")
         if not np.isfinite(vectors).all() or not vectors.any(axis=1).all():
-            raise EmbeddingError("provider returned a non-finite or all-zero row")
+            raise PolyalignError("provider returned a non-finite or all-zero row")
         return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
 
 
@@ -204,7 +200,7 @@ class EmbeddingCache:
         except FileNotFoundError:
             return None
         if values.size != n * dim:
-            raise EmbeddingError(f"cache record {path} holds {values.size} values, not {n}x{dim}")
+            raise PolyalignError(f"cache record {path} holds {values.size} values, not {n}x{dim}")
         return values.reshape(n, dim)
 
     def put(self, key: str, vectors: np.ndarray) -> None:
@@ -246,7 +242,7 @@ def _embed_texts(
         ]
         vectors = np.concatenate(batches, dtype=np.float32) if batches else np.zeros((0, dim), np.float32)
     if not np.allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-6):
-        raise EmbeddingError("embedding rows must be unit-norm")
+        raise PolyalignError("embedding rows must be unit-norm")
     if miss and cache is not None:
         cache.put(key, vectors)
         cache.flush()
@@ -269,7 +265,7 @@ def embed_segments(
     if provider_config is None:
         provider_config = ProviderConfig()
     if mode not in MODES:
-        raise EmbeddingError(f"unknown mode {mode!r}")
+        raise PolyalignError(f"unknown mode {mode!r}")
 
     if mode == "concat":
         cat = np.concatenate([

@@ -15,10 +15,6 @@ from .model import MultiParallelRow, PolyalignError, Segment, read_idiom_table
 logger = logging.getLogger(__name__)
 
 
-class EvalError(PolyalignError):
-    pass
-
-
 @dataclass(frozen=True)
 class PRF:
     precision: float
@@ -107,18 +103,18 @@ def load_gold(path, seg_index: dict[str, Segment]) -> GoldAlignment:
     """Parse the gold TSV: an idiom-column table (``read_idiom_table``) of two
     or more idioms of the corpus ``seg_index`` indexes, whose cells are
     ';'-separated ids of its segments, each under its own idiom. A file that
-    fails a check is an EvalError naming it."""
+    fails a check is a PolyalignError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            idioms, cell_rows = read_idiom_table(fh.read(), "gold", "gold row", lambda msg: EvalError(f"{path}: {msg}"))
+            idioms, cell_rows = read_idiom_table(fh.read(), "gold", "gold row", f"{path}: ")
     except ValueError as exc:  # not UTF-8, or a header cell that is no idiom code
-        raise EvalError(f"{path}: not a gold file ({exc})") from exc
+        raise PolyalignError(f"{path}: not a gold file ({exc})") from exc
     if len(idioms) < 2:
-        raise EvalError(f"{path}: the header must name two or more idioms")
+        raise PolyalignError(f"{path}: the header must name two or more idioms")
     corpus_idioms = {seg.idiom for seg in seg_index.values()}
     unknown = [idiom for idiom in idioms if idiom not in corpus_idioms]
     if unknown:
-        raise EvalError(f"{path}: idiom(s) {', '.join(unknown)} not in the corpus")
+        raise PolyalignError(f"{path}: idiom(s) {', '.join(unknown)} not in the corpus")
     rows: list[dict[str, tuple[str, ...]]] = []
     seen: dict[str, int] = {}
     for row_no, cells in enumerate(cell_rows, start=1):
@@ -128,11 +124,11 @@ def load_gold(path, seg_index: dict[str, Segment]) -> GoldAlignment:
             row[idiom] = ids
             for sid in ids:
                 if sid not in seg_index or seg_index[sid].idiom != idiom:
-                    raise EvalError(f"{path}: gold row {row_no} names {sid!r}, no {idiom} segment of the corpus")
+                    raise PolyalignError(f"{path}: gold row {row_no} names {sid!r}, no {idiom} segment of the corpus")
                 if sid in seen:
-                    raise EvalError(f"{path}: segment {sid!r} appears in gold rows {seen[sid]} and {row_no}")
+                    raise PolyalignError(f"{path}: segment {sid!r} appears in gold rows {seen[sid]} and {row_no}")
                 seen[sid] = row_no
         if not any(row.values()):
-            raise EvalError(f"{path}: gold row {row_no} has no non-empty cell")
+            raise PolyalignError(f"{path}: gold row {row_no} has no non-empty cell")
         rows.append(row)
     return GoldAlignment(idioms=idioms, rows=rows)

@@ -16,10 +16,6 @@ from .model import BookVolume, MultiParallelRow, PolyalignError, Segment, _Field
 SAMPLER_NAME = "mt19937/sample-v1"
 
 
-class ExportError(PolyalignError):
-    pass
-
-
 def row_to_dict(row: MultiParallelRow) -> dict:
     return {
         "row_id": row.row_id,
@@ -62,17 +58,17 @@ def load_rows(path, seg_index: dict[str, Segment]) -> list[MultiParallelRow]:
                 if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
                     raise TypeError(f"flags {flags!r} is not a list of strings")
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise ExportError(f"{path}, line {line_no}: not a row record ({type(exc).__name__}: {exc})") from exc
+                raise PolyalignError(f"{path}, line {line_no}: not a row record ({type(exc).__name__}: {exc})") from exc
             if not row_id.startswith(provenance + "/r"):
-                raise ExportError(f"{path}, line {line_no}: row_id {row_id!r} does not start with {provenance}/r")
+                raise PolyalignError(f"{path}, line {line_no}: row_id {row_id!r} does not start with {provenance}/r")
             if line_of.setdefault(row_id, line_no) != line_no:
-                raise ExportError(f"{path}, line {line_no}: row_id {row_id!r} repeats the id of line {line_of[row_id]}")
+                raise PolyalignError(f"{path}, line {line_no}: row_id {row_id!r} repeats the id of line {line_of[row_id]}")
             cells: dict[str, Segment | None] = {}
             for idiom, sid in ids.items():
                 seg = seg_index.get(sid) if isinstance(sid, str) else None
                 if sid is not None and (seg is None or seg.idiom != idiom):
-                    raise ExportError(f"{path}, line {line_no}: row references unknown segment {sid!r}, "
-                                      f"no {idiom} segment of the corpus")
+                    raise PolyalignError(f"{path}, line {line_no}: row references unknown segment {sid!r}, "
+                                         f"no {idiom} segment of the corpus")
                 cells[idiom] = seg
             rows.append(MultiParallelRow(cells=cells, provenance=provenance, flags=frozenset(flags), row_id=row_id))
     return rows
@@ -88,7 +84,7 @@ def export_bitext(corpus: list[BookVolume], rows: list[MultiParallelRow], idiom_
     corpus_idioms = {vol.idiom for vol in corpus}
     for idiom in (idiom_a, idiom_b):
         if idiom not in corpus_idioms:
-            raise ExportError(f"idiom {idiom!r} not present in the corpus")
+            raise PolyalignError(f"idiom {idiom!r} not present in the corpus")
     count = 0
     with open(out_path, "w", encoding="utf-8") as fh:
         for row in rows:
@@ -167,15 +163,15 @@ def split_rows(
     """
     for volume, split in assignment.items():
         if split not in SPLIT_NAMES:
-            raise ExportError(f"volume {volume!r} maps to {split!r}, "
-                              f"not one of {', '.join(SPLIT_NAMES)}")
+            raise PolyalignError(f"volume {volume!r} maps to {split!r}, "
+                                 f"not one of {', '.join(SPLIT_NAMES)}")
     out: dict[str, list[MultiParallelRow]] = {name: [] for name in SPLIT_NAMES}
     for row in rows:
         splits = set()
         for seg in row.non_null().values():
             vol = volume_of(seg.id)
             if vol not in assignment:
-                raise ExportError(f"volume {vol!r} has no split assignment")
+                raise PolyalignError(f"volume {vol!r} has no split assignment")
             splits.add(assignment[vol])
         if len(splits) != 1:
             if conflicts is not None:
@@ -192,7 +188,7 @@ def sample_rows(rows: list[MultiParallelRow], n: int, seed: int):
     [row_id, text per idiom in sorted order].
     """
     if not 0 <= n <= len(rows):
-        raise ExportError(f"cannot sample {n} of {len(rows)} rows")
+        raise PolyalignError(f"cannot sample {n} of {len(rows)} rows")
     idioms = sorted({i for row in rows for i in row.cells})
     header = ["row_id"] + idioms
     sheet = []

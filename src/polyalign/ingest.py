@@ -35,10 +35,6 @@ from .model import (
 )
 
 
-class IngestError(PolyalignError):
-    """Malformed input document or dangling mapping reference."""
-
-
 # An ingest warning is the warnings.jsonl record {"source": ..., "message": ...}.
 Warnings = list[dict[str, str]]
 
@@ -215,39 +211,39 @@ def segment_html(
 
 def parse_volume(raw: bytes | str, warnings: Warnings | None = None) -> BookVolume:
     """Parse one raw volume document (ingestion JSON, UTF-8) into a BookVolume; a wrong type
-    or value raises an IngestError naming the field of a header (``model.volume_header``
+    or value raises a PolyalignError naming the field of a header (``model.volume_header``
     checks it) and, past the header, the volume as ``idiom/volume_id``."""
     try:
         doc = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
     except UnicodeDecodeError as exc:
-        raise IngestError(f"volume document is not UTF-8 text: {exc}") from exc
+        raise PolyalignError(f"volume document is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise IngestError(
+        raise PolyalignError(
             f"malformed volume document at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     try:
         idiom, volume_id, grade, kind = volume_header(doc)
         raw_chapters = [(c["title"], [e["html"] for e in c["elements"]]) for c in doc["chapters"]]
     except KeyError as exc:
-        raise IngestError(f"volume document missing field {exc.args[0]!r}") from exc
+        raise PolyalignError(f"volume document missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
-        raise IngestError(f"volume document: {exc}") from exc
+        raise PolyalignError(f"volume document: {exc}") from exc
     vol_ref = f"{idiom}/{volume_id}"
 
     chapters: dict[str, Chapter] = {}
     for title, elements in raw_chapters:
         if not isinstance(title, str):
-            raise IngestError(f"{vol_ref}: chapter title {title!r} is not a string")
+            raise PolyalignError(f"{vol_ref}: chapter title {title!r} is not a string")
         key = normalize_chapter_key(title)
         if not key:
-            raise IngestError(f"{vol_ref}: chapter title {title!r} normalizes to an empty key")
+            raise PolyalignError(f"{vol_ref}: chapter title {title!r} normalizes to an empty key")
         if key in chapters:
-            raise IngestError(f"{vol_ref}: two chapters have the key {key!r}")
+            raise PolyalignError(f"{vol_ref}: two chapters have the key {key!r}")
         segments: list[Segment] = []
         for elem_idx, element_html in enumerate(elements):
             source = f"{vol_ref}/{key}#element{elem_idx}"
             if not isinstance(element_html, str):
-                raise IngestError(f"{source}: html {element_html!r} is not a string")
+                raise PolyalignError(f"{source}: html {element_html!r} is not a string")
             for text, html in segment_html(element_html, warnings, source):
                 pos = len(segments)
                 segments.append(
@@ -283,9 +279,9 @@ def build_chapter_groups(
     if warnings is None:
         warnings = []
     try:
-        idioms, rows = read_idiom_table(mapping_text, "chapter mapping", "mapping row", IngestError)
+        idioms, rows = read_idiom_table(mapping_text, "chapter mapping", "mapping row")
     except ValueError as exc:
-        raise IngestError(f"chapter mapping header: {exc}") from exc
+        raise PolyalignError(f"chapter mapping header: {exc}") from exc
     chapters: dict[tuple[str, str, str], Chapter] = {}
     for vol in volumes:
         for chap in vol.chapters:
@@ -299,13 +295,13 @@ def build_chapter_groups(
             if not cell:
                 continue
             if "#" not in cell:
-                raise IngestError(
+                raise PolyalignError(
                     f"mapping row {row_idx}, idiom {idiom}: cell {cell!r} is not volume_id#chapter_key"
                 )
             volume_id, _, chapter_key = cell.partition("#")
             chap = chapters.get((idiom, volume_id, chapter_key))
             if chap is None:
-                raise IngestError(
+                raise PolyalignError(
                     f"mapping row {row_idx}, idiom {idiom}: no chapter {chapter_key!r} in volume {volume_id!r}"
                 )
             if not chap.segments:
@@ -319,7 +315,7 @@ def build_chapter_groups(
             continue
         for idiom, cell in zip(idioms, cells):
             if idiom in members and row_of.setdefault((idiom, cell), row_idx) != row_idx:
-                raise IngestError(
+                raise PolyalignError(
                     f"mapping row {row_idx}, idiom {idiom}: chapter {cell} is already grouped by row {row_of[(idiom, cell)]}"
                 )
         groups.append(ChapterGroup(group_id=f"g{row_idx:04d}", members=members))

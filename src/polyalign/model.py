@@ -14,7 +14,6 @@ import json
 import re
 import unicodedata
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass
 from html import unescape
 from json.encoder import encode_basestring
@@ -32,7 +31,7 @@ _TAG_RE = re.compile(r"<[^>]*>")
 
 
 class PolyalignError(Exception):
-    """Base of the package's errors; the CLI reports them as one line."""
+    """The package's one error class; the CLI reports it as one line."""
 
 
 def check_idiom(code: str) -> str:
@@ -157,25 +156,25 @@ class MultiParallelRow:
         return {k: v for k, v in self.cells.items() if v is not None}
 
 
-def read_idiom_table(text: str, name: str, row: str,
-                     error: Callable[[str], Exception]) -> tuple[list[str], list[list[str]]]:
+def read_idiom_table(text: str, name: str, row: str, prefix: str = "") -> tuple[list[str], list[list[str]]]:
     """The idioms and rows of an idiom-column TSV, such as the chapter mapping or a
     gold file: a header of distinct idiom codes, then per non-blank line a row of
     stripped cells, padded with "" to the header's width. A header cell that is no
     code raises ``check_idiom``'s ValueError; no line, a repeated idiom and a cell
-    beyond the header raise ``error`` of a message naming ``name`` or ``row``."""
+    beyond the header raise a PolyalignError of ``prefix`` and a message naming
+    ``name`` or ``row``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise error(f"empty {name} file")
+        raise PolyalignError(f"{prefix}empty {name} file")
     idioms = [check_idiom(col.strip()) for col in lines[0].split("\t")]
     repeated = [idiom for col, idiom in enumerate(idioms) if idiom in idioms[:col]]
     if repeated:
-        raise error(f"{name} header: idiom {repeated[0]} names two columns")
+        raise PolyalignError(f"{prefix}{name} header: idiom {repeated[0]} names two columns")
     rows = []
     for row_no, line in enumerate(lines[1:], start=1):
         cells = [c.strip() for c in line.split("\t")]
         if any(cells[len(idioms):]):
-            raise error(f"{row} {row_no}: a cell lies beyond the header's {len(idioms)} columns")
+            raise PolyalignError(f"{prefix}{row} {row_no}: a cell lies beyond the header's {len(idioms)} columns")
         rows.append(cells[: len(idioms)] + [""] * (len(idioms) - len(cells)))
     return idioms, rows
 
@@ -229,7 +228,8 @@ def volume_header(record: dict) -> tuple[str, str, int, str]:
 def corpus_from_dict(doc: dict) -> list[BookVolume]:
     """The volumes of a ``CORPUS_FORMAT`` document; a field of the wrong type, a
     volume header that ``volume_header`` refuses, a segment id that does not spell
-    ``idiom/volume_id/key/position`` or that an earlier segment holds, and another
+    ``idiom/volume_id/key/position`` or that an earlier segment holds, a volume id
+    that an idiom uses twice (``validate_corpus``, as ingest checks it), and another
     format raise KeyError, TypeError or ValueError."""
     if doc["format"] != CORPUS_FORMAT:
         raise ValueError(f"format {doc['format']!r} is not {CORPUS_FORMAT!r}")
@@ -251,6 +251,9 @@ def corpus_from_dict(doc: dict) -> list[BookVolume]:
                 segments.append(Segment(sid, idiom, position, html, text, token_count))
             chapters.append(Chapter(key=key, title=title, segments=tuple(segments)))
         volumes.append(BookVolume(idiom=idiom, volume_id=volume_id, grade=grade, kind=kind, chapters=tuple(chapters)))
+    violations = validate_corpus(volumes)
+    if violations:
+        raise ValueError("; ".join(violations))
     return volumes
 
 
@@ -284,16 +287,16 @@ def save_corpus(volumes: list[BookVolume], path) -> None:
         fh.write("\n ]\n}\n" if volumes else "]\n}\n")
 
 
-def load_json_object(path, error: type[PolyalignError] = PolyalignError) -> dict:
-    """The JSON object in the file at ``path``; anything else raises ``error``
-    naming the file."""
+def load_json_object(path) -> dict:
+    """The JSON object in the file at ``path``; anything else raises a
+    PolyalignError naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:
-            raise error(f"{path}: not valid JSON ({exc})") from exc
+            raise PolyalignError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
-        raise error(f"{path}: not a JSON object")
+        raise PolyalignError(f"{path}: not a JSON object")
     return doc
 
 

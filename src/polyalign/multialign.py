@@ -21,10 +21,6 @@ Pair = tuple[str | None, str | None]
 Partners = dict[tuple[str, str], dict[str, str | None]]
 
 
-class MultiAlignError(PolyalignError):
-    pass
-
-
 class Link(NamedTuple):
     """A stored link: a source and a target index, None on a deleted side."""
 
@@ -56,10 +52,13 @@ class LengthFilterConfig:
     unit: str = "tokens"  # tokens | characters
 
     def __post_init__(self):
+        for name, ratio in (("upper_ratio", self.upper_ratio), ("lower_ratio", self.lower_ratio)):
+            if type(ratio) not in (int, float):
+                raise PolyalignError(f"{name} must be a number, got {ratio!r}")
         if not (0 < self.lower_ratio < 1 < self.upper_ratio):
-            raise MultiAlignError("require 0 < lower_ratio < 1 < upper_ratio")
+            raise PolyalignError("require 0 < lower_ratio < 1 < upper_ratio")
         if self.unit not in ("tokens", "characters"):
-            raise MultiAlignError(f"unknown length unit {self.unit!r}")
+            raise PolyalignError(f"unknown length unit {self.unit!r}")
 
 
 def partner_maps(pair_alignments: dict[tuple[str, str], BilingualAlignment]) -> Partners:

@@ -43,7 +43,7 @@ import numpy as np
 from . import export as export_mod
 from .bialign import AlignConfig, align_chapter, cost_matrix, dp_batches, dp_tables
 from .embedding import HASH_DIM_MIN, MODES, EmbeddingCache, ProviderConfig, embed_segments
-from .ingest import IngestError, build_chapter_groups, parse_volume
+from .ingest import build_chapter_groups, parse_volume
 from .model import (
     BookVolume,
     ChapterGroup,
@@ -69,10 +69,6 @@ from .multialign import (
 
 logger = logging.getLogger(__name__)
 
-class PipelineError(PolyalignError):
-    pass
-
-
 _PATHS = ("raw_dir", "mapping", "cache_dir", "out_dir")
 
 
@@ -94,29 +90,35 @@ class PipelineConfig:
     def __post_init__(self):
         # Paths may be given as str or os.PathLike; the manifest stores str.
         for name in _PATHS:
-            setattr(self, name, os.fspath(getattr(self, name)))
+            path = getattr(self, name)
+            if not isinstance(path, (str, os.PathLike)):
+                raise PolyalignError(f"{name} must be a path, got {path!r}")
+            setattr(self, name, os.fspath(path))
         if self.workers != 1:
-            raise PipelineError(f"workers must be 1, got {self.workers}")
+            raise PolyalignError(f"workers must be 1, got {self.workers!r}")
         least = HASH_DIM_MIN if self.provider.name == "hash" else 1
         if type(self.dim) is not int or self.dim < least:
-            raise PipelineError(f"dim must be a positive integer, at least {HASH_DIM_MIN} for the hash provider, "
-                                f"got {self.dim!r}")
+            raise PolyalignError(f"dim must be a positive integer, at least {HASH_DIM_MIN} for the hash provider, "
+                                 f"got {self.dim!r}")
         if self.mode not in MODES:
-            raise PipelineError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
+            raise PolyalignError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         """The config ``doc`` describes; an unknown key, at the top or in a
-        nested section, raises a PipelineError naming it."""
+        nested section, and a section that is not an object raise a
+        PolyalignError naming it."""
         doc = dict(doc)
         try:
             for name, section in (("provider", ProviderConfig), ("align", AlignConfig),
                                   ("length_filter", LengthFilterConfig)):
-                if name in doc:
-                    doc[name] = section(**doc[name])
+                value = doc.get(name, {})
+                if not isinstance(value, dict):
+                    raise PolyalignError(f"{name} must be an object, got {value!r}")
+                doc[name] = section(**value)
             return cls(**doc)
         except TypeError as exc:
-            raise PipelineError(f"bad config: {exc}") from exc
+            raise PolyalignError(f"bad config: {exc}") from exc
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -127,10 +129,10 @@ class PipelineConfig:
 def load_config(path) -> PipelineConfig:
     """The config the file at ``path`` describes. A path it leaves empty is an
     error: an empty ``raw_dir`` would read the working directory's files."""
-    config = PipelineConfig.from_dict(load_json_object(path, PipelineError))
+    config = PipelineConfig.from_dict(load_json_object(path))
     empty = [name for name in _PATHS if not getattr(config, name)]
     if empty:
-        raise PipelineError(f"{path}: no path given for {', '.join(empty)}")
+        raise PolyalignError(f"{path}: no path given for {', '.join(empty)}")
     return config
 
 
@@ -156,7 +158,7 @@ def committing(directory=""):
     def out(name) -> str:
         path = os.path.join(directory, name)
         if os.path.realpath(path) in map(os.path.realpath, paths):
-            raise PipelineError(f"{path} is named for two outputs")
+            raise PolyalignError(f"{path} is named for two outputs")
         paths.append(path)
         return path + ".tmp"
 
@@ -182,12 +184,12 @@ def committing(directory=""):
 
 @contextmanager
 def _naming(path):
-    """Add the input file's name to the IngestError, or the UTF-8 decoding
+    """Add the input file's name to the PolyalignError, or the UTF-8 decoding
     error, raised inside."""
     try:
         yield
-    except (IngestError, UnicodeDecodeError) as exc:
-        raise IngestError(f"{exc} (in {path})") from exc
+    except (PolyalignError, UnicodeDecodeError) as exc:
+        raise PolyalignError(f"{exc} (in {path})") from exc
 
 
 def ingest_raw(raw_dir, mapping, corpus_path, warnings_path) -> dict:
@@ -195,7 +197,7 @@ def ingest_raw(raw_dir, mapping, corpus_path, warnings_path) -> dict:
     their chapters by the mapping, and write the corpus and the ingest warnings."""
     raw_paths = sorted(glob.glob(os.path.join(raw_dir, "*.json")))
     if not raw_paths:
-        raise PipelineError(f"no raw volume documents in {raw_dir!r}")
+        raise PolyalignError(f"no raw volume documents in {raw_dir!r}")
     warnings = []
     volumes: list[BookVolume] = []
     for path in raw_paths:
@@ -204,7 +206,7 @@ def ingest_raw(raw_dir, mapping, corpus_path, warnings_path) -> dict:
     volumes.sort(key=lambda v: (v.idiom, v.volume_id))
     violations = validate_corpus(volumes)
     if violations:
-        raise PipelineError("corpus validation failed: " + "; ".join(violations[:5]))
+        raise PolyalignError("corpus validation failed: " + "; ".join(violations[:5]))
     with open(mapping, encoding="utf-8") as fh, _naming(mapping):
         groups = build_chapter_groups(volumes, fh.read(), warnings)
 
@@ -273,7 +275,7 @@ def align_pairs(groups: list[ChapterGroup], alignments_path, config: PipelineCon
     ``dp_batches``: one ``dp_tables`` pass per batch, then one backtrace per pair,
     so only one batch's cost matrices and tables are held at a time."""
     if pair is not None and (len(set(pair)) != 2 or not any(set(pair) <= g.members.keys() for g in groups)):
-        raise PipelineError(f"no chapter group holds the pair {':'.join(pair)!r} of two distinct idioms")
+        raise PolyalignError(f"no chapter group holds the pair {':'.join(pair)!r} of two distinct idioms")
     cache = EmbeddingCache(config.cache_dir)
     count = 0
     with open(alignments_path, "w", encoding="utf-8") as fh:
@@ -330,7 +332,7 @@ def load_alignments(path, chapter_ids: dict[tuple[str, str], tuple[str, ...]]
                     raise ValueError(f"field 'cost' is {bad[0]!r}, not a finite int or float")
                 alignment = BilingualAlignment(*known, [Link(src, tgt) for src, tgt, _ in links])
             except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                raise PipelineError(
+                raise PolyalignError(
                     f"{path}, line {line_no}: not an alignment record ({type(exc).__name__}: {exc})"
                 ) from exc
             name = f"{i}:{j}"
@@ -346,7 +348,7 @@ def load_alignments(path, chapter_ids: dict[tuple[str, str], tuple[str, ...]]
             else:
                 problem = _cover_problem(alignment)
             if problem:
-                raise PipelineError(f"{path}, line {line_no}: group {gid}: the {name} alignment {problem}")
+                raise PolyalignError(f"{path}, line {line_no}: group {gid}: the {name} alignment {problem}")
             while gid != current:
                 yield current, pairs
                 current, pairs = next(order), {}
@@ -392,7 +394,7 @@ def build_rows(groups: list[ChapterGroup], alignments_path, rows_path,
     (``dropped_components``). Kept rows get the ``row_id`` ``<provenance>/r<index
     in the file>``, and are written once, after every group."""
     if pivot is not None and not any(pivot in g.members for g in groups):
-        raise PipelineError(f"no chapter group has the pivot idiom {pivot!r}")
+        raise PolyalignError(f"no chapter group has the pivot idiom {pivot!r}")
     chapter_ids = {(g.group_id, k): tuple(s.id for s in c.segments) for g in groups for k, c in g.members.items()}
     by_group = load_alignments(alignments_path, chapter_ids)
 
@@ -414,7 +416,7 @@ def build_rows(groups: list[ChapterGroup], alignments_path, rows_path,
             # after another group's records, is the error to report.
             for _ in by_group:
                 pass
-            raise PipelineError(
+            raise PolyalignError(
                 f"group {group.group_id} has no alignment of {', '.join(missing)}; "
                 "consensus needs every idiom pair (bialign --pair all)"
             )
@@ -521,7 +523,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
                 counts = _STAGE_FNS[stage](config, out, *inputs)
         except Exception as exc:
-            raise PipelineError(f"stage {stage!r} failed: {exc}") from exc
+            raise PolyalignError(f"stage {stage!r} failed: {exc}") from exc
         counts["seconds"] = round(time.monotonic() - t0, 3)
         manifest["stages"][stage] = counts
         logger.info("stage %s: %s", stage, counts)

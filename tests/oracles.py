@@ -21,11 +21,9 @@ from html import escape
 
 import numpy as np
 
-from polyalign.bialign import AlignConfig, AlignmentError
-from polyalign.embedding import EmbeddingError
-from polyalign.evaluate import EvalError
+from polyalign.bialign import AlignConfig
 from polyalign.ingest import BLOCK_TAGS, STRUCTURAL_TAGS, VOID_TAGS, Warnings, _Node, _TreeBuilder
-from polyalign.model import BookVolume, nfc
+from polyalign.model import BookVolume, PolyalignError, nfc
 from polyalign.multialign import BilingualAlignment, Link
 
 
@@ -168,11 +166,11 @@ def cosine(u, v) -> float:
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
-        raise EmbeddingError(f"dimension mismatch: {u.shape} vs {v.shape}")
+        raise PolyalignError(f"dimension mismatch: {u.shape} vs {v.shape}")
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
-        raise EmbeddingError("cosine of a zero vector is undefined")
+        raise PolyalignError("cosine of a zero vector is undefined")
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
@@ -180,7 +178,7 @@ def hash_embed_reference(text: str, dim: int) -> np.ndarray:
     """Reference 3-gram hashing embedding: one keyed BLAKE2 digest per gram
     occurrence, added into the vector one gram at a time."""
     if dim < 8:
-        raise EmbeddingError("hash_embed requires dim >= 8")
+        raise PolyalignError("hash_embed requires dim >= 8")
     text = unicodedata.normalize("NFC", text).lower()
     grams = [text] if len(text) < 3 else [text[i : i + 3] for i in range(len(text) - 2)]
     vec = np.zeros(dim, dtype=np.float64)
@@ -231,7 +229,7 @@ def brute_force_align(costs: np.ndarray, config: AlignConfig | None = None) -> t
     costs = np.asarray(costs, dtype=np.float64)
     n, m = costs.shape
     if n > BRUTE_FORCE_BOUND or m > BRUTE_FORCE_BOUND:
-        raise AlignmentError(f"brute force bounded to {BRUTE_FORCE_BOUND}x{BRUTE_FORCE_BOUND}")
+        raise PolyalignError(f"brute force bounded to {BRUTE_FORCE_BOUND}x{BRUTE_FORCE_BOUND}")
     lam = config.skip_cost
 
     best = None
@@ -261,11 +259,11 @@ def check_full_cover(moves: list[Move], n: int, m: int) -> None:
     srcs = [s for s, _, _ in moves if s is not None]
     tgts = [t for _, t, _ in moves if t is not None]
     if sorted(srcs) != list(range(n)) or sorted(tgts) != list(range(m)):
-        raise AlignmentError("alignment does not cover all segments exactly once")
+        raise PolyalignError("alignment does not cover all segments exactly once")
     subs = [(s, t) for s, t, _ in moves if s is not None and t is not None]
     for (i, j), (i2, j2) in zip(subs, subs[1:]):
         if not (i < i2 and j < j2):
-            raise AlignmentError("1-1 links are not monotone")
+            raise PolyalignError("1-1 links are not monotone")
 
 
 def scalar_dp_table(costs: np.ndarray, lam: float) -> np.ndarray:
@@ -473,12 +471,12 @@ def greedy_accuracy(
     Ties go to the lowest target index.
     """
     if not gold_pairs:
-        raise EvalError("greedy_accuracy requires at least one gold pair")
+        raise PolyalignError("greedy_accuracy requires at least one gold pair")
     sims = src.astype(np.float64) @ tgt.astype(np.float64).T
     correct = 0
     for s, t in gold_pairs:
         if not (0 <= s < sims.shape[0] and 0 <= t < sims.shape[1]):
-            raise EvalError(f"gold pair ({s}, {t}) out of range for {sims.shape}")
+            raise PolyalignError(f"gold pair ({s}, {t}) out of range for {sims.shape}")
         if int(np.argmax(sims[s])) == t:  # np.argmax returns the first maximum
             correct += 1
     return correct / len(gold_pairs)

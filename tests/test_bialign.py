@@ -7,12 +7,12 @@ from oracles import brute_force_align, check_full_cover, left_to_right_total, sc
 from polyalign.bialign import (
     BATCH_CELLS,
     AlignConfig,
-    AlignmentError,
     align_chapter,
     cost_matrix,
     dp_batches,
     dp_tables,
 )
+from polyalign.model import PolyalignError
 
 
 def unit_rows(rows):
@@ -57,16 +57,16 @@ class TestAlignChapter:
         assert align_chapter(np.zeros((0, 0)), AlignConfig(0.15)) == []
 
     def test_negative_lambda_is_config_error(self):
-        with pytest.raises(AlignmentError):
+        with pytest.raises(PolyalignError, match=r"skip_cost must be a finite number >= 0, got -0\.1$"):
             AlignConfig(skip_cost=-0.1)
 
     @pytest.mark.parametrize("costs", [np.zeros(3), np.zeros(0), np.zeros((2, 2, 2)), np.float64(0.5)])
     def test_cost_array_that_is_not_two_dimensional_rejected(self, costs):
-        with pytest.raises(AlignmentError, match="2-D"):
+        with pytest.raises(PolyalignError, match="2-D"):
             align_chapter(costs, AlignConfig())
 
     def test_non_finite_costs_rejected(self):
-        with pytest.raises(AlignmentError):
+        with pytest.raises(PolyalignError, match="cost matrix contains non-finite entries"):
             align_chapter(np.array([[np.inf]]), AlignConfig())
 
     def test_tie_prefers_substitution(self):
@@ -107,7 +107,7 @@ class TestOracleEquivalence:
             assert fast == slow
 
     def test_brute_force_bound(self):
-        with pytest.raises(AlignmentError):
+        with pytest.raises(PolyalignError, match="brute force bounded to 8x8"):
             brute_force_align(np.zeros((9, 2)), AlignConfig())
 
 
@@ -205,7 +205,7 @@ class TestBatchedTable:
 
     def test_align_chapter_rejects_a_table_too_small(self):
         costs = np.zeros((4, 5))
-        with pytest.raises(AlignmentError):
+        with pytest.raises(PolyalignError, match=r"DP table of shape \(9, 5\) is too small for 4 by 5 costs"):
             align_chapter(costs, table=dp_tables([np.zeros((4, 4))], 0.15)[0])
 
 

@@ -11,13 +11,12 @@ from hypothesis import example, given, strategies as st
 from oracles import cosine, hash_embed_reference
 from polyalign.embedding import (
     EmbeddingCache,
-    EmbeddingError,
     ProviderConfig,
     RemoteProvider,
     embed_segments,
     hash_embed,
 )
-from polyalign.model import Segment
+from polyalign.model import PolyalignError, Segment
 
 
 def seg(text, pos=0, html=None):
@@ -40,11 +39,11 @@ class TestCosine:
         assert cosine((1, 0), (0.6, 0.8)) == pytest.approx(0.6)
 
     def test_zero_vector_errors(self):
-        with pytest.raises(EmbeddingError):
+        with pytest.raises(PolyalignError, match="cosine of a zero vector is undefined"):
             cosine((0, 0), (1, 0))
 
     def test_dim_mismatch_errors(self):
-        with pytest.raises(EmbeddingError):
+        with pytest.raises(PolyalignError, match=r"dimension mismatch: \(2,\) vs \(3,\)"):
             cosine((1, 0), (1, 0, 0))
 
     def test_clamped_to_unit_interval(self):
@@ -73,7 +72,7 @@ class TestHashEmbed:
         assert cosine(x, y) > cosine(x, z)
 
     def test_dim_too_small_errors(self):
-        with pytest.raises(EmbeddingError):
+        with pytest.raises(PolyalignError, match="hash_embed requires dim >= 8"):
             hash_embed("abc", 4)
 
     def test_anagrams_differ(self):
@@ -230,7 +229,7 @@ class TestEmbedSegments:
         cache.put(chapter_key(texts), np.ones((2, 16)))
         cache.flush()
         segs = [seg(t, i) for i, t in enumerate(texts)]
-        with pytest.raises(EmbeddingError, match="unit-norm"):
+        with pytest.raises(PolyalignError, match="unit-norm"):
             embed_segments(segs, ProviderConfig(), "text", EmbeddingCache(tmp_path), dim=16)
 
     def test_non_unit_provider_rows_are_not_cached(self, tmp_path, monkeypatch):
@@ -239,12 +238,12 @@ class TestEmbedSegments:
         segs = [seg("a", 0), seg("b", 1)]
         provider = FakeProvider({"a": [1.0, 1.0], "b": [0.0, 1.0]}, 2)
         monkeypatch.setattr(emb, "make_provider", lambda cfg, dim=256: provider)
-        with pytest.raises(EmbeddingError, match="unit-norm"):
+        with pytest.raises(PolyalignError, match="unit-norm"):
             embed_segments(segs, ProviderConfig(), "text", EmbeddingCache(tmp_path), dim=2)
         assert not list(tmp_path.iterdir())
 
     def test_unknown_mode_errors(self):
-        with pytest.raises(EmbeddingError):
+        with pytest.raises(PolyalignError, match="unknown mode 'words'"):
             embed_segments([], ProviderConfig(), "words")
 
 
@@ -257,7 +256,7 @@ class FailingProvider(FakeProvider):
 
     def embed_batch(self, texts):
         if len(self.calls) + 1 == self.fail_on:
-            raise EmbeddingError("provider down")
+            raise PolyalignError("provider down")
         return super().embed_batch(texts)
 
 
@@ -327,10 +326,10 @@ class TestEmbeddingCache:
     def test_wrong_size_record_raises(self, tmp_path):
         texts = chapter_texts(0, n=3)
         chapter_matrix(texts[:2]).astype("<f4").tofile(tmp_path / f"{chapter_key(texts)}.bin")
-        with pytest.raises(EmbeddingError, match=chapter_key(texts)):
+        with pytest.raises(PolyalignError, match=chapter_key(texts)):
             EmbeddingCache(tmp_path).get(chapter_key(texts), 3, 16)
         segs = [seg(t, i) for i, t in enumerate(texts)]
-        with pytest.raises(EmbeddingError, match="not 3x16"):
+        with pytest.raises(PolyalignError, match="not 3x16"):
             embed_segments(segs, ProviderConfig(), "text", EmbeddingCache(tmp_path), dim=16)
 
     def test_repeated_text_in_a_cold_chapter(self, tmp_path):
@@ -346,7 +345,7 @@ class TestEmbeddingCache:
         table = {f"text {i}": hash_embed(f"text {i}", 16) for i in range(4)}
         monkeypatch.setattr(emb, "make_provider", lambda cfg, dim=256: FailingProvider(table, 16, 2))
         segs = [seg(f"text {i}", i) for i in range(4)]
-        with pytest.raises(EmbeddingError, match="provider down"):
+        with pytest.raises(PolyalignError, match="provider down"):
             embed_segments(segs, ProviderConfig(batch_size=2), "text", EmbeddingCache(tmp_path / "c"), dim=16)
         assert not list((tmp_path / "c").iterdir())
 
@@ -391,10 +390,19 @@ class NanSession(FlakySession):
         return FakeResponse([[float("nan")] * self.dim for _ in json["texts"]])
 
 
-class UnauthorizedSession(FlakySession):
+class StatusSession(FlakySession):
+    """Answers the n-th call with the n-th HTTP status of ``statuses``; a 200 carries the rows."""
+
+    def __init__(self, statuses):
+        super().__init__()
+        self.statuses = statuses
+
     def post(self, url, json=None, headers=None, timeout=None):
+        status = self.statuses[self.calls]
+        if status == 200:
+            return super().post(url, json, headers, timeout)
         self.calls += 1
-        return FakeResponse(None, status_code=401)
+        return FakeResponse(None, status_code=status)
 
 
 class BodySession(FlakySession):
@@ -428,19 +436,19 @@ class TestRemoteProvider:
     def test_gives_up_after_three_attempts(self, monkeypatch):
         monkeypatch.setattr("time.sleep", lambda s: None)
         provider = RemoteProvider(self.config(), session=FlakySession(fail_times=10))
-        with pytest.raises(EmbeddingError, match="after 3 attempts"):
+        with pytest.raises(PolyalignError, match="after 3 attempts"):
             provider.embed_batch(["a"])
 
     def test_no_sleep_after_the_last_attempt(self, monkeypatch):
         sleeps = []
         monkeypatch.setattr("time.sleep", sleeps.append)
         provider = RemoteProvider(self.config(), session=FlakySession(fail_times=10))
-        with pytest.raises(EmbeddingError, match="after 3 attempts"):
+        with pytest.raises(PolyalignError, match="after 3 attempts"):
             provider.embed_batch(["a"])
         assert sleeps == [0.5, 1.0]
 
     def test_missing_endpoint_errors(self):
-        with pytest.raises(EmbeddingError, match="provider 'remote' is not 'hash' and has no endpoint"):
+        with pytest.raises(PolyalignError, match="provider 'remote' is not 'hash' and has no endpoint"):
             ProviderConfig(name="remote")
 
     def test_auth_env_var_is_sent_as_a_bearer_token(self, monkeypatch):
@@ -456,7 +464,7 @@ class TestRemoteProvider:
         monkeypatch.delenv("POLYALIGN_TEST_SECRET", raising=False)
         session = FlakySession()
         config = dataclasses.replace(self.config(), auth="POLYALIGN_TEST_SECRET")
-        with pytest.raises(EmbeddingError, match="env var POLYALIGN_TEST_SECRET is not set"):
+        with pytest.raises(PolyalignError, match="env var POLYALIGN_TEST_SECRET is not set"):
             RemoteProvider(config, dim=8, session=session).embed_batch(["a"])
         assert session.calls == 0 and sleeps == []
 
@@ -464,7 +472,7 @@ class TestRemoteProvider:
         sleeps = []
         monkeypatch.setattr("time.sleep", sleeps.append)
         session = ShortSession()
-        with pytest.raises(EmbeddingError, match=r"shape \(1, 8\), requested dim 8 for 2 inputs"):
+        with pytest.raises(PolyalignError, match=r"shape \(1, 8\), requested dim 8 for 2 inputs"):
             RemoteProvider(self.config(), dim=8, session=session).embed_batch(["a", "b"])
         assert session.calls == 1 and sleeps == []
 
@@ -477,23 +485,40 @@ class TestRemoteProvider:
         sleeps = []
         monkeypatch.setattr("time.sleep", sleeps.append)
         session = BodySession(body)
-        with pytest.raises(EmbeddingError, match="no embeddings array"):
+        with pytest.raises(PolyalignError, match="no embeddings array"):
             RemoteProvider(self.config(), dim=8, session=session).embed_batch(["a", "b"])
         assert session.calls == 1 and sleeps == []
 
     def test_body_that_is_not_json_is_retried(self, monkeypatch):
         monkeypatch.setattr("time.sleep", lambda s: None)
         session = BodySession(None)
-        with pytest.raises(EmbeddingError, match="after 3 attempts: Expecting value"):
+        with pytest.raises(PolyalignError, match="after 3 attempts: Expecting value"):
             RemoteProvider(self.config(), dim=8, session=session).embed_batch(["a"])
         assert session.calls == 3
 
     def test_client_error_is_not_retried(self, monkeypatch):
         monkeypatch.setattr("time.sleep", lambda s: None)
-        session = UnauthorizedSession()
-        with pytest.raises(EmbeddingError, match="HTTP 401"):
+        session = StatusSession([401])
+        with pytest.raises(PolyalignError, match="HTTP 401"):
             RemoteProvider(self.config(), session=session).embed_batch(["a"])
         assert session.calls == 1
+
+    @pytest.mark.parametrize("statuses, sleeps, error", [
+        ([503, 429, 200], [0.5, 1.0], None),
+        ([503, 503, 503], [0.5, 1.0], "batch of 1 failed after 3 attempts: HTTP 503"),
+        ([404], [], "provider rejected the batch: HTTP 404"),
+    ], ids=["503-429-200", "503-three-times", "404"])
+    def test_http_429_and_5xx_are_retried(self, monkeypatch, statuses, sleeps, error):
+        slept = []
+        monkeypatch.setattr("time.sleep", slept.append)
+        session = StatusSession(statuses)
+        provider = RemoteProvider(self.config(), dim=8, session=session)
+        if error is None:
+            assert np.allclose(provider.embed_batch(["a"]), hash_embed("a", 8), atol=1e-6)
+        else:
+            with pytest.raises(PolyalignError, match=f"^{error}$"):
+                provider.embed_batch(["a"])
+        assert session.calls == len(statuses) and slept == sleeps
 
     def test_nan_batch_is_not_cached(self, tmp_path, monkeypatch):
         import polyalign.embedding as emb
@@ -505,7 +530,7 @@ class TestRemoteProvider:
             return embed_segments(segs, self.config(), "text", EmbeddingCache(tmp_path), dim=8)
 
         nan_session = NanSession()
-        with pytest.raises(EmbeddingError, match="non-finite"):
+        with pytest.raises(PolyalignError, match="non-finite"):
             embed_with(nan_session)
         assert nan_session.calls == 1
         mat = embed_with(FlakySession())
@@ -516,7 +541,7 @@ class TestRemoteProvider:
         session = FlakySession(dim=8)
         monkeypatch.setattr("requests.Session", lambda: session)
         segs = [seg(f"text {i}", i) for i in range(3)]
-        with pytest.raises(EmbeddingError, match=r"\(3, 8\), requested dim 16"):
+        with pytest.raises(PolyalignError, match=r"\(3, 8\), requested dim 16"):
             embed_segments(segs, self.config(), "text", EmbeddingCache(tmp_path), dim=16)
         assert session.calls == 1
         assert not list(tmp_path.glob("*.bin"))

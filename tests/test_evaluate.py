@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from polyalign.evaluate import (
-    EvalError,
     GoldAlignment,
     PRF,
     load_gold,
     multi_prf,
     strict_prf,
 )
-from polyalign.model import MultiParallelRow, Segment
+from polyalign.model import MultiParallelRow, PolyalignError, Segment
 
 from oracles import greedy_accuracy
 
@@ -171,12 +170,12 @@ class TestGreedyAccuracy:
 
     def test_empty_gold_errors(self):
         m = unit_matrix([[1, 0]])
-        with pytest.raises(EvalError):
+        with pytest.raises(PolyalignError, match="greedy_accuracy requires at least one gold pair"):
             greedy_accuracy(m, m, [])
 
     def test_out_of_range_pair_errors(self):
         m = unit_matrix([[1, 0]])
-        with pytest.raises(EvalError):
+        with pytest.raises(PolyalignError, match=r"gold pair \(0, 5\) out of range for \(1, 1\)"):
             greedy_accuracy(m, m, [(0, 5)])
 
 
@@ -203,49 +202,49 @@ class TestLoadGold:
 
     def test_duplicate_id_names_both_rows(self, tmp_path):
         p = self.write(tmp_path, "x\ty\nx0\ty0\nx0\ty1\n")
-        with pytest.raises(EvalError, match="rows 1 and 2"):
+        with pytest.raises(PolyalignError, match="rows 1 and 2"):
             load_gold(p, self.index("x0", "y0", "y1"))
 
     def test_empty_file_errors(self, tmp_path):
-        with pytest.raises(EvalError):
+        with pytest.raises(PolyalignError, match=r"gold\.tsv: empty gold file$"):
             load_gold(self.write(tmp_path, ""), self.index("x0"))
 
     def test_all_empty_row_errors(self, tmp_path):
         # Stray separators with no ids leave every cell empty.
-        with pytest.raises(EvalError, match="row 1"):
+        with pytest.raises(PolyalignError, match="row 1"):
             load_gold(self.write(tmp_path, "x\ty\n;\t;\n"), self.index("x0", "y0"))
 
     def test_header_must_be_idiom_codes(self, tmp_path):
         p = self.write(tmp_path, '{\n "dim": 256\n}\n')
-        with pytest.raises(EvalError, match=r"gold\.tsv: not a gold file \(invalid idiom code"):
+        with pytest.raises(PolyalignError, match=r"gold\.tsv: not a gold file \(invalid idiom code"):
             load_gold(p, self.index("x0", "y0"))
 
     @pytest.mark.parametrize("header", ["x", "x\tx"])
     def test_header_must_name_two_distinct_idioms(self, tmp_path, header):
         p = self.write(tmp_path, f"{header}\nx0\n")
         expected = {"x": "the header must name two or more idioms", "x\tx": "gold header: idiom x names two columns"}
-        with pytest.raises(EvalError, match=rf"gold\.tsv: {expected[header]}$"):
+        with pytest.raises(PolyalignError, match=rf"gold\.tsv: {expected[header]}$"):
             load_gold(p, self.index("x0", "x1", "y0"))
 
     def test_cell_beyond_the_header_names_the_file_and_row(self, tmp_path):
         p = self.write(tmp_path, "x\ty\nx0\ty0\nx1\t\ty1\n")
-        with pytest.raises(EvalError, match=r"gold\.tsv: gold row 2: a cell lies beyond the header's 2 columns$"):
+        with pytest.raises(PolyalignError, match=r"gold\.tsv: gold row 2: a cell lies beyond the header's 2 columns$"):
             load_gold(p, self.index("x0", "x1", "y0", "y1"))
 
     def test_idioms_must_be_in_the_corpus(self, tmp_path):
         p = self.write(tmp_path, "x\tw\nx0\t\n")
-        with pytest.raises(EvalError, match=r"gold\.tsv: idiom\(s\) w not in the corpus"):
+        with pytest.raises(PolyalignError, match=r"gold\.tsv: idiom\(s\) w not in the corpus"):
             load_gold(p, self.index("x0", "y0"))
 
     def test_ids_must_be_corpus_segments_of_their_idiom(self, tmp_path):
         index = self.index("x0", "y0")
         for cells in ("x9\ty0", "y0\tx0"):
             p = self.write(tmp_path, f"x\ty\n{cells}\n")
-            with pytest.raises(EvalError, match=r"gold\.tsv: gold row 1 names '[xy]\d', no x segment"):
+            with pytest.raises(PolyalignError, match=r"gold\.tsv: gold row 1 names '[xy]\d', no x segment"):
                 load_gold(p, index)
 
     def test_bytes_that_are_not_utf8(self, tmp_path):
         p = tmp_path / "gold.tsv"
         p.write_bytes(b"x\ty\n\xff\xfe\n")
-        with pytest.raises(EvalError, match=r"gold\.tsv: not a gold file"):
+        with pytest.raises(PolyalignError, match=r"gold\.tsv: not a gold file"):
             load_gold(p, self.index("x0", "y0"))

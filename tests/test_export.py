@@ -3,7 +3,6 @@ import json
 import pytest
 
 from polyalign.export import (
-    ExportError,
     export_bitext,
     export_rows,
     load_rows,
@@ -17,6 +16,7 @@ from polyalign.model import (
     BookVolume,
     Chapter,
     MultiParallelRow,
+    PolyalignError,
     Segment,
 )
 
@@ -109,7 +109,7 @@ class TestRowsRoundTrip:
     def test_unknown_segment_on_load_errors(self, tmp_path, alignment):
         path = tmp_path / "rows.jsonl"
         export_rows(alignment, path)
-        with pytest.raises(ExportError, match="unknown segment"):
+        with pytest.raises(PolyalignError, match="unknown segment"):
             load_rows(path, {})
 
     def test_non_ascii_is_preserved_verbatim(self, tmp_path):
@@ -141,7 +141,7 @@ class TestBitext:
         assert line == "a b c\td"
 
     def test_absent_idiom_errors(self, tmp_path, corpus, alignment):
-        with pytest.raises(ExportError, match="sursilvan"):
+        with pytest.raises(PolyalignError, match="sursilvan"):
             export_bitext(corpus[0], alignment, "puter", "sursilvan", tmp_path / "o.tsv")
 
 
@@ -218,15 +218,15 @@ class TestSplitRows:
         assert conflicts == [{"row_id": "g001/r00000", "splits": ["test", "train"]}]
 
     def test_unassigned_volume_errors(self, alignment):
-        with pytest.raises(ExportError, match="vol02"):
+        with pytest.raises(PolyalignError, match="vol02"):
             split_rows(alignment, {"vol01": "train"})
 
     def test_unknown_split_name_errors(self, alignment):
-        with pytest.raises(ExportError, match="dev"):
+        with pytest.raises(PolyalignError, match="dev"):
             split_rows(alignment, {"vol01": "dev", "vol02": "dev"})
 
     def test_split_value_that_is_not_a_string_errors(self, alignment):
-        with pytest.raises(ExportError, match=r"'vol01' maps to \['train'\]"):
+        with pytest.raises(PolyalignError, match=r"'vol01' maps to \['train'\]"):
             split_rows(alignment, {"vol01": ["train"], "vol02": "train"})
 
     def test_unknown_split_name_is_rejected_not_logged_as_a_conflict(self, corpus):
@@ -235,7 +235,7 @@ class TestSplitRows:
             {"puter": "puter/vol01/c/0", "vallader": "vallader/vol02/c/0"},
         ])
         conflicts = []
-        with pytest.raises(ExportError, match="'vol02' maps to 'dev'"):
+        with pytest.raises(PolyalignError, match="'vol02' maps to 'dev'"):
             split_rows(rows, {"vol01": "train", "vol02": "dev"}, conflicts)
         assert conflicts == []
 
@@ -252,7 +252,7 @@ class TestSampleRows:
         assert len(set(ids)) == 3
 
     def test_oversampling_errors(self, alignment):
-        with pytest.raises(ExportError):
+        with pytest.raises(PolyalignError, match="cannot sample 4 of 3 rows"):
             sample_rows(alignment, 4, seed=0)
 
     def test_header_covers_all_idioms(self, alignment):

@@ -9,12 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import polyalign.ingest as ingest
 from polyalign.ingest import (
-    IngestError,
     build_chapter_groups,
     parse_volume,
     segment_html,
 )
-from polyalign.model import nfc
+from polyalign.model import PolyalignError, nfc
 
 from oracles import segment_html_reference
 from synth import generate
@@ -297,11 +296,11 @@ class TestParseVolume:
         assert [s.position for s in vol.chapters[0].segments] == [0, 1, 2]
 
     def test_malformed_json_reports_location(self):
-        with pytest.raises(IngestError, match=r"line \d+"):
+        with pytest.raises(PolyalignError, match=r"line \d+"):
             parse_volume(b'{"idiom": "sursilvan", ')
 
     def test_unknown_idiom_is_config_error(self):
-        with pytest.raises(IngestError, match="invalid idiom code"):
+        with pytest.raises(PolyalignError, match="invalid idiom code"):
             parse_volume(volume_doc([], idiom="Not-Valid!"))
 
     def test_bytes_input_accepted(self):
@@ -310,7 +309,7 @@ class TestParseVolume:
 
     def test_volume_id_must_fit_the_id_grammar(self):
         for bad in ("", "a/b", "a#b", "a b", "a\tb", 7, None):
-            with pytest.raises(IngestError) as exc:
+            with pytest.raises(PolyalignError) as exc:
                 parse_volume(volume_doc([], volume_id=bad))
             problem = "not str" if not isinstance(bad, str) else (
                 "not a non-empty string free of '/', '#' and whitespace")
@@ -319,7 +318,7 @@ class TestParseVolume:
     def test_unknown_kind_is_rejected(self):
         doc = json.loads(volume_doc([]))
         doc["kind"] = "reader"
-        with pytest.raises(IngestError) as exc:
+        with pytest.raises(PolyalignError) as exc:
             parse_volume(json.dumps(doc))
         assert str(exc.value) == "volume document: field 'kind' is 'reader', not one of workbook, commentary"
 
@@ -327,14 +326,14 @@ class TestParseVolume:
     def test_grade_that_is_not_an_integer(self, grade):
         doc = json.loads(volume_doc([]))
         doc["grade"] = grade
-        with pytest.raises(IngestError) as exc:
+        with pytest.raises(PolyalignError) as exc:
             parse_volume(json.dumps(doc))
         assert str(exc.value) == f"volume document: field 'grade' is {grade!r}, not int"
 
     def test_chapter_key_repeated_in_a_volume(self):
         # "Intro" and "intro!" both normalize to the key "intro".
         chapters = [{"title": "Intro", "elements": [{"html": "<p>a</p>"}]}, {"title": "intro!", "elements": []}]
-        with pytest.raises(IngestError, match="sursilvan/v1: two chapters have the key 'intro'"):
+        with pytest.raises(PolyalignError, match="sursilvan/v1: two chapters have the key 'intro'"):
             parse_volume(volume_doc(chapters))
         assert len(parse_volume(volume_doc(chapters[:1])).chapters) == 1
 
@@ -344,7 +343,7 @@ class TestParseVolume:
          "sursilvan/v1/one#element1: html ['<p>b</p>'] is not a string"),
     ])
     def test_title_or_html_that_is_not_a_string(self, chapter, message):
-        with pytest.raises(IngestError) as exc:
+        with pytest.raises(PolyalignError) as exc:
             parse_volume(volume_doc([chapter]))
         assert str(exc.value) == message
 
@@ -401,7 +400,7 @@ class TestBuildChapterGroups:
 
     def test_dangling_reference_names_the_row(self):
         mapping = "sursilvan\tsutsilvan\nv1#alpha\tv1#missing\n"
-        with pytest.raises(IngestError, match="row 1"):
+        with pytest.raises(PolyalignError, match="row 1"):
             build_chapter_groups(self._volumes(), mapping)
 
     def test_group_count_bounded_by_mapping_rows(self):

@@ -17,12 +17,11 @@ from oracles import (
 from polyalign.bialign import align_chapter, cost_matrix
 from polyalign.embedding import embed_segments
 from polyalign.ingest import build_chapter_groups
-from polyalign.model import ChapterGroup, Chapter, MultiParallelRow, Segment
+from polyalign.model import ChapterGroup, Chapter, MultiParallelRow, PolyalignError, Segment
 from polyalign.multialign import (
     BilingualAlignment,
     LengthFilterConfig,
     Link,
-    MultiAlignError,
     PairLinkSet,
     align_group_consensus,
     assemble_rows,
@@ -32,7 +31,7 @@ from polyalign.multialign import (
     pivot_join,
     pivot_multialign,
 )
-from polyalign.pipeline import PipelineError, build_rows, corpus_groups, ingest_raw
+from polyalign.pipeline import build_rows, corpus_groups, ingest_raw
 from synth import generate
 
 
@@ -135,7 +134,7 @@ class TestPivotJoin:
         assert rows_on(root, tmp_path / "fresh.jsonl")["rows"] > 0
         (root / "rows.jsonl").unlink()
         write_alignments(tmp_path / "stale.jsonl", groups, stale_pair=(i, j))
-        with pytest.raises(PipelineError, match=f"group {groups[-1].group_id}: the {i}:{j} alignment "
+        with pytest.raises(PolyalignError, match=f"group {groups[-1].group_id}: the {i}:{j} alignment "
                                                 "does not match the corpus's chapters; rerun bialign"):
             rows_on(root, tmp_path / "stale.jsonl")
         assert not (root / "rows.jsonl").exists()
@@ -229,7 +228,7 @@ class TestPivotMultialign:
         assert rows_on(root, tmp_path / "fresh.jsonl", pivot)["rows"] > 0
         (root / "rows.jsonl").unlink()
         write_alignments(tmp_path / "stale.jsonl", groups, stale_pair=(pivot, other))
-        with pytest.raises(PipelineError, match=f"group {groups[-1].group_id}: the {pivot}:{other} alignment "
+        with pytest.raises(PolyalignError, match=f"group {groups[-1].group_id}: the {pivot}:{other} alignment "
                                                 "does not match the corpus's chapters; rerun bialign"):
             rows_on(root, tmp_path / "stale.jsonl", pivot)
         assert not (root / "rows.jsonl").exists()
@@ -542,7 +541,7 @@ class TestLengthFilter:
         assert out.flags == frozenset()
 
     def test_invalid_config(self):
-        with pytest.raises(MultiAlignError):
+        with pytest.raises(PolyalignError, match="require 0 < lower_ratio < 1 < upper_ratio"):
             LengthFilterConfig(upper_ratio=0.9)
 
     def test_retained_cells_within_bounds(self):

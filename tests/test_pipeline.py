@@ -14,13 +14,12 @@ from click.testing import CliRunner
 import polyalign.cli as cli
 from polyalign.cli import main
 from polyalign.embedding import EmbeddingCache, hash_embed
-from polyalign.export import ExportError, export_rows
+from polyalign.export import export_rows
 from polyalign.model import CORPUS_FORMAT, PolyalignError, make_segment_id
 import polyalign.pipeline as pipeline
 from polyalign.pipeline import load_alignments as pipeline_load_alignments
 from polyalign.pipeline import (
     PipelineConfig,
-    PipelineError,
     build_rows,
     corpus_groups,
     ingest_raw,
@@ -221,7 +220,7 @@ class TestRunPipeline:
             raw_dir=str(tmp_path / "nowhere"), mapping=str(tmp_path / "m.tsv"),
             cache_dir=str(tmp_path / "cache"), out_dir=str(tmp_path / "out"),
         )
-        with pytest.raises(PipelineError, match="ingest"):
+        with pytest.raises(PolyalignError, match="ingest"):
             run_pipeline(config)
 
     def test_failed_stage_leaves_no_partial_artifacts(self, small_corpus, tmp_path):
@@ -234,7 +233,7 @@ class TestRunPipeline:
             encoding="utf-8",
         )
         config = make_config(tmp_path, raw, bad_mapping)
-        with pytest.raises(PipelineError, match="missing"):
+        with pytest.raises(PolyalignError, match="missing"):
             run_pipeline(config)
         out = tmp_path / "out"
         assert not (out / "corpus.json").exists()
@@ -253,7 +252,7 @@ class TestRunPipeline:
         class DownOnThirdChapter(emb.HashProvider):
             def embed_batch(self, texts):
                 if len(made) == 3:
-                    raise emb.EmbeddingError("provider down")
+                    raise PolyalignError("provider down")
                 return super().embed_batch(texts)
 
         def make_provider(cfg, dim=256):
@@ -264,7 +263,7 @@ class TestRunPipeline:
         config = make_config(tmp_path, raw, mapping)
         with monkeypatch.context() as patch:
             patch.setattr(emb, "make_provider", make_provider)
-            with pytest.raises(PipelineError, match="stage 'embed' failed: provider down"):
+            with pytest.raises(PolyalignError, match="stage 'embed' failed: provider down"):
                 run_pipeline(config)
         assert len(made) == 3
         assert not list((tmp_path / "out").glob("*.tmp"))
@@ -324,7 +323,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr(pipeline.export_mod, "render_stats", render_fails)
         raw, mapping, _ = write_fixture(small_corpus, tmp_path)
-        with pytest.raises(PipelineError, match="stage 'export' failed: render failed"):
+        with pytest.raises(PolyalignError, match="stage 'export' failed: render failed"):
             run_pipeline(make_config(tmp_path, raw, mapping))
         out, clean = tmp_path / "out", pipeline_run[0] / "out"
         assert (out / "stats.json.quarantine").read_bytes() == (clean / "stats.json").read_bytes()
@@ -345,7 +344,7 @@ class TestRunPipeline:
             raise RuntimeError("render failed")
 
         monkeypatch.setattr(pipeline.export_mod, "render_stats", render_fails)
-        with pytest.raises(PipelineError, match="stage 'export' failed: render failed"):
+        with pytest.raises(PolyalignError, match="stage 'export' failed: render failed"):
             run_pipeline(config)
         # The earlier manifest would hash alignments.jsonl and rows.jsonl, which the rerun replaced.
         assert not (tmp_path / "out" / "manifest.json").exists()
@@ -397,7 +396,7 @@ class TestRunPipeline:
         (doc[section] if section else doc)[key] = value
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(PipelineError, match=key):
+        with pytest.raises(PolyalignError, match=key):
             load_config(path)
         result = CliRunner().invoke(main, ["run", "--config", str(path)])
         assert result.exit_code == 1
@@ -405,7 +404,7 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("dim", ["256", 0, True, 4])
     def test_dim_other_than_a_positive_integer_rejected(self, dim):
-        with pytest.raises(PipelineError, match="dim must be a positive integer, at least 8 for the hash provider"):
+        with pytest.raises(PolyalignError, match="dim must be a positive integer, at least 8 for the hash provider"):
             PipelineConfig.from_dict({"dim": dim})
 
     def test_dim_below_the_hash_minimum_accepted_for_a_remote_provider(self):
@@ -431,7 +430,7 @@ class TestRunPipeline:
         assert not (tmp_path / "out" / "corpus.json").exists()
 
     def test_unknown_mode_rejected_before_any_stage_runs(self, tmp_path):
-        with pytest.raises(PipelineError, match="mode"):
+        with pytest.raises(PolyalignError, match="mode"):
             PipelineConfig(mode="bogus")
         raw, mapping, _ = write_fixture(generate(seed=0, n_groups=2, segs_per_chapter=5), tmp_path)
         doc = make_config(tmp_path, raw, mapping).to_dict()
@@ -445,7 +444,14 @@ class TestRunPipeline:
         # Only the hash provider needs no endpoint; a misspelt name is a remote provider without one.
         ("provider", {"name": "hsh"}, "provider 'hsh' is not 'hash' and has no endpoint"),
         ("length_filter", {"unit": "words"}, "unknown length unit 'words'"),
-    ], ids=["provider-without-endpoint", "length-unit-words"])
+        # A value of the wrong type is named with its field, as dim and batch_size are.
+        ("align", {"skip_cost": "0.1"}, "skip_cost must be a finite number >= 0, got '0.1'"),
+        ("length_filter", {"upper_ratio": "2"}, "upper_ratio must be a number, got '2'"),
+        ("length_filter", {"lower_ratio": True}, "lower_ratio must be a number, got True"),
+        ("align", 0.3, "align must be an object, got 0.3"),
+        ("raw_dir", 5, "raw_dir must be a path, got 5"),
+    ], ids=["provider-without-endpoint", "length-unit-words", "skip-cost-str", "upper-ratio-str",
+            "lower-ratio-bool", "align-number", "raw-dir-number"])
     def test_config_a_later_stage_refuses_rejected_before_any_stage_runs(self, tmp_path, section, value, message):
         with pytest.raises(PolyalignError, match=message):
             PipelineConfig.from_dict({section: value})
@@ -453,6 +459,10 @@ class TestRunPipeline:
         path = write_config(tmp_path / "config.json", make_config(tmp_path, raw, mapping), **{section: value})
         assert_reported(CliRunner().invoke(main, ["run", "--config", path]), message)
         assert not (tmp_path / "out").exists()
+
+    def test_integer_skip_cost_and_ratios_accepted(self):
+        config = PipelineConfig.from_dict({"align": {"skip_cost": 1}, "length_filter": {"upper_ratio": 2}})
+        assert config.align.skip_cost == 1 and config.length_filter.upper_ratio == 2
 
     @pytest.mark.parametrize("key", ["raw_dir", "mapping", "cache_dir", "out_dir"])
     def test_config_that_leaves_a_path_empty_rejected_before_any_stage_runs(self, tmp_path, monkeypatch, key):
@@ -490,7 +500,7 @@ class TestRunPipeline:
         assert spans.missing_spans(tracer.metrics(build_s), cold=True) == []
 
     def test_workers_other_than_one_rejected(self):
-        with pytest.raises(PipelineError, match="workers"):
+        with pytest.raises(PolyalignError, match="workers"):
             PipelineConfig(workers=2)
 
     def test_stored_alignments_hold_the_corpus_segment_ids(self, tmp_path, monkeypatch):
@@ -543,7 +553,7 @@ class TestRunPipeline:
 
     def test_volume_id_breaking_the_id_grammar_fails_ingest(self, small_corpus, tmp_path):
         raw, mapping, message = write_bad_volume(small_corpus, tmp_path)
-        with pytest.raises(PipelineError) as exc:
+        with pytest.raises(PolyalignError) as exc:
             run_pipeline(make_config(tmp_path, raw, mapping))
         assert str(exc.value) == f"stage 'ingest' failed: {message}"
 
@@ -636,7 +646,7 @@ class TestStoredAlignmentsMustBeCovers:
         write_broken_alignments(out, edit, broken)
         _, groups = corpus_groups(out / "corpus.json", out / "mapping.tsv")
         for pivot in (None, "sursilvan"):
-            with pytest.raises(PipelineError, match=f"group g0001: the puter:surmiran alignment {problem}"):
+            with pytest.raises(PolyalignError, match=f"group g0001: the puter:surmiran alignment {problem}"):
                 build_rows(groups, broken, tmp_path / "rows.jsonl", None, pivot)
             assert not (tmp_path / "rows.jsonl").exists()
 
@@ -1094,7 +1104,7 @@ class TestCli:
 
         def third_file_fails(*args):
             if len(written) == 2:
-                raise ExportError("disk full")
+                raise PolyalignError("disk full")
             written.append(args[1])
             return export_rows(*args)
 
@@ -1375,6 +1385,17 @@ def _segment_id_misspelled(doc, segments):
     return f"segment id {segments[0]['id']!r} does not spell idiom/volume_id/key/position"
 
 
+def _volume_id_repeated(doc, segments):
+    # A copy of the first volume under other chapter keys: no segment id repeats.
+    volume = json.loads(json.dumps(doc["volumes"][0]))
+    for chapter in volume["chapters"]:
+        chapter["key"] += " copy"
+        for seg in chapter["segments"]:
+            seg["id"] = make_segment_id(volume["idiom"], volume["volume_id"], chapter["key"], seg["position"])
+    doc["volumes"].append(volume)
+    return f"ValueError: {volume['idiom']}/{volume['volume_id']}: duplicate volume_id"
+
+
 class TestCliReportsFileSystemErrors:
     def test_bialign_into_a_missing_directory(self, cli_workspace, tmp_path):
         root, runner = cli_workspace
@@ -1432,7 +1453,8 @@ class TestCliReportsMalformedFiles:
         ])
         assert_reported(result, f"{corpus}: not a polyalign corpus", f"field {field!r} is {value!r}")
 
-    @pytest.mark.parametrize("edit", [_format_missing, _format_other, _segment_id_repeated, _segment_id_misspelled])
+    @pytest.mark.parametrize("edit", [_format_missing, _format_other, _segment_id_repeated, _segment_id_misspelled,
+                                      _volume_id_repeated])
     def test_corpus_that_is_not_polyalign_corpus_1(self, cli_workspace, tmp_path, edit):
         root, runner = cli_workspace
         doc = json.loads((root / "out" / "corpus.json").read_text(encoding="utf-8"))
