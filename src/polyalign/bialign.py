@@ -3,10 +3,11 @@
 The restriction collapses the alignment problem to an O(nm) edit-distance
 style dynamic program over embedding costs: moves are substitute (1-1 at the
 cell cost), skip-source (1-0) and skip-target (0-1), both at a flat penalty.
-``dp_tables`` fills the tables of a batch of pairs (``dp_batches`` groups
-them) in one pass over their anti-diagonals; ``align_chapter`` backtraces one
-pair from its slice, or computes its table alone as a batch of one, and
-returns the ``(src, tgt, cost)`` moves of the cover. The caller turns them
+``dp_tables`` fills the tables of a batch of pairs in one pass over their
+anti-diagonals; ``dp_batches`` cuts a list of pair shapes, which may come from
+many chapter groups, into such batches. ``align_chapter`` backtraces one pair
+from its slice, or computes its table alone as a batch of one, and returns the
+``(src, tgt, cost)`` moves of the cover. The caller turns them
 into its record: ``pipeline`` writes each pair's ``alignments.jsonl`` line,
 which multialign reads back as index pairs (``multialign.Link``).
 """
@@ -36,10 +37,12 @@ def cost_matrix(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     return 1.0 - np.clip(src.astype(np.float64) @ tgt.astype(np.float64).T, -1.0, 1.0)
 
 
-# A batch of DP tables holds at most this many padded cells, k * N * M: one
-# paper-sized group (10 pairs of about 40 by 40) fits, a 330 by 330 pair
-# runs alone, and a long group never holds all its tables at once.
-BATCH_CELLS = 1 << 17
+# A batch of DP tables holds at most this many padded cells, k * N * M. A
+# batch may span chapter groups: the 40 paper-sized groups of the benchmark
+# (10 pairs of about 33 by 33 each) take 7 passes, a group of 100 by 100
+# chapters takes two, a 330 by 330 pair runs alone, and a long group never
+# holds all its tables at once.
+BATCH_CELLS = 1 << 16
 
 
 def dp_batches(shapes: list[tuple[int, int]]) -> list[list[int]]:
@@ -131,14 +134,17 @@ def align_chapter(costs: np.ndarray, config: AlignConfig | None = None,
     elif table.shape[0] < i + j + 1 or table.shape[1] < i + 1:
         raise PolyalignError(f"DP table of shape {table.shape} is too small for {i} by {j} costs")
 
+    # Memoryviews index to Python floats, the same doubles as numpy's scalars
+    # but cheaper to read and add one cell at a time.
+    cell, cost = memoryview(table), memoryview(costs)
     moves: list[tuple[int | None, int | None, float]] = []
     while i > 0 or j > 0:
         # Exact equality holds: each cell was computed from these expressions.
         d = i + j
-        if i > 0 and j > 0 and table[d, i] == table[d - 2, i - 1] + costs[i - 1, j - 1]:
-            moves.append((i - 1, j - 1, float(costs[i - 1, j - 1])))
+        if i > 0 and j > 0 and cell[d, i] == cell[d - 2, i - 1] + cost[i - 1, j - 1]:
+            moves.append((i - 1, j - 1, cost[i - 1, j - 1]))
             i, j = i - 1, j - 1
-        elif i > 0 and table[d, i] == table[d - 1, i - 1] + lam:
+        elif i > 0 and cell[d, i] == cell[d - 1, i - 1] + lam:
             moves.append((i - 1, None, lam))
             i -= 1
         else:

@@ -241,7 +241,8 @@ def _embed_texts(
             for start in range(0, len(texts), config.batch_size)
         ]
         vectors = np.concatenate(batches, dtype=np.float32) if batches else np.zeros((0, dim), np.float32)
-    if not np.allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-6):
+    # np.allclose(norms, 1.0, atol=1e-6)'s test as one comparison; NaN and inf fail it.
+    if not (np.abs(np.linalg.norm(vectors, axis=1) - 1.0) <= 1e-6 + 1e-5).all():
         raise PolyalignError("embedding rows must be unit-norm")
     if miss and cache is not None:
         cache.put(key, vectors)

@@ -60,7 +60,7 @@ def count_tokens(text: str) -> int:
 
 def text_content(text: str) -> str:
     """A segment's text with its tags removed and its escapes decoded."""
-    return unescape(_TAG_RE.sub("", text))
+    return unescape(_TAG_RE.sub("", text) if "<" in text else text)
 
 
 _PUNCT_RE = re.compile(r"[^\w\s]", re.UNICODE)

@@ -55,8 +55,10 @@ class LengthFilterConfig:
         for name, ratio in (("upper_ratio", self.upper_ratio), ("lower_ratio", self.lower_ratio)):
             if type(ratio) not in (int, float):
                 raise PolyalignError(f"{name} must be a number, got {ratio!r}")
-        if not (0 < self.lower_ratio < 1 < self.upper_ratio):
-            raise PolyalignError("require 0 < lower_ratio < 1 < upper_ratio")
+        if not self.upper_ratio > 1:
+            raise PolyalignError(f"upper_ratio must be greater than 1, got {self.upper_ratio!r}")
+        if not 0 < self.lower_ratio < 1:
+            raise PolyalignError(f"lower_ratio must be between 0 and 1, got {self.lower_ratio!r}")
         if self.unit not in ("tokens", "characters"):
             raise PolyalignError(f"unknown length unit {self.unit!r}")
 

@@ -35,7 +35,7 @@ import time
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from operator import itemgetter
 
 import numpy as np
@@ -239,16 +239,30 @@ def _chapter_matrix(chapter, config: PipelineConfig, cache: EmbeddingCache):
     )
 
 
-def _align_batch(group: ChapterGroup, pairs: list[tuple[str, str]], matrices: dict[str, np.ndarray],
+def _pair_costs(work: list[tuple[ChapterGroup, tuple[str, str]]], config: PipelineConfig,
+                cache: EmbeddingCache) -> Iterator[np.ndarray]:
+    """The cost matrix of each ``(group, pair)`` of ``work``, in order. A
+    chapter is embedded when a pair of its group first uses it, and a group's
+    embeddings are dropped when the next group starts."""
+    current, matrices = None, {}
+    for group, (i, j) in work:
+        if group is not current:
+            current, matrices = group, {}
+        for idiom in (i, j):
+            if idiom not in matrices:
+                matrices[idiom] = _chapter_matrix(group.members[idiom], config, cache)
+        yield cost_matrix(matrices[i], matrices[j])
+
+
+def _align_batch(work: list[tuple[ChapterGroup, tuple[str, str]]], costs: list[np.ndarray],
                  config: PipelineConfig) -> list[dict]:
-    """Alignment records of one ``dp_batches`` batch of the group's pairs; its
-    cost matrices and tables are freed on return. This is the one place an
-    ``alignments.jsonl`` record is built. ``total_cost`` adds the link costs
-    left to right, as ``+=`` does on every Python; ``sum()`` of floats is
-    compensated from 3.12 on and could round differently."""
-    costs = [cost_matrix(matrices[i], matrices[j]) for i, j in pairs]
+    """Alignment records of one ``dp_batches`` batch of ``(group, pair)``
+    items, given their cost matrices; the tables are freed on return. This is
+    the one place an ``alignments.jsonl`` record is built. ``total_cost`` adds
+    the link costs left to right, as ``+=`` does on every Python; ``sum()`` of
+    floats is compensated from 3.12 on and could round differently."""
     records = []
-    for (i, j), c, table in zip(pairs, costs, dp_tables(costs, config.align.skip_cost)):
+    for (group, (i, j)), c, table in zip(work, costs, dp_tables(costs, config.align.skip_cost)):
         links, total = [], 0.0
         for src, tgt, cost in align_chapter(c, config.align, table=table):
             links.append({"src": src, "tgt": tgt, "cost": cost})
@@ -270,25 +284,24 @@ def _align_batch(group: ChapterGroup, pairs: list[tuple[str, str]], matrices: di
 def align_pairs(groups: list[ChapterGroup], alignments_path, config: PipelineConfig,
                 pair: tuple[str, str] | None = None) -> dict:
     """Align every idiom pair of every group, or only ``pair`` in either order:
-    two distinct idioms that some group holds. Each chapter is embedded once per
-    group, and only if one of its pairs is kept. A group's pairs are aligned in
-    ``dp_batches``: one ``dp_tables`` pass per batch, then one backtrace per pair,
-    so only one batch's cost matrices and tables are held at a time."""
+    two distinct idioms that some group holds. The kept pairs of all groups form
+    one work list, in group order, then pair order, and are aligned in
+    ``dp_batches``: one ``dp_tables`` pass per batch, which may span groups,
+    then one backtrace per pair. Records are written in work-list order, and
+    only one batch's cost matrices and tables are held at a time. Each chapter
+    is embedded once per group, and only if one of its pairs is kept."""
     if pair is not None and (len(set(pair)) != 2 or not any(set(pair) <= g.members.keys() for g in groups)):
         raise PolyalignError(f"no chapter group holds the pair {':'.join(pair)!r} of two distinct idioms")
-    cache = EmbeddingCache(config.cache_dir)
-    count = 0
+    work = [(group, p) for group in groups for p in combinations(group.idioms(), 2)
+            if pair is None or pair in (p, p[::-1])]
+    shapes = [(len(group.members[i].segments), len(group.members[j].segments)) for group, (i, j) in work]
+    costs = _pair_costs(work, config, EmbeddingCache(config.cache_dir))
     with open(alignments_path, "w", encoding="utf-8") as fh:
-        for group in groups:
-            pairs = [p for p in combinations(group.idioms(), 2) if pair is None or pair in (p, p[::-1])]
-            matrices = {idiom: _chapter_matrix(group.members[idiom], config, cache)
-                        for idiom in dict.fromkeys(idiom for p in pairs for idiom in p)}
-            shapes = [(len(matrices[i]), len(matrices[j])) for i, j in pairs]
-            for batch in dp_batches(shapes):
-                for record in _align_batch(group, [pairs[b] for b in batch], matrices, config):
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
-            count += len(pairs)
-    return {"chapter_pairs": count}
+        for batch in dp_batches(shapes):
+            items = work[batch[0]:batch[-1] + 1]
+            for record in _align_batch(items, list(islice(costs, len(items))), config):
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+    return {"chapter_pairs": len(work)}
 
 
 # The keys every record and every link of ``alignments.jsonl`` must have,

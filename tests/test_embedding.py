@@ -232,6 +232,26 @@ class TestEmbedSegments:
         with pytest.raises(PolyalignError, match="unit-norm"):
             embed_segments(segs, ProviderConfig(), "text", EmbeddingCache(tmp_path), dim=16)
 
+    @pytest.mark.parametrize("norm, accepted", [
+        (1 + 1.0e-5, True), (1 - 1.0e-5, True), (1 + 1.2e-5, False), (1 - 1.2e-5, False),
+        (math.nan, False), (math.inf, False),
+    ], ids=["1+1.0e-5", "1-1.0e-5", "1+1.2e-5", "1-1.2e-5", "nan", "inf"])
+    def test_cached_rows_keep_the_allclose_unit_norm_tolerance(self, tmp_path, norm, accepted):
+        # The tolerance is np.allclose(norms, 1.0, atol=1e-6)'s: |norm - 1| <= 1e-6 + 1e-5.
+        texts = chapter_texts(0, n=2)
+        rows = np.zeros((2, 16), dtype=np.float32)
+        rows[:, 0] = 1.0, norm
+        assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-6) == accepted
+        cache = EmbeddingCache(tmp_path)
+        cache.put(chapter_key(texts), rows)
+        cache.flush()
+        segs = [seg(t, i) for i, t in enumerate(texts)]
+        if accepted:
+            assert np.array_equal(embed_segments(segs, ProviderConfig(), "text", cache, dim=16), rows)
+        else:
+            with pytest.raises(PolyalignError, match="unit-norm"):
+                embed_segments(segs, ProviderConfig(), "text", cache, dim=16)
+
     def test_non_unit_provider_rows_are_not_cached(self, tmp_path, monkeypatch):
         import polyalign.embedding as emb
 

@@ -1,3 +1,4 @@
+import html
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from polyalign.model import (
     Chapter,
     MultiParallelRow,
     Segment,
+    _TAG_RE,
     check_idiom,
     corpus_from_dict,
     count_tokens,
@@ -16,6 +18,7 @@ from polyalign.model import (
     normalize_chapter_key,
     save_corpus,
     segment_index,
+    text_content,
     validate_corpus,
     volume_of,
 )
@@ -65,6 +68,13 @@ def test_count_tokens_whitespace_and_nfc():
     assert count_tokens("  a\t b\nc ") == 3
     # composed and decomposed forms agree after NFC
     assert count_tokens("é x") == count_tokens("é x")
+
+
+@given(st.text(alphabet="<>&;#ampltgquox3940 \u0301", max_size=40))
+@settings(max_examples=300)
+def test_text_content_without_a_tag_skips_only_the_regex(text):
+    # A text without "<" holds no tag, so it goes straight to the unescape.
+    assert text_content(text) == html.unescape(_TAG_RE.sub("", text))
 
 
 def test_normalize_chapter_key():

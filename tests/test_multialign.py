@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import re
 from itertools import combinations, zip_longest
 
 import pytest
@@ -541,8 +543,19 @@ class TestLengthFilter:
         assert out.flags == frozenset()
 
     def test_invalid_config(self):
-        with pytest.raises(PolyalignError, match="require 0 < lower_ratio < 1 < upper_ratio"):
+        with pytest.raises(PolyalignError, match="^upper_ratio must be greater than 1, got 0.9$"):
             LengthFilterConfig(upper_ratio=0.9)
+
+    @pytest.mark.parametrize("ratios, message", [
+        ({"upper_ratio": 1}, "upper_ratio must be greater than 1, got 1"),
+        ({"upper_ratio": math.nan}, "upper_ratio must be greater than 1, got nan"),
+        ({"lower_ratio": 1.2}, "lower_ratio must be between 0 and 1, got 1.2"),
+        ({"lower_ratio": 0}, "lower_ratio must be between 0 and 1, got 0"),
+        ({"lower_ratio": -0.5, "upper_ratio": 0.5}, "upper_ratio must be greater than 1, got 0.5"),
+    ], ids=["upper-1", "upper-nan", "lower-above-1", "lower-0", "both"])
+    def test_out_of_range_ratio_names_its_field_and_value(self, ratios, message):
+        with pytest.raises(PolyalignError, match=f"^{re.escape(message)}$"):
+            LengthFilterConfig(**ratios)
 
     def test_retained_cells_within_bounds(self):
         rng = random.Random(5)

@@ -6,6 +6,7 @@ import random
 import shutil
 import time
 import weakref
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -743,6 +744,74 @@ def test_total_cost_is_the_left_to_right_sum_of_link_costs(two_sizes):
 
 
 @pytest.fixture(scope="module")
+def eight_groups(tmp_path_factory):
+    """A full run on the 8-group, 10-segment seed-0 corpus: its config, its
+    chapter groups and its output directory."""
+    root = tmp_path_factory.mktemp("eight")
+    raw, mapping, _ = write_fixture(generate(seed=0, n_groups=8, segs_per_chapter=10), root)
+    config = make_config(root, raw, mapping)
+    run_pipeline(config)
+    out = root / "out"
+    return config, corpus_groups(out / "corpus.json", out / "mapping.tsv")[1], out
+
+
+class TestAlignPairsBatches:
+    @staticmethod
+    def align(eight_groups, path, monkeypatch, pair=None):
+        """``align_pairs``' file bytes, the batch size of each DP pass, and the
+        cache keys it read, in order."""
+        config, groups, _ = eight_groups
+        passes, keys = [], []
+        tables, get = pipeline.dp_tables, EmbeddingCache.get
+
+        def counted_tables(costs, lam):
+            passes.append(len(costs))
+            return tables(costs, lam)
+
+        def logged_get(cache, key, *args):
+            keys.append(key)
+            return get(cache, key, *args)
+
+        monkeypatch.setattr(pipeline, "dp_tables", counted_tables)
+        monkeypatch.setattr(EmbeddingCache, "get", logged_get)
+        pipeline.align_pairs(groups, path, config, pair)
+        return path.read_bytes(), passes, keys
+
+    @pytest.mark.parametrize("budget", ["pair", "group", "corpus"])
+    def test_batch_budget_never_changes_the_bytes(self, eight_groups, tmp_path, monkeypatch, budget):
+        _, groups, out = eight_groups
+        shapes = [[(len(g.members[i].segments), len(g.members[j].segments)) for i, j in combinations(g.idioms(), 2)]
+                  for g in groups]
+
+        def cells(shapes):
+            return len(shapes) * max(n for n, _ in shapes) * max(m for _, m in shapes)
+
+        every = [s for group in shapes for s in group]
+        monkeypatch.setattr("polyalign.bialign.BATCH_CELLS",
+                            {"pair": 1, "group": cells(shapes[0]), "corpus": cells(every)}[budget])
+        data, passes, keys = self.align(eight_groups, tmp_path / "alignments.jsonl", monkeypatch)
+        assert data == (out / "alignments.jsonl").read_bytes()
+        assert sum(passes) == len(every) == 80
+        if budget == "pair":
+            assert passes == [1] * 80
+        elif budget == "group":
+            assert passes[0] >= 10 and 1 < len(passes) < 80
+        else:
+            assert passes == [80]
+        # Each chapter is read from the cache once.
+        assert len(keys) == len(set(keys)) == sum(len(g.members) for g in groups) == 40
+
+    def test_one_pair_writes_that_pair_s_records_of_the_full_file(self, eight_groups, tmp_path, monkeypatch):
+        _, groups, out = eight_groups
+        data, _, keys = self.align(eight_groups, tmp_path / "pv.jsonl", monkeypatch, ("puter", "vallader"))
+        full = (out / "alignments.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [line for line in full
+                if {json.loads(line)["src_idiom"], json.loads(line)["tgt_idiom"]} == {"puter", "vallader"}]
+        assert len(kept) == 8 and data.decode("utf-8") == "".join(kept)
+        assert len(keys) == len(set(keys)) == 16
+
+
+@pytest.fixture(scope="module")
 def split_run(tmp_path_factory):
     """A run's out_dir and its rows split by `export split`. Four volumes of two
     chapters each, split alternately: each split holds rows from the middle of
@@ -906,9 +975,14 @@ class TestCli:
         result = runner.invoke(main, ["bialign", "--config", config, "--corpus", corpus, "--mapping", mapping,
                                       "--out", str(alignments)])
         assert_reported(result, "connection refused")
+        assert session.left == 0
         assert alignments.read_bytes() == (root / "out" / "alignments.jsonl").read_bytes()
-        written = [json.loads(line) for line in (tmp_path / "alignments.jsonl.quarantine").read_text().splitlines()]
-        assert [doc["group"] for doc in written] == [first.group_id] * (n * (n - 1) // 2)
+        # A DP batch may span groups, so the second group's refusal can come
+        # before any record of the first is written: what was written is whole
+        # records, a prefix of the good file.
+        written = (tmp_path / "alignments.jsonl.quarantine").read_text(encoding="utf-8")
+        good = (root / "out" / "alignments.jsonl").read_text(encoding="utf-8")
+        assert good.startswith(written) and (not written or written.endswith("\n"))
         assert not (tmp_path / "alignments.jsonl.tmp").exists()
 
     def test_bialign_after_a_failed_one_leaves_no_quarantine(self, cli_workspace, tmp_path, monkeypatch):
