@@ -6,10 +6,10 @@ cell cost), skip-source (1-0) and skip-target (0-1), both at a flat penalty.
 ``dp_tables`` fills the tables of a batch of pairs in one pass over their
 anti-diagonals; ``dp_batches`` cuts a list of pair shapes, which may come from
 many chapter groups, into such batches. ``align_chapter`` backtraces one pair
-from its slice, or computes its table alone as a batch of one, and returns the
-``(src, tgt, cost)`` moves of the cover. The caller turns them
-into its record: ``pipeline`` writes each pair's ``alignments.jsonl`` line,
-which multialign reads back as index pairs (``multialign.Link``).
+from its slice and returns the ``(src, tgt, cost)`` moves of the cover. The
+caller turns them into its record: ``pipeline`` writes each pair's
+``alignments.jsonl`` line, which multialign reads back as index pairs
+(``multialign.Link``).
 """
 
 from __future__ import annotations
@@ -79,12 +79,9 @@ def dp_tables(costs: list[np.ndarray], lam: float) -> np.ndarray:
     k = len(costs)
     n_max = max((c.shape[0] for c in costs), default=0)
     m_max = max((c.shape[1] for c in costs), default=0)
-    if k == 1:
-        padded = np.ascontiguousarray(costs[0], dtype=np.float64)
-    else:
-        padded = np.zeros((k, n_max, m_max), dtype=np.float64)
-        for idx, c in enumerate(costs):
-            padded[idx, :c.shape[0], :c.shape[1]] = c
+    padded = np.zeros((k, n_max, m_max), dtype=np.float64)
+    for idx, c in enumerate(costs):
+        padded[idx, :c.shape[0], :c.shape[1]] = c
     flat = padded.reshape(k, n_max * m_max)
     table = np.empty((k, n_max + m_max + 1, n_max + 1), dtype=np.float64)
     # Boundaries dp[0, d] and dp[d, 0] as running sums, as the scalar
@@ -108,20 +105,16 @@ def dp_tables(costs: list[np.ndarray], lam: float) -> np.ndarray:
     return table
 
 
-def align_chapter(costs: np.ndarray, config: AlignConfig | None = None,
-                  table: np.ndarray | None = None) -> list[tuple[int | None, int | None, float]]:
+def align_chapter(costs: np.ndarray, config: AlignConfig = AlignConfig(), *,
+                  table: np.ndarray) -> list[tuple[int | None, int | None, float]]:
     """Minimum-cost monotone full cover of the two segment sequences, as its
     ``(src, tgt, cost)`` moves ordered by (src, tgt): a substitution at its
     cell cost, or a deletion, None on the other side, at the skip cost.
-
-    ``table`` is this pair's slice of a ``dp_tables`` batch that holds
-    ``costs``; without it the table is computed here, as a batch of one.
+    ``table`` is this pair's slice of a ``dp_tables`` batch that holds ``costs``.
 
     Ties resolve deterministically: substitute, then skip-source, then
     skip-target.
     """
-    if config is None:
-        config = AlignConfig()
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim != 2:
         raise PolyalignError(f"cost matrix must be 2-D, got shape {costs.shape}")
@@ -129,9 +122,7 @@ def align_chapter(costs: np.ndarray, config: AlignConfig | None = None,
         raise PolyalignError("cost matrix contains non-finite entries")
     i, j = costs.shape
     lam = config.skip_cost
-    if table is None:
-        table = dp_tables([costs], lam)[0]
-    elif table.shape[0] < i + j + 1 or table.shape[1] < i + 1:
+    if table.shape[0] < i + j + 1 or table.shape[1] < i + 1:
         raise PolyalignError(f"DP table of shape {table.shape} is too small for {i} by {j} costs")
 
     # Memoryviews index to Python floats, the same doubles as numpy's scalars

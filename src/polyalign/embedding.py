@@ -252,7 +252,7 @@ def _embed_texts(
 
 def embed_segments(
     segments: list[Segment],
-    provider_config: ProviderConfig | None = None,
+    provider_config: ProviderConfig = ProviderConfig(),
     mode: str = "text",
     cache: EmbeddingCache | None = None,
     dim: int = HASH_DIM_DEFAULT,
@@ -263,8 +263,6 @@ def embed_segments(
     ``concat`` mode concatenates the unit-norm text and html vectors and
     renormalizes the result to unit norm.
     """
-    if provider_config is None:
-        provider_config = ProviderConfig()
     if mode not in MODES:
         raise PolyalignError(f"unknown mode {mode!r}")
 

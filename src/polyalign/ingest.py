@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+import unicodedata
 from dataclasses import dataclass, field
 from html import escape
 from html.parser import HTMLParser
@@ -148,14 +149,22 @@ def _render(node: _Node) -> tuple[str, str]:
     return text, f"<{node.tag}{attrs}>{''.join([h for _, h in parts])}</{node.tag}>"
 
 
+def _nfc_runs(markup: str) -> str:
+    """``markup`` with each run of character data (``[^<>]+``: a text, or a tag's name
+    and attributes) NFC-normalized on its own, so no mark composes with a ``>``."""
+    if unicodedata.is_normalized("NFC", markup):
+        return markup
+    return re.sub(r"[^<>]+", lambda run: nfc(run[0]), markup)
+
+
 def _emit(nodes: list[_Node], out: list[tuple[str, str]]) -> None:
     """Append ``nodes`` as one candidate, whitespace collapsed, unless its text is empty."""
     if not nodes:
         return
     parts = [_render(n) for n in nodes]
-    text = " ".join(nfc("".join([t for t, _ in parts])).split())
+    text = " ".join(_nfc_runs("".join([t for t, _ in parts])).split())
     if text:
-        out.append((text, nfc("".join([h for _, h in parts]).strip())))
+        out.append((text, _nfc_runs("".join([h for _, h in parts]).strip())))
 
 
 def _walk(node: _Node, out: list[tuple[str, str]]) -> None:
@@ -185,19 +194,20 @@ def segment_html(
     ``<strong>``, literal ``<``, ``>`` and ``&`` escaped, and whitespace
     collapsed; html is the candidate's markup re-rendered from the parsed
     tree, character data and attribute values escaped, so equal content gets
-    equal markup however the element was cut. Both are NFC-normalized.
+    equal markup however the element was cut. In both, each run of character
+    data is NFC-normalized on its own (``_nfc_runs``), so no tag changes.
     Empty candidates are dropped. Unbalanced markup is recovered best-effort
     with a warning record; the call never raises for bad markup.
 
     A plain element (``_PLAIN``: one lowercase block tag or ``div`` with no
     attributes, closed by the same tag, around text with no ``<``, ``>`` or
     ``&``) skips the parser: its text is its inner text, whitespace collapsed,
-    and its html the element itself, both NFC-normalized, as the parser's are.
+    and its html the element itself, both normalized as the parser's are.
     """
     plain = _PLAIN.fullmatch(element_html)
     if plain:
-        text = " ".join(nfc(plain[2]).split())
-        return [(text, nfc(element_html))] if text else []
+        text = " ".join(_nfc_runs(plain[2]).split())
+        return [(text, _nfc_runs(element_html))] if text else []
     if warnings is None:
         warnings = []
     builder = _TreeBuilder(warnings, source)

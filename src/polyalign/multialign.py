@@ -172,15 +172,13 @@ def assemble_rows(
     return rows
 
 
-def length_filter(row: MultiParallelRow, config: LengthFilterConfig | None = None) -> MultiParallelRow:
+def length_filter(row: MultiParallelRow, config: LengthFilterConfig = LengthFilterConfig()) -> MultiParallelRow:
     """Null out cells whose length strays beyond the ratio bounds.
 
     The average is computed once over the original row; removal needs a
     strict inequality, so cells exactly at a bound are kept. Removed cells
     are recorded in the row flags.
     """
-    if config is None:
-        config = LengthFilterConfig()
     present = row.non_null()
     if len(present) < 2:
         return row

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import export as export_mod
 from .bialign import AlignConfig, align_chapter, cost_matrix, dp_batches, dp_tables
-from .embedding import HASH_DIM_MIN, MODES, EmbeddingCache, ProviderConfig, embed_segments
+from .embedding import HASH_DIM_DEFAULT, HASH_DIM_MIN, MODES, EmbeddingCache, ProviderConfig, embed_segments
 from .ingest import build_chapter_groups, parse_volume
 from .model import (
     BookVolume,
@@ -80,7 +80,7 @@ class PipelineConfig:
     out_dir: str = ""
     provider: ProviderConfig = field(default_factory=ProviderConfig)
     mode: str = "text"
-    dim: int = 256
+    dim: int = HASH_DIM_DEFAULT
     align: AlignConfig = field(default_factory=AlignConfig)
     length_filter: LengthFilterConfig = field(default_factory=LengthFilterConfig)
     # Runs are serial; only 1 is accepted. The field stays while

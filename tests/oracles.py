@@ -5,24 +5,28 @@ cover, and the set operations against plain set comprehensions over pair
 lists; none of them shares code with the implementation it checks. The one
 exception is ``segment_html_reference``, the segmenter as it was before its
 text and markup renderers were merged (less the verbatim-markup rules, which
-the segmenter dropped too): it parses with the shipped ``_TreeBuilder``,
+the segmenter dropped too, and with its rules since: ``<script>`` and
+``<style>`` content is left out, and each run of character data is
+NFC-normalized on its own): it parses with the shipped ``_TreeBuilder``,
 which it does not check. ``corpus_to_dict`` is the corpus document that
 ``save_corpus`` must write, and ``greedy_accuracy`` is the 1-NN harness for
-comparing embedding inputs, which only the tests use.
+comparing embedding inputs, which only the tests use. ``align_alone`` is not
+an oracle: it runs the shipped DP on one pair, as a batch of its own.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import re
 import struct
 import unicodedata
 from html import escape
 
 import numpy as np
 
-from polyalign.bialign import AlignConfig
-from polyalign.ingest import BLOCK_TAGS, STRUCTURAL_TAGS, VOID_TAGS, Warnings, _Node, _TreeBuilder
+from polyalign.bialign import AlignConfig, align_chapter, dp_tables
+from polyalign.ingest import BLOCK_TAGS, SCRIPT_TAGS, STRUCTURAL_TAGS, VOID_TAGS, Warnings, _Node, _TreeBuilder
 from polyalign.model import BookVolume, PolyalignError, nfc
 from polyalign.multialign import BilingualAlignment, Link
 
@@ -59,6 +63,11 @@ def random_alignment(rng: random.Random, n: int, m: int, src_prefix: str, tgt_pr
         tgt_ids=tuple(f"{tgt_prefix}{k}" for k in range(m)),
         links=links,
     )
+
+
+def align_alone(costs: np.ndarray, config: AlignConfig = AlignConfig()) -> list[Move]:
+    """``align_chapter``'s moves for one pair aligned as a batch of its own."""
+    return align_chapter(costs, config, table=dp_tables([costs], config.skip_cost)[0])
 
 
 def alignment_of(moves: list[Move], src_ids: tuple[str, ...], tgt_ids: tuple[str, ...]) -> BilingualAlignment:
@@ -339,7 +348,10 @@ def _render_attrs(attrs) -> str:
 
 
 def _render_html(node: _Node) -> str:
-    """Markup of ``node``, with character data and attribute values escaped."""
+    """Markup of ``node``, with character data and attribute values escaped;
+    a ``<script>`` or ``<style>`` element has none."""
+    if node.tag in SCRIPT_TAGS:
+        return ""
     if node.tag == "" and not node.children:
         return escape(node.text, quote=False)
     inner = "".join(_render_html(c) for c in node.children)
@@ -354,8 +366,11 @@ def _render_text(node: _Node) -> str:
     """Inline text with only <strong> retained; <br> becomes a space.
 
     Character data is escaped (``&lt;``, ``&gt;``, ``&amp;``), so a kept
-    ``<strong>`` tag and a literal ``<`` in the content stay distinct.
+    ``<strong>`` tag and a literal ``<`` in the content stay distinct. A
+    ``<script>`` or ``<style>`` element has no text.
     """
+    if node.tag in SCRIPT_TAGS:
+        return ""
     if node.tag == "":
         if node.children:
             return "".join(_render_text(c) for c in node.children)
@@ -368,8 +383,14 @@ def _render_text(node: _Node) -> str:
     return inner
 
 
+def nfc_runs(markup: str) -> str:
+    """``markup`` with each run of characters other than ``<`` and ``>`` NFC-normalized
+    on its own, so that no mark composes with a tag's ``<`` or ``>``."""
+    return re.sub(r"[^<>]+", lambda run: nfc(run[0]), markup)
+
+
 def _collapse(text: str) -> str:
-    return " ".join(nfc(text).split())
+    return " ".join(nfc_runs(text).split())
 
 
 def _is_structural(node: _Node) -> bool:
@@ -413,9 +434,9 @@ def segment_html_reference(
     """Split one element's markup into candidate segments.
 
     Returns (text, html) pairs: text has inline tags stripped except
-    ``<strong>``, literal ``<``, ``>`` and ``&`` escaped, and whitespace
-    collapsed; html is the candidate's markup.
-    Empty candidates are dropped. Unbalanced markup is recovered best-effort
+    ``<strong>``, literal ``<``, ``>`` and ``&`` escaped, whitespace
+    collapsed and each run of character data NFC-normalized; html is the
+    candidate's markup as parsed. Empty candidates are dropped. Unbalanced markup is recovered best-effort
     with a warning record; the call never raises for bad markup.
     """
     if warnings is None:

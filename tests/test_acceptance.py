@@ -11,10 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (alignment_of, brute_force_align, greedy_accuracy, left_to_right_total, naive_consensus,
-                     naive_pivot_join, pairs_by_id, random_alignment)
+from oracles import (align_alone, alignment_of, brute_force_align, greedy_accuracy, left_to_right_total,
+                     naive_consensus, naive_pivot_join, pairs_by_id, random_alignment)
 from synth import generate
-from polyalign.bialign import AlignConfig, align_chapter, cost_matrix
+from polyalign.bialign import AlignConfig, cost_matrix
 from polyalign.embedding import ProviderConfig, embed_segments
 from polyalign.evaluate import multi_prf, strict_prf
 from polyalign.ingest import build_chapter_groups
@@ -49,7 +49,7 @@ def test_criterion_1_dp_optimality():
         lam = float(rng.choice([0.05, 0.15, 0.5]))
         costs = rng.random((n, m))
         cfg = AlignConfig(skip_cost=lam)
-        fast = align_chapter(costs, cfg)
+        fast = align_alone(costs, cfg)
         slow, best = brute_force_align(costs, cfg)
         assert left_to_right_total(fast) == best
         assert fast == slow
@@ -116,7 +116,7 @@ def build_end_to_end(corpus, dim=256, skip_cost=0.15):
             for j in idioms[a + 1 :]:
                 costs = cost_matrix(mats[(group.group_id, i)], mats[(group.group_id, j)])
                 pair_alignments[(i, j)] = alignment_of(
-                    align_chapter(costs, aconfig),
+                    align_alone(costs, aconfig),
                     tuple(s.id for s in group.members[i].segments),
                     tuple(s.id for s in group.members[j].segments),
                 )

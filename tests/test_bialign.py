@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import brute_force_align, check_full_cover, left_to_right_total, scalar_dp_table
+from oracles import align_alone, brute_force_align, check_full_cover, left_to_right_total, scalar_dp_table
 from polyalign.bialign import (
     BATCH_CELLS,
     AlignConfig,
@@ -13,6 +13,10 @@ from polyalign.bialign import (
     dp_tables,
 )
 from polyalign.model import PolyalignError
+
+
+# The input checks run before the table is read, so any table will do.
+ANY_TABLE = dp_tables([np.zeros((1, 1))], 0.15)[0]
 
 
 def unit_rows(rows):
@@ -42,19 +46,19 @@ class TestCostMatrix:
 class TestAlignChapter:
     def test_two_by_two_diagonal(self):
         costs = np.array([[0.1, 0.9], [0.9, 0.1]])
-        out = align_chapter(costs, AlignConfig(0.15))
+        out = align_alone(costs, AlignConfig(0.15))
         assert out == [(0, 0, 0.1), (1, 1, 0.1)]
 
     def test_skip_both_beats_expensive_substitution(self):
-        out = align_chapter(np.array([[0.9]]), AlignConfig(0.15))
+        out = align_alone(np.array([[0.9]]), AlignConfig(0.15))
         assert set(out) == {(0, None, 0.15), (None, 0, 0.15)}
 
     def test_empty_source_forces_target_deletions(self):
-        out = align_chapter(np.zeros((0, 3)), AlignConfig(0.15))
+        out = align_alone(np.zeros((0, 3)), AlignConfig(0.15))
         assert out == [(None, 0, 0.15), (None, 1, 0.15), (None, 2, 0.15)]
 
     def test_empty_both_sides(self):
-        assert align_chapter(np.zeros((0, 0)), AlignConfig(0.15)) == []
+        assert align_alone(np.zeros((0, 0)), AlignConfig(0.15)) == []
 
     def test_negative_lambda_is_config_error(self):
         with pytest.raises(PolyalignError, match=r"skip_cost must be a finite number >= 0, got -0\.1$"):
@@ -63,15 +67,15 @@ class TestAlignChapter:
     @pytest.mark.parametrize("costs", [np.zeros(3), np.zeros(0), np.zeros((2, 2, 2)), np.float64(0.5)])
     def test_cost_array_that_is_not_two_dimensional_rejected(self, costs):
         with pytest.raises(PolyalignError, match="2-D"):
-            align_chapter(costs, AlignConfig())
+            align_chapter(costs, AlignConfig(), table=ANY_TABLE)
 
     def test_non_finite_costs_rejected(self):
         with pytest.raises(PolyalignError, match="cost matrix contains non-finite entries"):
-            align_chapter(np.array([[np.inf]]), AlignConfig())
+            align_chapter(np.array([[np.inf]]), AlignConfig(), table=ANY_TABLE)
 
     def test_tie_prefers_substitution(self):
         # substitute 0.3 == skip-both 0.15 + 0.15
-        out = align_chapter(np.array([[0.3]]), AlignConfig(0.15))
+        out = align_alone(np.array([[0.3]]), AlignConfig(0.15))
         assert out == [(0, 0, 0.3)]
         assert brute_force_align(np.array([[0.3]]), AlignConfig(0.15))[0] == out
 
@@ -80,7 +84,7 @@ class TestAlignChapter:
         # exactly: each step of the backtrace matched one addition.
         rng = np.random.default_rng(11)
         costs = rng.random((5, 4))
-        out = align_chapter(costs, AlignConfig(0.15))
+        out = align_alone(costs, AlignConfig(0.15))
         for src, tgt, cost in out:
             assert cost == (0.15 if src is None or tgt is None else costs[src, tgt])
         assert left_to_right_total(out) == dp_tables([costs], 0.15)[0][5 + 4, 5]
@@ -94,7 +98,7 @@ class TestOracleEquivalence:
             lam = float(rng.choice([0.05, 0.15, 0.5]))
             costs = rng.random((n, m))
             cfg = AlignConfig(skip_cost=lam)
-            fast = align_chapter(costs, cfg)
+            fast = align_alone(costs, cfg)
             slow, best = brute_force_align(costs, cfg)
             assert left_to_right_total(fast) == best
             assert fast == slow
@@ -102,7 +106,7 @@ class TestOracleEquivalence:
 
     def test_one_by_one_agrees(self):
         for c in (0.0, 0.2, 0.29, 0.31, 1.0):
-            fast = align_chapter(np.array([[c]]), AlignConfig(0.15))
+            fast = align_alone(np.array([[c]]), AlignConfig(0.15))
             slow, _ = brute_force_align(np.array([[c]]), AlignConfig(0.15))
             assert fast == slow
 
@@ -201,7 +205,11 @@ class TestBatchedTable:
         cfg = AlignConfig(0.15)
         batch = [grid_costs(rng, n, m) for n, m in [(8, 3), (0, 4), (11, 12), (5, 0), (1, 9)]]
         for costs, table in zip(batch, dp_tables(batch, cfg.skip_cost)):
-            assert align_chapter(costs, cfg, table=table) == align_chapter(costs, cfg)
+            assert align_chapter(costs, cfg, table=table) == align_alone(costs, cfg)
+
+    def test_align_chapter_requires_a_table(self):
+        with pytest.raises(TypeError, match="table"):
+            align_chapter(np.zeros((2, 2)), AlignConfig(0.15))
 
     def test_align_chapter_rejects_a_table_too_small(self):
         costs = np.zeros((4, 5))
@@ -233,7 +241,7 @@ class TestProperties:
         rng = np.random.default_rng(5)
         for _ in range(50):
             n, m = rng.integers(0, 10, size=2)
-            out = align_chapter(rng.random((n, m)), AlignConfig(0.15))
+            out = align_alone(rng.random((n, m)), AlignConfig(0.15))
             srcs = sorted(s for s, _, _ in out if s is not None)
             tgts = sorted(t for _, t, _ in out if t is not None)
             assert srcs == list(range(n))
@@ -242,7 +250,7 @@ class TestProperties:
     def test_monotone_one_one_links(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            out = align_chapter(rng.random((8, 8)), AlignConfig(0.15))
+            out = align_alone(rng.random((8, 8)), AlignConfig(0.15))
             subs = [(s, t) for s, t, _ in out if s is not None and t is not None]
             assert subs == sorted(subs)
             assert all(a[1] < b[1] for a, b in zip(subs, subs[1:]))
@@ -253,7 +261,7 @@ class TestProperties:
             costs = rng.random((6, 6)) * 0.4
             prev = None
             for k in (0.0, 0.05, 0.1, 0.2, 0.4):
-                out = align_chapter(costs + k, AlignConfig(0.15))
+                out = align_alone(costs + k, AlignConfig(0.15))
                 n_subs = sum(1 for s, t, _ in out if s is not None and t is not None)
                 if prev is not None:
                     assert n_subs <= prev
@@ -264,8 +272,8 @@ class TestProperties:
         for _ in range(30):
             n, m = rng.integers(1, 7, size=2)
             costs = rng.random((n, m))
-            fwd = align_chapter(costs, AlignConfig(0.15))
-            bwd = align_chapter(costs.T, AlignConfig(0.15))
+            fwd = align_alone(costs, AlignConfig(0.15))
+            bwd = align_alone(costs.T, AlignConfig(0.15))
             fwd_subs = {(s, t) for s, t, _ in fwd if s is not None and t is not None}
             bwd_subs = {(t, s) for s, t, _ in bwd if s is not None and t is not None}
             # Tie policy is asymmetric under transposition; compare total cost

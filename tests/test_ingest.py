@@ -13,9 +13,9 @@ from polyalign.ingest import (
     parse_volume,
     segment_html,
 )
-from polyalign.model import PolyalignError, nfc
+from polyalign.model import PolyalignError
 
-from oracles import segment_html_reference
+from oracles import nfc_runs, segment_html_reference
 from synth import generate
 
 PLAIN_TAGS = ("p", "li", "td", "th", "h1", "h2", "h3", "h4", "h5", "h6", "div")
@@ -44,16 +44,18 @@ def markup_trees():
 
 def tag_soup():
     """Unbalanced markup: open, closed and self-closed block, container, inline and
-    void tags, stray closing tags, valued and bare attributes, and text holding
-    ``<``, ``>``, ``&``, tabs and characters that NFC composes."""
+    void tags, ``<script>`` and ``<style>``, stray closing tags, valued and bare
+    attributes, and text holding ``<``, ``>``, ``&``, tabs and characters that NFC
+    composes, U+0338 among them, which composes with a ``>``."""
     names = st.sampled_from(["p", "li", "td", "th", "h3", "div", "ul", "tr", "table", "section",
-                             "strong", "em", "span", "br", "img", "hr", "LI", "Strong"])
+                             "strong", "em", "span", "br", "img", "hr", "LI", "Strong",
+                             "script", "style", "Style"])
     value = st.text(alphabet='a<>&" ', max_size=4).map(lambda v: f'="{escape(v)}"')
     attrs = st.lists(st.tuples(st.sampled_from([" title", " hidden"]), st.just("") | value)
                      .map("".join), max_size=2).map("".join)
     tag = st.tuples(st.sampled_from(["<{0}{1}>", "</{0}>", "<{0}{1}/>"]), names, attrs).map(
         lambda t: t[0].format(t[1], t[2]))
-    text = st.text(alphabet="ae <>&\t\n\u0301\u212b", max_size=6) | st.sampled_from(["&lt;", "&amp;b"])
+    text = st.text(alphabet="ae <>&\t\n\u0301\u0338\u212b", max_size=6) | st.sampled_from(["&lt;", "&amp;b"])
     return st.lists(tag | text, max_size=12).map("".join)
 
 
@@ -85,8 +87,8 @@ def check_against_reference(markup) -> int:
     warnings, expected_warnings = [], []
     with counting_tree_builders() as built:
         out = segment_html(markup, warnings, "vol#element0")
-    # The reference keeps markup as parsed; the segmenter NFC-normalizes it.
-    expected = [(t, nfc(h)) for t, h in segment_html_reference(markup, expected_warnings, "vol#element0")]
+    # The reference keeps markup as parsed; the segmenter NFC-normalizes each run of character data.
+    expected = [(t, nfc_runs(h)) for t, h in segment_html_reference(markup, expected_warnings, "vol#element0")]
     assert out == expected
     assert warnings == expected_warnings
     return len(built)
@@ -232,10 +234,32 @@ class TestSegmentHtml:
         ("<script>x</script>", []),
     ])
     def test_script_and_style_content_is_not_text(self, markup, expected):
-        # The reference segmenter predates this rule; each case takes the parser.
+        # Each case takes the parser.
         with counting_tree_builders() as built:
             assert segment_html(markup) == expected
         assert len(built) == 1
+
+    @pytest.mark.parametrize("markup, trees", [("<p>\u0338x</p>", 0), ("<P>\u0338x</P>", 1)])
+    def test_a_mark_that_opens_the_text_leaves_the_tag_whole(self, markup, trees):
+        # NFC of the whole element would compose ">" and U+0338 into U+226F.
+        with counting_tree_builders() as built:
+            assert segment_html(markup) == [("\u0338x", "<p>\u0338x</p>")]
+        assert len(built) == trees
+
+    # A block element, and a stray inline run outside any block.
+    @pytest.mark.parametrize("element", ["<p><strong>\u0338x</strong> y</p>", "<strong>\u0338x</strong> y"])
+    def test_a_mark_that_opens_a_strong_run_leaves_its_tag_whole(self, element):
+        vol = parse_volume(volume_doc([{"title": "One", "elements": [{"html": element}]}]))
+        seg = vol.chapters[0].segments[0]
+        assert (seg.text, seg.html) == ("<strong>\u0338x</strong> y", element)
+        assert (seg.content(), seg.token_count) == ("\u0338x y", 2)
+
+    def test_a_mark_composes_with_the_text_before_its_tag(self):
+        assert segment_html("<p>e<em>\u0301</em></p>") == [("\u00e9", "<p>e<em>\u0301</em></p>")]
+
+    @given(st.text(alphabet="<>e\u0301\u0338\u212b", max_size=12))
+    def test_nfc_runs_normalizes_each_run_on_its_own(self, markup):
+        assert ingest._nfc_runs(markup) == nfc_runs(markup)
 
     def test_only_strong_tags_in_output_texts(self):
         out = segment_html("<p><b>a</b> <strong>b</strong> <i>c</i></p>")

@@ -7,6 +7,7 @@ from itertools import combinations, zip_longest
 import pytest
 
 from oracles import (
+    align_alone,
     alignment_of,
     naive_consensus,
     naive_group_consensus,
@@ -16,7 +17,7 @@ from oracles import (
     partner_vector_rows,
     random_alignment,
 )
-from polyalign.bialign import align_chapter, cost_matrix
+from polyalign.bialign import cost_matrix
 from polyalign.embedding import embed_segments
 from polyalign.ingest import build_chapter_groups
 from polyalign.model import ChapterGroup, Chapter, MultiParallelRow, PolyalignError, Segment
@@ -425,7 +426,7 @@ def dp_aligned_groups(corpus):
         chapters = group.members
         matrices = {k: embed_segments(list(c.segments)) for k, c in chapters.items()}
         out.append((group, {
-            (i, j): alignment_of(align_chapter(cost_matrix(matrices[i], matrices[j])),
+            (i, j): alignment_of(align_alone(cost_matrix(matrices[i], matrices[j])),
                                  tuple(s.id for s in chapters[i].segments),
                                  tuple(s.id for s in chapters[j].segments))
             for i, j in combinations(group.idioms(), 2)
