@@ -312,21 +312,23 @@ _link_keys = itemgetter("src", "tgt", "cost")
 _cost_types = {int, float}
 
 
-def load_alignments(path, chapter_ids: dict[tuple[str, str], tuple[str, ...]]
-                    ) -> Iterator[tuple[str, dict[tuple[str, str], BilingualAlignment]]]:
-    """``(group, {(src idiom, tgt idiom): alignment})`` for each group of ``chapter_ids``,
-    in the order of its keys (the mapping's group order), read from ``path`` one group at
-    a time: a group is yielded once the first record of a later group, or the end of the
-    file, is read, so at most one record of the next group is held with it.
+def load_alignments(path, groups: list[ChapterGroup]
+                    ) -> Iterator[tuple[ChapterGroup, dict[tuple[str, str], BilingualAlignment]]]:
+    """``(group, {(src idiom, tgt idiom): alignment})`` for each of ``groups``, in their order (the
+    mapping's group order), read from ``path`` one group at a time: a group is yielded once the
+    first record of a later group, or the end of the file, is read, so at most one record of the
+    next group is held with it.
 
-    This is the one check of a record: its keys have their types (``_Fields``), its ids are
-    ``chapter_ids[(group, idiom)]``, whose tuples it then holds, its links a monotone 1-1 full
-    cover, no other record holds its pair, and it does not follow a later group's records. So a
-    group's records must be together and in the mapping's group order, as ``align_pairs`` writes
-    them; per-pair ``bialign`` outputs concatenated into one file are rejected. The keys of
-    records already read are kept, so a repeated pair is reported wherever it sits."""
-    rank = {gid: n for n, (gid, _) in enumerate(chapter_ids)}
-    order = iter(rank)
+    This is the one check of a record: its keys have their types (``_Fields``), its ids are its
+    group's chapter ids (one tuple per chapter, built here and shared by that chapter's
+    alignments), its links a monotone 1-1 full cover, no other record holds its pair, and it does
+    not follow a later group's records. So a group's records must be together and in the mapping's
+    group order, as ``align_pairs`` writes them; per-pair ``bialign`` outputs concatenated into one
+    file are rejected. The keys of records already read are kept, so a repeated pair is reported
+    wherever it sits."""
+    chapter_ids = {(g.group_id, k): tuple(s.id for s in c.segments) for g in groups for k, c in g.members.items()}
+    rank = {g.group_id: n for n, g in enumerate(groups)}
+    order = iter(groups)
     current, pairs = next(order, None), {}
     seen: set[tuple[str, str, str]] = set()
     with open(path, "rb") as fh:
@@ -355,14 +357,14 @@ def load_alignments(path, chapter_ids: dict[tuple[str, str], tuple[str, ...]]
                 problem = "is stored twice"
             elif (gid, j, i) in seen:
                 name, problem = f"{j}:{i}", f"is stored twice, the second time as {name}"
-            elif rank[gid] < rank[current]:
-                problem = (f"follows group {current}'s records: each group's records must be together and "
+            elif rank[gid] < rank[current.group_id]:
+                problem = (f"follows group {current.group_id}'s records: each group's records must be together and "
                            "in the mapping's group order, as bialign writes them")
             else:
                 problem = _cover_problem(alignment)
             if problem:
                 raise PolyalignError(f"{path}, line {line_no}: group {gid}: the {name} alignment {problem}")
-            while gid != current:
+            while gid != current.group_id:
                 yield current, pairs
                 current, pairs = next(order), {}
             # Interned, a key costs its tuple and not three more strings.
@@ -394,45 +396,35 @@ def _cover_problem(alignment: BilingualAlignment) -> str | None:
 
 def build_rows(groups: list[ChapterGroup], alignments_path, rows_path,
                length_config: LengthFilterConfig | None, pivot: str | None = None) -> dict:
-    """Multi-parallel rows of every group: the consensus of every pivot or, given
-    ``pivot``, that pivot's join; some group must hold the pivot, and a group
-    that does not adds no rows. It reads only the groups, whose chapters hold
-    every segment of a group's rows, and the alignments, one group at a time:
-    each group's rows are built before the next group's records are read, so
-    only one group's alignments are held. They are checked, their order too,
-    as ``load_alignments`` reads them. A group that lacks a pair the build
-    needs fails the build, once the rest of the file has been checked. Without
-    ``length_config`` no cell is length-filtered. Rows left with fewer than two
-    cells are demoted; a contradictory consensus component is only counted
-    (``dropped_components``). Kept rows get the ``row_id`` ``<provenance>/r<index
-    in the file>``, and are written once, after every group."""
+    """Multi-parallel rows of every group: the consensus of every pivot or, given ``pivot``,
+    that pivot's join; some group must hold the pivot, and a group that does not adds no rows.
+    It reads only the groups, whose chapters hold every segment of a group's rows, and the
+    alignments, in one loop over ``load_alignments``, which checks each record: a group's rows
+    are built before the next group's records are read. A group that lacks a pair the build
+    needs fails it once the whole file has been read, so a bad record later in the file is the
+    error reported. Without ``length_config`` no cell is length-filtered. Rows left with fewer
+    than two cells are demoted; a contradictory consensus component is only counted
+    (``dropped_components``). Kept rows get the ``row_id`` ``<provenance>/r<index in the
+    file>``, and are written once, after every group."""
     if pivot is not None and not any(pivot in g.members for g in groups):
         raise PolyalignError(f"no chapter group has the pivot idiom {pivot!r}")
-    chapter_ids = {(g.group_id, k): tuple(s.id for s in c.segments) for g in groups for k, c in g.members.items()}
-    by_group = load_alignments(alignments_path, chapter_ids)
-
     all_rows = []
     dropped: list[list[str]] = []
     demoted = 0
-    for group, (_, pair_alignments) in zip(groups, by_group):
-        stored = set(pair_alignments) | {(j, i) for i, j in pair_alignments}
+    missing = ""
+    for group, pair_alignments in load_alignments(alignments_path, groups):
         idioms = group.idioms()
         if pivot is None:
-            needed = list(combinations(idioms, 2))
+            needed = combinations(idioms, 2)
         elif pivot in group.members:
             needed = [(pivot, j) for j in idioms if j != pivot]
         else:
             continue
-        missing = [f"{i}:{j}" for i, j in needed if (i, j) not in stored]
+        lacking = [f"{i}:{j}" for i, j in needed if (i, j) not in pair_alignments and (j, i) not in pair_alignments]
+        if lacking and not missing:
+            missing = f"group {group.group_id} has no alignment of {', '.join(lacking)}"
         if missing:
-            # A bad record later in the file, such as the missing pair stored
-            # after another group's records, is the error to report.
-            for _ in by_group:
-                pass
-            raise PolyalignError(
-                f"group {group.group_id} has no alignment of {', '.join(missing)}; "
-                "consensus needs every idiom pair (bialign --pair all)"
-            )
+            continue
         seg_index = {s.id: s for chap in group.members.values() for s in chap.segments}
         if pivot is None:
             aligned = align_group_consensus(group, pair_alignments, seg_index, dropped)
@@ -448,6 +440,8 @@ def build_rows(groups: list[ChapterGroup], alignments_path, rows_path,
             else:
                 demoted += 1
 
+    if missing:
+        raise PolyalignError(f"{missing}; consensus needs every idiom pair (bialign --pair all)")
     export_mod.export_rows(all_rows, rows_path)
     return {"rows": len(all_rows), "dropped_components": len(dropped), "demoted_rows": demoted}
 

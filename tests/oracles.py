@@ -70,11 +70,6 @@ def align_alone(costs: np.ndarray, config: AlignConfig = AlignConfig()) -> list[
     return align_chapter(costs, config, table=dp_tables([costs], config.skip_cost)[0])
 
 
-def alignment_of(moves: list[Move], src_ids: tuple[str, ...], tgt_ids: tuple[str, ...]) -> BilingualAlignment:
-    """The alignment multialign reads for ``align_chapter``'s moves."""
-    return BilingualAlignment(src_ids, tgt_ids, [Link(s, t) for s, t, _ in moves])
-
-
 def pairs_by_id(alignment: BilingualAlignment) -> list[tuple[str | None, str | None]]:
     """The alignment's links as (src id, tgt id) pairs, None on the deleted side."""
     return [

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 from polyalign.evaluate import GoldAlignment
 from polyalign.model import (
@@ -235,3 +236,17 @@ def generate(
         gold_tsv=gold_tsv,
         grades=grades,
     )
+
+
+def write_fixture(corpus: SynthCorpus, root: Path) -> tuple[Path, Path, Path]:
+    """Write the corpus's raw volumes to ``root/raw``, its chapter mapping to
+    ``root/mapping.tsv`` and its gold rows to ``root/gold.tsv``; return the three paths."""
+    raw = root / "raw"
+    raw.mkdir()
+    for name, doc in corpus.raw_docs.items():
+        (raw / name).write_text(doc, encoding="utf-8")
+    mapping = root / "mapping.tsv"
+    mapping.write_text(corpus.mapping_tsv, encoding="utf-8")
+    gold = root / "gold.tsv"
+    gold.write_text(corpus.gold_tsv, encoding="utf-8")
+    return raw, mapping, gold

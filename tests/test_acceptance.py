@@ -11,25 +11,23 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (align_alone, alignment_of, brute_force_align, greedy_accuracy, left_to_right_total,
-                     naive_consensus, naive_pivot_join, pairs_by_id, random_alignment)
-from synth import generate
-from polyalign.bialign import AlignConfig, cost_matrix
-from polyalign.embedding import ProviderConfig, embed_segments
+from oracles import (align_alone, brute_force_align, greedy_accuracy, left_to_right_total, naive_consensus,
+                     naive_pivot_join, pairs_by_id, random_alignment)
+from synth import generate, write_fixture
+from test_pipeline import make_config
+from polyalign.bialign import AlignConfig
 from polyalign.evaluate import multi_prf, strict_prf
-from polyalign.ingest import build_chapter_groups
+from polyalign.export import load_rows
 from polyalign.model import MultiParallelRow, Segment, segment_index
 from polyalign.multialign import (
     LengthFilterConfig,
     PairLinkSet,
-    align_group_consensus,
     consensus,
     length_filter,
     partner_maps,
     pivot_join,
-    pivot_multialign,
 )
-from polyalign.pipeline import PipelineConfig, run_pipeline
+from polyalign.pipeline import build_rows, corpus_groups, run_pipeline
 
 
 def verdict(ok, name, detail=""):
@@ -92,53 +90,24 @@ def test_criterion_2_join_consensus_oracles():
             f"subset law {subset_holds}/500, {elapsed:.2f}s")
 
 
-def build_end_to_end(corpus, dim=256, skip_cost=0.15):
-    """Align the synthetic corpus: per-group pair DPs, consensus and pivot rows."""
-    groups = build_chapter_groups(corpus.volumes, corpus.mapping_tsv)
-    seg_index = segment_index(corpus.volumes)
-    pconfig = ProviderConfig()
-    aconfig = AlignConfig(skip_cost=skip_cost)
-
-    mats = {}
-    for group in groups:
-        for idiom, chap in group.members.items():
-            mats[(group.group_id, idiom)] = embed_segments(
-                list(chap.segments), pconfig, "text", dim=dim
-            )
-
-    consensus_rows = []
-    pivot_rows = []
-    pivot_idiom = "sursilvan"
-    for group in groups:
-        idioms = group.idioms()
-        pair_alignments = {}
-        for a, i in enumerate(idioms):
-            for j in idioms[a + 1 :]:
-                costs = cost_matrix(mats[(group.group_id, i)], mats[(group.group_id, j)])
-                pair_alignments[(i, j)] = alignment_of(
-                    align_alone(costs, aconfig),
-                    tuple(s.id for s in group.members[i].segments),
-                    tuple(s.id for s in group.members[j].segments),
-                )
-        consensus_rows.extend(
-            align_group_consensus(group, pair_alignments, seg_index)
-        )
-        pivot_rows.extend(
-            pivot_multialign(pivot_idiom, idioms, partner_maps(pair_alignments),
-                             seg_index, provenance=group.group_id)
-        )
-
-    return consensus_rows, pivot_rows, corpus.gold
-
-
-def test_criterion_3_synthetic_recovery():
-    """Consensus recovers the synthetic gold; precision traded over recall."""
+def test_criterion_3_synthetic_recovery(tmp_path):
+    """Consensus recovers the synthetic gold; precision traded over recall.
+    Both row files are the package's: the consensus rows a full run writes,
+    and the sursilvan pivot's rows built from that run's alignments."""
     t0 = time.monotonic()
     corpus = generate(seed=0, n_groups=40)
-    consensus_rows, pivot_rows, gold = build_end_to_end(corpus)
+    raw, mapping, _ = write_fixture(corpus, tmp_path)
+    config = make_config(tmp_path, raw, mapping)
+    run_pipeline(config)
+    out = tmp_path / "out"
+    volumes, groups = corpus_groups(out / "corpus.json", out / "mapping.tsv")
+    build_rows(groups, out / "alignments.jsonl", tmp_path / "pivot.jsonl", config.length_filter, pivot="sursilvan")
+    seg_index = segment_index(volumes)
+    consensus_rows = load_rows(out / "rows.jsonl", seg_index)
+    pivot_rows = load_rows(tmp_path / "pivot.jsonl", seg_index)
 
-    _, cons = multi_prf(consensus_rows, gold)
-    _, piv = multi_prf(pivot_rows, gold)
+    _, cons = multi_prf(consensus_rows, corpus.gold)
+    _, piv = multi_prf(pivot_rows, corpus.gold)
     elapsed = time.monotonic() - t0
 
     ok = (
@@ -248,29 +217,16 @@ def test_criterion_6_greedy_harness():
 
 @pytest.fixture(scope="module")
 def fixture_on_disk(small_corpus, tmp_path_factory):
+    """The small corpus written to disk: its directory, raw volumes and mapping."""
     root = tmp_path_factory.mktemp("acceptance")
-    raw = root / "raw"
-    raw.mkdir()
-    for name, doc in small_corpus.raw_docs.items():
-        (raw / name).write_text(doc, encoding="utf-8")
-    (root / "mapping.tsv").write_text(small_corpus.mapping_tsv, encoding="utf-8")
-    return root
-
-
-def pipeline_config(root, out_name):
-    return PipelineConfig(
-        raw_dir=str(root / "raw"),
-        mapping=str(root / "mapping.tsv"),
-        cache_dir=str(root / "cache"),
-        out_dir=str(root / out_name),
-    )
+    return (root, *write_fixture(small_corpus, root)[:2])
 
 
 def test_criterion_7_determinism(fixture_on_disk):
     """Two warm-cache pipeline runs produce byte-identical artifacts."""
-    root = fixture_on_disk
-    m1 = run_pipeline(pipeline_config(root, "run1"))
-    m2 = run_pipeline(pipeline_config(root, "run2"))
+    root = fixture_on_disk[0]
+    m1 = run_pipeline(make_config(*fixture_on_disk, "run1"))
+    m2 = run_pipeline(make_config(*fixture_on_disk, "run2"))
     identical = m1["artifacts"] == m2["artifacts"]
     for name in ("rows.jsonl", "stats.json", "stats.txt"):
         identical = identical and (
@@ -284,10 +240,9 @@ def test_criterion_7_determinism(fixture_on_disk):
 
 def test_criterion_8_stats_fidelity(fixture_on_disk, small_corpus):
     """stats equals an independent raw-JSON counting script exactly."""
-    root = fixture_on_disk
-    out = root / "run1"
+    out = fixture_on_disk[0] / "run1"
     if not (out / "stats.json").exists():
-        run_pipeline(pipeline_config(root, "run1"))
+        run_pipeline(make_config(*fixture_on_disk, "run1"))
     reported = json.loads((out / "stats.json").read_text(encoding="utf-8"))
 
     # Independent tally over the raw JSON artifacts, no polyalign code.

@@ -7,8 +7,6 @@ from itertools import combinations, zip_longest
 import pytest
 
 from oracles import (
-    align_alone,
-    alignment_of,
     naive_consensus,
     naive_group_consensus,
     naive_pivot_join,
@@ -17,9 +15,6 @@ from oracles import (
     partner_vector_rows,
     random_alignment,
 )
-from polyalign.bialign import cost_matrix
-from polyalign.embedding import embed_segments
-from polyalign.ingest import build_chapter_groups
 from polyalign.model import ChapterGroup, Chapter, MultiParallelRow, PolyalignError, Segment
 from polyalign.multialign import (
     BilingualAlignment,
@@ -34,8 +29,9 @@ from polyalign.multialign import (
     pivot_join,
     pivot_multialign,
 )
-from polyalign.pipeline import build_rows, corpus_groups, ingest_raw
-from synth import generate
+from polyalign.pipeline import build_rows, corpus_groups, ingest_raw, load_alignments, run_pipeline
+from synth import generate, write_fixture
+from test_pipeline import make_config
 
 
 def alignment_from_pairs(pairs):
@@ -73,13 +69,8 @@ def seg(sid, idiom, pos=0, text="t t t"):
 def ingested(tmp_path_factory):
     """A two-group corpus ingested to disk: its directory and its chapter groups."""
     root = tmp_path_factory.mktemp("ingested")
-    corpus = generate(seed=0, n_groups=2, segs_per_chapter=5)
-    raw = root / "raw"
-    raw.mkdir()
-    for name, doc in corpus.raw_docs.items():
-        (raw / name).write_text(doc, encoding="utf-8")
-    (root / "mapping.tsv").write_text(corpus.mapping_tsv, encoding="utf-8")
-    ingest_raw(raw, root / "mapping.tsv", root / "corpus.json", root / "warnings.jsonl")
+    raw, mapping, _ = write_fixture(generate(seed=0, n_groups=2, segs_per_chapter=5), root)
+    ingest_raw(raw, mapping, root / "corpus.json", root / "warnings.jsonl")
     return root, corpus_groups(root / "corpus.json", root / "mapping.tsv")[1]
 
 
@@ -419,29 +410,19 @@ def substitution_heavy_group(rng):
     return make_group(ids), alignments
 
 
-def dp_aligned_groups(corpus):
-    """Each chapter group of a synthetic corpus with the DP alignment of every idiom pair."""
-    out = []
-    for group in build_chapter_groups(corpus.volumes, corpus.mapping_tsv):
-        chapters = group.members
-        matrices = {k: embed_segments(list(c.segments)) for k, c in chapters.items()}
-        out.append((group, {
-            (i, j): alignment_of(align_alone(cost_matrix(matrices[i], matrices[j])),
-                                 tuple(s.id for s in chapters[i].segments),
-                                 tuple(s.id for s in chapters[j].segments))
-            for i, j in combinations(group.idioms(), 2)
-        }))
-    return out
-
-
 class TestGroupConsensus:
-    def test_rows_are_partner_vector_classes(self, small_corpus):
+    def test_rows_are_partner_vector_classes(self, small_corpus, tmp_path):
         # With 1-1 covers a consensus link joins two segments whose partner
         # vectors are equal and complete, so no component ever holds two
-        # segments of one idiom and nothing is dropped.
+        # segments of one idiom and nothing is dropped. The corpus's
+        # alignments are the ones a full run stores.
+        raw, mapping, _ = write_fixture(small_corpus, tmp_path)
+        run_pipeline(make_config(tmp_path, raw, mapping))
+        out = tmp_path / "out"
+        _, groups = corpus_groups(out / "corpus.json", out / "mapping.tsv")
         rng = random.Random(11)
         sources = {
-            "corpus": dp_aligned_groups(small_corpus),
+            "corpus": list(load_alignments(out / "alignments.jsonl", groups)),
             "random": [substitution_heavy_group(rng) for _ in range(500)],
         }
         n_rows = dict.fromkeys(sources, 0)

@@ -27,20 +27,8 @@ from polyalign.pipeline import (
     load_config,
     run_pipeline,
 )
-from synth import generate
+from synth import generate, write_fixture
 from test_embedding import FakeResponse
-
-
-def write_fixture(corpus, root):
-    raw = root / "raw"
-    raw.mkdir()
-    for name, doc in corpus.raw_docs.items():
-        (raw / name).write_text(doc, encoding="utf-8")
-    mapping = root / "mapping.tsv"
-    mapping.write_text(corpus.mapping_tsv, encoding="utf-8")
-    gold = root / "gold.tsv"
-    gold.write_text(corpus.gold_tsv, encoding="utf-8")
-    return raw, mapping, gold
 
 
 def write_bad_volume(corpus, root):
@@ -305,6 +293,36 @@ class TestRunPipeline:
         assert len(ids[0]) == 8
         assert ids[1] == ids[0]
 
+    def test_length_filter_nulls_a_tripled_segment(self, tmp_path):
+        """The text of each puter chapter's first element written three times makes that
+        segment too long for its row: the default filter nulls its cell and flags the row,
+        and without the filter (``--no-length-filter``) the same rows keep it."""
+        corpus = generate(seed=0, n_groups=2, segs_per_chapter=5)
+        raw_docs = dict(corpus.raw_docs)
+        for name in sorted(n for n in raw_docs if n.startswith("puter-")):
+            doc = json.loads(raw_docs[name])
+            for chapter in doc["chapters"]:
+                text = chapter["elements"][0]["html"].removeprefix("<p>").removesuffix("</p>")
+                chapter["elements"][0]["html"] = f"<p>{text} {text} {text}</p>"
+            raw_docs[name] = json.dumps(doc)
+        raw, mapping, _ = write_fixture(dataclasses.replace(corpus, raw_docs=raw_docs), tmp_path)
+        run_pipeline(make_config(tmp_path, raw, mapping))
+        out = tmp_path / "out"
+        _, groups = corpus_groups(out / "corpus.json", out / "mapping.tsv")
+        build_rows(groups, out / "alignments.jsonl", tmp_path / "unfiltered.jsonl", None)
+        filtered, unfiltered = ([json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+                                for path in (out / "rows.jsonl", tmp_path / "unfiltered.jsonl"))
+        assert len(unfiltered) == 8 and not any(row["flags"] for row in unfiltered)
+        assert all(row["cells"]["puter"] for row in unfiltered)
+        tripled = [row["row_id"] for row in unfiltered if row["cells"]["puter"]["segment_id"].endswith("/0")]
+        assert tripled == ["g0001/r00000", "g0002/r00004"]
+        assert [row["row_id"] for row in filtered] == [row["row_id"] for row in unfiltered]
+        for row, kept in zip(filtered, unfiltered):
+            if row["row_id"] in tripled:
+                assert row["flags"] == ["noise-filtered:puter"] and row["cells"] == {**kept["cells"], "puter": None}
+            else:
+                assert row == kept
+
     def test_markup_shape_writes_the_plain_shape_rows(self, tmp_path):
         """Each markup form is one segment with the plain form's text, so the rows are the
         same bytes, though the elements that are not a plain <p> take the HTML parser."""
@@ -506,20 +524,23 @@ class TestRunPipeline:
 
     def test_stored_alignments_hold_the_corpus_segment_ids(self, tmp_path, monkeypatch):
         raw, mapping, _ = write_fixture(generate(seed=0, n_groups=40, segs_per_chapter=30), tmp_path)
-        calls, loaded = [], []
+        loaded = []
 
-        def load_alignments(path, chapter_ids):
-            calls.append(chapter_ids)
-            for gid, pairs in pipeline_load_alignments(path, chapter_ids):
-                loaded.extend(((gid, i, j), alignment) for (i, j), alignment in pairs.items())
-                yield gid, pairs
+        def load_alignments(path, groups):
+            for group, pairs in pipeline_load_alignments(path, groups):
+                loaded.append((group, pairs))
+                yield group, pairs
 
         monkeypatch.setattr(pipeline, "load_alignments", load_alignments)
         run_pipeline(make_config(tmp_path, raw, mapping))
-        [chapter_ids] = calls
-        assert len(loaded) == 400
-        for (gid, i, j), alignment in loaded:
-            assert alignment.src_ids is chapter_ids[(gid, i)] and alignment.tgt_ids is chapter_ids[(gid, j)]
+        assert len(loaded) == 40 and sum(len(pairs) for _, pairs in loaded) == 400
+        for group, pairs in loaded:
+            # Every alignment of one chapter holds the same tuple of its ids.
+            held = {}
+            for (i, j), alignment in pairs.items():
+                for idiom, ids in ((i, alignment.src_ids), (j, alignment.tgt_ids)):
+                    assert ids == tuple(s.id for s in group.members[idiom].segments)
+                    assert held.setdefault(idiom, ids) is ids
 
     def test_multialign_holds_one_group_of_alignments(self, tmp_path, monkeypatch):
         raw, mapping, _ = write_fixture(generate(seed=0, n_groups=40, segs_per_chapter=30), tmp_path)
@@ -714,6 +735,24 @@ class TestStoredAlignmentsMustBeGrouped:
             assert_reported(result, f"{broken}, line {line}: group {first}: ",
                             f"alignment follows group {second}'s records")
             assert not (tmp_path / "rows.jsonl").exists()
+
+
+def test_a_missing_pair_fails_the_build_once_the_file_is_read(pipeline_run, tmp_path):
+    out = pipeline_run[0] / "out"
+    first, _, a, b, rest = group_blocks(out)
+    _, groups = corpus_groups(out / "corpus.json", out / "mapping.tsv")
+    stored, rows = tmp_path / "alignments.jsonl", tmp_path / "rows.jsonl"
+    # The first group's first record (puter:surmiran) left out: the consensus needs
+    # it, the sursilvan pivot's rows do not.
+    stored.write_text("\n".join(a[1:] + b + rest) + "\n", encoding="utf-8")
+    with pytest.raises(PolyalignError, match=f"^group {first} has no alignment of puter:surmiran; consensus needs"):
+        build_rows(groups, stored, rows, None)
+    assert not rows.exists()
+    assert build_rows(groups, stored, rows, None, "sursilvan")["rows"] > 0
+    # A bad record later in the file is the error reported.
+    stored.write_text("\n".join(a[1:] + b + rest + b[:1]) + "\n", encoding="utf-8")
+    with pytest.raises(PolyalignError, match="is stored twice"):
+        build_rows(groups, stored, rows, None)
 
 
 @pytest.fixture(scope="module")
