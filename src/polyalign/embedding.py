@@ -52,15 +52,6 @@ class ProviderConfig:
             raise PolyalignError(f"provider {self.name!r} is not 'hash' and has no endpoint")
 
 
-def _ngrams(text: str, n: int = 3):
-    text = nfc(text).lower()
-    if len(text) < n:
-        yield text
-        return
-    for i in range(len(text) - n + 1):
-        yield text[i : i + n]
-
-
 @functools.lru_cache(maxsize=1 << 14)
 def _slot(gram: str, dim: int) -> tuple[int, float]:
     """The bucket and sign of one 3-gram: a keyed BLAKE2 digest with a fixed
@@ -80,7 +71,9 @@ def hash_embed(text: str, dim: int = HASH_DIM_DEFAULT) -> np.ndarray:
     """
     if dim < HASH_DIM_MIN:
         raise PolyalignError(f"hash_embed requires dim >= {HASH_DIM_MIN}")
-    buckets, signs = zip(*[_slot(gram, dim) for gram in _ngrams(text)])
+    text = nfc(text).lower()
+    grams = [text[i : i + 3] for i in range(len(text) - 2)] or [text]
+    buckets, signs = zip(*[_slot(gram, dim) for gram in grams])
     vec = np.bincount(buckets, weights=signs, minlength=dim)
     norm = np.linalg.norm(vec)
     if norm == 0.0:
@@ -175,9 +168,9 @@ class EmbeddingCache:
 
     A record is the ``(n, dim)`` matrix of one chapter's ordered inputs under
     one provider, model, mode and dim, stored as ``<key>.bin``. ``put``
-    writes under a temporary name and ``flush`` renames, so a ``.bin`` that
-    exists is complete, and runs sharing a directory can only ever replace a
-    record with the same record.
+    writes under a temporary name (removed if the write fails) and ``flush``
+    renames, so a ``.bin`` that exists is complete, and runs sharing a
+    directory can only ever replace a record with the same record.
     """
 
     def __init__(self, directory):
@@ -204,9 +197,15 @@ class EmbeddingCache:
         return values.reshape(n, dim)
 
     def put(self, key: str, vectors: np.ndarray) -> None:
+        data = np.asarray(vectors, dtype="<f4").tobytes()
         tmp = os.path.join(self.directory, f"{key}.{uuid.uuid4().hex}.tmp")
-        with open(tmp, "xb") as fh:
-            fh.write(np.asarray(vectors, dtype="<f4").tobytes())
+        try:
+            with open(tmp, "xb") as fh:
+                fh.write(data)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
         self.pending.append((tmp, self._path(key)))
 
     def flush(self) -> None:

@@ -84,7 +84,6 @@ class _TreeBuilder(HTMLParser):
         self.source = source
 
     def handle_starttag(self, tag, attrs):
-        tag = tag.lower()
         if tag in _AUTOCLOSE:
             closable = _AUTOCLOSE[tag]
             for node in reversed(self.stack[1:]):
@@ -95,17 +94,16 @@ class _TreeBuilder(HTMLParser):
                     break
                 if node.tag in STRUCTURAL_TAGS:
                     break
-        node = _Node(tag=tag, attrs=list(attrs))
+        node = _Node(tag=tag, attrs=attrs)
         self.stack[-1].children.append(node)
         if tag not in VOID_TAGS:
             self.stack.append(node)
 
     def handle_startendtag(self, tag, attrs):
-        node = _Node(tag=tag.lower(), attrs=list(attrs))
+        node = _Node(tag=tag, attrs=attrs)
         self.stack[-1].children.append(node)
 
     def handle_endtag(self, tag):
-        tag = tag.lower()
         if tag in VOID_TAGS:
             return
         for i in range(len(self.stack) - 1, 0, -1):

@@ -9,9 +9,8 @@ the segmenter dropped too, and with its rules since: ``<script>`` and
 ``<style>`` content is left out, and each run of character data is
 NFC-normalized on its own): it parses with the shipped ``_TreeBuilder``,
 which it does not check. ``corpus_to_dict`` is the corpus document that
-``save_corpus`` must write, and ``greedy_accuracy`` is the 1-NN harness for
-comparing embedding inputs, which only the tests use. ``align_alone`` is not
-an oracle: it runs the shipped DP on one pair, as a batch of its own.
+``save_corpus`` must write. ``align_alone`` is not an oracle: it runs the
+shipped DP on one pair, as a batch of its own.
 """
 
 from __future__ import annotations
@@ -478,21 +477,3 @@ def corpus_to_dict(volumes: list[BookVolume]) -> dict:
         ],
     }
 
-
-def greedy_accuracy(
-    src: np.ndarray, tgt: np.ndarray, gold_pairs: list[tuple[int, int]]
-) -> float:
-    """Fraction of gold 1-1 pairs whose argmax-cosine target is the gold one.
-
-    Ties go to the lowest target index.
-    """
-    if not gold_pairs:
-        raise PolyalignError("greedy_accuracy requires at least one gold pair")
-    sims = src.astype(np.float64) @ tgt.astype(np.float64).T
-    correct = 0
-    for s, t in gold_pairs:
-        if not (0 <= s < sims.shape[0] and 0 <= t < sims.shape[1]):
-            raise PolyalignError(f"gold pair ({s}, {t}) out of range for {sims.shape}")
-        if int(np.argmax(sims[s])) == t:  # np.argmax returns the first maximum
-            correct += 1
-    return correct / len(gold_pairs)

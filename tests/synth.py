@@ -19,7 +19,6 @@ from pathlib import Path
 from polyalign.evaluate import GoldAlignment
 from polyalign.model import (
     BookVolume,
-    corpus_from_dict,
     make_segment_id,
     normalize_chapter_key,
 )

@@ -1,6 +1,9 @@
 import dataclasses
+import errno
 import hashlib
+import io
 import math
+import os
 import sys
 import threading
 
@@ -358,6 +361,21 @@ class TestEmbeddingCache:
         assert np.array_equal(mat[0], mat[2])
         assert not list(tmp_path.glob("*.tmp"))
         assert len(list(tmp_path.glob("*.bin"))) == 1
+
+    def test_failed_put_leaves_no_file(self, tmp_path, monkeypatch):
+        import polyalign.embedding as emb
+
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        cache = EmbeddingCache(tmp_path)
+        with pytest.raises(ValueError):
+            cache.put("k", [[1.0], [1.0, 2.0]])
+        monkeypatch.setattr(emb, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            cache.put("k", chapter_matrix(chapter_texts(0, n=3)))
+        assert not list(tmp_path.iterdir()) and not cache.pending
 
     def test_failed_second_batch_leaves_no_files(self, tmp_path, monkeypatch):
         import polyalign.embedding as emb

@@ -1,7 +1,6 @@
 import logging
 import random
 
-import numpy as np
 import pytest
 
 from polyalign.evaluate import (
@@ -12,8 +11,6 @@ from polyalign.evaluate import (
     strict_prf,
 )
 from polyalign.model import MultiParallelRow, PolyalignError, Segment
-
-from oracles import greedy_accuracy
 
 
 def seg(sid, idiom, pos=0):
@@ -139,44 +136,6 @@ class TestMultiPRF:
         table, _ = multi_prf(hyp, self.gold())
         assert table[("x", "z")].precision == 1.0
         assert table[("x", "z")].recall == 1.0
-
-
-def unit_matrix(rows):
-    arr = np.asarray(rows, dtype=np.float64)
-    arr = arr / np.linalg.norm(arr, axis=1, keepdims=True)
-    return arr.astype(np.float32)
-
-
-class TestGreedyAccuracy:
-    def test_self_alignment_is_one(self):
-        rng = np.random.default_rng(1)
-        m = unit_matrix(rng.normal(size=(10, 16)))
-        pairs = [(i, i) for i in range(10)]
-        assert greedy_accuracy(m, m, pairs) == 1.0
-
-    def test_constructed_half_wrong(self):
-        src = unit_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]])
-        tgt = unit_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.9, 0.1, 0]])
-        # Sources 0 and 3 both hit target 0 first; gold says 3 -> 3.
-        pairs = [(0, 0), (1, 1), (2, 2), (3, 3)]
-        assert greedy_accuracy(src, tgt, pairs) == pytest.approx(0.75)
-        assert greedy_accuracy(src, tgt, [(3, 3), (3, 0)]) == pytest.approx(0.5)
-
-    def test_ties_go_to_lowest_index(self):
-        src = unit_matrix([[1, 0]])
-        tgt = unit_matrix([[1, 0], [1, 0]])
-        assert greedy_accuracy(src, tgt, [(0, 0)]) == 1.0
-        assert greedy_accuracy(src, tgt, [(0, 1)]) == 0.0
-
-    def test_empty_gold_errors(self):
-        m = unit_matrix([[1, 0]])
-        with pytest.raises(PolyalignError, match="greedy_accuracy requires at least one gold pair"):
-            greedy_accuracy(m, m, [])
-
-    def test_out_of_range_pair_errors(self):
-        m = unit_matrix([[1, 0]])
-        with pytest.raises(PolyalignError, match=r"gold pair \(0, 5\) out of range for \(1, 1\)"):
-            greedy_accuracy(m, m, [(0, 5)])
 
 
 class TestLoadGold:

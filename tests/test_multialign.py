@@ -1,8 +1,7 @@
-import json
 import math
 import random
 import re
-from itertools import combinations, zip_longest
+from itertools import combinations
 
 import pytest
 
@@ -29,8 +28,8 @@ from polyalign.multialign import (
     pivot_join,
     pivot_multialign,
 )
-from polyalign.pipeline import build_rows, corpus_groups, ingest_raw, load_alignments, run_pipeline
-from synth import generate, write_fixture
+from polyalign.pipeline import corpus_groups, load_alignments, run_pipeline
+from synth import write_fixture
 from test_pipeline import make_config
 
 
@@ -65,40 +64,6 @@ def seg(sid, idiom, pos=0, text="t t t"):
                    text=text, token_count=len(text.split()))
 
 
-@pytest.fixture(scope="module")
-def ingested(tmp_path_factory):
-    """A two-group corpus ingested to disk: its directory and its chapter groups."""
-    root = tmp_path_factory.mktemp("ingested")
-    raw, mapping, _ = write_fixture(generate(seed=0, n_groups=2, segs_per_chapter=5), root)
-    ingest_raw(raw, mapping, root / "corpus.json", root / "warnings.jsonl")
-    return root, corpus_groups(root / "corpus.json", root / "mapping.tsv")[1]
-
-
-def write_alignments(path, groups, stale_pair=None):
-    """Position-by-position alignments of every idiom pair of every group. In the
-    last group, the ``stale_pair`` alignment carries its first idiom's segment ids
-    from the first group's chapter."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for group in groups:
-            for i, j in combinations(group.idioms(), 2):
-                ids = {k: [s.id for s in group.members[k].segments] for k in (i, j)}
-                if group is groups[-1] and (i, j) == stale_pair:
-                    ids[i] = [s.id for s in groups[0].members[i].segments]
-                a = alignment_from_pairs(list(zip_longest(ids[i], ids[j])))
-                fh.write(json.dumps({
-                    "group": group.group_id, "src_idiom": i, "tgt_idiom": j,
-                    "src_chapter": f"{group.group_id}/{i}", "tgt_chapter": f"{group.group_id}/{j}",
-                    "src_ids": list(a.src_ids), "tgt_ids": list(a.tgt_ids),
-                    "links": [{"src": l.src, "tgt": l.tgt, "cost": 0.1} for l in a.links],
-                    "total_cost": 0.1 * len(a.links),
-                }) + "\n")
-
-
-def rows_on(root, alignments, pivot=None):
-    _, groups = corpus_groups(root / "corpus.json", root / "mapping.tsv")
-    return build_rows(groups, alignments, root / "rows.jsonl", None, pivot=pivot)
-
-
 class TestPivotJoin:
     def test_spec_hand_case(self):
         a_ip = alignment_from_pairs([("a1", "p1"), ("a2", "p2"), ("a3", None)])
@@ -118,20 +83,6 @@ class TestPivotJoin:
         a_pj = alignment_from_pairs([(f"p{k}", f"b{k}") for k in range(3)])
         out = join_through_pivot(a_ip, a_pj)
         assert out.pairs == frozenset({(f"a{k}", f"b{k}") for k in range(3)})
-
-    def test_pivot_chapter_mismatch_errors(self, ingested, tmp_path):
-        # The consensus joins through every pivot; one alignment whose pivot side
-        # is another chapter's fails the build, and no rows are written.
-        root, groups = ingested
-        i, j = groups[-1].idioms()[:2]
-        write_alignments(tmp_path / "fresh.jsonl", groups)
-        assert rows_on(root, tmp_path / "fresh.jsonl")["rows"] > 0
-        (root / "rows.jsonl").unlink()
-        write_alignments(tmp_path / "stale.jsonl", groups, stale_pair=(i, j))
-        with pytest.raises(PolyalignError, match=f"group {groups[-1].group_id}: the {i}:{j} alignment "
-                                                "does not match the corpus's chapters; rerun bialign"):
-            rows_on(root, tmp_path / "stale.jsonl")
-        assert not (root / "rows.jsonl").exists()
 
     def test_pivot_segments_never_in_output(self):
         rng = random.Random(0)
@@ -212,20 +163,6 @@ class TestPivotMultialign:
             out = multialign_on_pivot("p", alignments, self._index(ids))
             pivot_cells = [r.cells["p"].id for r in out if r.cells.get("p") is not None]
             assert sorted(pivot_cells) == sorted(ids["p"])
-
-    def test_inconsistent_pivot_chapter_errors(self, ingested, tmp_path):
-        # One pivot alignment whose pivot chapter is another group's fails the
-        # single-pivot build, and no rows are written.
-        root, groups = ingested
-        pivot, other = groups[-1].idioms()[:2]
-        write_alignments(tmp_path / "fresh.jsonl", groups)
-        assert rows_on(root, tmp_path / "fresh.jsonl", pivot)["rows"] > 0
-        (root / "rows.jsonl").unlink()
-        write_alignments(tmp_path / "stale.jsonl", groups, stale_pair=(pivot, other))
-        with pytest.raises(PolyalignError, match=f"group {groups[-1].group_id}: the {pivot}:{other} alignment "
-                                                "does not match the corpus's chapters; rerun bialign"):
-            rows_on(root, tmp_path / "stale.jsonl", pivot)
-        assert not (root / "rows.jsonl").exists()
 
 
 def link_set(pairs):

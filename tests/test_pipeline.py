@@ -620,6 +620,10 @@ def _link_on_neither_side(doc):
     _substitutions(doc)[0].update(src=None, tgt=None)
 
 
+def _source_ids_of_another_chapter(doc):
+    doc["src_ids"] = doc["tgt_ids"]
+
+
 def _record_repeated(doc):
     return dict(doc)
 
@@ -643,6 +647,7 @@ BROKEN_COVERS = [
     (_source_a_string, "has a link index that is not an integer"),
     (_source_a_float, "has a link index that is not an integer"),
     (_link_on_neither_side, "has a link that touches neither side: a link must touch at least one side"),
+    (_source_ids_of_another_chapter, "does not match the corpus's chapters; rerun bialign on this corpus"),
     (_record_repeated, "is stored twice"),
     (_reverse_pair_appended, "is stored twice, the second time as surmiran:puter"),
 ]
