@@ -362,18 +362,27 @@ class TestEmbeddingCache:
         assert not list(tmp_path.glob("*.tmp"))
         assert len(list(tmp_path.glob("*.bin"))) == 1
 
-    def test_failed_put_leaves_no_file(self, tmp_path, monkeypatch):
-        import polyalign.embedding as emb
-
-        class FullDisk(io.FileIO):
-            def write(self, data):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
+    def test_failed_conversion_opens_no_file(self, tmp_path):
         cache = EmbeddingCache(tmp_path)
         with pytest.raises(ValueError):
             cache.put("k", [[1.0], [1.0, 2.0]])
-        monkeypatch.setattr(emb, "open", FullDisk, raising=False)
-        with pytest.raises(OSError, match="No space left"):
+        assert not list(tmp_path.iterdir()) and not cache.pending
+
+    # An interrupt in the middle of a write removes the temporary file too.
+    @pytest.mark.parametrize("error, message", [
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), "No space left"),
+        (KeyboardInterrupt("stopped"), "stopped"),
+    ])
+    def test_failed_write_removes_its_temporary_file(self, tmp_path, monkeypatch, error, message):
+        import polyalign.embedding as emb
+
+        class FailingWrite(io.FileIO):
+            def write(self, data):
+                raise error
+
+        cache = EmbeddingCache(tmp_path)
+        monkeypatch.setattr(emb, "open", FailingWrite, raising=False)
+        with pytest.raises(type(error), match=message):
             cache.put("k", chapter_matrix(chapter_texts(0, n=3)))
         assert not list(tmp_path.iterdir()) and not cache.pending
 

@@ -190,6 +190,17 @@ class TestSegmentHtml:
         assert segment_html("<P CLASS=x>a < b</P>") == [("a &lt; b", '<p class="x">a &lt; b</p>')]
         assert segment_html("<div><p>a < b</p></div>") == segment_html("<div><p>a < b</p><p>d</p></div>")[:1]
 
+    # HTMLParser hands the tree builder lower-case tag names, so its void,
+    # self-closing and auto-closing rules hold for tags of any case.
+    @pytest.mark.parametrize("markup, expected", [
+        ("<P>a<BR/>b</P><P>c</p>", [("a b", "<p>a<br/>b</p>"), ("c", "<p>c</p>")]),
+        ("<UL><LI>a<LI>b</UL>", [("a", "<li>a</li>"), ("b", "<li>b</li>")]),
+        ("<DIV>a<BR>b<HR>c</Div>", [("a bc", "<div>a<br/>b<hr/>c</div>")]),
+    ])
+    def test_tag_names_of_any_case_parse_as_lower_case(self, markup, expected):
+        assert segment_html(markup) == expected
+        assert segment_html(markup.lower()) == expected
+
     def test_candidate_html_escapes_text_and_attributes(self):
         out = segment_html('<ul><li>a &lt; b</li><li>c &amp; d</li></ul>')
         assert out == [("a &lt; b", "<li>a &lt; b</li>"), ("c &amp; d", "<li>c &amp; d</li>")]

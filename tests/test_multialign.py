@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -28,8 +29,8 @@ from polyalign.multialign import (
     pivot_join,
     pivot_multialign,
 )
-from polyalign.pipeline import corpus_groups, load_alignments, run_pipeline
-from synth import write_fixture
+from polyalign.pipeline import build_rows, corpus_groups, load_alignments, run_pipeline
+from synth import generate, write_fixture
 from test_pipeline import make_config
 
 
@@ -64,6 +65,30 @@ def seg(sid, idiom, pos=0, text="t t t"):
                    text=text, token_count=len(text.split()))
 
 
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """A full run over a two-group corpus: its output directory and its chapter groups."""
+    root = tmp_path_factory.mktemp("built")
+    raw, mapping, _ = write_fixture(generate(seed=0, n_groups=2, segs_per_chapter=5), root)
+    run_pipeline(make_config(root, raw, mapping))
+    out = root / "out"
+    return out, corpus_groups(out / "corpus.json", out / "mapping.tsv")[1]
+
+
+def stale_alignments(out, groups, pair, path):
+    """Write the run's stored alignments to path, with the last group's ``pair``
+    record carrying its first idiom's segment ids from the first group's chapter."""
+    docs = [json.loads(line) for line in (out / "alignments.jsonl").read_text(encoding="utf-8").splitlines()]
+    stale = [d for d in docs if (d["group"], d["src_idiom"], d["tgt_idiom"]) == (groups[-1].group_id, *pair)]
+    assert len(stale) == 1
+    stale[0]["src_ids"] = [s.id for s in groups[0].members[pair[0]].segments]
+    path.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+
+
+def rows_on(groups, alignments, rows, pivot=None):
+    return build_rows(groups, alignments, rows, None, pivot=pivot)
+
+
 class TestPivotJoin:
     def test_spec_hand_case(self):
         a_ip = alignment_from_pairs([("a1", "p1"), ("a2", "p2"), ("a3", None)])
@@ -83,6 +108,19 @@ class TestPivotJoin:
         a_pj = alignment_from_pairs([(f"p{k}", f"b{k}") for k in range(3)])
         out = join_through_pivot(a_ip, a_pj)
         assert out.pairs == frozenset({(f"a{k}", f"b{k}") for k in range(3)})
+
+    def test_pivot_chapter_mismatch_errors(self, built, tmp_path):
+        # The consensus joins through every pivot; one alignment whose pivot side
+        # is another group's chapter fails the build, and no rows are written.
+        out, groups = built
+        i, j = groups[-1].idioms()[:2]
+        assert rows_on(groups, out / "alignments.jsonl", tmp_path / "rows.jsonl")["rows"] > 0
+        (tmp_path / "rows.jsonl").unlink()
+        stale_alignments(out, groups, (i, j), tmp_path / "stale.jsonl")
+        with pytest.raises(PolyalignError, match=f"group {groups[-1].group_id}: the {i}:{j} alignment "
+                                                "does not match the corpus's chapters; rerun bialign"):
+            rows_on(groups, tmp_path / "stale.jsonl", tmp_path / "rows.jsonl")
+        assert not (tmp_path / "rows.jsonl").exists()
 
     def test_pivot_segments_never_in_output(self):
         rng = random.Random(0)
@@ -163,6 +201,19 @@ class TestPivotMultialign:
             out = multialign_on_pivot("p", alignments, self._index(ids))
             pivot_cells = [r.cells["p"].id for r in out if r.cells.get("p") is not None]
             assert sorted(pivot_cells) == sorted(ids["p"])
+
+    def test_inconsistent_pivot_chapter_errors(self, built, tmp_path):
+        # One pivot alignment whose pivot chapter is another group's fails the
+        # single-pivot build, and no rows are written.
+        out, groups = built
+        pivot, other = groups[-1].idioms()[:2]
+        assert rows_on(groups, out / "alignments.jsonl", tmp_path / "rows.jsonl", pivot)["rows"] > 0
+        (tmp_path / "rows.jsonl").unlink()
+        stale_alignments(out, groups, (pivot, other), tmp_path / "stale.jsonl")
+        with pytest.raises(PolyalignError, match=f"group {groups[-1].group_id}: the {pivot}:{other} alignment "
+                                                "does not match the corpus's chapters; rerun bialign"):
+            rows_on(groups, tmp_path / "stale.jsonl", tmp_path / "rows.jsonl", pivot)
+        assert not (tmp_path / "rows.jsonl").exists()
 
 
 def link_set(pairs):

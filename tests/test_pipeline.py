@@ -495,6 +495,17 @@ class TestRunPipeline:
         assert_reported(CliRunner().invoke(main, ["run", "--config", str(path)]), f"no path given for {key}")
         assert not list(tmp_path.rglob("corpus.json"))
 
+    def test_relative_paths_resolve_against_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        raw, mapping, _ = write_fixture(generate(seed=0, n_groups=2, segs_per_chapter=5), tmp_path)
+        config = PipelineConfig(raw_dir=raw.name, mapping=mapping.name, cache_dir="cache", out_dir="out")
+        (tmp_path / "elsewhere").mkdir()
+        write_config(tmp_path / "elsewhere" / "config.json", config)
+        result = CliRunner().invoke(main, ["run", "--config", "elsewhere/config.json"])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "out" / "rows.jsonl").exists() and (tmp_path / "cache").is_dir()
+        assert [p.name for p in (tmp_path / "elsewhere").iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize("skip_cost", [float("nan"), float("inf"), True])
     def test_skip_cost_that_is_not_finite_rejected(self, tmp_path, skip_cost):
         with pytest.raises(PolyalignError, match="skip_cost must be a finite number >= 0"):
